@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
 
 from .conformal import ConformalFactor
 from .errors import CausticDetected, QuadratureNotConverged, StencilUnderResolved
-from .geometry import BoundaryRay, ConvexBody
+from .geometry import (BoundaryRay, ConvexBody, hamiltonian_jet,
+                       march_to_exit, perp_frame, rk4_step)
 
 
 @dataclass
@@ -59,32 +61,25 @@ class BeamParams:
 
 
 def _h_derivs(c: ConformalFactor, t: float, x: np.ndarray, p: np.ndarray):
-    """h, h_x, h_p, h_xx, h_px, h_pp, dh/dt at a single phase-space point."""
+    """c, grad_x c and h, h_x, h_p, h_xx, h_px, h_pp, dh/dt at a single
+    phase-space point."""
+    cv, gv, gam, pn, phat, h_x, h_p = hamiltonian_jet(c, t, x, p)
     xb = x[None, :]
-    cv = float(c(t, xb)[0])
-    gv = c.grad_x(t, xb)[0]
     Hv = c.hess_x(t, xb)[0]
     ct = float(c.dt(t, xb)[0])
-    pn = float(np.linalg.norm(p))
-    gam = np.sqrt(cv)
-    phat = p / pn
     h = gam * pn
-    h_p = gam * phat
-    h_x = pn * gv / (2 * gam)
     h_pp = gam * (np.eye(x.size) - np.outer(phat, phat)) / pn
     h_px = np.outer(phat, gv) / (2 * gam)          # d^2 h / dp_i dx_j
     h_xx = pn * (Hv / (2 * gam) - np.outer(gv, gv) / (4 * gam * cv))
     h_t = pn * ct / (2 * gam)
-    return h, h_x, h_p, h_xx, h_px, h_pp, h_t
+    return cv, gv, h, h_x, h_p, h_xx, h_px, h_pp, h_t
 
 
 def _beam_rhs(c: ConformalFactor, n: int, t: float, state: dict):
     x, p, Y, N, a0 = (state["x"], state["p"], state["Y"], state["N"],
                       state["a0"])
-    h, h_x, h_p, h_xx, h_px, h_pp, h_t = _h_derivs(c, t, x, p)
+    cv, gv, h, h_x, h_p, h_xx, h_px, h_pp, h_t = _h_derivs(c, t, x, p)
     M = N @ np.linalg.inv(Y)
-    cv = float(c(t, x[None, :])[0])
-    gv = c.grad_x(t, x[None, :])[0]
     psi_tt = h_t + complex(h_x @ h_p) + complex(h_p @ (M @ h_p))
     lap_psi = cv * np.trace(M) + (1 - n / 2) * complex(gv @ p)
     box_psi = psi_tt - lap_psi
@@ -95,18 +90,6 @@ def _beam_rhs(c: ConformalFactor, n: int, t: float, state: dict):
         "N": h_xx @ Y + h_px.T @ N,
         "a0": -box_psi / (2 * h) * a0,
     }
-
-
-def _rk4(c, n, t, state, dt):
-    def add(s, k, fac):
-        return {key: s[key] + fac * k[key] for key in s}
-
-    k1 = _beam_rhs(c, n, t, state)
-    k2 = _beam_rhs(c, n, t + dt / 2, add(state, k1, dt / 2))
-    k3 = _beam_rhs(c, n, t + dt / 2, add(state, k2, dt / 2))
-    k4 = _beam_rhs(c, n, t + dt, add(state, k3, dt))
-    return {key: state[key] + dt / 6 * (k1[key] + 2 * k2[key] + 2 * k3[key]
-                                        + k4[key]) for key in state}
 
 
 # ---------------------------------------------------------------- beam curve
@@ -156,7 +139,8 @@ class BeamCurve:
                 "a0": complex(self.a0[k])}
         step = t - self.times[k]
         if step != 0.0:
-            base = _rk4(self.c, self.dim, self.times[k], base, step)
+            base = rk4_step(partial(_beam_rhs, self.c, self.dim),
+                            self.times[k], base, step)
         M = base["N"] @ np.linalg.inv(base["Y"])
         return {"x": base["x"], "p": base["p"], "M": M, "a0": base["a0"]}
 
@@ -205,16 +189,17 @@ class BeamCurve:
 
 
 def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
-               t0: float = 0.0, params: BeamParams | None = None,
-               dt: float = 2e-3, m_init: float = 1.0,
+               t0: float = 0.0, dt: float = 2e-3, m_init: float = 1.0,
                check_admissibility: bool = True) -> BeamCurve:
     """Integrate the beam system from a boundary ray until exit.
 
     Normalisation at (t0, x0): a0 = 1, grad psi = -omega0 / sqrt(c), so
     psi_t = 1 exactly; with c = 1 near the boundary this is the inward
-    unit momentum.  Initial phase Hessian M(0) = i * m_init * I.
+    unit momentum.  Initial phase Hessian M(0) = i * m_init * I.  The
+    state (x, p, Y, N, a0) rides geometry's :func:`march_to_exit`, the
+    integrator the rays use, with its time budget (NoExit) and a per-step
+    caustic guard raising CausticDetected where |det Y| < 1e-10.
     """
-    del params  # beam geometry is lambda-independent
     ray.validate(body)
     if check_admissibility:
         c.check_admissible(*body.bounding_box)
@@ -227,32 +212,13 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
         "N": 1j * m_init * np.eye(n, dtype=complex),
         "a0": 1.0 + 0.0j,
     }
-    t = t0
-    times = [t]
-    snaps = [state]
-    t_max = t0 + 8.0 * body.diameter / np.sqrt(c.m0)
-    while True:
-        nxt = _rk4(c, n, t, state, dt)
-        if abs(np.linalg.det(nxt["Y"])) < 1e-10:
-            raise CausticDetected(f"det Y ~ 0 at t = {t + dt:.4f}")
-        if float(body.phi(nxt["x"])) >= 0.0:
-            lo, hi = 0.0, dt
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                trial = _rk4(c, n, t, state, mid)
-                if float(body.phi(trial["x"])) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            stepped = _rk4(c, n, t, state, 0.5 * (lo + hi))
-            times.append(t + 0.5 * (lo + hi))
-            snaps.append(stepped)
-            break
-        t, state = t + dt, nxt
-        times.append(t)
-        snaps.append(state)
-        if t - t0 > t_max:
-            raise CausticDetected("no boundary exit within the time budget")
+
+    def caustic_guard(t, s):
+        if abs(np.linalg.det(s["Y"])) < 1e-10:
+            raise CausticDetected(f"det Y ~ 0 at t = {t:.4f}")
+
+    times, snaps = march_to_exit(partial(_beam_rhs, c, n), c, body, t0,
+                                 state, dt, check=caustic_guard)
     return BeamCurve(
         c=c, dim=n, t0=t0, dt=dt,
         times=np.array(times),
@@ -346,7 +312,7 @@ def residual_probe_set(beam: BeamCurve, lam: float, max_offset: float,
         m = max(np.min(np.linalg.eigvalsh(st["M"].imag)), 1e-6)
         phat = st["p"] / np.linalg.norm(st["p"])
         if n == 2:
-            perp = np.array([-phat[1], phat[0]])
+            perp = perp_frame(phat)[0]
             dirs = [phat, perp, (phat + perp) / np.sqrt(2),
                     (phat - perp) / np.sqrt(2), -phat]
         else:
@@ -380,12 +346,15 @@ def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
     return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cell))
 
 
-def residual_scaling(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
-                     lambdas, t0: float = 0.0, dt: float = 2e-3,
+def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
                      h_scale: float = 0.5, measure: str = "l2",
                      check_stencil: bool = True) -> dict:
-    """Size of Box U_lam per lambda over the beam's tube, and the log-log
-    slope of a least-squares fit.
+    """Size of Box U_lam per lambda over the tube of a built beam, and the
+    log-log slope of a least-squares fit.
+
+    The beam is used as given (its factor, launch time t0 and step dt);
+    the probe times span its own [t0, t_exit].  ``body`` is the domain it
+    was built in, which clips the L2 patch.
 
     measure = "l2" (default) tracks sup_t of the spatial L2 norm over the
     Gaussian core, the quantity the energy estimates consume; its exponent
@@ -408,8 +377,7 @@ def residual_scaling(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
         raise ValueError("need at least 4 lambda values for the fit")
     if measure not in ("l2", "sup"):
         raise ValueError("measure must be 'l2' or 'sup'")
-    beam = build_beam(c, body, ray, t0=t0, dt=dt)
-    tube = BeamParams().tube_inner(body.dim)
+    tube = BeamParams().tube_inner(beam.dim)
     t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
 
     def size_at(lam: float, h_fd: float) -> float:

@@ -46,6 +46,10 @@ class ZeroXi(TdxrayError):
     """Spatial frequency is zero; no direction can match a nonzero tau."""
 
 
+class OddLattice(TdxrayError):
+    """Sample lattice has an odd size; the Hermitian mirror needs even."""
+
+
 # ---------------------------------------------------------------- reconstruct
 
 

@@ -137,9 +137,6 @@ class MetricSpec:
     kind: str = "euclidean"  # "euclidean" | "conformal"
     c: ConformalFactor | None = None
 
-    def factor(self) -> ConformalFactor | None:
-        return self.c if self.kind == "conformal" else None
-
     def validate(self, body: "ConvexBody") -> None:
         """Admissibility of the factor over the body's box (sampled)."""
         if self.kind == "conformal":
@@ -154,14 +151,6 @@ class GeodesicPath:
     points: np.ndarray
     velocities: np.ndarray
     exit_time: float
-
-    def resampled_chord(self, n_intervals: int) -> "GeodesicPath":
-        """Straight-chord refinement (Euclidean paths only)."""
-        s = np.linspace(0.0, self.exit_time, n_intervals + 1)
-        direction = self.velocities[0]
-        pts = self.points[0] + s[:, None] * direction
-        vel = np.broadcast_to(direction, pts.shape).copy()
-        return GeodesicPath(s, pts, vel, self.exit_time)
 
 
 # ---------------------------------------------------------------- exit time
@@ -223,15 +212,20 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi_ang), r * np.sin(phi_ang), z], axis=-1)
 
 
-def _orthonormal_frame(v: np.ndarray) -> np.ndarray:
-    """Rows: two unit vectors completing v (unit, 3-D) to a basis."""
+def perp_frame(v: np.ndarray) -> np.ndarray:
+    """Rows: n - 1 unit vectors completing the unit vector v to an
+    orthonormal basis (n = 2 or 3).
+
+    In 2-D the single row is v turned a quarter counter-clockwise.
+    """
+    if v.size == 2:
+        return np.array([[-v[1], v[0]]])
     a = np.array([1.0, 0.0, 0.0])
     if abs(v[0]) > 0.9:
         a = np.array([0.0, 1.0, 0.0])
     e1 = a - np.dot(a, v) * v
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(v, e1)
-    return np.stack([e1, e2])
+    return np.stack([e1, np.cross(v, e1)])
 
 
 def sample_inward_bundle(body: ConvexBody, n_boundary: int,
@@ -261,7 +255,7 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
             continue
         if body.dim == 2:
             alphas = ((np.arange(n_directions) + 0.5) / n_directions - 0.5) * np.pi
-            tangent = np.array([-nu[1], nu[0]])
+            tangent = perp_frame(nu)[0]
             for a in alphas:
                 omega = -np.cos(a) * nu + np.sin(a) * tangent
                 rays.append(BoundaryRay(bx, omega / np.linalg.norm(omega), nu))
@@ -271,7 +265,7 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
             z = margin + (1.0 - margin) * i / n_directions
             phi_ang = np.pi * (1.0 + 5.0**0.5) * i
             r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            frame = _orthonormal_frame(-nu)
+            frame = perp_frame(-nu)
             for zi, pa, ri in zip(z, phi_ang, r):
                 omega = (zi * (-nu) + ri * np.cos(pa) * frame[0]
                          + ri * np.sin(pa) * frame[1])
@@ -281,35 +275,74 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
     return rays
 
 
+# ---------------------------------------------------------------- flow
+
+
+def hamiltonian_jet(c: ConformalFactor, t: float, x, p):
+    """(c, grad_x c, sqrt(c), |p|, p/|p|, h_x, h_p) for h = sqrt(c)|p| at
+    one phase-space point; the flow is (dx/dt, dp/dt) = (-h_p, h_x)."""
+    xb = x[None, :]
+    cv = float(c(t, xb)[0])
+    gv = c.grad_x(t, xb)[0]
+    pn = float(np.linalg.norm(p))
+    gam = np.sqrt(cv)
+    phat = p / pn
+    return cv, gv, gam, pn, phat, pn * gv / (2 * gam), gam * phat
+
+
+def rk4_step(rhs, t: float, state: dict, dt: float) -> dict:
+    """One classical fourth-order step of every entry of the state dict;
+    ``rhs(t, state)`` returns the derivatives under the same keys."""
+    def add(s, k, fac):
+        return {key: s[key] + fac * k[key] for key in s}
+
+    k1 = rhs(t, state)
+    k2 = rhs(t + dt / 2, add(state, k1, dt / 2))
+    k3 = rhs(t + dt / 2, add(state, k2, dt / 2))
+    k4 = rhs(t + dt, add(state, k3, dt))
+    return {key: state[key] + dt / 6 * (k1[key] + 2 * k2[key] + 2 * k3[key]
+                                        + k4[key]) for key in state}
+
+
+def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
+                  state: dict, dt: float, t_max: float | None = None,
+                  check=None) -> tuple[list, list]:
+    """Node times and states of fixed-step RK4 from (t0, state) until
+    state["x"] leaves the body, the crossing step bisected (80 halvings)
+    onto phi = 0.  ``check(t, state)`` sees each full step before its exit
+    test and may raise.  NoExit once t - t0 exceeds ``t_max`` (default 8
+    diameters at the slowest admissible speed sqrt(m0)).
+    """
+    if t_max is None:
+        t_max = 8.0 * body.diameter / np.sqrt(c.m0)
+    t = t0
+    times, states = [t], [state]
+    while True:
+        nxt = rk4_step(rhs, t, state, dt)
+        if check is not None:
+            check(t + dt, nxt)
+        if float(body.phi(nxt["x"])) >= 0.0:
+            lo, hi = 0.0, dt
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if float(body.phi(rk4_step(rhs, t, state, mid)["x"])) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            step = 0.5 * (lo + hi)
+            times.append(t + step)
+            states.append(rk4_step(rhs, t, state, step))
+            return times, states
+        t, state = t + dt, nxt
+        times.append(t)
+        states.append(state)
+        if t - t0 > t_max:
+            raise NoExit(
+                f"path from x={states[0]['x']} still inside after "
+                f"t - t0 = {t - t0:.3f} (> t_max = {t_max:.3f})")
+
+
 # ---------------------------------------------------------------- tracing
-
-
-def _hamiltonian_rhs(c: ConformalFactor, t, x, p):
-    """Right-hand side of (dx/dt, dp/dt) = (-h_p, +h_x)."""
-    cv = float(c(t, x[None, :])[0])
-    gv = c.grad_x(t, x[None, :])[0]
-    pn = np.linalg.norm(p)
-    sqrt_c = np.sqrt(cv)
-    dx = -sqrt_c * p / pn
-    dp = 0.5 * pn * gv / sqrt_c
-    return dx, dp
-
-
-def _rk4_step(c: ConformalFactor, t, x, p, dt):
-    k1x, k1p = _hamiltonian_rhs(c, t, x, p)
-    k2x, k2p = _hamiltonian_rhs(c, t + 0.5 * dt, x + 0.5 * dt * k1x,
-                                p + 0.5 * dt * k1p)
-    k3x, k3p = _hamiltonian_rhs(c, t + 0.5 * dt, x + 0.5 * dt * k2x,
-                                p + 0.5 * dt * k2p)
-    k4x, k4p = _hamiltonian_rhs(c, t + dt, x + dt * k3x, p + dt * k3p)
-    xn = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    pn = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return xn, pn
-
-
-def hamiltonian(c: ConformalFactor, t, x, p) -> float:
-    return float(np.sqrt(c(t, np.asarray(x)[None, :])[0])
-                 * np.linalg.norm(p))
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
@@ -317,9 +350,10 @@ def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
     """Trace the ray through the body until it exits.
 
     Euclidean metrics short-circuit to the exact straight chord.  Conformal
-    metrics integrate the Hamiltonian flow with a classical fourth-order
-    one-step method; the final partial step is bisected so the last sample
-    lands on the boundary.
+    metrics integrate the Hamiltonian flow from p = -omega with
+    :func:`march_to_exit`, which the Gaussian beams ride too, so the last
+    sample lands on the boundary; velocities -h_p follow from the
+    integrated momenta.  ``t_max`` overrides the default time budget.
     """
     ray.validate(body)
     if dt <= 0:
@@ -334,39 +368,17 @@ def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
         return GeodesicPath(s, pts, vel, tau)
 
     c = metric.c
-    if t_max is None:
-        t_max = 8.0 * body.diameter / np.sqrt(c.m0)
-    t, x, p = 0.0, ray.x.copy(), -ray.omega.copy()
-    times = [0.0]
-    points = [x.copy()]
-    vels = [_hamiltonian_rhs(c, t, x, p)[0]]
-    while True:
-        xn, pn = _rk4_step(c, t, x, p, dt)
-        tn = t + dt
-        if float(body.phi(xn)) >= 0.0:
-            # bisect the fractional step on [0, dt]
-            lo, hi = 0.0, dt
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                xm, _ = _rk4_step(c, t, x, p, mid)
-                if float(body.phi(xm)) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            step = 0.5 * (lo + hi)
-            xe, pe = _rk4_step(c, t, x, p, step)
-            te = t + step
-            times.append(te)
-            points.append(xe)
-            vels.append(_hamiltonian_rhs(c, te, xe, pe)[0])
-            break
-        t, x, p = tn, xn, pn
-        times.append(t)
-        points.append(x.copy())
-        vels.append(_hamiltonian_rhs(c, t, x, p)[0])
-        if t > t_max:
-            raise NoExit(
-                f"ray at x={ray.x} omega={ray.omega} still inside after "
-                f"t={t:.3f} (> t_max={t_max:.3f})")
-    return GeodesicPath(np.array(times), np.array(points), np.array(vels),
-                        float(times[-1]))
+
+    def rhs(t, s):
+        *_, h_x, h_p = hamiltonian_jet(c, t, s["x"], s["p"])
+        return {"x": -h_p, "p": h_x}
+
+    times, states = march_to_exit(rhs, c, body, 0.0,
+                                  {"x": ray.x, "p": -ray.omega},
+                                  dt, t_max)
+    times = np.array(times)
+    points = np.array([s["x"] for s in states])
+    p = np.array([s["p"] for s in states])
+    speed = np.sqrt(c(times, points))
+    vel = -speed[:, None] * p / np.linalg.norm(p, axis=1, keepdims=True)
+    return GeodesicPath(times, points, vel, float(times[-1]))

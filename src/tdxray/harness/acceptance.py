@@ -11,6 +11,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 
@@ -247,13 +248,13 @@ def criterion_07(ctx: AcceptanceContext) -> CriterionResult:
     pinned quadratic-phase construction carries an extra sqrt(lambda)
     and is reported by the beams module as the 'sup' measure.
     """
-    from ..beams import residual_scaling
+    from ..beams import build_beam, residual_scaling
     t0 = time.perf_counter()
-    body, ray, c1, _ = ctx.beam_setup()
+    body, ray, _, beam = ctx.beam_setup()
     lams = [16, 32, 64, 128, 256]
-    s1 = residual_scaling(c1, body, ray, lams, measure="l2")["slope"]
-    cb = bump_factor(0.01, (0.1, 0.0), 0.75)
-    s2 = residual_scaling(cb, body, ray, lams, measure="l2")["slope"]
+    s1 = residual_scaling(beam, body, lams, measure="l2")["slope"]
+    bent = build_beam(bump_factor(0.01, (0.1, 0.0), 0.75), body, ray)
+    s2 = residual_scaling(bent, body, lams, measure="l2")["slope"]
     dt = time.perf_counter() - t0
     bound = 2 / 4 + 0.25
     ok = s1 <= bound and s2 <= bound and dt < 120.0
@@ -361,7 +362,8 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
                  "slice.n_launch": 64, "slice.n_s": 64}
     ok = True
     detail = []
-    with tempfile.TemporaryDirectory() as tmp:
+    # patch.dict restores the caller's TDXRAY_THREADS on the way out
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         for name, c, artifact in (("forward", cfg, "sinogram.csv"),
                                   ("stability-curve", curve_cfg,
                                    "stability_curve.csv")):
@@ -374,7 +376,6 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
                 art = os.path.join(sub, f"{name}-{config_hash(c, 7)[:12]}")
                 with open(os.path.join(art, artifact), "rb") as fh:
                     blobs.append(fh.read())
-            os.environ.pop("TDXRAY_THREADS", None)
             same = blobs[0] == blobs[1] and len(blobs[0]) > 0
             ok &= same
             detail.append(f"{name}:{'identical' if same else 'DIFFER'}")

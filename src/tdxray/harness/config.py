@@ -65,22 +65,22 @@ _COMMON = {"seed"}
 
 _BODY = {"body.kind", "body.dim", "body.radius", "body.semiaxes"}
 _FIELD = {"field.preset"}
-_SPECTRAL = {"grid.points", "grid.extent", "grid.pad"}
 
 SCHEMAS: dict[str, set] = {
     "forward": _COMMON | _BODY | _FIELD | {
         "rays.boundary", "rays.directions", "xray.dt", "noise.level"},
-    "slice-check": _COMMON | _BODY | _FIELD | _SPECTRAL | {
-        "slice.count", "slice.n_launch", "slice.n_s", "slice.xi_max"},
-    "reconstruct": _COMMON | _BODY | _FIELD | _SPECTRAL | {
-        "recon.epsilon", "recon.delta", "recon.R",
+    "slice-check": _COMMON | _BODY | _FIELD | {
+        "grid.points", "grid.pad", "slice.count", "slice.n_launch",
+        "slice.n_s", "slice.xi_max"},
+    "reconstruct": _COMMON | _BODY | _FIELD | {
+        "grid.points", "grid.extent", "recon.epsilon", "recon.delta",
+        "recon.R", "slice.n_launch", "slice.n_s"},
+    "stability-curve": _COMMON | _BODY | _FIELD | {
+        "grid.points", "grid.extent", "recon.epsilon", "noise.levels",
         "slice.n_launch", "slice.n_s"},
-    "stability-curve": _COMMON | _BODY | _FIELD | _SPECTRAL | {
-        "recon.epsilon", "noise.levels", "slice.n_launch", "slice.n_s"},
     "beam": _COMMON | _BODY | {
         "conformal.amplitude", "conformal.width", "conformal.center",
-        "beam.dt", "beam.lambdas", "beam.t0", "ray.angle",
-        "ray.direction"},
+        "beam.dt", "beam.lambdas", "beam.t0", "ray.angle"},
     "dtn": _COMMON | {
         "grid.nx", "grid.k", "grid.T", "probes.count", "family.scales",
         "bump.center", "bump.width"},

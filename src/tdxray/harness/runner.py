@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
-from ..errors import TdxrayError
+from ..errors import ConfigInvalid, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
 from ..reconstruct import (ReconstructionPlan, choose_R, reconstruction_errors,
                            stability_curve, truncated_inversion,
@@ -44,8 +44,13 @@ def build_body(cfg: dict, default_radius: float = 1.0):
         return ball(float(cfg.get("body.radius", default_radius)),
                     dim=int(cfg.get("body.dim", 2)))
     if kind == "ellipse":
-        semi = cfg.get("body.semiaxes", [2.0, 1.0])
-        return ellipsoid([float(s) for s in np.atleast_1d(semi)])
+        semi = [float(s) for s in
+                np.atleast_1d(cfg.get("body.semiaxes", [2.0, 1.0]))]
+        if int(cfg.get("body.dim", len(semi))) != len(semi):
+            raise ConfigInvalid(
+                f"body.dim = {cfg['body.dim']} but body.semiaxes has "
+                f"{len(semi)} entries")
+        return ellipsoid(semi)
     raise TdxrayError(f"unknown body.kind {kind!r}")
 
 
@@ -204,7 +209,7 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     man.stage("beam")
     if "beam.lambdas" in cfg:
         lams = [float(l) for l in np.atleast_1d(cfg["beam.lambdas"])]
-        res = residual_scaling(c, body, ray, lams)
+        res = residual_scaling(beam, body, lams)
         _write_csv(os.path.join(art, "beam_residual.csv"),
                    ["lambda", "residual_l2"],
                    [[lam, float(s)] for lam, s in zip(res["lambdas"],

@@ -149,15 +149,16 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
         reps.append(idx)
         mirrors.append(mirror)
 
-    samples = None
+    # sampled once, before the workers start, when the origin column
+    # (xi = 0, no chord direction) is among the representatives
+    samples = (grid.sample(f)
+               if any(all(mesh[a + 1][idx] == 0.0 for a in range(grid.dim))
+                      for idx in reps) else None)
 
     def one_slice(idx):
-        nonlocal samples
         tau = float(mesh[0][idx])
         xi = np.array([float(mesh[a + 1][idx]) for a in range(grid.dim)])
         if np.all(xi == 0.0):
-            if samples is None:
-                samples = grid.sample(f)
             return grid.point_transform(samples, [tau], [xi])[0]
         omega = visible_direction(tau, xi)
         return slice_from_sinogram(f, omega, xi, body,

@@ -21,9 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AliasingSuspected, CoverageError, NotVisible, ZeroXi
+from .errors import (AliasingSuspected, CoverageError, NotVisible,
+                     OddLattice, ZeroXi)
 from .fields import SpaceTimeField
-from .geometry import ConvexBody
+from .geometry import ConvexBody, perp_frame
 
 
 class FrequencyPoint(NamedTuple):
@@ -125,6 +126,13 @@ class SpectralGrid:
     dx: np.ndarray
     nx: tuple[int, ...]
     dim: int
+
+    def __post_init__(self):
+        # the centered lattice mirrors index i to N - i only for even N;
+        # odd sizes would pair each frequency with a wrong partner
+        sizes = (self.nt,) + tuple(self.nx)
+        if any(n % 2 for n in sizes):
+            raise OddLattice(f"lattice sizes {sizes} must all be even")
 
     @classmethod
     def for_field(cls, f: SpaceTimeField, n_points: int = 64,
@@ -356,17 +364,6 @@ def _coverage_check(f: SpaceTimeField, body: ConvexBody,
             "cannot sweep it")
 
 
-def _perp_frame(omega: np.ndarray) -> list[np.ndarray]:
-    if omega.size == 2:
-        return [np.array([-omega[1], omega[0]])]
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(omega[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    e1 = a - np.dot(a, omega) * omega
-    e1 /= np.linalg.norm(e1)
-    return [e1, np.cross(omega, e1)]
-
-
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                         n_launch: int = 160, n_s: int = 160,
                         pad: float = 0.06,
@@ -395,7 +392,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     (t_lo, t_hi), x_lo, x_hi = f.support_box
     center = 0.5 * (np.asarray(x_lo) + np.asarray(x_hi))
     half = 0.5 * (np.asarray(x_hi) - np.asarray(x_lo))
-    perp = _perp_frame(omega)
+    perp = perp_frame(omega)
 
     h_par = float(np.sum(np.abs(omega) * half))
     h_perp = [float(np.sum(np.abs(e) * half)) for e in perp]

@@ -208,12 +208,6 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     return WaveSolution(grid, u, c_max)
 
 
-def solve_source(c: ConformalFactor, grid: WaveGrid,
-                 source: Callable) -> WaveSolution:
-    """Inhomogeneous problem with zero boundary and initial data."""
-    return solve_dirichlet(c, grid, data=None, source=source)
-
-
 def energy_bound_report(sol: WaveSolution, c: ConformalFactor,
                         data: BoundaryData) -> dict:
     """Observed constant in sup_t(|u|_H1 + |du/dt|_L2) <= C |f|_H1.
@@ -262,25 +256,30 @@ def discrete_energy(sol: WaveSolution, c: ConformalFactor) -> np.ndarray:
 # ---------------------------------------------------------------- norms
 
 
+def _time_weights(nt: int) -> np.ndarray:
+    """Trapezoid weights over nt time levels, in units of the step."""
+    wt = np.ones(nt)
+    wt[0] = wt[-1] = 0.5
+    return wt
+
+
 def h1_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
     """Discrete H^1 norm of boundary data: trapezoid in time, lumped mass
     along the closed path, value + time-derivative + arc-derivative."""
     k, h = grid.k, grid.h
     dt = np.gradient(bvals, k, axis=0)
     ds = (np.roll(bvals, -1, axis=1) - np.roll(bvals, 1, axis=1)) / (2 * h)
-    wt = np.ones(grid.nt)
-    wt[0] = wt[-1] = 0.5
-    total = np.sum(wt[:, None] * (bvals**2 + dt**2 + ds**2)) * k * h
+    total = np.sum(_time_weights(grid.nt)[:, None]
+                   * (bvals**2 + dt**2 + ds**2)) * k * h
     return float(np.sqrt(total))
 
 
 def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
                      mask: np.ndarray | None = None) -> float:
     k, h = grid.k, grid.h
-    wt = np.ones(grid.nt)
-    wt[0] = wt[-1] = 0.5
     vals = bvals if mask is None else bvals[:, ~mask]
-    return float(np.sqrt(np.sum(wt[:, None] * vals**2) * k * h))
+    return float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None] * vals**2)
+                         * k * h))
 
 
 # ---------------------------------------------------------------- DtN
@@ -431,9 +430,7 @@ def rho_factors(c: ConformalFactor, n: int) -> RhoFactors:
 
 
 def _trapz_time(vals: np.ndarray, k: float) -> np.ndarray:
-    wt = np.ones(vals.shape[0])
-    wt[0] = wt[-1] = 0.5
-    return np.tensordot(wt, vals, axes=(0, 0)) * k
+    return np.tensordot(_time_weights(vals.shape[0]), vals, axes=(0, 0)) * k
 
 
 def key_identity_check(c: ConformalFactor, grid: WaveGrid,
@@ -467,10 +464,8 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     corner = grid.corner_mask()
     f2_vals = f2.sample(grid)
     diff = np.nan_to_num(lam_g - lam_cg)[:, ~corner]
-    wt = np.ones(grid.nt)
-    wt[0] = wt[-1] = 0.5
-    lhs = float(np.sum(wt[:, None] * diff * f2_vals[:, ~corner])
-                * grid.k * grid.h)
+    lhs = float(np.sum(_time_weights(grid.nt)[:, None] * diff
+                       * f2_vals[:, ~corner]) * grid.k * grid.h)
 
     mesh = grid.mesh()
     factors = rho_factors(c, n)
@@ -522,10 +517,8 @@ def conformal_stability_experiment(scales, grid: WaveGrid,
         norm = dtn_norm_diff(g1, cs, grid, probes)["norm_lower_bound"]
         vals = np.stack([1.0 - cs(np.full(mesh.shape[:-1], t), mesh)
                          for t in grid.times])
-        wt = np.ones(grid.nt)
-        wt[0] = wt[-1] = 0.5
-        l2 = float(np.sqrt(np.sum(wt[:, None, None] * vals**2)
-                           * grid.k * grid.h**2))
+        l2 = float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None, None]
+                                  * vals**2) * grid.k * grid.h**2))
         rows.append({"scale": float(s), "c_dist_l2": l2, "dtn_norm": norm})
     # degenerate rows (vanishing DtN difference) carry no log-scale
     # information and are excluded from the envelope fit

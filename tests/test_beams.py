@@ -180,22 +180,20 @@ class TestResidual:
         assert vals[1] == pytest.approx(vals[0], rel=0.02)
 
     def test_l2_slope_free_space(self, free_beam):
-        body, ray, c1, _ = free_beam
-        res = residual_scaling(c1, body, ray, [16, 32, 64, 128],
-                               measure="l2")
+        body, _, _, beam = free_beam
+        res = residual_scaling(beam, body, [16, 32, 64, 128], measure="l2")
         assert res["slope"] <= 0.75
 
     def test_sup_measure_carries_extra_half_power(self, free_beam):
-        body, ray, c1, _ = free_beam
-        res = residual_scaling(c1, body, ray, [16, 32, 64, 128],
-                               measure="sup")
+        body, _, _, beam = free_beam
+        res = residual_scaling(beam, body, [16, 32, 64, 128], measure="sup")
         assert 0.8 <= res["slope"] <= 1.15
 
     def test_under_resolved_stencil_rejected(self, free_beam):
-        body, ray, c1, _ = free_beam
+        body, _, _, beam = free_beam
         with pytest.raises(StencilUnderResolved):
-            residual_scaling(c1, body, ray, [16, 32, 64, 256],
-                             h_scale=60.0, measure="l2")
+            residual_scaling(beam, body, [16, 32, 64, 256], h_scale=60.0,
+                             measure="l2")
 
 
 class TestCutoff:

@@ -1,13 +1,55 @@
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from tdxray.cli import main
 from tdxray.errors import ConfigInvalid
 from tdxray.harness import acceptance as acc
-from tdxray.harness.config import (canonical_text, config_hash,
+from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
                                    parse_config_text, validate)
-from tdxray.harness.runner import run
+from tdxray.harness.manifest import RunManifest
+from tdxray.harness.runner import PIPELINES, run
+from tdxray.parallel import thread_count
+
+# small but complete runs of each pipeline; every other key keeps its
+# default, which the pipeline still looks up
+SMALL = {
+    "forward": {"rays.boundary": 2, "rays.directions": 1},
+    "slice-check": {"grid.points": 8, "slice.count": 1,
+                    "slice.n_launch": 16, "slice.n_s": 16},
+    "reconstruct": {"grid.points": 16, "recon.R": 1.5,
+                    "slice.n_launch": 16, "slice.n_s": 16},
+    "stability-curve": {"grid.points": 16, "noise.levels": [1e-3, 1e-4],
+                        "slice.n_launch": 16, "slice.n_s": 16},
+    "beam": {"conformal.amplitude": 0.01, "beam.dt": 0.01,
+             "beam.lambdas": [16, 32, 64, 128]},
+    "dtn": {"grid.nx": 9, "grid.T": 1.0, "probes.count": 1,
+            "family.scales": [0.02, 0.04]},
+    "identity-check": {"grid.sizes": [9], "grid.T": 1.0},
+}
+
+
+class ReadLog(dict):
+    """Config dict that records every key a pipeline looks up."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
 
 
 class TestConfig:
@@ -39,6 +81,22 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             validate("nonesuch", {})
 
+    # acceptance.only is read by the command line, not by a pipeline
+    @pytest.mark.parametrize("name", sorted(set(SCHEMAS) - {"acceptance"}))
+    def test_every_schema_key_is_read(self, name, tmp_path):
+        read = set()
+        bodies = [{}]
+        if "body.kind" in SCHEMAS[name]:
+            bodies.append({"body.kind": "ellipse",
+                           "body.semiaxes": [5.0, 4.5]})
+        for body in bodies:
+            cfg = ReadLog({**SMALL[name], **body})
+            validate(name, cfg)
+            PIPELINES[name](cfg, 0, str(tmp_path),
+                            RunManifest(name, dict(cfg), 0))
+            read |= cfg.read
+        assert SCHEMAS[name] - {"seed"} - read == set()
+
     def test_hash_stable_under_ordering(self):
         a = {"x.a": 1, "x.b": [1, 2]}
         b = {"x.b": [1, 2], "x.a": 1}
@@ -65,6 +123,15 @@ class TestRunner:
         assert code == 2
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
         assert "TdxrayError" in (art / "error.txt").read_text()
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("reconstruct", {"grid.points": 33}),
+        ("forward", {"body.kind": "ellipse", "body.dim": 3}),
+    ])
+    def test_rejected_input_recorded(self, tmp_path, name, cfg):
+        assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        assert (art / "error.txt").exists()
 
     def test_identity_check_pipeline(self, tmp_path, capsys):
         cfg = {"grid.sizes": [17, 33], "grid.T": 1.0}
@@ -114,18 +181,62 @@ class TestCli:
         assert main(["acceptance"]) == 1
 
 
+class TestThreads:
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_invalid_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("TDXRAY_THREADS", value)
+        with pytest.raises(ConfigInvalid):
+            thread_count()
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.delenv("TDXRAY_THREADS", raising=False)
+        assert thread_count() == 1
+        monkeypatch.setenv("TDXRAY_THREADS", "3")
+        assert thread_count() == 3
+
+    def test_determinism_criterion_restores_threads(self, monkeypatch):
+        monkeypatch.setenv("TDXRAY_THREADS", "2")
+        assert acc.criterion_12(acc.AcceptanceContext()).passed
+        assert os.environ["TDXRAY_THREADS"] == "2"
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_still_bind(self, monkeypatch):
+        # the benchmark's traced run rebinds these names from outside; a
+        # rename in the package would break it without this check
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                      path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        originals = {}
+        for mod, attr, *_ in tracer.FUNCTIONS:
+            module = importlib.import_module(mod)
+            originals[(module, attr)] = getattr(module, attr)
+        rec = tracer.Recorder()
+        rec.install()
+        try:
+            for (module, attr), fn in originals.items():
+                assert getattr(module, attr) is not fn
+        finally:
+            rec.uninstall()
+        for (module, attr), fn in originals.items():
+            assert getattr(module, attr) is fn
+
+
 class TestDeterminism:
-    def test_forward_byte_identical_across_threads(self, tmp_path):
+    def test_forward_byte_identical_across_threads(self, tmp_path,
+                                                   monkeypatch):
         cfg = {"rays.boundary": 6, "rays.directions": 2,
                "noise.level": 1e-3}
         blobs = []
         for threads in ("1", "3"):
-            os.environ["TDXRAY_THREADS"] = threads
+            monkeypatch.setenv("TDXRAY_THREADS", threads)
             sub = tmp_path / f"t{threads}"
             run("forward", dict(cfg), str(sub), seed=11)
             art = sub / f"forward-{config_hash(cfg, 11)[:12]}"
             blobs.append((art / "sinogram.csv").read_bytes())
-        os.environ.pop("TDXRAY_THREADS", None)
         assert blobs[0] == blobs[1]
 
     def test_forward_zero_field(self, tmp_path):

@@ -9,7 +9,7 @@ from tdxray.fields import bump_profile
 from tdxray.wavesim import (BoundaryData, WaveGrid, boundary_probes,
                             conformal_stability_experiment, discrete_energy,
                             dtn_apply, dtn_norm_diff, key_identity_check,
-                            rho_factors, solve_dirichlet, solve_source)
+                            rho_factors, solve_dirichlet)
 
 
 def pulse(v, center=1.0, width=0.8):
@@ -68,7 +68,7 @@ class TestSolver:
         errs = []
         for nx in (17, 33, 65):
             grid = WaveGrid(nx=nx, k=0.5 / (nx - 1), T=1.0)
-            sol = solve_source(c, grid, forcing)
+            sol = solve_dirichlet(c, grid, None, source=forcing)
             mesh = grid.mesh()
             exact = np.stack([u_star(t, mesh) for t in grid.times])
             errs.append(np.max(np.abs(sol.u - exact)))
@@ -88,7 +88,7 @@ class TestSolver:
                 return a * np.sin(b * 6.0 * t) * interior \
                     * pulse(t, center=0.5 * w, width=0.5)
 
-            sol = solve_source(c, grid, forcing)
+            sol = solve_dirichlet(c, grid, None, source=forcing)
             # L1-in-time of the L2 source norm vs sup of the solution norm
             f_l1l2 = sum(np.sqrt(np.sum(forcing(t, mesh0) ** 2)
                                  * grid.h**2) * grid.k
