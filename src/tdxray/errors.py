@@ -61,6 +61,10 @@ class RTooLargeForGrid(TdxrayError):
     """Requested cut radius exceeds the extent of the frequency lattice."""
 
 
+class FitUnderdetermined(TdxrayError):
+    """Fewer than two feasible rows: the log-stability fit is undetermined."""
+
+
 # ---------------------------------------------------------------- beams
 
 

@@ -38,20 +38,24 @@ FIELD_PRESETS = {
 }
 
 
-def build_body(cfg: dict, default_radius: float = 1.0):
+def build_body(cfg: dict, dim: int, default_radius: float = 1.0):
+    """The configured body, which must have the dimension dim of the field
+    (or ray) it is traced with."""
     kind = cfg.get("body.kind", "ball")
     if kind == "ball":
-        return ball(float(cfg.get("body.radius", default_radius)),
-                    dim=int(cfg.get("body.dim", 2)))
-    if kind == "ellipse":
-        semi = [float(s) for s in
-                np.atleast_1d(cfg.get("body.semiaxes", [2.0, 1.0]))]
-        if int(cfg.get("body.dim", len(semi))) != len(semi):
-            raise ConfigInvalid(
-                f"body.dim = {cfg['body.dim']} but body.semiaxes has "
-                f"{len(semi)} entries")
-        return ellipsoid(semi)
-    raise TdxrayError(f"unknown body.kind {kind!r}")
+        body = ball(float(cfg.get("body.radius", default_radius)),
+                    dim=int(cfg.get("body.dim", dim)))
+    elif kind == "ellipse":
+        body = ellipsoid([float(s) for s in np.atleast_1d(
+            cfg.get("body.semiaxes", [2.0, 1.0]))])
+    else:
+        raise TdxrayError(f"unknown body.kind {kind!r}")
+    declared = int(cfg.get("body.dim", body.dim))
+    if declared != dim or body.dim != dim:
+        raise ConfigInvalid(
+            f"{kind} with body.dim = {declared} and {body.dim} axes does "
+            f"not match the {dim}-D field")
+    return body
 
 
 def build_field(cfg: dict, default: str = "slice-default"):
@@ -73,8 +77,8 @@ def _write_csv(path, header, rows):
 
 
 def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
-    body = build_body(cfg)
     f = build_field(cfg)
+    body = build_body(cfg, f.dim)
     nb = int(cfg.get("rays.boundary", 16))
     nd = int(cfg.get("rays.directions", 8))
     rays = sample_inward_bundle(body, nb, nd)
@@ -97,8 +101,8 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 
 
 def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
-    body = build_body(cfg)
     f = build_field(cfg)
+    body = build_body(cfg, f.dim)
     grid = SpectralGrid.for_field(f, n_points=int(cfg.get("grid.points", 128)),
                                   pad=float(cfg.get("grid.pad", 0.25)))
     samples = grid.sample(f)
@@ -136,7 +140,7 @@ def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 
 def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg, default="recon-default")
-    body = build_body(cfg, default_radius=field_lib.RECON_RADIUS)
+    body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
     grid = SpectralGrid.for_field(
         f, n_points=int(cfg.get("grid.points", 64)),
         extent=float(cfg.get("grid.extent", 14.0)))
@@ -169,7 +173,7 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 def run_stability_curve(cfg: dict, seed: int, art: str,
                         man: RunManifest) -> None:
     f = build_field(cfg, default="recon-default")
-    body = build_body(cfg, default_radius=field_lib.RECON_RADIUS)
+    body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
     grid = SpectralGrid.for_field(
         f, n_points=int(cfg.get("grid.points", 64)),
         extent=float(cfg.get("grid.extent", 14.0)))
@@ -191,7 +195,6 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
 def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     from ..beams import build_beam, residual_scaling
 
-    body = build_body(cfg)
     amp = float(cfg.get("conformal.amplitude", 0.0))
     if amp == 0.0:
         c = constant_factor(1.0)
@@ -199,6 +202,7 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
         center = [float(v) for v in
                   np.atleast_1d(cfg.get("conformal.center", [0.1, 0.0]))]
         c = bump_factor(amp, center, float(cfg.get("conformal.width", 0.75)))
+    body = build_body(cfg, c.dim)
     ang = float(cfg.get("ray.angle", 0.0))
     anchor = body.boundary_point(np.array([-np.cos(ang), -np.sin(ang)]))
     ray = make_ray(body, anchor, [np.cos(ang), np.sin(ang)])

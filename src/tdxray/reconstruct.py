@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleSandwich, RTooLargeForGrid
+from .errors import FitUnderdetermined, InfeasibleSandwich, RTooLargeForGrid
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
 from .parallel import parallel_map
@@ -275,6 +275,9 @@ class StabilityCurve:
     def fit(self) -> dict:
         """Least-squares fit err = C / log(1/delta) on feasible rows."""
         feas = [r for r in self.rows if r.feasible and r.delta > 0]
+        if len(feas) < 2:
+            raise FitUnderdetermined(
+                f"{len(feas)} feasible row(s); the fit needs at least 2")
         L = np.array([np.log(1 / r.delta) for r in feas])
         e = np.array([r.l2_error for r in feas])
         z = 1.0 / L

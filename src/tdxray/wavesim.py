@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import ConformalFactor, constant_factor
+from .conformal import ConformalFactor, bump_factor, constant_factor
 from .errors import CFLViolation, Unstable
 from .fields import bump_profile
 
@@ -40,6 +40,16 @@ class WaveGrid:
     def __post_init__(self):
         self.h = 1.0 / (self.nx - 1)
         self.nt = int(round(self.T / self.k)) + 1
+        # closed boundary path in arclength order, corners included: sides
+        # j = 0, i = n, j = n, i = 0, each with its inward stencil step
+        n = self.nx - 1
+        up, down = np.arange(n), np.arange(n, 0, -1)
+        zero, last = np.zeros(n, dtype=int), np.full(n, n)
+        self.bI = np.concatenate([up, last, down, zero])
+        self.bJ = np.concatenate([zero, up, last, down])
+        self.dI = np.repeat([0, -1, 0, 1], n)
+        self.dJ = np.repeat([1, 0, -1, 0], n)
+        self.corner = np.isin(self.bI, (0, n)) & np.isin(self.bJ, (0, n))
 
     def check_cfl(self, c_max: float, n: int = 2) -> None:
         limit = self.h / np.sqrt(n * c_max)
@@ -55,28 +65,8 @@ class WaveGrid:
         ax = np.linspace(0.0, 1.0, self.nx)
         return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
 
-    # --- boundary path -------------------------------------------------
-
-    def boundary_indices(self) -> list[tuple[int, int]]:
-        """Closed path around the square, arclength order, corners included."""
-        n = self.nx
-        path = [(i, 0) for i in range(n - 1)]
-        path += [(n - 1, j) for j in range(n - 1)]
-        path += [(i, n - 1) for i in range(n - 1, 0, -1)]
-        path += [(0, j) for j in range(n - 1, 0, -1)]
-        return path
-
-    def boundary_points(self) -> np.ndarray:
-        return np.array([(i * self.h, j * self.h)
-                         for i, j in self.boundary_indices()])
-
     def boundary_arclength(self) -> np.ndarray:
-        return self.h * np.arange(len(self.boundary_indices()))
-
-    def corner_mask(self) -> np.ndarray:
-        pts = self.boundary_indices()
-        n = self.nx - 1
-        return np.array([(i in (0, n)) and (j in (0, n)) for i, j in pts])
+        return self.h * np.arange(self.bI.size)
 
 
 @dataclass
@@ -90,9 +80,9 @@ class BoundaryData:
     name: str = "probe"
 
     def sample(self, grid: WaveGrid) -> np.ndarray:
-        s = grid.boundary_arclength()
-        return np.stack([self.func(np.full(s.shape, t), s)
-                         for t in grid.times])
+        """Samples (nt, n_boundary) at every time level and path node."""
+        return self.func(*np.meshgrid(grid.times, grid.boundary_arclength(),
+                                      indexing="ij"))
 
 
 def time_window(T: float, rise: float = 0.3) -> Callable:
@@ -156,6 +146,19 @@ def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def sample_factor(c: ConformalFactor, grid: WaveGrid,
+                  points: np.ndarray) -> np.ndarray:
+    """c at every time level on fixed points (..., 2): shape (nt, ...).
+
+    A time-independent factor is evaluated once and broadcast (read-only
+    view); a time-dependent one is evaluated one time level at a time.
+    """
+    shape = points.shape[:-1]
+    if not c.time_dependent:
+        return np.broadcast_to(c(np.zeros(shape), points), (grid.nt,) + shape)
+    return np.stack([c(np.full(shape, t), points) for t in grid.times])
+
+
 def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
                     u0: np.ndarray | None = None,
                     v0: np.ndarray | None = None,
@@ -167,16 +170,13 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     u^1 = u^0 + k v^0 + (k^2/2) (Lap u^0 + F^0)/c.
     """
     mesh = grid.mesh()
-    c_grid = [np.asarray(c(np.full(mesh.shape[:-1], t), mesh))
-              for t in grid.times]
-    c_max = float(max(np.max(cg) for cg in c_grid))
+    c_grid = sample_factor(c, grid, mesh)
+    c_max = float(np.max(c_grid))
     grid.check_cfl(c_max)
 
-    bidx = grid.boundary_indices()
-    bI = np.array([i for i, _ in bidx])
-    bJ = np.array([j for _, j in bidx])
+    bI, bJ = grid.bI, grid.bJ
     bvals = data.sample(grid) if data is not None else \
-        np.zeros((grid.nt, len(bidx)))
+        np.zeros((grid.nt, bI.size))
 
     nt, nx, h, k = grid.nt, grid.nx, grid.h, grid.k
     u = np.zeros((nt, nx, nx))
@@ -208,15 +208,13 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     return WaveSolution(grid, u, c_max)
 
 
-def energy_bound_report(sol: WaveSolution, c: ConformalFactor,
-                        data: BoundaryData) -> dict:
+def energy_bound_report(sol: WaveSolution, data: BoundaryData) -> dict:
     """Observed constant in sup_t(|u|_H1 + |du/dt|_L2) <= C |f|_H1.
 
     Reported, not asserted: the continuum bound guarantees existence of
     some C; the discrete ratio documents the solver's realisation of it.
     """
     g = sol.grid
-    mesh = g.mesh()
     h = g.h
     sup = 0.0
     for m in range(g.nt - 1):
@@ -236,14 +234,13 @@ def energy_bound_report(sol: WaveSolution, c: ConformalFactor,
 def discrete_energy(sol: WaveSolution, c: ConformalFactor) -> np.ndarray:
     """Leapfrog energy at half time steps (kinetic + cross-gradient form)."""
     g = sol.grid
-    mesh = g.mesh()
+    c_grid = sample_factor(c, g, g.mesh())
     u = sol.u
     k, h = g.k, g.h
     es = []
     for m in range(g.nt - 1):
-        cg = np.asarray(c(np.full(mesh.shape[:-1], g.times[m]), mesh))
         du = (u[m + 1] - u[m]) / k
-        kin = 0.5 * np.sum(cg * du * du) * h * h
+        kin = 0.5 * np.sum(c_grid[m] * du * du) * h * h
         gx0 = (u[m][1:, :] - u[m][:-1, :]) / h
         gx1 = (u[m + 1][1:, :] - u[m + 1][:-1, :]) / h
         gy0 = (u[m][:, 1:] - u[m][:, :-1]) / h
@@ -285,39 +282,6 @@ def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
 # ---------------------------------------------------------------- DtN
 
 
-@dataclass
-class DtNProbe:
-    """One probe of the DtN map: input, solution, conormal trace, norms."""
-
-    data: BoundaryData
-    bvals: np.ndarray          # (nt, n_boundary) Dirichlet input samples
-    trace: np.ndarray          # (nt, n_boundary) conormal output, NaN corners
-    h1_norm: float
-    l2_norm: float
-
-    @property
-    def ratio(self) -> float:
-        return self.l2_norm / self.h1_norm
-
-
-def run_probe(c: ConformalFactor, grid: WaveGrid,
-              data: BoundaryData) -> DtNProbe:
-    """Solve, trace, and norm one boundary input.
-
-    The input must vanish to first order at t = 0 (zero-initial-data
-    compatibility); violations raise.
-    """
-    bvals = data.sample(grid)
-    if np.max(np.abs(bvals[0])) > 1e-12 or \
-            np.max(np.abs(bvals[1] - bvals[0])) / grid.k > 1e-6:
-        raise ValueError("boundary input must vanish to first order at t=0")
-    trace = dtn_apply(c, grid, data)
-    corner = grid.corner_mask()
-    return DtNProbe(data, bvals, trace,
-                    h1_boundary_norm(grid, bvals),
-                    l2_boundary_norm(grid, np.nan_to_num(trace), corner))
-
-
 def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
               sol: WaveSolution | None = None) -> np.ndarray:
     """Conormal trace c * du/dnu on the boundary path (corners NaN).
@@ -326,45 +290,38 @@ def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     """
     if sol is None:
         sol = solve_dirichlet(c, grid, data)
-    g = grid
-    u = sol.u
-    h = g.h
-    mesh = g.mesh()
-    out = np.full((g.nt, len(g.boundary_indices())), np.nan)
-    corner = g.corner_mask()
-    for idx, (i, j) in enumerate(g.boundary_indices()):
-        if corner[idx]:
-            continue
-        if i == 0:
-            dn = -(-3.0 * u[:, 0, j] + 4.0 * u[:, 1, j] - u[:, 2, j]) / (2 * h)
-        elif i == g.nx - 1:
-            dn = -(-3.0 * u[:, -1, j] + 4.0 * u[:, -2, j] - u[:, -3, j]) / (2 * h)
-        elif j == 0:
-            dn = -(-3.0 * u[:, i, 0] + 4.0 * u[:, i, 1] - u[:, i, 2]) / (2 * h)
-        else:
-            dn = -(-3.0 * u[:, i, -1] + 4.0 * u[:, i, -2] - u[:, i, -3]) / (2 * h)
-        cb = c(g.times, np.broadcast_to(mesh[i, j], (g.nt, 2)))
-        out[:, idx] = cb * dn
+    g, u = grid, sol.u
+    I, J, dI, dJ = g.bI, g.bJ, g.dI, g.dJ
+    dn = -(-3.0 * u[:, I, J] + 4.0 * u[:, I + dI, J + dJ]
+           - u[:, I + 2 * dI, J + 2 * dJ]) / (2 * g.h)
+    out = sample_factor(c, g, g.mesh()[I, J]) * dn
+    out[:, g.corner] = np.nan
     return out
 
 
-def dtn_norm_diff(c1: ConformalFactor, c2: ConformalFactor, grid: WaveGrid,
-                  probes: list[BoundaryData]) -> dict:
-    """Probed lower bound of the H^1_0 -> L^2 norm of Lam_c1 - Lam_c2."""
+def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
+                  grid: WaveGrid, probes: list[BoundaryData]) -> list[dict]:
+    """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_c1 - Lam_c, one
+    per c in family; Lam_c1 is solved once per probe.
+
+    Each probe must vanish to first order at t = 0 (zero-initial-data
+    compatibility); violations raise.
+    """
     if not probes:
         raise ValueError("need at least one probe")
-    corner = grid.corner_mask()
-    best = 0.0
-    ratios = []
+    ratios = [[] for _ in family]
     for probe in probes:
         bvals = probe.sample(grid)
-        lam1 = dtn_apply(c1, grid, probe)
-        lam2 = dtn_apply(c2, grid, probe)
-        num = l2_boundary_norm(grid, np.nan_to_num(lam1 - lam2), corner)
+        if np.max(np.abs(bvals[0])) > 1e-12 or \
+                np.max(np.abs(bvals[1] - bvals[0])) / grid.k > 1e-6:
+            raise ValueError("boundary input must vanish to first order at t=0")
         den = h1_boundary_norm(grid, bvals)
-        ratios.append(num / den)
-        best = max(best, num / den)
-    return {"norm_lower_bound": best, "ratios": ratios}
+        lam1 = dtn_apply(c1, grid, probe)
+        for c, out in zip(family, ratios):
+            lam = dtn_apply(c, grid, probe)
+            out.append(l2_boundary_norm(grid, np.nan_to_num(lam1 - lam),
+                                        grid.corner) / den)
+    return [{"norm_lower_bound": max(r), "ratios": r} for r in ratios]
 
 
 # ---------------------------------------------------------------- rho algebra
@@ -444,6 +401,8 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     by time reversal of the scheme.  Exact in the continuum for
     time-independent c; the discrete gap shrinks at second order.
     """
+    if c.time_dependent:
+        raise ValueError("identity check requires time-independent c")
     g = constant_factor(1.0, dim=c.dim, T=c.T)
     sol1 = solve_dirichlet(g, grid, f1)
     lam_g = dtn_apply(g, grid, f1, sol=sol1)
@@ -455,33 +414,27 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     def rev_func(t, s):
         return f2.func(T - np.asarray(t, dtype=float), s)
 
-    if c.time_dependent:
-        raise ValueError("identity check requires time-independent c")
     sol2_rev = solve_dirichlet(c, grid, BoundaryData(rev_func, "rev"))
     u2 = sol2_rev.u[::-1].copy()
     sol2 = WaveSolution(grid, u2, sol2_rev.c_max)
 
-    corner = grid.corner_mask()
+    corner = grid.corner
     f2_vals = f2.sample(grid)
     diff = np.nan_to_num(lam_g - lam_cg)[:, ~corner]
     lhs = float(np.sum(_time_weights(grid.nt)[:, None] * diff
                        * f2_vals[:, ~corner]) * grid.k * grid.h)
 
-    mesh = grid.mesh()
-    factors = rho_factors(c, n)
-    tmid = grid.times[1:-1]
+    c_grid = sample_factor(c, grid, grid.mesh())
     du1 = sol1.dt_interior()
     du2 = sol2.dt_interior()
-    rho1_vals = np.stack([factors.rho1(np.full(mesh.shape[:-1], t), mesh)
-                          for t in tmid])
+    rho1_vals = c_grid[1:-1] ** (n / 2) - 1.0
     term_t = _trapz_time(
         np.sum(rho1_vals * du1 * du2, axis=(1, 2))[..., None],
         grid.k)[0] * grid.h**2
 
     g1x, g1y = sol1.grad()
     g2x, g2y = sol2.grad()
-    rho2_vals = np.stack([factors.rho2(np.full(mesh.shape[:-1], t), mesh)
-                          for t in grid.times])
+    rho2_vals = c_grid ** (n / 2 - 1) - 1.0
     term_x = _trapz_time(
         np.sum(rho2_vals * (g1x * g2x + g1y * g2y),
                axis=(1, 2))[..., None], grid.k)[0] * grid.h**2
@@ -504,22 +457,19 @@ def conformal_stability_experiment(scales, grid: WaveGrid,
     The envelope constant is the smallest C with |1 - c_s| <=
     C / log(1 / norm) across all rows (fit-then-assert protocol).
     """
-    from .conformal import bump_factor
-
     T = T if T is not None else grid.T
-    probes = boundary_probes(probe_count, T)
-    g1 = constant_factor(1.0, T=T)
+    family = [bump_factor(s, bump_center, bump_width, T=T, name=f"bump{s:g}")
+              for s in scales]
+    norms = dtn_norm_diff(constant_factor(1.0, T=T), family, grid,
+                          boundary_probes(probe_count, T))
     mesh = grid.mesh()
     rows = []
-    for s in scales:
-        cs = bump_factor(s, bump_center, bump_width, T=T,
-                         name=f"bump{s:g}")
-        norm = dtn_norm_diff(g1, cs, grid, probes)["norm_lower_bound"]
-        vals = np.stack([1.0 - cs(np.full(mesh.shape[:-1], t), mesh)
-                         for t in grid.times])
+    for s, cs, norm in zip(scales, family, norms):
+        vals = 1.0 - sample_factor(cs, grid, mesh)
         l2 = float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None, None]
                                   * vals**2) * grid.k * grid.h**2))
-        rows.append({"scale": float(s), "c_dist_l2": l2, "dtn_norm": norm})
+        rows.append({"scale": float(s), "c_dist_l2": l2,
+                     "dtn_norm": norm["norm_lower_bound"]})
     # degenerate rows (vanishing DtN difference) carry no log-scale
     # information and are excluded from the envelope fit
     live = [r for r in rows if r["dtn_norm"] > 1e-14]

@@ -124,9 +124,23 @@ class TestRunner:
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
         assert "TdxrayError" in (art / "error.txt").read_text()
 
+    SMALL_CURVE = {"grid.points": 16, "slice.n_launch": 16, "slice.n_s": 16}
+    BODY_3D = {"body.dim": 3}
+    ELLIPSOID = {"body.kind": "ellipse", "body.semiaxes": [2.0, 1.0, 1.0]}
+
     @pytest.mark.parametrize("name, cfg", [
         ("reconstruct", {"grid.points": 33}),
         ("forward", {"body.kind": "ellipse", "body.dim": 3}),
+        # one and zero feasible rows leave the log-stability fit undetermined
+        ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-3]}),
+        ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-1]}),
+        # 3-D bodies against the 2-D fields, ray and conformal factor
+        ("forward", BODY_3D), ("slice-check", BODY_3D),
+        ("reconstruct", BODY_3D), ("stability-curve", BODY_3D),
+        ("beam", BODY_3D),
+        ("forward", ELLIPSOID), ("slice-check", ELLIPSOID),
+        ("reconstruct", ELLIPSOID), ("stability-curve", ELLIPSOID),
+        ("beam", ELLIPSOID),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdxray import wavesim
 from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import CFLViolation, Unstable
 from tdxray.fields import bump_profile
-from tdxray.wavesim import (BoundaryData, WaveGrid, boundary_probes,
-                            conformal_stability_experiment, discrete_energy,
-                            dtn_apply, dtn_norm_diff, key_identity_check,
-                            rho_factors, solve_dirichlet)
+from tdxray.wavesim import (BoundaryData, WaveGrid, WaveSolution,
+                            boundary_probes, conformal_stability_experiment,
+                            discrete_energy, dtn_apply, dtn_norm_diff,
+                            energy_bound_report, h1_boundary_norm,
+                            key_identity_check, l2_boundary_norm, rho_factors,
+                            solve_dirichlet)
 
 
 def pulse(v, center=1.0, width=0.8):
@@ -52,28 +55,31 @@ class TestSolver:
         assert errs[1] / errs[2] > 2.8
 
     def test_manufactured_source_convergence(self):
-        c = bump_factor(0.2, (0.45, 0.55), 0.3, T=1.0)
-
+        # a time-independent and a time-dependent factor, so both branches
+        # of the factor sampler drive the solver
         def u_star(t, mesh):
             return (t**3 * np.exp(-t) * np.sin(np.pi * mesh[..., 0])
                     * np.sin(np.pi * mesh[..., 1]))
 
-        def forcing(t, mesh):
-            s = np.sin(np.pi * mesh[..., 0]) * np.sin(np.pi * mesh[..., 1])
-            utt = (6 * t - 6 * t**2 + t**3) * np.exp(-t) * s
-            lap = -2 * np.pi**2 * u_star(t, mesh)
-            cv = c(np.full(mesh.shape[:-1], t), mesh)
-            return cv * utt - lap
+        for c in (bump_factor(0.2, (0.45, 0.55), 0.3, T=1.0),
+                  bump_factor(0.2, (0.45, 0.55), 0.3, T=1.0, t_center=0.5,
+                              t_width=0.6)):
+            def forcing(t, mesh, c=c):
+                s = np.sin(np.pi * mesh[..., 0]) * np.sin(np.pi * mesh[..., 1])
+                utt = (6 * t - 6 * t**2 + t**3) * np.exp(-t) * s
+                lap = -2 * np.pi**2 * u_star(t, mesh)
+                cv = c(np.full(mesh.shape[:-1], t), mesh)
+                return cv * utt - lap
 
-        errs = []
-        for nx in (17, 33, 65):
-            grid = WaveGrid(nx=nx, k=0.5 / (nx - 1), T=1.0)
-            sol = solve_dirichlet(c, grid, None, source=forcing)
-            mesh = grid.mesh()
-            exact = np.stack([u_star(t, mesh) for t in grid.times])
-            errs.append(np.max(np.abs(sol.u - exact)))
-        assert errs[0] / errs[1] > 3.0
-        assert errs[1] / errs[2] > 3.0
+            errs = []
+            for nx in (17, 33, 65):
+                grid = WaveGrid(nx=nx, k=0.5 / (nx - 1), T=1.0)
+                sol = solve_dirichlet(c, grid, None, source=forcing)
+                mesh = grid.mesh()
+                exact = np.stack([u_star(t, mesh) for t in grid.times])
+                errs.append(np.max(np.abs(sol.u - exact)))
+            assert errs[0] / errs[1] > 3.0, c.time_dependent
+            assert errs[1] / errs[2] > 3.0, c.time_dependent
 
     def test_source_energy_bound_ratio(self, rng):
         c = constant_factor(1.0, T=1.0)
@@ -145,14 +151,57 @@ class TestDtN:
             grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=2.5)
             lam = dtn_apply(c_unit, grid, BoundaryData(dalembert_bc))
             s = grid.boundary_arclength()
-            corner = grid.corner_mask()
-            right = (s > 1.0) & (s < 2.0) & ~corner  # edge x = 1
+            right = (s > 1.0) & (s < 2.0) & ~grid.corner  # edge x = 1
             exact = -pulse_d(grid.times - 1.0)[:, None] \
                 * np.ones((1, int(right.sum())))
             e = lam[:, right] - exact
             errs.append(float(np.sqrt(np.sum(e**2) * grid.k * grid.h)))
         assert errs[0] / errs[1] > 2.8
         assert errs[1] / errs[2] > 2.8
+
+    @pytest.mark.parametrize("t_center", [None, 0.6])
+    def test_trace_all_sides(self, t_center):
+        # u = g(t) q(x, y) with q quadratic: the one-sided stencil is exact,
+        # so the trace is c * g * dq/dnu on every side up to roundoff
+        grid = WaveGrid(nx=33, k=0.6 / 32, T=1.2)
+        c = bump_factor(0.2, (0.4, 0.55), 0.8, T=1.2, t_center=t_center,
+                        t_width=0.7)
+        mesh = grid.mesh()
+        x, y = mesh[..., 0], mesh[..., 1]
+        q = 1 + 0.3 * x - 0.7 * y + 0.5 * x**2 - 0.4 * x * y + 0.8 * y**2
+        qx, qy = 0.3 + x - 0.4 * y, -0.7 - 0.4 * x + 1.6 * y
+        gt = np.sin(3.0 * grid.times) + grid.times
+        u = gt[:, None, None] * q
+        lam = dtn_apply(c, grid, None, sol=WaveSolution(grid, u, 1.2))
+
+        I, J = grid.bI, grid.bJ
+        n = grid.nx - 1
+        dq_dnu = np.where(I == 0, -qx[I, J], np.where(
+            I == n, qx[I, J], np.where(J == 0, -qy[I, J], qy[I, J])))
+        pts = np.broadcast_to(mesh[I, J], (grid.nt, I.size, 2))
+        cb = c(np.broadcast_to(grid.times[:, None], pts.shape[:-1]), pts)
+        exact = cb * gt[:, None] * dq_dnu
+        live = ~grid.corner
+        assert np.all(np.isnan(lam[:, grid.corner]))
+        assert np.max(np.abs(lam[:, live] - exact[:, live])) < 1e-12
+        assert np.ptp(cb[:, live]) > 0.01  # c varies along the boundary
+
+    def test_trace_norm_ratio(self, c_unit):
+        grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
+        probe = boundary_probes(1, 1.5)[0]
+        bvals = probe.sample(grid)
+        trace = dtn_apply(c_unit, grid, probe)
+        h1 = h1_boundary_norm(grid, bvals)
+        l2 = l2_boundary_norm(grid, np.nan_to_num(trace), grid.corner)
+        assert h1 > 0 and l2 > 0
+        assert trace.shape == bvals.shape
+        assert 0 < l2 / h1 < 10
+
+    def test_incompatible_input_rejected(self, c_unit):
+        grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
+        bad = BoundaryData(lambda t, s: np.ones_like(s))
+        with pytest.raises(ValueError):
+            dtn_norm_diff(c_unit, [c_unit], grid, [bad])
 
     def test_linearity(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
@@ -167,7 +216,7 @@ class TestDtN:
     def test_norm_diff_zero_for_equal_factors(self):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
         c = bump_factor(0.03, (0.5, 0.5), 0.25, T=1.5)
-        out = dtn_norm_diff(c, c, grid, boundary_probes(3, 1.5))
+        out, = dtn_norm_diff(c, [c], grid, boundary_probes(3, 1.5))
         assert out["norm_lower_bound"] < 1e-12
 
     def test_norm_estimate_nondecreasing_in_probes(self):
@@ -175,19 +224,18 @@ class TestDtN:
         g1 = constant_factor(1.0, T=1.5)
         c = bump_factor(0.05, (0.55, 0.42), 0.3, T=1.5)
         probes = boundary_probes(6, 1.5)
-        est3 = dtn_norm_diff(g1, c, grid, probes[:3])["norm_lower_bound"]
-        est6 = dtn_norm_diff(g1, c, grid, probes)["norm_lower_bound"]
+        est3 = dtn_norm_diff(g1, [c], grid, probes[:3])[0]["norm_lower_bound"]
+        est6 = dtn_norm_diff(g1, [c], grid, probes)[0]["norm_lower_bound"]
         assert est6 >= est3 - 1e-15
 
     def test_norm_monotone_in_scale(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
         g1 = constant_factor(1.0, T=1.5)
         probes = boundary_probes(4, 1.5)
-        norms = []
-        for s in (0.01, 0.02, 0.04):
-            cs = bump_factor(s, (0.55, 0.42), 0.3, T=1.5)
-            norms.append(dtn_norm_diff(g1, cs, grid,
-                                       probes)["norm_lower_bound"])
+        family = [bump_factor(s, (0.55, 0.42), 0.3, T=1.5)
+                  for s in (0.01, 0.02, 0.04)]
+        norms = [out["norm_lower_bound"]
+                 for out in dtn_norm_diff(g1, family, grid, probes)]
         assert norms[0] < norms[1] < norms[2]
 
 
@@ -266,6 +314,19 @@ class TestStabilityExperiment:
         assert row["c_dist_l2"] == 0.0
         assert row["dtn_norm"] < 1e-12
 
+    def test_reference_solved_once_per_probe(self, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].name)
+            return solve_dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr(wavesim, "solve_dirichlet", counted)
+        grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
+        conformal_stability_experiment([0.02, 0.04], grid, probe_count=2)
+        assert len(solves) == (1 + 2) * 2
+        assert solves.count("const1") == 2
+
     def test_probe_saturation(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5, )
         a = conformal_stability_experiment([0.04], grid, probe_count=6,
@@ -281,28 +342,10 @@ class TestStabilityExperiment:
 
 class TestEnergyReport:
     def test_bounded_constant(self, c_unit):
-        from tdxray.wavesim import energy_bound_report
         grid = WaveGrid(nx=49, k=0.6 / 48, T=2.5)
         data = BoundaryData(dalembert_bc)
         sol = solve_dirichlet(c_unit, grid, data)
-        rep = energy_bound_report(sol, c_unit, data)
+        rep = energy_bound_report(sol, data)
         assert rep["boundary_h1"] > 0
         assert 0 < rep["constant"] < 10.0
 
-
-class TestDtNProbe:
-    def test_probe_record(self, c_unit):
-        from tdxray.wavesim import run_probe
-        grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
-        probe = boundary_probes(1, 1.5)[0]
-        rec = run_probe(c_unit, grid, probe)
-        assert rec.h1_norm > 0 and rec.l2_norm > 0
-        assert rec.trace.shape == rec.bvals.shape
-        assert 0 < rec.ratio < 10
-
-    def test_incompatible_input_rejected(self, c_unit):
-        from tdxray.wavesim import run_probe
-        grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
-        bad = BoundaryData(lambda t, s: np.ones_like(s))
-        with pytest.raises(ValueError):
-            run_probe(c_unit, grid, bad)
