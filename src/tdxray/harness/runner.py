@@ -201,7 +201,13 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     else:
         center = [float(v) for v in
                   np.atleast_1d(cfg.get("conformal.center", [0.1, 0.0]))]
-        c = bump_factor(amp, center, float(cfg.get("conformal.width", 0.75)))
+        c = bump_factor(amp, center, float(cfg.get("conformal.width", 0.75)),
+                        dim=len(center))
+    # ray.angle sets a ray in the plane, so the factor must be 2-D; the
+    # body is then checked against the factor
+    if c.dim != 2:
+        raise ConfigInvalid(f"the beam's ray is planar, but the conformal "
+                            f"factor is {c.dim}-D")
     body = build_body(cfg, c.dim)
     ang = float(cfg.get("ray.angle", 0.0))
     anchor = body.boundary_point(np.array([-np.cos(ang), -np.sin(ang)]))
@@ -232,9 +238,12 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
               np.atleast_1d(cfg.get("family.scales", [0.01, 0.02, 0.04, 0.08]))]
     center = [float(v) for v in
               np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
+    probe_count = int(cfg.get("probes.count", 6))
+    if probe_count < 1:
+        raise ConfigInvalid(f"probes.count = {probe_count} must be >= 1")
     man.stage("setup")
     out = conformal_stability_experiment(
-        scales, grid, probe_count=int(cfg.get("probes.count", 6)),
+        scales, grid, probe_count=probe_count,
         bump_center=tuple(center),
         bump_width=float(cfg.get("bump.width", 0.3)))
     man.stage("experiment")
@@ -261,8 +270,11 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     c = bump_factor(float(cfg.get("bump.amplitude", 0.05)), center,
                     float(cfg.get("bump.width", 0.27)), T=T)
     probes = boundary_probes(4, T)
-    f1 = probes[int(cfg.get("probe.first", 0))]
-    f2 = probes[int(cfg.get("probe.second", 2))]
+    picks = [int(cfg.get("probe.first", 0)), int(cfg.get("probe.second", 2))]
+    if any(p not in range(len(probes)) for p in picks):
+        raise ConfigInvalid(f"probe.first/probe.second = {picks} must lie "
+                            f"in 0..{len(probes) - 1}")
+    f1, f2 = (probes[p] for p in picks)
     man.stage("setup")
     rows = []
     for nx in sizes:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitUnderdetermined, InfeasibleSandwich, RTooLargeForGrid
+from .errors import (ConfigInvalid, FitUnderdetermined, InfeasibleSandwich,
+                     RTooLargeForGrid)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
 from .parallel import parallel_map
@@ -81,13 +82,6 @@ class ReconstructionPlan:
             raise ValueError("epsilon must lie in (0, 1)")
 
 
-def tail_bound(R: float, a: float, n: int, C: float) -> float:
-    """Out-of-ball contribution envelope C * R^(n+1-a)."""
-    if a <= n + 1 or R <= 1.0:
-        raise ValueError("need a > n+1 and R > 1")
-    return float(C * R ** (n + 1 - a))
-
-
 # ---------------------------------------------------------------- sources
 
 
@@ -122,38 +116,24 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     pair is integrated, the other is its conjugate, as for real data.
     """
     mesh = grid.frequency_mesh()
-    radius = grid.radius_mesh()
-    visible = grid.visible_mask()
-    pick = visible & (radius <= R_max)
+    available = grid.visible_mask() & (grid.radius_mesh() <= R_max)
 
-    values = np.zeros(pick.shape, dtype=complex)
-    available = np.zeros(pick.shape, dtype=bool)
-    claimed = np.zeros(pick.shape, dtype=bool)
-
-    # one representative per Hermitian mirror pair; on the centered even
-    # lattice freq(j) = (j - N/2) dk, so -freq lives at index N - j and the
-    # j = 0 row (most negative frequency) has no mirror
-    shape = pick.shape
-    reps: list[tuple] = []
-    mirrors: list[tuple | None] = []
-    for idx in map(tuple, np.argwhere(pick)):
-        if claimed[idx]:
-            continue
-        claimed[idx] = True
-        mirror = None
-        if all(i >= 1 for i in idx):
-            cand = tuple(s - i for s, i in zip(shape, idx))
-            if pick[cand] and not claimed[cand]:
-                claimed[cand] = True
-                mirror = cand
-        reps.append(idx)
-        mirrors.append(mirror)
+    # one representative per Hermitian mirror pair, the first of the two
+    # in C order; a point off the core or equal to its mirror stands alone
+    index = np.arange(available.size).reshape(available.shape)
+    partner = index.copy()
+    partner[grid.core] = grid.mirrored(index)
+    paired = available & available.ravel()[partner] & (partner != index)
+    rep = available & ~(paired & (partner < index))
+    reps = np.argwhere(rep)
+    has_mirror = paired[rep]
+    mirrors = partner[rep][has_mirror]
+    del index, partner, paired
 
     # sampled once, before the workers start, when the origin column
     # (xi = 0, no chord direction) is among the representatives
-    samples = (grid.sample(f)
-               if any(all(mesh[a + 1][idx] == 0.0 for a in range(grid.dim))
-                      for idx in reps) else None)
+    origin = np.all([m == 0.0 for m in mesh[1:]], axis=0)
+    samples = grid.sample(f) if np.any(rep & origin) else None
 
     def one_slice(idx):
         tau = float(mesh[0][idx])
@@ -164,13 +144,11 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
         return slice_from_sinogram(f, omega, xi, body,
                                    n_launch=n_launch, n_s=n_s)
 
-    results = parallel_map(one_slice, reps)
-    for idx, mirror, val in zip(reps, mirrors, results):
-        values[idx] = val
-        available[idx] = True
-        if mirror is not None:
-            values[mirror] = np.conj(val)
-            available[mirror] = True
+    results = np.array(parallel_map(one_slice, map(tuple, reps)),
+                       dtype=complex)
+    values = np.zeros(available.shape, dtype=complex)
+    values[rep] = results
+    values.flat[mirrors] = np.conj(results[has_mirror])
     return SpectralSource(grid, values, available)
 
 
@@ -185,10 +163,8 @@ def hermitian_noise(grid: SpectralGrid, mask: np.ndarray, amplitude: float,
     eta = (rng.uniform(-amplitude, amplitude, shape)
            + 1j * rng.uniform(-amplitude, amplitude, shape))
     eta[~mask] = 0.0
-    core = tuple(slice(1, None) for _ in shape)
-    rev = tuple(slice(None, None, -1) for _ in shape)
     sym = eta.copy()
-    sym[core] = 0.5 * (eta[core] + np.conj(eta[core][rev]))
+    sym[grid.core] = 0.5 * (eta[grid.core] + np.conj(grid.mirrored(eta)))
     sym[~mask] = 0.0
     return sym
 
@@ -203,23 +179,27 @@ def lattice_radius_limit(grid: SpectralGrid) -> float:
     return float(min(limits))
 
 
-def truncated_inversion(source: SpectralSource, plan: ReconstructionPlan,
-                        keep_hidden: bool = False):
-    """Invert the masked lattice back onto the sample grid.
+def kept_modes(source: SpectralSource, R: float) -> np.ndarray:
+    """The lattice points the inversion keeps: inside B_R, visible and
+    data-backed."""
+    grid = source.grid
+    return (grid.radius_mesh() < R) & grid.visible_mask() & source.available
+
+
+def truncated_inversion(source: SpectralSource, plan: ReconstructionPlan):
+    """Invert the kept modes back onto the sample grid.
 
     Returns (real reconstruction samples, diagnostics dict).  Hidden
-    lattice points contribute zero unless ``keep_hidden``; the imaginary
-    residual of the inverse transform is reported and should be at
-    roundoff level for noise-free Hermitian data.
+    lattice points contribute zero; the imaginary residual of the inverse
+    transform is reported and should be at roundoff level for noise-free
+    Hermitian data.
     """
     grid = source.grid
     if plan.R > lattice_radius_limit(grid):
         raise RTooLargeForGrid(
             f"R = {plan.R:.2f} exceeds the lattice radius "
             f"{lattice_radius_limit(grid):.2f}")
-    mask = (grid.radius_mesh() < plan.R) & source.available
-    if not keep_hidden:
-        mask &= grid.visible_mask()
+    mask = kept_modes(source, plan.R)
     rec = grid.inverse(np.where(mask, source.values, 0.0))
     field_norm = grid.discrete_l2(rec.real)
     diag = {
@@ -310,15 +290,12 @@ def noise_transfer_volume(f: SpaceTimeField) -> float:
 def stability_curve(f: SpaceTimeField, body: ConvexBody,
                     noise_levels, epsilon: float, seed: int,
                     grid: SpectralGrid,
-                    base_sinogram=None,
-                    source: SpectralSource | None = None,
                     n_launch: int = 200, n_s: int = 160) -> StabilityCurve:
     """Log-stability sweep: perturb data at each level, cut, reconstruct.
 
-    Each level perturbs the base sinogram (a 64-ray uniform draw when no
-    sinogram is given); the measured sup-norm of the perturbation is the
-    level's delta.  Noise enters the visible lattice values as Hermitian
-    complex uniform noise of amplitude delta * V, where V is the
+    Each level draws a 64-ray uniform perturbation; its measured sup-norm
+    is the level's delta.  Noise enters the visible lattice values as
+    Hermitian complex uniform noise of amplitude delta * V, where V is the
     worst-case launch-area factor transferring per-ray sup noise into a
     slice value.  The envelope constant is calibrated on the first
     feasible row.
@@ -326,7 +303,7 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     noise_levels = list(noise_levels)
     if any(noise_levels[i] < noise_levels[i + 1]
            for i in range(len(noise_levels) - 1)):
-        raise ValueError("noise levels must be nonincreasing")
+        raise ConfigInvalid("noise levels must be nonincreasing")
     n = f.dim
     truth = grid.sample(f)
     sf = fourier_full(f, grid)
@@ -336,17 +313,12 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
 
     cuts: list[RCut | None] = []
     deltas: list[float] = []
-    for i, level in enumerate(noise_levels):
+    for level in noise_levels:
         if level == 0.0:
             deltas.append(0.0)
             cuts.append(None)
             continue
-        if base_sinogram is not None:
-            from .xray import perturb_sinogram
-            _, delta_hat = perturb_sinogram(base_sinogram, level, seed + i)
-        else:
-            delta_hat = float(np.max(np.abs(
-                rng.uniform(-level, level, 64))))
+        delta_hat = float(np.max(np.abs(rng.uniform(-level, level, 64))))
         deltas.append(delta_hat)
         try:
             cuts.append(choose_R(delta_hat, epsilon, n))
@@ -354,12 +326,11 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
             cuts.append(None)
 
     R_need = max([c.R for c in cuts if c is not None], default=0.0)
-    if source is None:
-        if R_need > 0.0:
-            source = visible_slice_source(f, body, grid, R_need,
-                                          n_launch=n_launch, n_s=n_s)
-        else:
-            source = source_from_spectral(sf)
+    if R_need > 0.0:
+        source = visible_slice_source(f, body, grid, R_need,
+                                      n_launch=n_launch, n_s=n_s)
+    else:
+        source = source_from_spectral(sf)
 
     curve = StabilityCurve()
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
@@ -379,12 +350,9 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
             continue
         plan = ReconstructionPlan(R=cut.R, delta=delta_hat, n=n,
                                   epsilon=epsilon)
-        mask = (grid.radius_mesh() < cut.R) & grid.visible_mask() \
-            & source.available
-        noisy = SpectralSource(
-            grid,
-            source.values + hermitian_noise(grid, mask, delta_hat * V, rng),
-            source.available)
+        noise = hermitian_noise(grid, kept_modes(source, cut.R),
+                                delta_hat * V, rng)
+        noisy = SpectralSource(grid, source.values + noise, source.available)
         rec, _ = truncated_inversion(noisy, plan)
         l2, c0 = reconstruction_errors(grid, truth, rec)
         curve.rows.append(StabilityRow(delta_hat, cut.R, l2, c0,

@@ -15,9 +15,7 @@ only the exponentially weighted envelope bound holds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,17 +23,6 @@ from .errors import (AliasingSuspected, CoverageError, NotVisible,
                      OddLattice, ZeroXi)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody, perp_frame
-
-
-class FrequencyPoint(NamedTuple):
-    """A point (tau, xi) of the frequency space dual to (t, x)."""
-
-    tau: float
-    xi: tuple[float, ...]
-
-    @property
-    def region(self) -> str:
-        return classify_region(self.tau, self.xi)
 
 
 # ---------------------------------------------------------------- regions
@@ -53,10 +40,6 @@ def is_visible(tau, xi) -> np.ndarray:
     safe = np.where(scale > 0.0, scale, 1.0)
     norm = safe * np.sqrt(np.sum((xi / safe[..., None]) ** 2, axis=-1))
     return np.abs(tau) <= norm
-
-
-def classify_region(tau: float, xi) -> str:
-    return "Visible" if bool(is_visible(tau, xi)) else "Hidden"
 
 
 def visible_direction(tau, xi) -> np.ndarray:
@@ -113,6 +96,15 @@ def hidden_bound(tau: float, delta: float, C: float) -> float:
 
 
 # ---------------------------------------------------------------- grid
+
+
+_AXIS_LABELS = "abc"
+
+
+def _phase_sum(values: np.ndarray, phases, labels: str):
+    """Sum of values against the outer product of one phase vector per
+    axis; labels names the axes, one letter each."""
+    return np.einsum(f"{labels},{','.join(labels)}->", values, *phases)
 
 
 @dataclass
@@ -209,6 +201,20 @@ class SpectralGrid:
         axes = [self.taus] + [self.xis(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
+    @property
+    def core(self) -> tuple:
+        """Index of the core lattice: index >= 1 on every axis.
+
+        On the centered even lattice freq(j) = (j - N/2) dk, so -freq lives
+        at index N - j; the core holds every point whose mirror -k is on
+        the lattice, and the j = 0 row (most negative frequency) is outside.
+        """
+        return (slice(1, None),) * (self.dim + 1)
+
+    def mirrored(self, a: np.ndarray) -> np.ndarray:
+        """a(-k) on the core lattice, for a lattice-shaped array a."""
+        return a[self.core][(slice(None, None, -1),) * (self.dim + 1)]
+
     def radius_mesh(self) -> np.ndarray:
         mesh = self.frequency_mesh()
         return np.sqrt(sum(m * m for m in mesh))
@@ -256,13 +262,11 @@ class SpectralGrid:
         out = np.empty(taus.shape, dtype=complex)
         ts = self.t_samples
         axes = [self.x_samples(a) for a in range(self.dim)]
+        labels = "t" + _AXIS_LABELS[:self.dim]
         for i, (tau, xi) in enumerate(zip(taus, xis)):
             et = np.exp(-1j * ts * tau)
             phis = [np.exp(-1j * axes[a] * xi[a]) for a in range(self.dim)]
-            if self.dim == 2:
-                out[i] = np.einsum("tab,t,a,b->", samples, et, *phis)
-            else:
-                out[i] = np.einsum("tabc,t,a,b,c->", samples, et, *phis)
+            out[i] = _phase_sum(samples, [et, *phis], labels)
         return self.cell_volume * out
 
     def discrete_l2(self, samples: np.ndarray) -> float:
@@ -277,41 +281,6 @@ class SpectralField:
     grid: SpectralGrid
     values: np.ndarray           # centered complex lattice values
     visible: np.ndarray          # bool mask, True on the visible region
-
-    def hermitian_residual(self) -> float:
-        """Relative sup distance between f^(-k) and conj(f^(k)).
-
-        For even lattice sizes the most negative frequency row has no
-        mirror; it is excluded from the comparison.
-        """
-        v = self.values
-        sl = tuple(slice(1, None) for _ in range(v.ndim))
-        core = v[sl]
-        flipped = np.conj(core[tuple(slice(None, None, -1)
-                                     for _ in range(v.ndim))])
-        scale = np.max(np.abs(core)) + 1e-300
-        return float(np.max(np.abs(core - flipped)) / scale)
-
-    def region_labels(self) -> np.ndarray:
-        return np.where(self.visible, "Visible", "Hidden")
-
-    def write_csv(self, path) -> None:
-        grid = self.grid
-        mesh = grid.frequency_mesh()
-        labels = self.region_labels()
-        header = (["tau"] + [f"xi{i+1}" for i in range(grid.dim)]
-                  + ["re", "im", "region"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            it = np.nditer(self.values, flags=["multi_index"])
-            for val in it:
-                idx = it.multi_index
-                row = [repr(float(mesh[0][idx]))]
-                row += [repr(float(mesh[a + 1][idx])) for a in range(grid.dim)]
-                row += [repr(float(val.real)), repr(float(val.imag)),
-                        str(labels[idx])]
-                w.writerow(row)
 
 
 def fourier_full(f: SpaceTimeField, grid: SpectralGrid,
@@ -335,11 +304,6 @@ def fourier_full(f: SpaceTimeField, grid: SpectralGrid,
             raise AliasingSuspected(
                 f"grid doubling moved probe values by {rel:.3e} relative")
     return SpectralField(grid, values, grid.visible_mask())
-
-
-def fourier_at(f: SpaceTimeField, grid: SpectralGrid, taus, xis) -> np.ndarray:
-    """f^ at arbitrary frequency points via the direct trapezoid sum."""
-    return grid.point_transform(grid.sample(f), taus, xis)
 
 
 # ---------------------------------------------------------------- slices
@@ -412,6 +376,14 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     s_grid = np.linspace(t_lo, t_hi, n_s)
     ds = float(s_grid[1] - s_grid[0])
 
+    def launch(along):
+        """Launch points center + along*omega + v.perp on the (along, v)
+        mesh."""
+        mesh = np.meshgrid(along, *v_axes, indexing="ij")
+        return (center + mesh[0][..., None] * omega
+                + sum(mesh[k + 1][..., None] * perp[k]
+                      for k in range(len(perp))))
+
     if use_separable and f.separable is not None:
         # f = g(t) H(x):  q(u, v) = sum_k g(s_k) H(center + (u+s_k) omega
         # + v.perp) ds, an exact correlation on a shared lattice when the
@@ -421,20 +393,13 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
         g, H = f.separable
         gv = g(s_conv)
         m = u_lo + t_lo + spacing * np.arange(n_u + n_s_conv - 1)
-        mesh = np.meshgrid(m, *v_axes, indexing="ij")
-        pts = (center + mesh[0][..., None] * omega
-               + sum(mesh[k + 1][..., None] * perp[k]
-                     for k in range(len(perp))))
-        Hv = H(pts)
+        Hv = H(launch(m))
         q = np.zeros((n_u,) + Hv.shape[1:])
         for k in range(n_s_conv):
             q += gv[k] * Hv[k:k + n_u]
         q *= spacing
     else:
-        mesh = np.meshgrid(u, *v_axes, indexing="ij")
-        base = (center + mesh[0][..., None] * omega
-                + sum(mesh[k + 1][..., None] * perp[k]
-                      for k in range(len(perp))))
+        base = launch(u)
         q = np.zeros(base.shape[:-1])
         for s in s_grid:
             q += f(np.full(base.shape[:-1], s), base + s * omega)
@@ -444,9 +409,6 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     ph_u = np.exp(-1j * u * float(np.dot(omega, xi)))
     ph_v = [np.exp(-1j * v_axes[k] * float(np.dot(perp[k], xi)))
             for k in range(len(perp))]
-    if f.dim == 2:
-        val = np.einsum("ab,a,b->", q, ph_u, ph_v[0])
-    else:
-        val = np.einsum("abc,a,b,c->", q, ph_u, ph_v[0], ph_v[1])
+    val = _phase_sum(q, [ph_u, *ph_v], _AXIS_LABELS[:f.dim])
     cell = spacing ** (1 + len(perp))
     return complex(val * cell * np.exp(-1j * float(np.dot(center, xi))))

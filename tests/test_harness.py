@@ -141,6 +141,15 @@ class TestRunner:
         ("forward", ELLIPSOID), ("slice-check", ELLIPSOID),
         ("reconstruct", ELLIPSOID), ("stability-curve", ELLIPSOID),
         ("beam", ELLIPSOID),
+        # probe counts and indices out of range
+        ("dtn", {"grid.nx": 17, "probes.count": 0}),
+        ("dtn", {"grid.nx": 17, "probes.count": -1}),
+        ("identity-check", {"grid.sizes": [17], "probe.first": -1}),
+        ("identity-check", {"grid.sizes": [17], "probe.second": 4}),
+        # a 3-D conformal factor for the planar beam ray
+        ("beam", {"conformal.amplitude": 0.1,
+                  "conformal.center": [0.1, 0.0, 0.0]}),
+        ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-3, 1e-2]}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2

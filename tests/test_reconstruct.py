@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdxray import reconstruct
 from tdxray.errors import InfeasibleSandwich, RTooLargeForGrid
 from tdxray.fields import default_recon_field, linear_combination, single_bump
 from tdxray.geometry import ball
@@ -10,9 +13,9 @@ from tdxray.reconstruct import (ReconstructionPlan, SpectralSource, choose_R,
                                 feasibility_threshold, hermitian_noise,
                                 lattice_radius_limit, parseval_split,
                                 reconstruction_errors, source_from_spectral,
-                                stability_curve, tail_bound,
-                                truncated_inversion, visible_slice_source)
-from tdxray.spectral import SpectralGrid, fourier_full
+                                stability_curve, truncated_inversion,
+                                visible_slice_source)
+from tdxray.spectral import SpectralGrid, fourier_full, visible_direction
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +63,19 @@ class TestChooseR:
 
 
 class TestTailBound:
+    # the out-of-ball envelope is C * R^(n+1-a)
     def test_exponent_algebra(self):
-        assert tail_bound(5.0, 4, 2, 3.0) == pytest.approx(3.0 / 5.0)
-        assert tail_bound(10.0, 4, 2, 3.0) == pytest.approx(
-            0.5 * tail_bound(5.0, 4, 2, 3.0))
+        plan = ReconstructionPlan(R=5.0, delta=0.0, n=2)
+        assert plan.a == 4
+        tail = 3.0 * plan.R ** (plan.n + 1 - plan.a)
+        assert tail == pytest.approx(3.0 / 5.0)
+        assert 3.0 * 10.0 ** (plan.n + 1 - plan.a) == pytest.approx(0.5 * tail)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tail_bound(0.5, 4, 2, 1.0)
+            ReconstructionPlan(R=0.5, delta=0.0, n=2, a=4)
         with pytest.raises(ValueError):
-            tail_bound(2.0, 2.5, 2, 1.0)
+            ReconstructionPlan(R=2.0, delta=0.0, n=2, a=2.5)
 
     def test_measured_tails_dominated(self):
         from tdxray.fields import tail_field
@@ -80,9 +86,10 @@ class TestTailBound:
         w = float(np.prod(grid.dk))
         tails = {R: float(np.sum(np.abs(sf.values)[radius > R]) * w)
                  for R in (4.0, 8.0, 16.0)}
-        C = tails[4.0] / tail_bound(4.0, 4, 2, 1.0)
-        assert tails[8.0] <= tail_bound(8.0, 4, 2, C)
-        assert tails[16.0] <= tail_bound(16.0, 4, 2, C)
+        # a = 4 at n = 2: the envelope is C / R
+        C = tails[4.0] * 4.0
+        assert tails[8.0] <= C / 8.0
+        assert tails[16.0] <= C / 16.0
 
 
 class TestInversion:
@@ -98,13 +105,12 @@ class TestInversion:
     def test_oracle_full_band_recovery(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=96, pad=0.35)
         sf = fourier_full(slice_field, grid)
-        plan = ReconstructionPlan(R=0.99 * lattice_radius_limit(grid),
-                                  delta=0.0, n=2)
-        rec, diag = truncated_inversion(source_from_spectral(sf), plan,
-                                        keep_hidden=True)
-        l2, _ = reconstruction_errors(grid, grid.sample(slice_field), rec)
+        in_ball = grid.radius_mesh() < 0.99 * lattice_radius_limit(grid)
+        rec = grid.inverse(np.where(in_ball, sf.values, 0.0))
+        l2, _ = reconstruction_errors(grid, grid.sample(slice_field),
+                                      rec.real)
         assert l2 < 1e-3
-        assert diag["imag_residual"] < 1e-8
+        assert grid.discrete_l2(rec.imag) / grid.discrete_l2(rec.real) < 1e-8
 
     def test_parseval_accounting(self, recon_setup):
         f, _, grid, sf = recon_setup
@@ -152,11 +158,9 @@ class TestSliceSource:
         # integrates the continuum field
         assert np.max(rel) < 2e-2
         # Hermitian structure of the filled table
-        v = src.values
-        core = np.s_[1:, 1:, 1:]
-        flip = np.s_[::-1, ::-1, ::-1]
-        masked = np.where(mask, v, 0.0)[core]
-        assert np.max(np.abs(masked - np.conj(masked[flip]))) < 1e-12
+        masked = np.where(mask, src.values, 0.0)
+        assert np.max(np.abs(masked[grid.core]
+                             - np.conj(grid.mirrored(masked)))) < 1e-12
 
     def test_available_only_visible_in_ball(self, recon_setup):
         f, body, grid, _ = recon_setup
@@ -168,15 +172,57 @@ class TestSliceSource:
         assert not np.any(src.available & (r > 1.8))
 
 
+    @given(n=st.integers(4, 8).map(lambda k: 2 * k),
+           R_max=st.floats(0.0, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_mirror_pair_fill(self, n, R_max):
+        f = default_recon_field()
+        grid = SpectralGrid.for_field(f, n_points=n, extent=14.0)
+        calls = []
+
+        def value(omega, xi):
+            return complex(xi[0] + 2.0 * xi[1], omega[0] - 3.0 * omega[1])
+
+        def stub(f, omega, xi, body, **kwargs):
+            calls.append(xi)
+            return value(omega, xi)
+
+        with mock.patch.object(reconstruct, "slice_from_sinogram", stub):
+            src = visible_slice_source(f, ball(4.0), grid, R_max)
+        pick = grid.visible_mask() & (grid.radius_mesh() <= R_max)
+        assert np.array_equal(src.available, pick)
+
+        # mirror classes by the even-lattice rule -k at index N - j, with
+        # the j = 0 rows unpaired; each class is filled by one slice of
+        # its first member in C order, except at xi = 0 (no direction)
+        mesh = grid.frequency_mesh()
+        N = np.array(pick.shape)
+        classes = set()
+        for idx in map(tuple, np.argwhere(pick)):
+            mirror = tuple(N - idx)
+            if min(idx) == 0 or not pick[mirror]:
+                mirror = idx
+            classes.add(tuple(sorted({idx, mirror})))
+        sliced = 0
+        for first, *rest in classes:
+            xi = np.array([m[first] for m in mesh[1:]])
+            if np.any(xi != 0.0):
+                sliced += 1
+                omega = visible_direction(mesh[0][first], xi)
+                assert src.values[first] == value(omega, xi)
+            for other in rest:
+                assert src.values[other] == np.conj(src.values[first])
+        assert len(calls) == sliced
+
+
 class TestHermitianNoise:
     def test_symmetry_and_amplitude(self, recon_setup):
         _, _, grid, _ = recon_setup
         mask = grid.radius_mesh() < 3.0
         rng = np.random.default_rng(0)
         eta = hermitian_noise(grid, mask, 1e-3, rng)
-        core = np.s_[1:, 1:, 1:]
-        flip = np.s_[::-1, ::-1, ::-1]
-        assert np.max(np.abs(eta[core] - np.conj(eta[core][flip]))) < 1e-18
+        assert np.max(np.abs(eta[grid.core]
+                             - np.conj(grid.mirrored(eta)))) < 1e-18
         assert np.max(np.abs(eta.real)) <= 1e-3
         assert np.max(np.abs(eta.imag)) <= 1e-3
         assert np.all(eta[~mask] == 0.0)

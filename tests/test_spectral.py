@@ -8,9 +8,9 @@ from tdxray.errors import (AliasingSuspected, CoverageError, NotVisible,
                            OddLattice, ZeroXi)
 from tdxray.fields import SpaceTimeField, symmetric_field
 from tdxray.geometry import ball
-from tdxray.spectral import (SpectralGrid, classify_region, fourier_at,
-                             fourier_full, hidden_bound, is_visible,
-                             slice_from_sinogram, visible_direction)
+from tdxray.spectral import (SpectralGrid, fourier_full, hidden_bound,
+                             is_visible, slice_from_sinogram,
+                             visible_direction)
 
 
 def separable_gaussian():
@@ -41,7 +41,7 @@ class TestFourierFull:
         rng = np.random.default_rng(3)
         taus = rng.uniform(-5, 5, 10)
         xis = rng.uniform(-5, 5, (10, 2))
-        vals = fourier_at(f, grid, taus, xis)
+        vals = grid.point_transform(grid.sample(f), taus, xis)
 
         def hat1d(rate, center, k):
             re = quad(lambda u: np.exp(-rate * (u - center) ** 2)
@@ -59,20 +59,22 @@ class TestFourierFull:
 
     def test_hermitian_residual(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=48)
-        sf = fourier_full(slice_field, grid)
-        assert sf.hermitian_residual() < 1e-10
+        v = fourier_full(slice_field, grid).values
+        core = v[grid.core]
+        residual = np.max(np.abs(core - np.conj(grid.mirrored(v))))
+        assert residual / np.max(np.abs(core)) < 1e-10
 
     def test_hermitian_pairs_on_lattice(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=32)
-        sf = fourier_full(slice_field, grid)
-        v = sf.values[1:, 1:, 1:]
-        assert np.max(np.abs(np.abs(v) - np.abs(v[::-1, ::-1, ::-1]))) < 1e-12
+        v = fourier_full(slice_field, grid).values
+        assert np.max(np.abs(np.abs(v[grid.core])
+                             - np.abs(grid.mirrored(v)))) < 1e-12
 
     def test_tau_reflection_for_symmetric_field(self):
         f = symmetric_field()
         grid = SpectralGrid.for_field(f, n_points=32)
         sf = fourier_full(f, grid)
-        mags = np.abs(sf.values[1:, 1:, 1:])
+        mags = np.abs(sf.values[grid.core])
         assert np.max(np.abs(mags - mags[::-1])) < 1e-10
 
     def test_aliasing_guard(self, slice_field):
@@ -98,23 +100,13 @@ class TestFourierFull:
                                    [[grid.xis(0)[j], grid.xis(1)[k]]])[0]
         assert abs(val - lattice[i, j, k]) < 1e-10
 
-    def test_csv_schema(self, slice_field, tmp_path):
-        grid = SpectralGrid.for_field(slice_field, n_points=8)
-        sf = fourier_full(slice_field, grid)
-        path = tmp_path / "spec.csv"
-        sf.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "tau,xi1,xi2,re,im,region"
-        assert len(lines) == 1 + 8 ** 3
-        assert lines[1].endswith(("Visible", "Hidden"))
-
 
 class TestRegions:
     def test_examples(self):
-        assert classify_region(0.0, (1.0, 0.0)) == "Visible"
-        assert classify_region(2.0, (1.0, 0.0)) == "Hidden"
+        assert is_visible(0.0, (1.0, 0.0))
+        assert not is_visible(2.0, (1.0, 0.0))
         # boundary of the cone is visible (closed inequality)
-        assert classify_region(1.0, (1.0, 0.0)) == "Visible"
+        assert is_visible(1.0, (1.0, 0.0))
 
     @given(tau=st.floats(-30, 30), x1=st.floats(-30, 30),
            x2=st.floats(-30, 30))
@@ -169,7 +161,8 @@ class TestSlices:
 
     def test_zero_frequency_consistency(self, unit_disk, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=96)
-        ref = fourier_at(slice_field, grid, [0.0], [[0.0, 0.0]])[0]
+        ref = grid.point_transform(grid.sample(slice_field), [0.0],
+                                   [[0.0, 0.0]])[0]
         val = slice_from_sinogram(slice_field, (0.6, 0.8), (0.0, 0.0),
                                   unit_disk)
         assert abs(val - ref) < 1e-6
@@ -182,7 +175,7 @@ class TestSlices:
         xi = rng.uniform(-6, 6, 2)
         tau = -float(omega @ xi)
         grid = SpectralGrid.for_field(slice_field, n_points=128)
-        ref = fourier_at(slice_field, grid, [tau], [xi])[0]
+        ref = grid.point_transform(grid.sample(slice_field), [tau], [xi])[0]
         val = slice_from_sinogram(slice_field, omega, xi, unit_disk)
         assert abs(val - ref) <= 1e-6 * (1.0 + abs(ref))
 
@@ -204,10 +197,8 @@ class TestSlices:
 
 class TestFrequencyPoint:
     def test_record(self):
-        from tdxray.spectral import FrequencyPoint
-        p = FrequencyPoint(0.5, (1.0, 0.0))
-        assert p.region == "Visible"
-        assert FrequencyPoint(2.0, (1.0, 0.0)).region == "Hidden"
+        assert is_visible(0.5, (1.0, 0.0))
+        assert not is_visible(2.0, (1.0, 0.0))
 
 
 class TestGridGuards:
@@ -228,6 +219,15 @@ class TestGridGuards:
             grid = SpectralGrid.for_field(slice_field, n_points=n)
             assert grid.nt == n and grid.nx == (n, n)
 
+    @given(n=st.integers(1, 8).map(lambda k: 2 * k),
+           dim=st.sampled_from([2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_mirror_is_negated_frequency(self, n, dim):
+        grid = SpectralGrid(0.0, 0.3, n, np.zeros(dim), np.full(dim, 0.2),
+                            (n,) * dim, dim)
+        for axis in grid.frequency_mesh():
+            assert np.array_equal(grid.mirrored(axis), -axis[grid.core])
+
     def test_mask_agrees_with_pointwise_classification(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
         sf = fourier_full(slice_field, grid)
@@ -236,8 +236,7 @@ class TestGridGuards:
         for tau in it:
             idx = it.multi_index
             xi = (float(mesh[1][idx]), float(mesh[2][idx]))
-            expect = classify_region(float(tau), xi) == "Visible"
-            assert bool(sf.visible[idx]) == expect
+            assert bool(sf.visible[idx]) == bool(is_visible(float(tau), xi))
 
 
 class TestThreeDimensional:
@@ -251,6 +250,6 @@ class TestThreeDimensional:
         omega /= np.linalg.norm(omega)
         xi = np.array([1.5, -2.0, 0.8])
         tau = -float(omega @ xi)
-        ref = fourier_at(f, grid, [tau], [xi])[0]
+        ref = grid.point_transform(grid.sample(f), [tau], [xi])[0]
         val = slice_from_sinogram(f, omega, xi, body, n_launch=72, n_s=96)
         assert abs(val - ref) <= 2e-5 * (1.0 + abs(ref))
