@@ -38,6 +38,11 @@ class CoverageError(TdxrayError):
     """Chord family in the requested direction does not sweep the support."""
 
 
+class SupportTruncated(TdxrayError):
+    """A separable factor is nonzero outside the declared support box, so
+    the slice quadrature built on that box would cut it off."""
+
+
 class NotVisible(TdxrayError):
     """Frequency point lies outside the visible cone |tau| <= |xi|."""
 

@@ -13,10 +13,23 @@ normalised so B(0) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+def squared_distance(x: np.ndarray, c) -> np.ndarray:
+    """|x - c|^2 over the last axis of x, summed axis by axis in order.
+
+    The same bits as np.sum((x - c) ** 2, axis=-1), without the cost of a
+    reduction over a short axis.
+    """
+    total = (x[..., 0] - c[0]) ** 2
+    for a in range(1, x.shape[-1]):
+        total = total + (x[..., a] - c[a]) ** 2
+    return total
 
 
 def bump_profile(u: np.ndarray) -> np.ndarray:
@@ -80,6 +93,22 @@ class SpaceTimeField:
     @property
     def support_box(self):
         return (self.t_support, np.asarray(self.x_lo), np.asarray(self.x_hi))
+
+    @cached_property
+    def live_support(self) -> np.ndarray:
+        """Points of a 24-per-axis mesh over the spatial box where f is
+        nonzero at one of five interior times, shape (k, dim).
+
+        Sampled once per field; the chord slices check it against the body.
+        """
+        axes = [np.linspace(lo, hi, 24) for lo, hi in zip(self.x_lo,
+                                                          self.x_hi)]
+        g = np.stack(np.meshgrid(*axes, indexing="ij"),
+                     axis=-1).reshape(-1, self.dim)
+        alive = np.zeros(g.shape[0], dtype=bool)
+        for t in np.linspace(*self.t_support, 7)[1:-1]:
+            alive |= np.abs(self(np.full(g.shape[0], t), g)) > 1e-13
+        return g[alive]
 
     def shifted(self, dt: float) -> "SpaceTimeField":
         """Time shift: f(t - dt, x), support moved accordingly."""
@@ -147,8 +176,7 @@ def _make_evaluator(specs: Sequence[BumpSpec], dim: int):
         total = np.zeros(np.broadcast(t, x[..., 0]).shape)
         for s in specs:
             ut = ((t - s.t_center) / s.t_width) ** 2
-            dx = x - np.asarray(s.x_center)
-            ux = np.sum(dx * dx, axis=-1) / s.x_width**2
+            ux = squared_distance(x, s.x_center) / s.x_width**2
             total = total + s.amplitude * bump_profile(ut) * bump_profile(ux)
         return total
 
@@ -179,9 +207,8 @@ def bump_field(specs: Sequence[BumpSpec], dim: int = 2,
             x = np.asarray(x, dtype=float)
             total = np.zeros(x.shape[:-1])
             for s in specs:
-                dx = x - np.asarray(s.x_center)
                 total += s.amplitude * bump_profile(
-                    np.sum(dx * dx, axis=-1) / s.x_width**2)
+                    squared_distance(x, s.x_center) / s.x_width**2)
             return total
 
         separable = (g, H)

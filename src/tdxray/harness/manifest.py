@@ -26,6 +26,7 @@ class RunManifest:
     cfg: dict
     seed: int
     stages: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)   # (name, {key: value})
     _t0: float = field(default_factory=time.perf_counter)
 
     @property
@@ -47,6 +48,11 @@ class RunManifest:
             fh.write("[tolerances]\n")
             for k, v in TOLERANCES.items():
                 fh.write(f"{k} = {v!r}\n")
+            if self.diagnostics:
+                fh.write("[diagnostics]\n")
+                for name, values in self.diagnostics:
+                    fh.write(f"{name} = " + " ".join(
+                        f"{k}={v!r}" for k, v in values.items()) + "\n")
             fh.write("[wall_clock_seconds]\n")
             for name, dt in self.stages:
                 fh.write(f"{name} = {dt:.3f}\n")

@@ -186,6 +186,9 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
         n_launch=int(cfg.get("slice.n_launch", 200)),
         n_s=int(cfg.get("slice.n_s", 160)))
     man.stage("sweep")
+    man.diagnostics += [
+        (f"row{i}", {"n_modes": r.n_modes, "imag_residual": r.imag_residual})
+        for i, r in enumerate(curve.rows)]
     curve.write_csv(os.path.join(art, "stability_curve.csv"))
     man.stage("write")
     fit = curve.fit()

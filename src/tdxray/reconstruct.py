@@ -245,6 +245,8 @@ class StabilityRow:
     envelope: float
     feasible: bool
     conflict: bool
+    n_modes: int                 # modes the inversion kept, 0 if not run
+    imag_residual: float         # of the inverse transform, nan if not run
 
 
 @dataclass
@@ -338,25 +340,28 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
             plan = ReconstructionPlan(R=0.98 * R_limit, delta=0.0, n=n,
                                       epsilon=epsilon)
             base = source_from_spectral(sf)
-            rec, _ = truncated_inversion(base, plan)
+            rec, diag = truncated_inversion(base, plan)
             l2, c0 = reconstruction_errors(grid, truth, rec)
             curve.rows.append(StabilityRow(0.0, plan.R, l2, c0,
-                                           float("nan"), True, False))
+                                           float("nan"), True, False,
+                                           **diag))
             continue
         if cut is None:
             curve.rows.append(StabilityRow(delta_hat, float("nan"),
                                            float("nan"), float("nan"),
-                                           float("nan"), False, False))
+                                           float("nan"), False, False,
+                                           0, float("nan")))
             continue
         plan = ReconstructionPlan(R=cut.R, delta=delta_hat, n=n,
                                   epsilon=epsilon)
         noise = hermitian_noise(grid, kept_modes(source, cut.R),
                                 delta_hat * V, rng)
         noisy = SpectralSource(grid, source.values + noise, source.available)
-        rec, _ = truncated_inversion(noisy, plan)
+        rec, diag = truncated_inversion(noisy, plan)
         l2, c0 = reconstruction_errors(grid, truth, rec)
         curve.rows.append(StabilityRow(delta_hat, cut.R, l2, c0,
-                                       float("nan"), True, cut.conflict))
+                                       float("nan"), True, cut.conflict,
+                                       **diag))
 
     feas = [r for r in curve.rows if r.feasible and r.delta > 0]
     if feas:

@@ -15,12 +15,13 @@ only the exponentially weighted envelope bound holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AliasingSuspected, CoverageError, NotVisible,
-                     OddLattice, ZeroXi)
+                     OddLattice, SupportTruncated, ZeroXi)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody, perp_frame
 
@@ -107,9 +108,30 @@ def _phase_sum(values: np.ndarray, phases, labels: str):
     return np.einsum(f"{labels},{','.join(labels)}->", values, *phases)
 
 
-@dataclass
+def _lattice_array(method):
+    """Compute a lattice-sized array once per grid and hand it out
+    read-only, so no caller can change what the next one reads."""
+    key = "_cached_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        out = self.__dict__.get(key)
+        if out is None:
+            out = method(self)
+            out.flags.writeable = False
+            self.__dict__[key] = out
+        return out
+
+    return cached
+
+
+@dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform (t, x) sample grid and its DFT-conjugate frequency lattice."""
+    """Uniform (t, x) sample grid and its DFT-conjugate frequency lattice.
+
+    Frozen, because the radius mesh, the visible mask and the corner phase
+    are computed once per grid and shared read-only.
+    """
 
     t0: float
     dt: float
@@ -215,10 +237,12 @@ class SpectralGrid:
         """a(-k) on the core lattice, for a lattice-shaped array a."""
         return a[self.core][(slice(None, None, -1),) * (self.dim + 1)]
 
+    @_lattice_array
     def radius_mesh(self) -> np.ndarray:
         mesh = self.frequency_mesh()
         return np.sqrt(sum(m * m for m in mesh))
 
+    @_lattice_array
     def visible_mask(self) -> np.ndarray:
         mesh = self.frequency_mesh()
         return is_visible(mesh[0], np.stack(mesh[1:], axis=-1))
@@ -233,6 +257,7 @@ class SpectralGrid:
             out[j] = f(np.full(self.nx, t), xmesh)
         return out
 
+    @_lattice_array
     def _corner_phase(self) -> np.ndarray:
         """exp(-i (t0 tau + x0 . xi)) on the centered lattice."""
         mesh = self.frequency_mesh()
@@ -309,25 +334,6 @@ def fourier_full(f: SpaceTimeField, grid: SpectralGrid,
 # ---------------------------------------------------------------- slices
 
 
-def _coverage_check(f: SpaceTimeField, body: ConvexBody,
-                    n_grid: int = 24) -> None:
-    """The spatial support (where f is actually nonzero) must sit strictly
-    inside the body; the bounding box alone may poke outside it."""
-    lo, hi = np.asarray(f.x_lo), np.asarray(f.x_hi)
-    axes = [np.linspace(lo[a], hi[a], n_grid) for a in range(f.dim)]
-    g = np.stack(np.meshgrid(*axes, indexing="ij"),
-                 axis=-1).reshape(-1, f.dim)
-    (t_lo, t_hi), _, _ = f.support_box
-    ts = np.linspace(t_lo, t_hi, 7)[1:-1]
-    alive = np.zeros(g.shape[0], dtype=bool)
-    for t in ts:
-        alive |= np.abs(f(np.full(g.shape[0], t), g)) > 1e-13
-    if np.any(body.phi(g[alive]) >= 0.0):
-        raise CoverageError(
-            "field support reaches the domain boundary: the chord family "
-            "cannot sweep it")
-
-
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                         n_launch: int = 160, n_s: int = 160,
                         pad: float = 0.06,
@@ -343,15 +349,23 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     integral along coordinate axes instead.
 
     n_launch sets the point count across the support (perpendicular axis);
-    the along-ray axis inherits the same spacing.  For separable fields
-    the s-integration is an exact discrete convolution along the ray,
-    which is much cheaper; pass use_separable=False to force the direct
-    tensor evaluation.
+    the along-ray axis inherits the same spacing.  n_s is the s-point
+    count of the tensor evaluation only.  For separable fields
+    f = g(t) H(x) the s-integration is an exact discrete correlation along
+    the ray, whose Fourier sum factorises into a sum over g and a sum over
+    H on its support, which is much cheaper; it raises SupportTruncated
+    when H does not vanish at the edges of the support box.  Pass
+    use_separable=False to force the direct tensor evaluation.
     """
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
     xi = np.asarray(xi, dtype=float)
-    _coverage_check(f, body)
+    # the spatial support (where f is actually nonzero) must sit strictly
+    # inside the body; the bounding box alone may poke outside it
+    if np.any(body.phi(f.live_support) >= 0.0):
+        raise CoverageError(
+            "field support reaches the domain boundary: the chord family "
+            "cannot sweep it")
 
     (t_lo, t_hi), x_lo, x_hi = f.support_box
     center = 0.5 * (np.asarray(x_lo) + np.asarray(x_hi))
@@ -369,12 +383,8 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     u_lo = -h_par - t_hi - perp_pad
     u_hi = h_par - t_lo + perp_pad
     n_u = int(np.ceil((u_hi - u_lo) / spacing)) + 1
-    u = u_lo + spacing * np.arange(n_u)
     v_axes = [np.arange(n_launch) * spacing - (h + perp_pad)
               for h in h_perp]
-
-    s_grid = np.linspace(t_lo, t_hi, n_s)
-    ds = float(s_grid[1] - s_grid[0])
 
     def launch(along):
         """Launch points center + along*omega + v.perp on the (along, v)
@@ -384,31 +394,48 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                 + sum(mesh[k + 1][..., None] * perp[k]
                       for k in range(len(perp))))
 
+    a = float(np.dot(omega, xi))
     if use_separable and f.separable is not None:
-        # f = g(t) H(x):  q(u, v) = sum_k g(s_k) H(center + (u+s_k) omega
-        # + v.perp) ds, an exact correlation on a shared lattice when the
-        # s-grid uses the launch spacing
+        # f = g(t) H(x) with the s-grid on the launch spacing, so with
+        # m = u + s the ray sum is the correlation q_j = spacing
+        # sum_k g_k H_{j+k}, and by the correlation theorem its u-Fourier
+        # sum is spacing (sum_k g_k e^{i s_k a}) (sum_l H_l e^{-i m_l a}).
+        # That is exact when H vanishes on the m-rows outside
+        # [n_s_conv - 1, n_u - 1], where the correlation is cut off.  H is
+        # zero for |m| > h_par, so only that window is evaluated, with
+        # one row more at each end to check that it really is zero there.
         n_s_conv = int(np.ceil((t_hi - t_lo) / spacing)) + 1
         s_conv = t_lo + spacing * np.arange(n_s_conv)
         g, H = f.separable
-        gv = g(s_conv)
-        m = u_lo + t_lo + spacing * np.arange(n_u + n_s_conv - 1)
-        Hv = H(launch(m))
-        q = np.zeros((n_u,) + Hv.shape[1:])
-        for k in range(n_s_conv):
-            q += gv[k] * Hv[k:k + n_u]
-        q *= spacing
+        m_lo = u_lo + t_lo
+        first = int(np.ceil((-h_par - m_lo) / spacing))
+        last = int(np.floor((h_par - m_lo) / spacing))
+        if first < n_s_conv - 1 or last > n_u - 1:
+            raise SupportTruncated(
+                f"m-rows {first}..{last} of |m| <= h_par leave the exact "
+                f"correlation rows {n_s_conv - 1}..{n_u - 1}")
+        along = m_lo + spacing * np.arange(first - 1, last + 2)
+        Hv = H(launch(along))
+        if np.any(Hv[0] != 0.0) or np.any(Hv[-1] != 0.0):
+            raise SupportTruncated(
+                f"{f.name}: the separable factor H is nonzero beyond the "
+                f"support box along omega = {omega}")
+        along, q = along[1:-1], Hv[1:-1]
+        weight = spacing * np.sum(g(s_conv) * np.exp(1j * s_conv * a))
     else:
-        base = launch(u)
+        along, weight = u_lo + spacing * np.arange(n_u), 1.0
+        s_grid = np.linspace(t_lo, t_hi, n_s)
+        base = launch(along)
         q = np.zeros(base.shape[:-1])
         for s in s_grid:
             q += f(np.full(base.shape[:-1], s), base + s * omega)
-        q *= ds
+        q *= float(s_grid[1] - s_grid[0])
 
-    # Fourier sum: X . xi = center.xi + u (omega.xi) + sum v_k (perp_k.xi)
-    ph_u = np.exp(-1j * u * float(np.dot(omega, xi)))
+    # Fourier sum: X . xi = center.xi + along a + sum v_k (perp_k.xi)
+    ph_u = np.exp(-1j * along * a)
     ph_v = [np.exp(-1j * v_axes[k] * float(np.dot(perp[k], xi)))
             for k in range(len(perp))]
     val = _phase_sum(q, [ph_u, *ph_v], _AXIS_LABELS[:f.dim])
     cell = spacing ** (1 + len(perp))
-    return complex(val * cell * np.exp(-1j * float(np.dot(center, xi))))
+    return complex(weight * val * cell
+                   * np.exp(-1j * float(np.dot(center, xi))))

@@ -1,9 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdxray.fields import (RECON_T, bump_profile, default_recon_field,
                            default_slice_field, heldout_fields, single_bump,
-                           tail_field)
+                           squared_distance, tail_field)
+
+
+class TestSquaredDistance:
+    # the forward and rays-beams field values depend on these exact bits
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 50),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8, 8),
+           transposed=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_bits_of_the_reduction(self, dim, n, seed, log_scale,
+                                   transposed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        x = scale * (rng.normal(size=(dim, n)).T if transposed
+                     else rng.normal(size=(n, dim)))
+        c = tuple(scale * rng.normal(size=dim))
+        dx = x - np.asarray(c)
+        assert np.array_equal(squared_distance(x, c),
+                              np.sum(dx * dx, axis=-1))
 
 
 class TestBumpProfile:

@@ -156,6 +156,28 @@ class TestRunner:
         art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
         assert (art / "error.txt").exists()
 
+    def test_stability_diagnostics_recorded(self, tmp_path):
+        cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],
+               "slice.n_launch": 48, "slice.n_s": 48}
+        assert run("stability-curve", dict(cfg), str(tmp_path), seed=3) == 0
+        art = tmp_path / f"stability-curve-{config_hash(cfg, 3)[:12]}"
+        sections: dict = {}
+        entries = sections.setdefault("header", {})
+        for line in (art / "manifest.txt").read_text().splitlines():
+            if line.startswith("["):
+                entries = sections.setdefault(line.strip("[]"), {})
+            else:
+                key, value = line.split(" = ", 1)
+                entries[key] = value
+        tol = float(sections["tolerances"]["hermitian_tol"])
+        rows = sections["diagnostics"]
+        n_rows = len((art / "stability_curve.csv").read_text().splitlines())
+        assert list(rows) == [f"row{i}" for i in range(n_rows - 1)]
+        for entry in rows.values():
+            values = dict(item.split("=") for item in entry.split())
+            assert int(values["n_modes"]) > 0
+            assert float(values["imag_residual"]) <= tol
+
     def test_identity_check_pipeline(self, tmp_path, capsys):
         cfg = {"grid.sizes": [17, 33], "grid.T": 1.0}
         code = run("identity-check", dict(cfg), str(tmp_path), seed=0)
@@ -223,16 +245,22 @@ class TestThreads:
         assert os.environ["TDXRAY_THREADS"] == "2"
 
 
+def load_perfbench(name: str, monkeypatch):
+    """A module of the benchmark, loaded read-only: no bytecode is written
+    next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkHooks:
     def test_traced_names_still_bind(self, monkeypatch):
         # the benchmark's traced run rebinds these names from outside; a
         # rename in the package would break it without this check
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                      path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = load_perfbench("tracer", monkeypatch)
         originals = {}
         for mod, attr, *_ in tracer.FUNCTIONS:
             module = importlib.import_module(mod)
@@ -246,6 +274,18 @@ class TestBenchmarkHooks:
             rec.uninstall()
         for (module, attr), fn in originals.items():
             assert getattr(module, attr) is fn
+
+    @pytest.mark.parametrize("variant", [0, 5, 10, 15])
+    def test_tiny_recon_sweep_matches_reference(self, tmp_path, monkeypatch,
+                                                variant):
+        # the benchmark refuses a run whose outputs leave its recorded
+        # reference by more than 1e-12 relative
+        workloads = load_perfbench("workloads", monkeypatch)
+        _, calls = workloads.build("recon-sweep", variant, "tiny",
+                                   str(tmp_path))
+        reference = workloads.load_reference("tiny", "recon-sweep", variant)
+        for name, call in calls:
+            assert workloads.compare(call(), reference[name]) == []
 
 
 class TestDeterminism:

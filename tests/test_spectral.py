@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tdxray.errors import (AliasingSuspected, CoverageError, NotVisible,
-                           OddLattice, ZeroXi)
-from tdxray.fields import SpaceTimeField, symmetric_field
-from tdxray.geometry import ball
+                           OddLattice, SupportTruncated, ZeroXi)
+from tdxray.fields import (BumpSpec, SpaceTimeField, bump_field,
+                           default_recon_field, default_slice_field,
+                           symmetric_field)
+from tdxray.geometry import ball, perp_frame
 from tdxray.spectral import (SpectralGrid, fourier_full, hidden_bound,
                              is_visible, slice_from_sinogram,
                              visible_direction)
@@ -193,6 +197,115 @@ class TestSlices:
         small = ball(0.5)
         with pytest.raises(CoverageError):
             slice_from_sinogram(slice_field, (1.0, 0.0), (1.0, 0.0), small)
+
+
+def correlation_reference(f, omega, xi, n_launch, pad=0.06):
+    """The separable slice by the direct correlation loop over the full
+    m-lattice: q = spacing * sum_k g_k H[k:k+n_u], then the (u, v)
+    Fourier sum.  Returns the value and cell * sum|q|, the L1 norm of the
+    ray data, which bounds every slice value."""
+    omega = np.asarray(omega, dtype=float) / np.linalg.norm(omega)
+    (t_lo, t_hi), x_lo, x_hi = f.support_box
+    center, half = 0.5 * (x_lo + x_hi), 0.5 * (x_hi - x_lo)
+    perp = perp_frame(omega)
+    h_par = float(np.sum(np.abs(omega) * half))
+    h_perp = [float(np.sum(np.abs(e) * half)) for e in perp]
+    perp_pad = pad * 2 * max(h_perp)
+    spacing = (2 * max(h_perp) + 2 * perp_pad) / n_launch
+    u_lo = -h_par - t_hi - perp_pad
+    n_u = int(np.ceil((h_par - t_lo + perp_pad - u_lo) / spacing)) + 1
+    n_s = int(np.ceil((t_hi - t_lo) / spacing)) + 1
+    v_axes = [np.arange(n_launch) * spacing - (h + perp_pad)
+              for h in h_perp]
+    m = u_lo + t_lo + spacing * np.arange(n_u + n_s - 1)
+    mesh = np.meshgrid(m, *v_axes, indexing="ij")
+    x = center + mesh[0][..., None] * omega + sum(
+        w[..., None] * e for w, e in zip(mesh[1:], perp))
+    g, H = f.separable
+    gv, Hv = g(t_lo + spacing * np.arange(n_s)), H(x)
+    q = np.zeros((n_u,) + Hv.shape[1:])
+    for k in range(n_s):
+        q += gv[k] * Hv[k:k + n_u]
+    q *= spacing
+    val = q
+    for axis, e in reversed(list(zip([u_lo + spacing * np.arange(n_u)]
+                                     + v_axes, [omega, *perp]))):
+        val = val @ np.exp(-1j * axis * float(np.dot(e, xi)))
+    cell = spacing ** f.dim
+    return (val * cell * np.exp(-1j * float(np.dot(center, xi))),
+            cell * np.sum(np.abs(q)))
+
+
+# field, body, n_launch, n_s, and the bar of the existing test that
+# compares that field's slices with an independent transform
+SLICE_CASES = {
+    # test_direct_path_matches_separable_path: 1e-7 absolute
+    "slice-default": (default_slice_field, lambda: ball(), 96, 96,
+                      lambda ref: 1e-7),
+    # TestSliceSource::test_matches_lattice_transform: 2e-2 (1 + |ref|)
+    "recon-default": (default_recon_field, lambda: ball(4.0), 48, 96,
+                      lambda ref: 2e-2 * (1.0 + abs(ref))),
+    # test_slice_identity_3d: 2e-5 (1 + |ref|)
+    "bump3d": (lambda: bump_field([BumpSpec(1.0, 1.0, 0.8,
+                                            (0.05, -0.1, 0.0), 0.5)],
+                                  dim=3, name="bump3d"),
+               lambda: ball(dim=3), 32, 32,
+               lambda ref: 2e-5 * (1.0 + abs(ref))),
+}
+
+
+class TestSliceEngine:
+    @given(case=st.sampled_from(sorted(SLICE_CASES)),
+           azimuth=st.floats(0.0, 2 * np.pi), polar=st.floats(0.0, np.pi),
+           xi=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_separable_path(self, case, azimuth, polar, xi):
+        make_field, make_body, n_launch, n_s, bar = SLICE_CASES[case]
+        f, body = make_field(), make_body()
+        if f.dim == 2:
+            omega = np.array([np.cos(azimuth), np.sin(azimuth)])
+        else:
+            omega = np.array([np.cos(azimuth) * np.sin(polar),
+                              np.sin(azimuth) * np.sin(polar),
+                              np.cos(polar)])
+        xi = np.array(xi[:f.dim])
+        val = slice_from_sinogram(f, omega, xi, body, n_launch=n_launch,
+                                  n_s=n_s)
+        ref, l1 = correlation_reference(f, omega, xi, n_launch)
+        assert abs(val - ref) <= 1e-12 * l1
+        oracle = slice_from_sinogram(f, omega, xi, body, n_launch=n_launch,
+                                     n_s=n_s, use_separable=False)
+        assert abs(val - oracle) <= bar(oracle)
+
+    # clip 0.2: the box cuts 0.2 off each x-side of the bump (half-width
+    # 0.55), so along omega = (1, 0) H is nonzero on the m-rows just
+    # outside the box; pad < 0: the exact correlation rows stop short of
+    # the box.  Both returned a truncated value before the check.
+    @pytest.mark.parametrize("clip, pad", [(0.2, 0.06), (0.0, -0.05)])
+    def test_understated_support_raised(self, unit_disk, slice_field, clip,
+                                        pad):
+        clipped = dataclasses.replace(
+            slice_field, x_lo=slice_field.x_lo + np.array([clip, 0.0]),
+            x_hi=slice_field.x_hi - np.array([clip, 0.0]))
+        with pytest.raises(SupportTruncated):
+            slice_from_sinogram(clipped, (1.0, 0.0), (1.7, -2.2), unit_disk,
+                                pad=pad)
+
+    def test_coverage_sampled_once_per_field(self, unit_disk):
+        calls = []
+        base = default_slice_field()
+
+        def counted(t, x):
+            calls.append(1)
+            return base(t, x)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        for xi in [(1.7, -2.2), (0.3, 0.4)]:
+            slice_from_sinogram(f, (0.8, 0.6), xi, unit_disk, n_launch=32)
+        assert len(calls) == 5       # one per interior sample time
+        with pytest.raises(CoverageError):
+            slice_from_sinogram(f, (1.0, 0.0), (1.0, 0.0), ball(0.5))
+        assert len(calls) == 5
 
 
 class TestFrequencyPoint:
