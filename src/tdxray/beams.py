@@ -60,35 +60,38 @@ class BeamParams:
 # ---------------------------------------------------------------- h derivatives
 
 
-def _h_derivs(c: ConformalFactor, t: float, x: np.ndarray, p: np.ndarray):
-    """c, grad_x c and h, h_x, h_p, h_xx, h_px, h_pp, dh/dt at a single
-    phase-space point."""
+def _h_derivs(c: ConformalFactor, eye: np.ndarray, t, x: np.ndarray,
+              p: np.ndarray):
+    """c, grad_x c and 2h, h_x, h_p, h_xx, h_px, h_pp, dh/dt row by row:
+    x and p have shape (N, n), t is a scalar or has shape (N,), and
+    ``eye`` is the n x n identity.  dh/dt is 0.0 for a time-independent
+    factor, whose time derivative is not evaluated."""
     cv, gv, gam, pn, phat, h_x, h_p = hamiltonian_jet(c, t, x, p)
-    xb = x[None, :]
-    Hv = c.hess_x(t, xb)[0]
-    ct = float(c.dt(t, xb)[0])
-    h = gam * pn
-    h_pp = gam * (np.eye(x.size) - np.outer(phat, phat)) / pn
-    h_px = np.outer(phat, gv) / (2 * gam)          # d^2 h / dp_i dx_j
-    h_xx = pn * (Hv / (2 * gam) - np.outer(gv, gv) / (4 * gam * cv))
-    h_t = pn * ct / (2 * gam)
-    return cv, gv, h, h_x, h_p, h_xx, h_px, h_pp, h_t
+    g2 = 2 * gam
+    g3, p3, g23 = gam[:, None, None], pn[:, None, None], g2[:, None, None]
+    p_col, g_row = phat[:, :, None], gv[:, None, :]
+    h_pp = g3 * (eye - p_col * phat[:, None, :]) / p3
+    h_px = p_col * g_row / g23                       # d^2 h / dp_i dx_j
+    h_xx = p3 * (c.hess_x(t, x) / g23
+                 - gv[:, :, None] * g_row / (2 * g23 * cv[:, None, None]))
+    h_t = pn * c.dt(t, x) / g2 if c.time_dependent else 0.0
+    return cv, gv, g2 * pn, h_x, h_p, h_xx, h_px, h_pp, h_t
 
 
-def _beam_rhs(c: ConformalFactor, n: int, t: float, state: dict):
+def _beam_rhs(c: ConformalFactor, eye: np.ndarray, t, state: dict):
     x, p, Y, N, a0 = (state["x"], state["p"], state["Y"], state["N"],
                       state["a0"])
-    cv, gv, h, h_x, h_p, h_xx, h_px, h_pp, h_t = _h_derivs(c, t, x, p)
+    cv, gv, h2, h_x, h_p, h_xx, h_px, h_pp, h_t = _h_derivs(c, eye, t, x, p)
     M = N @ np.linalg.inv(Y)
-    psi_tt = h_t + complex(h_x @ h_p) + complex(h_p @ (M @ h_p))
-    lap_psi = cv * np.trace(M) + (1 - n / 2) * complex(gv @ p)
-    box_psi = psi_tt - lap_psi
+    psi_tt = h_t + np.vecdot(h_x, h_p) + np.vecdot(h_p, np.matvec(M, h_p))
+    lap_psi = (cv * M.trace(axis1=1, axis2=2)
+               + (1 - len(eye) / 2) * np.vecdot(gv, p))
     return {
         "x": -h_p,
         "p": h_x,
         "Y": -(h_px @ Y + h_pp @ N),
-        "N": h_xx @ Y + h_px.T @ N,
-        "a0": -box_psi / (2 * h) * a0,
+        "N": h_xx @ Y + h_px.mT @ N,
+        "a0": (lap_psi - psi_tt) / h2 * a0,      # -(box psi) / (2h) * a0
     }
 
 
@@ -117,10 +120,8 @@ class BeamCurve:
         return self.N[k] @ np.linalg.inv(self.Y[k])
 
     def min_eig_imag_M(self) -> np.ndarray:
-        out = np.empty(len(self.times))
-        for k in range(len(self.times)):
-            out[k] = np.min(np.linalg.eigvalsh(self.M(k).imag))
-        return out
+        return np.linalg.eigvalsh(
+            (self.N @ np.linalg.inv(self.Y)).imag).min(axis=-1)
 
     def state_at(self, t: float) -> dict:
         """Beam state at arbitrary t inside the range.
@@ -132,43 +133,19 @@ class BeamCurve:
         t = float(t)
         k = int(np.clip(np.floor((t - self.t0) / self.dt), 0,
                         len(self.times) - 1))
-        k = min(k, len(self.times) - 1)
-        base = {"x": self.xtilde[k].astype(float),
-                "p": self.omega[k].astype(float),
-                "Y": self.Y[k].copy(), "N": self.N[k].copy(),
-                "a0": complex(self.a0[k])}
+        base = {"x": self.xtilde[k:k + 1], "p": self.omega[k:k + 1],
+                "Y": self.Y[k:k + 1], "N": self.N[k:k + 1],
+                "a0": self.a0[k:k + 1]}
         step = t - self.times[k]
         if step != 0.0:
-            base = rk4_step(partial(_beam_rhs, self.c, self.dim),
+            base = rk4_step(partial(_beam_rhs, self.c, np.eye(self.dim)),
                             self.times[k], base, step)
-        M = base["N"] @ np.linalg.inv(base["Y"])
-        return {"x": base["x"], "p": base["p"], "M": M, "a0": base["a0"]}
-
-    def amplitude_closed_form(self) -> np.ndarray:
-        """(det Y(t0)/det Y(t))^(1/2) (c(t0,x0)/c(t,x))^(1/4) with the
-        square-root branch tracked continuously along the curve.
-
-        Coincides with the transport amplitude wherever c is constant
-        along the ray; kept as a diagnostic column.
-        """
-        det = np.array([np.linalg.det(self.Y[k])
-                        for k in range(len(self.times))])
-        c0 = float(self.c(self.t0, self.xtilde[0][None, :])[0])
-        cs = np.array([float(self.c(self.times[k],
-                                    self.xtilde[k][None, :])[0])
-                       for k in range(len(self.times))])
-        ratio = np.linalg.det(self.Y[0]) / det
-        root = np.empty_like(ratio)
-        prev = 1.0 + 0.0j
-        for k, r in enumerate(ratio):
-            cand = np.sqrt(r)
-            root[k] = cand if abs(cand - prev) <= abs(-cand - prev) else -cand
-            prev = root[k]
-        return root * (c0 / cs) ** 0.25
+        M = base["N"][0] @ np.linalg.inv(base["Y"][0])
+        return {"x": base["x"][0], "p": base["p"][0], "M": M,
+                "a0": base["a0"][0]}
 
     def write_csv(self, path) -> None:
-        det = np.array([np.linalg.det(self.Y[k])
-                        for k in range(len(self.times))])
+        det = np.linalg.det(self.Y)
         eig = self.min_eig_imag_M()
         n = self.dim
         header = (["t"] + [f"xtilde{i+1}" for i in range(n)]
@@ -197,8 +174,9 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
     psi_t = 1 exactly; with c = 1 near the boundary this is the inward
     unit momentum.  Initial phase Hessian M(0) = i * m_init * I.  The
     state (x, p, Y, N, a0) rides geometry's :func:`march_to_exit`, the
-    integrator the rays use, with its time budget (NoExit) and a per-step
-    caustic guard raising CausticDetected where |det Y| < 1e-10.
+    integrator the rays use, as a one-row bundle, with its time budget
+    (NoExit) and a per-step caustic guard raising CausticDetected where
+    |det Y| < 1e-10.
     """
     ray.validate(body)
     if check_admissibility:
@@ -206,28 +184,23 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
     n = body.dim
     c0 = float(c(t0, ray.x[None, :])[0])
     state = {
-        "x": ray.x.astype(float).copy(),
-        "p": -ray.omega / np.sqrt(c0),
-        "Y": np.eye(n, dtype=complex),
-        "N": 1j * m_init * np.eye(n, dtype=complex),
-        "a0": 1.0 + 0.0j,
+        "x": ray.x[None, :].astype(float),
+        "p": -ray.omega[None, :] / np.sqrt(c0),
+        "Y": np.eye(n, dtype=complex)[None],
+        "N": 1j * m_init * np.eye(n, dtype=complex)[None],
+        "a0": np.ones(1, dtype=complex),
     }
 
     def caustic_guard(t, s):
-        if abs(np.linalg.det(s["Y"])) < 1e-10:
+        if (np.abs(np.linalg.det(s["Y"])) < 1e-10).any():
             raise CausticDetected(f"det Y ~ 0 at t = {t:.4f}")
 
-    times, snaps = march_to_exit(partial(_beam_rhs, c, n), c, body, t0,
-                                 state, dt, check=caustic_guard)
-    return BeamCurve(
-        c=c, dim=n, t0=t0, dt=dt,
-        times=np.array(times),
-        xtilde=np.array([s["x"] for s in snaps]),
-        omega=np.array([s["p"] for s in snaps]),
-        Y=np.array([s["Y"] for s in snaps]),
-        N=np.array([s["N"] for s in snaps]),
-        a0=np.array([s["a0"] for s in snaps]),
-    )
+    [(times, nodes)] = march_to_exit(partial(_beam_rhs, c, np.eye(n)), c,
+                                     body, t0, state, dt,
+                                     check=caustic_guard)
+    return BeamCurve(c=c, dim=n, t0=t0, dt=dt, times=times,
+                     xtilde=nodes["x"], omega=nodes["p"], Y=nodes["Y"],
+                     N=nodes["N"], a0=nodes["a0"])
 
 
 # ---------------------------------------------------------------- evaluation

@@ -13,11 +13,19 @@ Under this sign convention a ray that should physically enter the body along
 the unit vector omega is launched with momentum p = -omega; the flow then
 moves along +sqrt(c) omega.  With c == 1 the traced path is the straight
 chord x + s*omega.
+
+A family of rays is traced as one bundle: :func:`march_to_exit` steps every
+ray still inside on a shared RK4 clock, with arrays that carry a leading
+ray axis, and bisects all boundary crossings together after the march.
+Every operation acts row by row, so a ray's path is the same, bit for bit,
+whether it is traced alone or in a family.  The Gaussian beams of
+``tdxray.beams`` ride the same march as one-row bundles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -51,9 +59,6 @@ class ConvexBody:
     def outward_normal(self, x) -> np.ndarray:
         g = self.grad(x)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def contains(self, x, margin: float = 0.0) -> np.ndarray:
-        return self.phi(x) < -margin
 
     def boundary_point(self, direction: np.ndarray) -> np.ndarray:
         """Intersection of the ray center + r*direction with the boundary."""
@@ -139,6 +144,8 @@ class MetricSpec:
 
     def validate(self, body: "ConvexBody") -> None:
         """Admissibility of the factor over the body's box (sampled)."""
+        if self.kind not in ("euclidean", "conformal"):
+            raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "conformal":
             if self.c is None:
                 raise ValueError("conformal metric needs a factor")
@@ -278,107 +285,197 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
 # ---------------------------------------------------------------- flow
 
 
-def hamiltonian_jet(c: ConformalFactor, t: float, x, p):
-    """(c, grad_x c, sqrt(c), |p|, p/|p|, h_x, h_p) for h = sqrt(c)|p| at
-    one phase-space point; the flow is (dx/dt, dp/dt) = (-h_p, h_x)."""
-    xb = x[None, :]
-    cv = float(c(t, xb)[0])
-    gv = c.grad_x(t, xb)[0]
-    pn = float(np.linalg.norm(p))
+def hamiltonian_jet(c: ConformalFactor, t, x, p):
+    """(c, grad_x c, sqrt(c), |p|, p/|p|, h_x, h_p) for h = sqrt(c)|p|, row
+    by row: x and p have shape (N, n), t is a scalar or has shape (N,).
+    The flow is (dx/dt, dp/dt) = (-h_p, h_x).
+
+    Row dot products go through ``np.vecdot``, which takes the BLAS dot
+    kernel of a single-vector product, bit for bit; an elementwise product
+    and sum rounds differently where that kernel fuses multiply and add.
+    """
+    cv = c(t, x)
+    gv = c.grad_x(t, x)
+    pn = np.sqrt(np.vecdot(p, p))
     gam = np.sqrt(cv)
-    phat = p / pn
-    return cv, gv, gam, pn, phat, pn * gv / (2 * gam), gam * phat
+    pc, gc = pn[:, None], gam[:, None]
+    phat = p / pc
+    return cv, gv, gam, pn, phat, pc * gv / (2 * gc), gc * phat
 
 
-def rk4_step(rhs, t: float, state: dict, dt: float) -> dict:
+def _ray_flow(c: ConformalFactor, t, state: dict) -> dict:
+    """dx/dt = -h_p and dp/dt = h_x of the rows of state["x"], state["p"]."""
+    *_, h_x, h_p = hamiltonian_jet(c, t, state["x"], state["p"])
+    return {"x": -h_p, "p": h_x}
+
+
+def rk4_step(rhs, t, state: dict, dt) -> dict:
     """One classical fourth-order step of every entry of the state dict;
-    ``rhs(t, state)`` returns the derivatives under the same keys."""
-    def add(s, k, fac):
-        return {key: s[key] + fac * k[key] for key in s}
+    ``rhs(t, state)`` returns the derivatives under the same keys.  Entries
+    carry a leading row axis; ``t`` and ``dt`` are scalars shared by every
+    row or arrays of shape (N,), one value per row."""
+    if isinstance(dt, np.ndarray):   # one step per row, over each entry
+        h = {key: dt.reshape(dt.shape + (1,) * (v.ndim - 1))
+             for key, v in state.items()}
+    else:
+        h = dict.fromkeys(state, dt)
+
+    def add(k, div):
+        return {key: state[key] + h[key] / div * k[key] for key in state}
 
     k1 = rhs(t, state)
-    k2 = rhs(t + dt / 2, add(state, k1, dt / 2))
-    k3 = rhs(t + dt / 2, add(state, k2, dt / 2))
-    k4 = rhs(t + dt, add(state, k3, dt))
-    return {key: state[key] + dt / 6 * (k1[key] + 2 * k2[key] + 2 * k3[key]
-                                        + k4[key]) for key in state}
+    k2 = rhs(t + dt / 2, add(k1, 2))
+    k3 = rhs(t + dt / 2, add(k2, 2))
+    k4 = rhs(t + dt, add(k3, 1))
+    return {key: state[key] + h[key] / 6 * (k1[key] + 2 * k2[key]
+                                            + 2 * k3[key] + k4[key])
+            for key in state}
 
 
 def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
                   state: dict, dt: float, t_max: float | None = None,
-                  check=None) -> tuple[list, list]:
-    """Node times and states of fixed-step RK4 from (t0, state) until
-    state["x"] leaves the body, the crossing step bisected (80 halvings)
-    onto phi = 0.  ``check(t, state)`` sees each full step before its exit
-    test and may raise.  NoExit once t - t0 exceeds ``t_max`` (default 8
-    diameters at the slowest admissible speed sqrt(m0)).
+                  check=None) -> list[tuple[np.ndarray, dict]]:
+    """Fixed-step RK4 of a bundle of rows from (t0, state) until every
+    row's state["x"] has left the body.
+
+    Each entry of ``state`` carries a leading row axis of length N, and
+    ``rhs(t, state)`` gives the derivatives of every entry; state["x"] and
+    state["p"] follow the ray flow of c, whatever else the state carries.
+    The rows share the step clock t0, t0 + dt, ...; a row whose full step
+    lands at phi >= 0 stops advancing, and after the march one bisection
+    (80 halvings) over every row's crossing step together puts its last
+    node on phi = 0.  The bisection steps x and p alone, along the ray
+    flow, since nothing else moves x, and stops once a halving moves no
+    row's bracket, since every later one would give the same brackets.
+    Every operation acts row by row, so a row's nodes do not depend on the
+    other rows.  Returns one (times, nodes) pair per row, ``nodes`` holding
+    that row's values of each entry stacked along the first axis.
+    ``check(t, state)`` sees each full step of the rows still
+    inside before the exit test and may raise.  NoExit names every row
+    still inside, with its launch point, once t - t0 exceeds ``t_max``
+    (default 8 diameters at the slowest admissible speed sqrt(m0)).
     """
     if t_max is None:
         t_max = 8.0 * body.diameter / np.sqrt(c.m0)
+    n_rows = len(state["x"])
+    live = np.arange(n_rows)
+    # runs of steps taken by the same rows: (first clock index, rows, states)
+    clock, runs = [t0], [(0, live, [state])]
+    # the state each row crossing the boundary left from, and its time
+    base = {key: np.empty_like(v) for key, v in state.items()}
+    base_t = np.empty(n_rows)
+    last = np.empty(n_rows, dtype=int)
     t = t0
-    times, states = [t], [state]
     while True:
-        nxt = rk4_step(rhs, t, state, dt)
+        cur = runs[-1][2][-1]
+        nxt = rk4_step(rhs, t, cur, dt)
         if check is not None:
             check(t + dt, nxt)
-        if float(body.phi(nxt["x"])) >= 0.0:
-            lo, hi = 0.0, dt
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if float(body.phi(rk4_step(rhs, t, state, mid)["x"])) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            step = 0.5 * (lo + hi)
-            times.append(t + step)
-            states.append(rk4_step(rhs, t, state, step))
-            return times, states
-        t, state = t + dt, nxt
-        times.append(t)
-        states.append(state)
+        out = body.phi(nxt["x"]) >= 0.0
+        if out.any():
+            gone = live[out]
+            base_t[gone] = t
+            last[gone] = len(clock) - 1
+            for key in base:
+                base[key][gone] = cur[key][out]
+            live = live[~out]
+            if not live.size:
+                break
+            nxt = {key: v[~out] for key, v in nxt.items()}
+            runs.append((len(clock), live, []))
+        t = t + dt
+        clock.append(t)
+        runs[-1][2].append(nxt)
         if t - t0 > t_max:
             raise NoExit(
-                f"path from x={states[0]['x']} still inside after "
-                f"t - t0 = {t - t0:.3f} (> t_max = {t_max:.3f})")
+                f"rays {live.tolist()} of {n_rows} still inside after "
+                f"t - t0 = {t - t0:.3f} (> t_max = {t_max:.3f}); launched "
+                f"from x = {state['x'][live].tolist()}")
+
+    flow, xp = partial(_ray_flow, c), {"x": base["x"], "p": base["p"]}
+    lo, hi = np.zeros(n_rows), np.full(n_rows, dt)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        inside = body.phi(rk4_step(flow, base_t, xp, mid)["x"]) < 0.0
+        new_lo, new_hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        if (new_lo == lo).all() and (new_hi == hi).all():
+            break
+        lo, hi = new_lo, new_hi
+    step = 0.5 * (lo + hi)
+    final = rk4_step(rhs, base_t, base, step)
+
+    clock = np.array(clock)
+    grids = {}
+    for key, v in state.items():
+        grid = grids[key] = np.empty((len(clock),) + v.shape, v.dtype)
+        for start, rows, states in runs:
+            grid[start:start + len(states), rows] = [s[key] for s in states]
+    return [(np.append(clock[:last[i] + 1], base_t[i] + step[i]),
+             {key: np.concatenate([grid[:last[i] + 1, i], final[key][i:i + 1]])
+              for key, grid in grids.items()})
+            for i in range(n_rows)]
 
 
 # ---------------------------------------------------------------- tracing
 
 
-def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
-                   dt: float, t_max: float | None = None) -> GeodesicPath:
-    """Trace the ray through the body until it exits.
+def _chord(body: ConvexBody, ray: BoundaryRay, dt: float) -> GeodesicPath:
+    """The exact straight chord, sampled at an even number of intervals of
+    at most about dt for Simpson users."""
+    tau = exit_time(body, ray)
+    n = max(2, int(np.ceil(tau / dt)))
+    n += n % 2
+    s = np.linspace(0.0, tau, n + 1)
+    pts = ray.x[None, :] + s[:, None] * ray.omega[None, :]
+    vel = np.broadcast_to(ray.omega, pts.shape).copy()
+    return GeodesicPath(s, pts, vel, tau)
 
-    Euclidean metrics short-circuit to the exact straight chord.  Conformal
-    metrics integrate the Hamiltonian flow from p = -omega with
-    :func:`march_to_exit`, which the Gaussian beams ride too, so the last
-    sample lands on the boundary; velocities -h_p follow from the
-    integrated momenta.  ``t_max`` overrides the default time budget.
+
+def trace_bundle(metric: MetricSpec, body: ConvexBody,
+                 rays: list[BoundaryRay], dt: float,
+                 t_max: float | None = None) -> list[GeodesicPath]:
+    """Trace a family of rays through the body until each exits, in the
+    input order.
+
+    Euclidean metrics short-circuit to the exact straight chords, ray by
+    ray.  A conformal metric is first checked for admissibility over the
+    body (Inadmissible), once per family; then the whole family rides one
+    :func:`march_to_exit` of the Hamiltonian flow from p = -omega, so every
+    last sample lands on the boundary, and velocities -h_p follow from the
+    integrated momenta.  A path equals the one its ray gives when traced
+    alone.  An invalid ray (TangentRay, ValueError) is named by its index.
+    ``t_max`` overrides the default time budget; NoExit names the index and
+    launch point of every ray still inside when it runs out.
     """
-    ray.validate(body)
+    if not rays:
+        raise ValueError("ray family is empty")
+    for i, ray in enumerate(rays):
+        try:
+            ray.validate(body)
+        except (TangentRay, ValueError) as exc:
+            exc.args = (f"ray index {i}: {exc}",)
+            raise
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if metric.kind == "euclidean" or metric.c is None:
-        tau = exit_time(body, ray)
-        n = max(2, int(np.ceil(tau / dt)))
-        n += n % 2  # even interval count for Simpson users
-        s = np.linspace(0.0, tau, n + 1)
-        pts = ray.x[None, :] + s[:, None] * ray.omega[None, :]
-        vel = np.broadcast_to(ray.omega, pts.shape).copy()
-        return GeodesicPath(s, pts, vel, tau)
+    metric.validate(body)
+    if metric.kind == "euclidean":
+        return [_chord(body, ray, dt) for ray in rays]
 
     c = metric.c
+    state = {"x": np.array([ray.x for ray in rays], dtype=float),
+             "p": -np.array([ray.omega for ray in rays], dtype=float)}
+    paths = []
+    for times, nodes in march_to_exit(partial(_ray_flow, c), c, body, 0.0,
+                                      state, dt, t_max):
+        points, p = nodes["x"], nodes["p"]
+        speed = np.sqrt(c(times, points))
+        vel = -speed[:, None] * p / np.linalg.norm(p, axis=1, keepdims=True)
+        paths.append(GeodesicPath(times, points, vel, float(times[-1])))
+    return paths
 
-    def rhs(t, s):
-        *_, h_x, h_p = hamiltonian_jet(c, t, s["x"], s["p"])
-        return {"x": -h_p, "p": h_x}
 
-    times, states = march_to_exit(rhs, c, body, 0.0,
-                                  {"x": ray.x, "p": -ray.omega},
-                                  dt, t_max)
-    times = np.array(times)
-    points = np.array([s["x"] for s in states])
-    p = np.array([s["p"] for s in states])
-    speed = np.sqrt(c(times, points))
-    vel = -speed[:, None] * p / np.linalg.norm(p, axis=1, keepdims=True)
-    return GeodesicPath(times, points, vel, float(times[-1]))
+def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
+                   dt: float, t_max: float | None = None) -> GeodesicPath:
+    """Trace one ray through the body until it exits: the one-ray
+    :func:`trace_bundle`, so Euclidean metrics give the exact chord."""
+    return trace_bundle(metric, body, [ray], dt, t_max)[0]

@@ -15,7 +15,8 @@ from scipy.integrate import simpson
 
 from .errors import QuadratureNotConverged
 from .fields import SpaceTimeField
-from .geometry import BoundaryRay, ConvexBody, GeodesicPath, MetricSpec, geodesic_trace
+from .geometry import (BoundaryRay, ConvexBody, GeodesicPath, MetricSpec,
+                       trace_bundle)
 from .parallel import parallel_map
 
 QUAD_TOL = 1e-9
@@ -68,22 +69,25 @@ def xray_single(f: SpaceTimeField, path: GeodesicPath,
 def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
              body: ConvexBody, dt: float = 2.5e-3,
              quad_tol: float = QUAD_TOL) -> Sinogram:
-    """Per-ray transform over traced paths, in the input ray order."""
-    if not rays:
-        raise ValueError("ray family is empty")
+    """Per-ray transform over traced paths, in the input ray order.
+
+    The family is traced once by :func:`trace_bundle` (exact chords for a
+    Euclidean metric, one march for a conformal one) and the paths are
+    integrated through ``parallel_map``.  An error raised for one ray names
+    its index; NoExit names every ray still inside.
+    """
+    paths = trace_bundle(metric, body, rays, dt)
 
     def one(pair):
-        i, ray = pair
+        i, path = pair
         try:
-            path = geodesic_trace(metric, body, ray, dt)
-            return xray_single(f, path, quad_tol), path.exit_time
+            return xray_single(f, path, quad_tol)
         except Exception as exc:
             exc.args = (f"ray index {i}: {exc}",)
             raise
 
-    out = parallel_map(one, enumerate(rays))
-    values = np.array([v for v, _ in out])
-    taus = np.array([t for _, t in out])
+    values = np.array(parallel_map(one, enumerate(paths)))
+    taus = np.array([path.exit_time for path in paths])
     return Sinogram.from_values(rays, values, taus)
 
 

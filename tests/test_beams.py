@@ -10,6 +10,28 @@ from tdxray.fields import bump_profile
 from tdxray.geometry import ball, make_ray
 
 
+def amplitude_closed_form(beam):
+    """(det Y(t0)/det Y(t))^(1/2) (c(t0,x0)/c(t,x))^(1/4) with the
+    square-root branch tracked continuously along the curve.
+
+    Coincides with the transport amplitude wherever c is constant along
+    the ray.
+    """
+    det = np.array([np.linalg.det(beam.Y[k])
+                    for k in range(len(beam.times))])
+    c0 = float(beam.c(beam.t0, beam.xtilde[0][None, :])[0])
+    cs = np.array([float(beam.c(beam.times[k], beam.xtilde[k][None, :])[0])
+                   for k in range(len(beam.times))])
+    ratio = np.linalg.det(beam.Y[0]) / det
+    root = np.empty_like(ratio)
+    prev = 1.0 + 0.0j
+    for k, r in enumerate(ratio):
+        cand = np.sqrt(r)
+        root[k] = cand if abs(cand - prev) <= abs(-cand - prev) else -cand
+        prev = root[k]
+    return root * (c0 / cs) ** 0.25
+
+
 @pytest.fixture(scope="module")
 def free_beam():
     body = ball()
@@ -74,13 +96,13 @@ class TestBuildBeam:
 
     def test_amplitude_closed_form_free_space(self, free_beam):
         _, _, _, beam = free_beam
-        assert np.max(np.abs(beam.a0 - beam.amplitude_closed_form())) < 1e-10
+        assert np.max(np.abs(beam.a0 - amplitude_closed_form(beam))) < 1e-10
 
     def test_amplitude_closed_form_diverges_for_curved_c(self, curved_beam):
         # the quarter-power determinant form solves the transport equation
         # only where c is constant along the ray; recorded as a diagnostic
         _, _, _, beam = curved_beam
-        dev = np.max(np.abs(beam.a0 - beam.amplitude_closed_form()))
+        dev = np.max(np.abs(beam.a0 - amplitude_closed_form(beam)))
         assert 1e-8 < dev < 0.05
 
     def test_inadmissible_factor_rejected(self):
@@ -98,6 +120,21 @@ class TestBuildBeam:
         assert lines[0] == ("t,xtilde1,xtilde2,omega1,omega2,a0_re,a0_im,"
                             "min_eig_ImM,detY_re,detY_im")
         assert len(lines) == 1 + len(beam.times)
+
+    def test_csv_diagnostics_match_node_loop(self, curved_beam, tmp_path):
+        # the stacked det Y and min eig Im M must write the bytes that one
+        # evaluation per node writes
+        _, _, _, beam = curved_beam
+        eig = [np.min(np.linalg.eigvalsh(beam.M(k).imag))
+               for k in range(len(beam.times))]
+        det = [np.linalg.det(beam.Y[k]) for k in range(len(beam.times))]
+        assert np.array_equal(beam.min_eig_imag_M(), eig)
+        p = tmp_path / "beam.csv"
+        beam.write_csv(p)
+        rows = [line.split(",")[-3:] for line in
+                p.read_text().splitlines()[1:]]
+        assert rows == [[repr(float(e)), repr(float(d.real)),
+                         repr(float(d.imag))] for e, d in zip(eig, det)]
 
 
 class TestEvaluate:

@@ -8,7 +8,7 @@ from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import NoExit, TangentRay
 from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time,
                              geodesic_trace, make_ray,
-                             sample_inward_bundle)
+                             sample_inward_bundle, trace_bundle)
 
 
 class TestExitTime:
@@ -164,6 +164,52 @@ class TestGeodesicTrace:
             geodesic_trace(metric, unit_disk, ray, dt=1e-3, t_max=0.5)
 
 
+def ray_at(body, theta, tilt):
+    """The ray from the boundary point at polar angle theta, turned by
+    tilt from the inward normal."""
+    anchor = body.boundary_point(np.array([np.cos(theta), np.sin(theta)]))
+    nu = body.outward_normal(anchor)
+    return make_ray(body, anchor, -np.cos(tilt) * nu
+                    + np.sin(tilt) * np.array([-nu[1], nu[0]]))
+
+
+class TestTraceBundle:
+    @given(angles=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
+                                     st.floats(-1.3, 1.3)),
+                           min_size=1, max_size=12),
+           amplitude=st.floats(-0.1, 0.1), timed=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_paths_equal_rays_traced_alone(self, unit_disk, angles,
+                                           amplitude, timed):
+        # every step of the march acts row by row, and the deferred
+        # bisection runs at per-row times, so a family changes no bit of
+        # any of its paths
+        c = bump_factor(amplitude, (0.1, -0.05), 0.7,
+                        t_center=0.6 if timed else None)
+        metric = MetricSpec("conformal", c)
+        rays = [ray_at(unit_disk, th, tilt) for th, tilt in angles]
+        paths = trace_bundle(metric, unit_disk, rays, dt=1.5e-2)
+        assert len(paths) == len(rays)
+        for ray, path in zip(rays, paths):
+            alone = geodesic_trace(metric, unit_disk, ray, dt=1.5e-2)
+            assert np.array_equal(path.times, alone.times)
+            assert np.array_equal(path.points, alone.points)
+            assert np.array_equal(path.velocities, alone.velocities)
+            assert path.exit_time == alone.exit_time
+
+    @pytest.mark.parametrize("long_first", [False, True])
+    def test_no_exit_names_rays_inside(self, unit_disk, long_first):
+        # chords of about 0.72 and 2.0; only the longer outlasts t_max
+        metric = MetricSpec("conformal", bump_factor(0.05, (0.1, 0.0), 0.7))
+        rays = [ray_at(unit_disk, np.pi, 1.2), ray_at(unit_disk, np.pi, 0.0)]
+        if long_first:
+            rays.reverse()
+        inside = 0 if long_first else 1
+        with pytest.raises(NoExit, match=rf"rays \[{inside}\] of 2 ") as err:
+            trace_bundle(metric, unit_disk, rays, dt=1e-2, t_max=1.2)
+        assert str(err.value).endswith(f"x = {[rays[inside].x.tolist()]}")
+
+
 class TestConvexBody:
     def test_level_signs(self, unit_disk):
         assert unit_disk.phi(unit_disk.center) < 0
@@ -193,6 +239,14 @@ class TestMetricSpec:
             bad.validate(unit_disk)
         with pytest.raises(ValueError):
             MetricSpec("conformal", None).validate(unit_disk)
+
+    def test_unknown_kind_rejected(self, unit_disk):
+        # any kind but "euclidean" is traced with the factor, so a kind the
+        # check does not know would skip it
+        metric = MetricSpec("riemannian", bump_factor(0.6, (0.0, 0.0), 0.3))
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            trace_bundle(metric, unit_disk,
+                         sample_inward_bundle(unit_disk, 2, 1), dt=1e-2)
 
     def test_euclidean_validate_noop(self, unit_disk):
         MetricSpec().validate(unit_disk)

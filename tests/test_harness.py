@@ -6,13 +6,16 @@ from pathlib import Path
 import pytest
 
 from tdxray.cli import main
+from tdxray.conformal import bump_factor
 from tdxray.errors import ConfigInvalid
+from tdxray.geometry import MetricSpec, sample_inward_bundle
 from tdxray.harness import acceptance as acc
 from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
                                    parse_config_text, validate)
 from tdxray.harness.manifest import RunManifest
 from tdxray.harness.runner import PIPELINES, run
 from tdxray.parallel import thread_count
+from tdxray.xray import sinogram
 
 # small but complete runs of each pipeline; every other key keeps its
 # default, which the pipeline still looks up
@@ -275,17 +278,26 @@ class TestBenchmarkHooks:
         for (module, attr), fn in originals.items():
             assert getattr(module, attr) is fn
 
-    @pytest.mark.parametrize("variant", [0, 5, 10, 15])
-    def test_tiny_recon_sweep_matches_reference(self, tmp_path, monkeypatch,
-                                                variant):
+    @staticmethod
+    def check_tiny_run(workload, variant, tmp_path, monkeypatch):
         # the benchmark refuses a run whose outputs leave its recorded
         # reference by more than 1e-12 relative
         workloads = load_perfbench("workloads", monkeypatch)
-        _, calls = workloads.build("recon-sweep", variant, "tiny",
-                                   str(tmp_path))
-        reference = workloads.load_reference("tiny", "recon-sweep", variant)
+        _, calls = workloads.build(workload, variant, "tiny", str(tmp_path))
+        reference = workloads.load_reference("tiny", workload, variant)
         for name, call in calls:
             assert workloads.compare(call(), reference[name]) == []
+
+    @pytest.mark.parametrize("variant", [0, 5, 10, 15])
+    def test_tiny_recon_sweep_matches_reference(self, tmp_path, monkeypatch,
+                                                variant):
+        self.check_tiny_run("recon-sweep", variant, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("variant", [0, 5, 10, 15])
+    def test_tiny_rays_beams_matches_reference(self, tmp_path, monkeypatch,
+                                               variant):
+        # forward, a beam and a conformal sinogram through the bundled march
+        self.check_tiny_run("rays-beams", variant, tmp_path, monkeypatch)
 
 
 class TestDeterminism:
@@ -300,6 +312,18 @@ class TestDeterminism:
             run("forward", dict(cfg), str(sub), seed=11)
             art = sub / f"forward-{config_hash(cfg, 11)[:12]}"
             blobs.append((art / "sinogram.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_conformal_sinogram_byte_identical_across_threads(
+            self, tmp_path, monkeypatch, slice_field, unit_disk):
+        metric = MetricSpec("conformal", bump_factor(0.05, (0.1, 0.0), 0.75))
+        rays = sample_inward_bundle(unit_disk, 3, 2)
+        blobs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("TDXRAY_THREADS", threads)
+            path = tmp_path / f"t{threads}.csv"
+            sinogram(slice_field, rays, metric, unit_disk).write_csv(path)
+            blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_forward_zero_field(self, tmp_path):

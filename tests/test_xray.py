@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from tdxray.errors import QuadratureNotConverged
+from tdxray.conformal import bump_factor
+from tdxray.errors import Inadmissible, QuadratureNotConverged, TangentRay
 from tdxray.fields import SpaceTimeField, linear_combination, single_bump
-from tdxray.geometry import GeodesicPath, MetricSpec, make_ray, sample_inward_bundle
+from tdxray.geometry import (BoundaryRay, GeodesicPath, MetricSpec, make_ray,
+                             sample_inward_bundle)
 from tdxray.xray import perturb_sinogram, sinogram, xray_single
 
 
@@ -99,6 +101,25 @@ class TestSinogram:
         lhs = xray_single(combo, path)
         rhs = 2.0 * xray_single(f1, path) - 3.0 * xray_single(f2, path)
         assert abs(lhs - rhs) <= 2e-9
+
+    def test_inadmissible_factor_rejected(self, unit_disk, slice_field):
+        # C1 distance to 1 is about 4.3 against eps = 0.5; the family is
+        # refused before any ray is traced
+        metric = MetricSpec("conformal", bump_factor(0.6, (0.0, 0.0), 0.3))
+        with pytest.raises(Inadmissible):
+            sinogram(slice_field, sample_inward_bundle(unit_disk, 2, 1),
+                     metric, unit_disk)
+
+    @pytest.mark.parametrize("metric", [
+        MetricSpec(),
+        MetricSpec("conformal", bump_factor(0.05, (0.1, 0.0), 0.7))])
+    def test_invalid_ray_named_by_index(self, unit_disk, slice_field, metric):
+        # a tangent ray built without make_ray's check, third in the family
+        rays = sample_inward_bundle(unit_disk, 4, 1)
+        rays[2] = BoundaryRay(np.array([-1.0, 0.0]), np.array([0.0, 1.0]),
+                              np.array([-1.0, 0.0]))
+        with pytest.raises(TangentRay, match="^ray index 2: "):
+            sinogram(slice_field, rays, metric, unit_disk)
 
     def test_time_shift_covariance(self, unit_disk, slice_field):
         shifted = slice_field.shifted(0.1)
