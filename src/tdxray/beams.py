@@ -30,7 +30,7 @@ from scipy.special import erfc
 from .conformal import ConformalFactor
 from .errors import CausticDetected, QuadratureNotConverged, StencilUnderResolved
 from .geometry import (BoundaryRay, ConvexBody, hamiltonian_jet,
-                       march_to_exit, perp_frame, rk4_step)
+                       march_to_exit, rk4_step)
 
 
 @dataclass
@@ -116,9 +116,6 @@ class BeamCurve:
     def t_exit(self) -> float:
         return float(self.times[-1])
 
-    def M(self, k: int) -> np.ndarray:
-        return self.N[k] @ np.linalg.inv(self.Y[k])
-
     def min_eig_imag_M(self) -> np.ndarray:
         return np.linalg.eigvalsh(
             (self.N @ np.linalg.inv(self.Y)).imag).min(axis=-1)
@@ -166,28 +163,27 @@ class BeamCurve:
 
 
 def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
-               t0: float = 0.0, dt: float = 2e-3, m_init: float = 1.0,
-               check_admissibility: bool = True) -> BeamCurve:
+               t0: float = 0.0, dt: float = 2e-3) -> BeamCurve:
     """Integrate the beam system from a boundary ray until exit.
 
+    The factor must be admissible over the body's box (Inadmissible).
     Normalisation at (t0, x0): a0 = 1, grad psi = -omega0 / sqrt(c), so
     psi_t = 1 exactly; with c = 1 near the boundary this is the inward
-    unit momentum.  Initial phase Hessian M(0) = i * m_init * I.  The
-    state (x, p, Y, N, a0) rides geometry's :func:`march_to_exit`, the
+    unit momentum.  Initial phase Hessian M(0) = i I.  The state
+    (x, p, Y, N, a0) rides geometry's :func:`march_to_exit`, the
     integrator the rays use, as a one-row bundle, with its time budget
     (NoExit) and a per-step caustic guard raising CausticDetected where
     |det Y| < 1e-10.
     """
     ray.validate(body)
-    if check_admissibility:
-        c.check_admissible(*body.bounding_box)
+    c.check_admissible(*body.bounding_box)
     n = body.dim
     c0 = float(c(t0, ray.x[None, :])[0])
     state = {
         "x": ray.x[None, :].astype(float),
         "p": -ray.omega[None, :] / np.sqrt(c0),
         "Y": np.eye(n, dtype=complex)[None],
-        "N": 1j * m_init * np.eye(n, dtype=complex)[None],
+        "N": 1j * np.eye(n, dtype=complex)[None],
         "a0": np.ones(1, dtype=complex),
     }
 
@@ -267,49 +263,18 @@ def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,
     return utt - div_term
 
 
-def residual_probe_set(beam: BeamCurve, lam: float, max_offset: float,
-                       n_times: int = 7, radii=None) -> list[tuple]:
-    """Space-time probes covering the Gaussian core at scale 1/sqrt(lam).
-
-    Offsets are capped at ``max_offset`` (the cutoff tube radius): outside
-    its tube the beam is zero by construction, so the residual sup is
-    taken where the Ansatz actually lives.
-    """
-    if radii is None:
-        radii = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-    n = beam.dim
-    tsel = np.linspace(0.08, 0.92, n_times) * (beam.t_exit - beam.t0) + beam.t0
-    probes = []
-    for t in tsel:
-        st = beam.state_at(t)
-        m = max(np.min(np.linalg.eigvalsh(st["M"].imag)), 1e-6)
-        phat = st["p"] / np.linalg.norm(st["p"])
-        if n == 2:
-            perp = perp_frame(phat)[0]
-            dirs = [phat, perp, (phat + perp) / np.sqrt(2),
-                    (phat - perp) / np.sqrt(2), -phat]
-        else:
-            dirs = [phat] + [e for e in np.eye(n)]
-        pts = [st["x"]]
-        for r in radii[1:]:
-            scale = min(r / np.sqrt(lam * m), max_offset)
-            pts.extend(st["x"] + scale * d for d in dirs)
-        probes.append((t, np.array(pts)))
-    return probes
-
-
 def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
-                    h_fd: float, body: ConvexBody,
-                    n_grid: int = 36) -> float:
+                    h_fd: float, body: ConvexBody) -> float:
     """Spatial L2 norm of Box U(t, .) over the Gaussian core inside the body.
 
-    The patch covers 3.5 envelope widths; beyond that the integrand is
-    exponentially negligible at every lambda in use.
+    The patch covers 3.5 envelope widths on a 36-point grid per axis;
+    beyond that the integrand is exponentially negligible at every lambda
+    in use.
     """
     st = beam.state_at(t)
     m = max(np.min(np.linalg.eigvalsh(st["M"].imag)), 1e-6)
     r = 3.5 / np.sqrt(params.lam * m)
-    axes = [np.linspace(st["x"][a] - r, st["x"][a] + r, n_grid)
+    axes = [np.linspace(st["x"][a] - r, st["x"][a] + r, 36)
             for a in range(beam.dim)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"),
                    axis=-1).reshape(-1, beam.dim)
@@ -320,8 +285,7 @@ def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
 
 
 def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
-                     h_scale: float = 0.5, measure: str = "l2",
-                     check_stencil: bool = True) -> dict:
+                     h_scale: float = 0.5) -> dict:
     """Size of Box U_lam per lambda over the tube of a built beam, and the
     log-log slope of a least-squares fit.
 
@@ -329,15 +293,12 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
     the probe times span its own [t0, t_exit].  ``body`` is the domain it
     was built in, which clips the L2 patch.
 
-    measure = "l2" (default) tracks sup_t of the spatial L2 norm over the
-    Gaussian core, the quantity the energy estimates consume; its exponent
-    is n/4 at n = 2 for this construction.  measure = "sup" tracks the
-    pointwise sup over core probes; for a beam with quadratic phase and
-    curve-constant amplitude that sup carries an extra sqrt(lambda) from
-    the cubic eikonal and linear transport remainders (killing it needs
-    third-order phase and first-order amplitude corrections, which the
-    evaluation contract here excludes), so its fitted exponent runs near
-    n/4 + 1/2.  Both are measured with symbolic-free finite differences.
+    The size is sup_t of the spatial L2 norm over the Gaussian core, the
+    quantity the energy estimates consume; its exponent is n/4 at n = 2
+    for this construction.  (The pointwise sup carries an extra
+    sqrt(lambda) from the cubic eikonal and linear transport remainders of
+    a quadratic-phase, curve-constant-amplitude beam.)  It is measured
+    with symbolic-free finite differences.
 
     The stencil step follows lam^(-3/2): the phase oscillates at scale
     1/lam inside a Gaussian envelope of width 1/sqrt(lam), and a
@@ -348,52 +309,42 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
     lambdas = sorted(float(l) for l in lambdas)
     if len(lambdas) < 4:
         raise ValueError("need at least 4 lambda values for the fit")
-    if measure not in ("l2", "sup"):
-        raise ValueError("measure must be 'l2' or 'sup'")
-    tube = BeamParams().tube_inner(beam.dim)
     t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
 
     def size_at(lam: float, h_fd: float) -> float:
         params = BeamParams(lam=lam)
-        if measure == "l2":
-            return max(_residual_l2_at(beam, params, t, h_fd, body)
-                       for t in t_sel)
-        out = 0.0
-        for t, pts in residual_probe_set(beam, lam, tube):
-            vals = wave_operator_fd(beam, params, t, pts, h_fd)
-            out = max(out, float(np.max(np.abs(vals))))
-        return out
+        return max(_residual_l2_at(beam, params, t, h_fd, body)
+                   for t in t_sel)
 
     sups = []
     for lam in lambdas:
         h_fd = h_scale * lam ** (-1.5)
         sups.append(size_at(lam, h_fd))
-        if check_stencil and lam == lambdas[-1]:
+        if lam == lambdas[-1]:
             half = size_at(lam, h_fd / 2)
             if abs(half - sups[-1]) > 0.05 * sups[-1]:
                 raise StencilUnderResolved(
                     f"halving the stencil step moved the residual size by "
                     f"{abs(half - sups[-1]) / sups[-1]:.1%}")
     slope = float(np.polyfit(np.log(lambdas), np.log(sups), 1)[0])
-    return {"lambdas": lambdas, "sups": sups, "slope": slope,
-            "measure": measure}
+    return {"lambdas": lambdas, "sups": sups, "slope": slope}
 
 
 # ---------------------------------------------------------------- cutoff
 
 
-def cutoff_build(params: BeamParams, beam: BeamCurve,
-                 max_nodes: int = 256, chunk: int = 8192):
+def cutoff_build(params: BeamParams, beam: BeamCurve):
     """Smooth cutoff chi: 1 inside the inner space-time tube around the
     curve, 0 outside the outer tube, monotone in the tube distance
     min_r (|s - r| + |y - x(r)|).
 
     Derivative sup scales like the inverse transition width
     ~ eps1^(-1/(2 n alpha)), within the eps1^(-m/(2 alpha)) budget.  The
-    curve is subsampled to at most max_nodes reference points (node
-    spacing stays far below the tube width) and inputs are processed in
-    chunks to bound memory.
+    curve is subsampled to at most 256 reference points (node spacing
+    stays far below the tube width) and inputs are processed in chunks of
+    8192 to bound memory.
     """
+    max_nodes, chunk = 256, 8192
     n = beam.dim
     a1 = params.tube_inner(n)
     a2 = params.tube_outer(n)
@@ -440,15 +391,15 @@ def cutoff_build(params: BeamParams, beam: BeamCurve,
 
 def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
                            params: BeamParams, lambdas, t_eval: float,
-                           quad_points: int = 220,
                            apply_cutoff: bool = True) -> dict:
     """Error of the normalised Gaussian average of h against h on the curve.
 
     Computes (lam/pi)^(n/2) sqrt(det B) * int exp(-lam <B d, d>) h chi dx
-    per lambda by trapezoid quadrature over the cutoff tube, and returns
-    |result - h(t, x(t))| together with the printed bound evaluated with
-    both erfc sign conventions (erfc(-lam^{2 sigma}) tends to 2, so that
-    version of the additive term does not vanish; both are reported).
+    per lambda by trapezoid quadrature (220 points per axis) over the
+    cutoff tube, and returns |result - h(t, x(t))| together with the
+    printed bound evaluated with both erfc sign conventions
+    (erfc(-lam^{2 sigma}) tends to 2, so that version of the additive term
+    does not vanish; both are reported).
     """
     B = np.asarray(B, dtype=complex)
     if np.linalg.matrix_rank(B) < B.shape[0]:
@@ -459,7 +410,7 @@ def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
     st = beam.state_at(t_eval)
     x0 = st["x"]
     extent = params.tube_outer(n) * 1.35
-    axes = [np.linspace(x0[a] - extent, x0[a] + extent, quad_points)
+    axes = [np.linspace(x0[a] - extent, x0[a] + extent, 220)
             for a in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     d = mesh - x0

@@ -30,10 +30,6 @@ class QuadratureNotConverged(TdxrayError):
 # ---------------------------------------------------------------- spectral
 
 
-class AliasingSuspected(TdxrayError):
-    """Doubling the sample grid moved probe-frequency values too much."""
-
-
 class CoverageError(TdxrayError):
     """Chord family in the requested direction does not sweep the support."""
 

@@ -110,53 +110,6 @@ class SpaceTimeField:
             alive |= np.abs(self(np.full(g.shape[0], t), g)) > 1e-13
         return g[alive]
 
-    def shifted(self, dt: float) -> "SpaceTimeField":
-        """Time shift: f(t - dt, x), support moved accordingly."""
-        base = self.evaluator
-        return SpaceTimeField(
-            evaluator=lambda t, x: base(np.asarray(t) - dt, x),
-            t_support=(self.t_support[0] + dt, self.t_support[1] + dt),
-            x_lo=self.x_lo,
-            x_hi=self.x_hi,
-            dim=self.dim,
-            name=f"{self.name}+shift{dt:g}",
-        )
-
-    def smoothness_budget(self, order: int = 2, n_samples: int = 4000,
-                          seed: int = 0) -> dict[int, float]:
-        """Sampled sup-norm estimates of derivatives up to ``order``.
-
-        Crude centred finite differences on random interior points; a
-        diagnostic, not a certified bound.
-        """
-        rng = np.random.default_rng(seed)
-        t0, t1 = self.t_support
-        ts = rng.uniform(t0, t1, n_samples)
-        xs = rng.uniform(self.x_lo, self.x_hi, (n_samples, self.dim))
-        vals = {0: float(np.max(np.abs(self(ts, xs))))}
-        h = 1e-4 * max(t1 - t0, float(np.max(self.x_hi - self.x_lo)))
-        if order >= 1:
-            sup = 0.0
-            for axis in range(self.dim + 1):
-                fp, fm = self._axis_shift_eval(ts, xs, axis, h)
-                sup = max(sup, float(np.max(np.abs(fp - fm) / (2 * h))))
-            vals[1] = sup
-        if order >= 2:
-            sup = 0.0
-            f0 = self(ts, xs)
-            for axis in range(self.dim + 1):
-                fp, fm = self._axis_shift_eval(ts, xs, axis, h)
-                sup = max(sup, float(np.max(np.abs(fp - 2 * f0 + fm) / h**2)))
-            vals[2] = sup
-        return vals
-
-    def _axis_shift_eval(self, ts, xs, axis, h):
-        if axis == 0:
-            return self(ts + h, xs), self(ts - h, xs)
-        dx = np.zeros(self.dim)
-        dx[axis - 1] = h
-        return self(ts, xs + dx), self(ts, xs - dx)
-
 
 @dataclass
 class BumpSpec:
@@ -230,26 +183,6 @@ def single_bump(amplitude=1.0, t_center=1.0, t_width=0.85,
     return bump_field(
         [BumpSpec(amplitude, t_center, t_width, tuple(x_center), x_width)],
         dim=len(x_center), name=name)
-
-
-def linear_combination(fields: Sequence[SpaceTimeField],
-                       coeffs: Sequence[float],
-                       name: str = "lincomb") -> SpaceTimeField:
-    fields = list(fields)
-    coeffs = [float(c) for c in coeffs]
-
-    def evaluate(t, x):
-        out = coeffs[0] * fields[0](t, x)
-        for f, c in zip(fields[1:], coeffs[1:]):
-            out = out + c * f(t, x)
-        return out
-
-    t_lo = min(f.t_support[0] for f in fields)
-    t_hi = max(f.t_support[1] for f in fields)
-    x_lo = np.min([f.x_lo for f in fields], axis=0)
-    x_hi = np.max([f.x_hi for f in fields], axis=0)
-    return SpaceTimeField(evaluate, (t_lo, t_hi), x_lo, x_hi,
-                          fields[0].dim, name)
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,6 @@ class ConvexBody:
     diameter: float
     dim: int
     center: np.ndarray
-    boundary_tol: float = BOUNDARY_TOL
-    name: str = "body"
 
     def phi(self, x) -> np.ndarray:
         return self.level_fn(np.asarray(x, dtype=float))
@@ -76,8 +74,9 @@ class ConvexBody:
         return self.center + 0.5 * (lo + hi) * d
 
 
-def ball(radius: float = 1.0, dim: int = 2, center=None) -> ConvexBody:
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+def ball(radius: float = 1.0, dim: int = 2) -> ConvexBody:
+    """The ball of the given radius about the origin."""
+    c = np.zeros(dim)
     r = float(radius)
 
     def phi(x):
@@ -87,14 +86,15 @@ def ball(radius: float = 1.0, dim: int = 2, center=None) -> ConvexBody:
     def grad(x):
         return 2.0 * (np.asarray(x, dtype=float) - c) / r**2
 
-    return ConvexBody(phi, grad, (c - r, c + r), 2.0 * r, dim, c,
-                      name=f"ball{dim}d")
+    return ConvexBody(phi, grad, (c - r, c + r), 2.0 * r, dim, c)
 
 
-def ellipsoid(semiaxes, center=None) -> ConvexBody:
+def ellipsoid(semiaxes) -> ConvexBody:
+    """The axis-aligned ellipse or ellipsoid with these semiaxes about the
+    origin."""
     a = np.asarray(semiaxes, dtype=float)
     dim = a.size
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(dim)
 
     def phi(x):
         d = (np.asarray(x, dtype=float) - c) / a
@@ -104,7 +104,7 @@ def ellipsoid(semiaxes, center=None) -> ConvexBody:
         return 2.0 * (np.asarray(x, dtype=float) - c) / a**2
 
     return ConvexBody(phi, grad, (c - a, c + a), 2.0 * float(np.max(a)),
-                      dim, c, name=f"ellipsoid{dim}d")
+                      dim, c)
 
 
 @dataclass
@@ -115,13 +115,13 @@ class BoundaryRay:
     omega: np.ndarray
     normal: np.ndarray
 
-    def validate(self, body: ConvexBody, grazing_tol: float = GRAZING_TOL):
+    def validate(self, body: ConvexBody):
         if abs(np.linalg.norm(self.omega) - 1.0) > 1e-12:
             raise ValueError("omega is not a unit vector")
-        if abs(float(body.phi(self.x))) > 100 * body.boundary_tol:
+        if abs(float(body.phi(self.x))) > 100 * BOUNDARY_TOL:
             raise ValueError("anchor point is not on the boundary")
         inner = float(np.dot(self.omega, self.normal))
-        if inner >= -grazing_tol:
+        if inner >= -GRAZING_TOL:
             raise TangentRay(
                 f"<omega, nu> = {inner:.3e} not transversally inward")
 
@@ -156,20 +156,18 @@ class MetricSpec:
 class GeodesicPath:
     times: np.ndarray
     points: np.ndarray
-    velocities: np.ndarray
     exit_time: float
 
 
 # ---------------------------------------------------------------- exit time
 
 
-def exit_time(body: ConvexBody, ray: BoundaryRay,
-              grazing_tol: float = GRAZING_TOL) -> float:
+def exit_time(body: ConvexBody, ray: BoundaryRay) -> float:
     """Length of the straight chord from ray.x along ray.omega.
 
     Bracketed bisection to 1e-12 followed by two Newton polish steps.
     """
-    ray.validate(body, grazing_tol)
+    ray.validate(body)
     x0, w = ray.x, ray.omega
 
     def phi_s(s):
@@ -354,7 +352,10 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
     inside before the exit test and may raise.  NoExit names every row
     still inside, with its launch point, once t - t0 exceeds ``t_max``
     (default 8 diameters at the slowest admissible speed sqrt(m0)).
+    ``dt`` must be positive (ValueError).
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if t_max is None:
         t_max = 8.0 * body.diameter / np.sqrt(c.m0)
     n_rows = len(state["x"])
@@ -421,14 +422,15 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
 
 def _chord(body: ConvexBody, ray: BoundaryRay, dt: float) -> GeodesicPath:
     """The exact straight chord, sampled at an even number of intervals of
-    at most about dt for Simpson users."""
+    at most about dt (positive, ValueError) for Simpson users."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     tau = exit_time(body, ray)
     n = max(2, int(np.ceil(tau / dt)))
     n += n % 2
     s = np.linspace(0.0, tau, n + 1)
     pts = ray.x[None, :] + s[:, None] * ray.omega[None, :]
-    vel = np.broadcast_to(ray.omega, pts.shape).copy()
-    return GeodesicPath(s, pts, vel, tau)
+    return GeodesicPath(s, pts, tau)
 
 
 def trace_bundle(metric: MetricSpec, body: ConvexBody,
@@ -441,9 +443,9 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     ray.  A conformal metric is first checked for admissibility over the
     body (Inadmissible), once per family; then the whole family rides one
     :func:`march_to_exit` of the Hamiltonian flow from p = -omega, so every
-    last sample lands on the boundary, and velocities -h_p follow from the
-    integrated momenta.  A path equals the one its ray gives when traced
-    alone.  An invalid ray (TangentRay, ValueError) is named by its index.
+    last sample lands on the boundary.  A path equals the one its ray
+    gives when traced alone.  An invalid ray (TangentRay, ValueError) is
+    named by its index, and dt must be positive (ValueError).
     ``t_max`` overrides the default time budget; NoExit names the index and
     launch point of every ray still inside when it runs out.
     """
@@ -455,8 +457,6 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
         except (TangentRay, ValueError) as exc:
             exc.args = (f"ray index {i}: {exc}",)
             raise
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     metric.validate(body)
     if metric.kind == "euclidean":
         return [_chord(body, ray, dt) for ray in rays]
@@ -464,14 +464,9 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     c = metric.c
     state = {"x": np.array([ray.x for ray in rays], dtype=float),
              "p": -np.array([ray.omega for ray in rays], dtype=float)}
-    paths = []
-    for times, nodes in march_to_exit(partial(_ray_flow, c), c, body, 0.0,
-                                      state, dt, t_max):
-        points, p = nodes["x"], nodes["p"]
-        speed = np.sqrt(c(times, points))
-        vel = -speed[:, None] * p / np.linalg.norm(p, axis=1, keepdims=True)
-        paths.append(GeodesicPath(times, points, vel, float(times[-1])))
-    return paths
+    return [GeodesicPath(times, nodes["x"], float(times[-1]))
+            for times, nodes in march_to_exit(partial(_ray_flow, c), c,
+                                              body, 0.0, state, dt, t_max)]
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,

@@ -18,9 +18,8 @@ import numpy as np
 from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..geometry import MetricSpec, ball, make_ray, sample_inward_bundle
-from ..reconstruct import (ReconstructionPlan, choose_R, parseval_split,
-                           source_from_spectral, stability_curve,
-                           truncated_inversion)
+from ..reconstruct import (choose_R, parseval_split, source_from_spectral,
+                           stability_curve, truncated_inversion)
 from ..spectral import SpectralGrid, fourier_full, hidden_bound, is_visible, slice_from_sinogram, visible_direction
 from ..xray import sinogram
 
@@ -29,7 +28,6 @@ from ..xray import sinogram
 class CriterionResult:
     cid: int
     name: str
-    module: str
     passed: bool
     measured: str
     tolerance: str
@@ -118,7 +116,7 @@ def criterion_01(ctx: AcceptanceContext) -> CriterionResult:
         val = slice_from_sinogram(f, omega, xi, body, n_launch=160, n_s=160)
         worst = max(worst, abs(val - ref) / (1.0 + abs(ref)))
     dt = time.perf_counter() - t0
-    return CriterionResult(1, "fourier-slice-identity", "spectral",
+    return CriterionResult(1, "fourier-slice-identity",
                            worst <= 1e-6 and dt < 30.0,
                            f"max rel err {worst:.2e}, {dt:.1f}s",
                            "<= 1e-6, < 30 s", dt)
@@ -155,7 +153,7 @@ def criterion_02(ctx: AcceptanceContext) -> CriterionResult:
     res_norm = np.max(np.abs(np.linalg.norm(omega, axis=1) - 1.0))
     dt = time.perf_counter() - t0
     ok = mism == 0 and res_dot <= 1e-12 and res_norm <= 1e-12
-    return CriterionResult(2, "region-decomposition", "spectral", ok,
+    return CriterionResult(2, "region-decomposition", ok,
                            f"mism {mism}, dot {res_dot:.1e}, "
                            f"norm {res_norm:.1e}",
                            "0 mismatches, 1e-12", dt)
@@ -178,7 +176,7 @@ def criterion_03(ctx: AcceptanceContext) -> CriterionResult:
     margins = [ratio(e) / C_cal for e in entries[1:]]
     dt = time.perf_counter() - t0
     ok = all(m <= 1.0 + 1e-12 for m in margins)
-    return CriterionResult(3, "hidden-envelope", "spectral", ok,
+    return CriterionResult(3, "hidden-envelope", ok,
                            f"C_cal {C_cal:.3e}, heldout/cal "
                            + ", ".join(f"{m:.3f}" for m in margins),
                            "ratios <= 1", dt)
@@ -202,7 +200,7 @@ def criterion_04(ctx: AcceptanceContext) -> CriterionResult:
     C = tails[4.0] * 4.0
     ok = tails[8.0] <= C / 8.0 and tails[16.0] <= C / 16.0
     dt = time.perf_counter() - t0
-    return CriterionResult(4, "tail-bound", "reconstruct", ok,
+    return CriterionResult(4, "tail-bound", ok,
                            f"T(4)={tails[4.0]:.2e} T(8)={tails[8.0]:.2e} "
                            f"T(16)={tails[16.0]:.2e}",
                            "T(R) <= C/R after fit at R=4", dt)
@@ -215,7 +213,7 @@ def criterion_05(ctx: AcceptanceContext) -> CriterionResult:
     feas = [r for r in curve.rows if r.feasible]
     env_ok = all(r.l2_error <= r.envelope + 1e-12 for r in feas)
     ok = fit["r_squared"] >= 0.9 and env_ok and elapsed < 300.0
-    return CriterionResult(5, "log-stability-curve", "reconstruct", ok,
+    return CriterionResult(5, "log-stability-curve", ok,
                            f"R^2 {fit['r_squared']:.3f}, envelope "
                            f"{'ok' if env_ok else 'violated'}, "
                            f"{elapsed:.0f}s",
@@ -229,14 +227,13 @@ def criterion_06(ctx: AcceptanceContext) -> CriterionResult:
     f, body, grid, sf = ctx.recon_setup()
     truth = grid.sample(f)
     R = choose_R(1e-9, 0.5, 2).R
-    plan = ReconstructionPlan(R=R, delta=1e-9, n=2)
-    rec, _ = truncated_inversion(source_from_spectral(sf), plan)
+    rec, _ = truncated_inversion(source_from_spectral(sf), R)
     err2 = grid.discrete_l2(rec - truth) ** 2
     split = parseval_split(sf, R)
     expect = split["hidden_in_ball"] + split["out_of_ball"]
     gap = abs(err2 - expect) / expect
     dt = time.perf_counter() - t0
-    return CriterionResult(6, "parseval-split", "reconstruct", gap <= 1e-6,
+    return CriterionResult(6, "parseval-split", gap <= 1e-6,
                            f"rel gap {gap:.2e}", "<= 1e-6", dt)
 
 
@@ -245,20 +242,19 @@ def criterion_07(ctx: AcceptanceContext) -> CriterionResult:
 
     The residual is measured in the spatial L2 norm (sup over time), the
     quantity the energy estimates consume; the pointwise sup of the
-    pinned quadratic-phase construction carries an extra sqrt(lambda)
-    and is reported by the beams module as the 'sup' measure.
+    pinned quadratic-phase construction carries an extra sqrt(lambda).
     """
     from ..beams import build_beam, residual_scaling
     t0 = time.perf_counter()
     body, ray, _, beam = ctx.beam_setup()
     lams = [16, 32, 64, 128, 256]
-    s1 = residual_scaling(beam, body, lams, measure="l2")["slope"]
+    s1 = residual_scaling(beam, body, lams)["slope"]
     bent = build_beam(bump_factor(0.01, (0.1, 0.0), 0.75), body, ray)
-    s2 = residual_scaling(bent, body, lams, measure="l2")["slope"]
+    s2 = residual_scaling(bent, body, lams)["slope"]
     dt = time.perf_counter() - t0
     bound = 2 / 4 + 0.25
     ok = s1 <= bound and s2 <= bound and dt < 120.0
-    return CriterionResult(7, "beam-residual", "beams", ok,
+    return CriterionResult(7, "beam-residual", ok,
                            f"slopes {s1:.3f} (c=1), {s2:.3f} (perturbed), "
                            f"{dt:.0f}s",
                            f"<= {bound}, < 120 s", dt)
@@ -284,7 +280,7 @@ def criterion_08(ctx: AcceptanceContext) -> CriterionResult:
         worst = min(worst, im_psi - Ct * float(d @ d))
     dt = time.perf_counter() - t0
     ok = dev < 1e-8 and worst >= -1e-10
-    return CriterionResult(8, "beam-geometry", "beams", ok,
+    return CriterionResult(8, "beam-geometry", ok,
                            f"chord dev {dev:.1e}, min(Im psi - C|dx|^2) "
                            f"{worst:.1e}",
                            "dev < 1e-8, >= 0", dt)
@@ -307,7 +303,7 @@ def criterion_09(ctx: AcceptanceContext) -> CriterionResult:
     dt = time.perf_counter() - t0
     bound = params.sigma - 0.5 + 0.1
     ok = out["decay_exponent"] <= bound
-    return CriterionResult(9, "concentration", "beams", ok,
+    return CriterionResult(9, "concentration", ok,
                            f"decay exponent {out['decay_exponent']:.3f}",
                            f"<= {bound:.2f}", dt)
 
@@ -326,7 +322,7 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
     dt = time.perf_counter() - t0
     ok = all(3.0 <= r <= 5.0 for r in ratios) and gaps[-1] < 0.02
-    return CriterionResult(10, "key-identity", "wavesim", ok,
+    return CriterionResult(10, "key-identity", ok,
                            f"gaps {', '.join(f'{g:.4f}' for g in gaps)}; "
                            f"ratios {', '.join(f'{r:.2f}' for r in ratios)}",
                            "ratios in [3,5], finest < 2%", dt)
@@ -347,7 +343,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     mono = all(a < b for a, b in zip(norms, norms[1:]))
     dt = time.perf_counter() - t0
     ok = env_ok and mono and dt < 600.0
-    return CriterionResult(11, "conformal-stability", "wavesim", ok,
+    return CriterionResult(11, "conformal-stability", ok,
                            f"envelope {'ok' if env_ok else 'violated'}, "
                            f"monotone {mono}, {dt:.0f}s",
                            "envelope holds, norms monotone, < 600 s", dt)
@@ -380,7 +376,7 @@ def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
             ok &= same
             detail.append(f"{name}:{'identical' if same else 'DIFFER'}")
     dt = time.perf_counter() - t0
-    return CriterionResult(12, "determinism", "harness", ok,
+    return CriterionResult(12, "determinism", ok,
                            "; ".join(detail), "byte-identical", dt)
 
 
@@ -394,10 +390,8 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(only: str | None = None,
-                   ctx: AcceptanceContext | None = None
-                   ) -> list[CriterionResult]:
-    ctx = ctx or AcceptanceContext()
+def run_acceptance(only: str | None = None) -> list[CriterionResult]:
+    ctx = AcceptanceContext()
     results = []
     for crit, module in CRITERIA:
         if only and module != only:

@@ -6,17 +6,18 @@ import time
 from dataclasses import dataclass, field
 
 from .. import __version__
+from ..geometry import BOUNDARY_TOL, GRAZING_TOL
+from ..xray import QUAD_TOL
 from .config import canonical_text, config_hash
 
 #: Numerical tolerances the operations commit to; recorded per run.
 TOLERANCES = {
-    "boundary_tol": 1e-9,
-    "grazing_tol": 1e-8,
-    "quad_tol": 1e-9,
+    "boundary_tol": BOUNDARY_TOL,
+    "grazing_tol": GRAZING_TOL,
+    "quad_tol": QUAD_TOL,
     "slice_identity_tol": 1e-6,
     "hermitian_tol": 1e-10,
     "direction_identity_tol": 1e-12,
-    "rho_identity_tol": 1e-12,
 }
 
 

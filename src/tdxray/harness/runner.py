@@ -15,9 +15,8 @@ from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..errors import ConfigInvalid, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
-from ..reconstruct import (ReconstructionPlan, choose_R, reconstruction_errors,
-                           stability_curve, truncated_inversion,
-                           visible_slice_source)
+from ..reconstruct import (choose_R, reconstruction_errors, stability_curve,
+                           truncated_inversion, visible_slice_source)
 from ..spectral import SpectralGrid, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
 from .config import validate
@@ -65,6 +64,30 @@ def build_field(cfg: dict, default: str = "slice-default"):
     return FIELD_PRESETS[preset]()
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A count from the config, which must be at least 1."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ConfigInvalid(f"{key} = {value} must be >= 1")
+    return value
+
+
+def _positive(cfg: dict, key: str, default: float) -> float:
+    """A step or level from the config, which must be positive."""
+    value = float(cfg.get(key, default))
+    if not value > 0.0:
+        raise ConfigInvalid(f"{key} = {value!r} must be positive")
+    return value
+
+
+def _epsilon(cfg: dict) -> float:
+    """recon.epsilon, which the cut-radius rule needs inside (0, 1)."""
+    eps = float(cfg.get("recon.epsilon", 0.5))
+    if not 0.0 < eps < 1.0:
+        raise ConfigInvalid(f"recon.epsilon = {eps!r} must lie in (0, 1)")
+    return eps
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -79,11 +102,11 @@ def _write_csv(path, header, rows):
 def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    nb = int(cfg.get("rays.boundary", 16))
-    nd = int(cfg.get("rays.directions", 8))
+    nb = _count(cfg, "rays.boundary", 16)
+    nd = _count(cfg, "rays.directions", 8)
     rays = sample_inward_bundle(body, nb, nd)
     man.stage("setup")
-    dt = float(cfg.get("xray.dt", 2.5e-3))
+    dt = _positive(cfg, "xray.dt", 2.5e-3)
     sino = sinogram(f, rays, MetricSpec(), body, dt=dt)
     # any finite family undersamples the sup over all boundary rays; the
     # ratio against a doubled family is the standard refinement diagnostic
@@ -91,6 +114,8 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
                     body, dt=dt)
     ratio = fine.sup_norm / sino.sup_norm if sino.sup_norm > 0 else 1.0
     level = float(cfg.get("noise.level", 0.0))
+    if level < 0:
+        raise ConfigInvalid(f"noise.level = {level!r} must be >= 0")
     if level > 0:
         sino, _ = perturb_sinogram(sino, level, seed)
     man.stage("sinogram")
@@ -103,15 +128,15 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    grid = SpectralGrid.for_field(f, n_points=int(cfg.get("grid.points", 128)),
+    grid = SpectralGrid.for_field(f, n_points=_count(cfg, "grid.points", 128),
                                   pad=float(cfg.get("grid.pad", 0.25)))
     samples = grid.sample(f)
     man.stage("sample")
     rng = np.random.default_rng(seed)
-    count = int(cfg.get("slice.count", 20))
+    count = _count(cfg, "slice.count", 20)
     xi_max = float(cfg.get("slice.xi_max", 6.0))
-    n_launch = int(cfg.get("slice.n_launch", 160))
-    n_s = int(cfg.get("slice.n_s", 160))
+    n_launch = _count(cfg, "slice.n_launch", 160)
+    n_s = _count(cfg, "slice.n_s", 160)
     rows = []
     worst = 0.0
     for _ in range(count):
@@ -142,23 +167,24 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg, default="recon-default")
     body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
     grid = SpectralGrid.for_field(
-        f, n_points=int(cfg.get("grid.points", 64)),
+        f, n_points=_count(cfg, "grid.points", 64),
         extent=float(cfg.get("grid.extent", 14.0)))
-    eps = float(cfg.get("recon.epsilon", 0.5))
     if "recon.R" in cfg:
-        R = float(cfg["recon.R"])
-        conflict = False
+        # the rule's inputs would change nothing once R is given
+        if "recon.delta" in cfg or "recon.epsilon" in cfg:
+            raise ConfigInvalid("recon.R fixes the cut radius; recon.delta "
+                                "and recon.epsilon cannot be set with it")
+        R, conflict = float(cfg["recon.R"]), False
     else:
-        cut = choose_R(float(cfg.get("recon.delta", 1e-6)), eps, f.dim)
+        cut = choose_R(_positive(cfg, "recon.delta", 1e-6),
+                       _epsilon(cfg), f.dim)
         R, conflict = cut.R, cut.conflict
     man.stage("setup")
-    source = visible_slice_source(
-        f, body, grid, R, n_launch=int(cfg.get("slice.n_launch", 200)),
-        n_s=int(cfg.get("slice.n_s", 160)))
+    source = visible_slice_source(f, body, grid, R,
+                                  n_launch=_count(cfg, "slice.n_launch", 200),
+                                  n_s=_count(cfg, "slice.n_s", 160))
     man.stage("slices")
-    plan = ReconstructionPlan(R=R, delta=float(cfg.get("recon.delta", 1e-6)),
-                              n=f.dim, epsilon=eps)
-    rec, diag = truncated_inversion(source, plan)
+    rec, diag = truncated_inversion(source, R)
     l2, c0 = reconstruction_errors(grid, grid.sample(f), rec)
     man.stage("invert")
     _write_csv(os.path.join(art, "recon_metrics.csv"),
@@ -175,16 +201,16 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
     f = build_field(cfg, default="recon-default")
     body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
     grid = SpectralGrid.for_field(
-        f, n_points=int(cfg.get("grid.points", 64)),
+        f, n_points=_count(cfg, "grid.points", 64),
         extent=float(cfg.get("grid.extent", 14.0)))
     levels = cfg.get("noise.levels",
                      [10.0 ** (-k) for k in range(3, 10)])
     levels = [float(l) for l in np.atleast_1d(levels)]
     man.stage("setup")
     curve = stability_curve(
-        f, body, levels, float(cfg.get("recon.epsilon", 0.5)), seed, grid,
-        n_launch=int(cfg.get("slice.n_launch", 200)),
-        n_s=int(cfg.get("slice.n_s", 160)))
+        f, body, levels, _epsilon(cfg), seed, grid,
+        n_launch=_count(cfg, "slice.n_launch", 200),
+        n_s=_count(cfg, "slice.n_s", 160))
     man.stage("sweep")
     man.diagnostics += [
         (f"row{i}", {"n_modes": r.n_modes, "imag_residual": r.imag_residual})
@@ -217,7 +243,7 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     ray = make_ray(body, anchor, [np.cos(ang), np.sin(ang)])
     man.stage("setup")
     beam = build_beam(c, body, ray, t0=float(cfg.get("beam.t0", 0.0)),
-                      dt=float(cfg.get("beam.dt", 2e-3)))
+                      dt=_positive(cfg, "beam.dt", 2e-3))
     beam.write_csv(os.path.join(art, "beam.csv"))
     man.stage("beam")
     if "beam.lambdas" in cfg:

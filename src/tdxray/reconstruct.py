@@ -63,25 +63,6 @@ def choose_R(delta: float, epsilon: float, n: int) -> RCut:
     return RCut(float(R), float(lower), float(upper), bool(lower > upper))
 
 
-@dataclass
-class ReconstructionPlan:
-    R: float
-    delta: float
-    n: int
-    a: float | None = None       # tail decay exponent, defaults to n + 2
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        if self.a is None:
-            self.a = self.n + 2
-        if self.R <= 1.0:
-            raise ValueError("cut radius must exceed 1")
-        if self.a <= self.n + 1:
-            raise ValueError("tail exponent must exceed n + 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
 # ---------------------------------------------------------------- sources
 
 
@@ -186,20 +167,24 @@ def kept_modes(source: SpectralSource, R: float) -> np.ndarray:
     return (grid.radius_mesh() < R) & grid.visible_mask() & source.available
 
 
-def truncated_inversion(source: SpectralSource, plan: ReconstructionPlan):
-    """Invert the kept modes back onto the sample grid.
+def truncated_inversion(source: SpectralSource, R: float):
+    """Invert the kept modes inside the cut radius R back onto the sample
+    grid.
 
     Returns (real reconstruction samples, diagnostics dict).  Hidden
     lattice points contribute zero; the imaginary residual of the inverse
     transform is reported and should be at roundoff level for noise-free
-    Hermitian data.
+    Hermitian data.  R must exceed 1 (InfeasibleSandwich) and fit the
+    lattice (RTooLargeForGrid).
     """
     grid = source.grid
-    if plan.R > lattice_radius_limit(grid):
+    if R <= 1.0:
+        raise InfeasibleSandwich(f"cut radius R = {R:.3f} must exceed 1")
+    if R > lattice_radius_limit(grid):
         raise RTooLargeForGrid(
-            f"R = {plan.R:.2f} exceeds the lattice radius "
+            f"R = {R:.2f} exceeds the lattice radius "
             f"{lattice_radius_limit(grid):.2f}")
-    mask = kept_modes(source, plan.R)
+    mask = kept_modes(source, R)
     rec = grid.inverse(np.where(mask, source.values, 0.0))
     field_norm = grid.discrete_l2(rec.real)
     diag = {
@@ -337,12 +322,10 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     curve = StabilityCurve()
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
         if level == 0.0:
-            plan = ReconstructionPlan(R=0.98 * R_limit, delta=0.0, n=n,
-                                      epsilon=epsilon)
-            base = source_from_spectral(sf)
-            rec, diag = truncated_inversion(base, plan)
+            R = 0.98 * R_limit
+            rec, diag = truncated_inversion(source_from_spectral(sf), R)
             l2, c0 = reconstruction_errors(grid, truth, rec)
-            curve.rows.append(StabilityRow(0.0, plan.R, l2, c0,
+            curve.rows.append(StabilityRow(0.0, R, l2, c0,
                                            float("nan"), True, False,
                                            **diag))
             continue
@@ -352,12 +335,10 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
                                            float("nan"), False, False,
                                            0, float("nan")))
             continue
-        plan = ReconstructionPlan(R=cut.R, delta=delta_hat, n=n,
-                                  epsilon=epsilon)
         noise = hermitian_noise(grid, kept_modes(source, cut.R),
                                 delta_hat * V, rng)
         noisy = SpectralSource(grid, source.values + noise, source.available)
-        rec, diag = truncated_inversion(noisy, plan)
+        rec, diag = truncated_inversion(noisy, cut.R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
         curve.rows.append(StabilityRow(delta_hat, cut.R, l2, c0,
                                        float("nan"), True, cut.conflict,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AliasingSuspected, CoverageError, NotVisible,
-                     OddLattice, SupportTruncated, ZeroXi)
+from .errors import (CoverageError, NotVisible, OddLattice, SupportTruncated,
+                     ZeroXi)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody, perp_frame
 
@@ -214,11 +214,6 @@ class SpectralGrid:
                         + [2 * np.pi / (n * d)
                            for n, d in zip(self.nx, self.dx)])
 
-    @property
-    def k_max(self) -> float:
-        """Smallest per-axis Nyquist frequency."""
-        return float(min(np.pi / self.dt, *(np.pi / d for d in self.dx)))
-
     def frequency_mesh(self):
         axes = [self.taus] + [self.xis(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
@@ -308,27 +303,10 @@ class SpectralField:
     visible: np.ndarray          # bool mask, True on the visible region
 
 
-def fourier_full(f: SpaceTimeField, grid: SpectralGrid,
-                 check_aliasing: bool = False,
-                 probe_seed: int = 7) -> SpectralField:
+def fourier_full(f: SpaceTimeField, grid: SpectralGrid) -> SpectralField:
     """Full transform of f on the grid's frequency lattice."""
-    samples = grid.sample(f)
-    values = grid.forward(samples)
-    if check_aliasing:
-        rng = np.random.default_rng(probe_seed)
-        k = 0.4 * grid.k_max
-        taus = rng.uniform(-k, k, 8)
-        xis = rng.uniform(-k, k, (8, grid.dim))
-        zoom = SpectralGrid(grid.t0, grid.dt / 2, grid.nt * 2, grid.x0,
-                            grid.dx / 2, tuple(2 * n for n in grid.nx),
-                            grid.dim)
-        base = grid.point_transform(samples, taus, xis)
-        fine = zoom.point_transform(zoom.sample(f), taus, xis)
-        rel = np.max(np.abs(base - fine) / (1.0 + np.abs(fine)))
-        if rel > 1e-6:
-            raise AliasingSuspected(
-                f"grid doubling moved probe values by {rel:.3e} relative")
-    return SpectralField(grid, values, grid.visible_mask())
+    return SpectralField(grid, grid.forward(grid.sample(f)),
+                         grid.visible_mask())
 
 
 # ---------------------------------------------------------------- slices
@@ -348,14 +326,16 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     comparing against the tensor-grid transform, which organises the same
     integral along coordinate axes instead.
 
-    n_launch sets the point count across the support (perpendicular axis);
+    n_launch sets the interval count across the padded support
+    (perpendicular axes, whose end columns lie outside the support box);
     the along-ray axis inherits the same spacing.  n_s is the s-point
     count of the tensor evaluation only.  For separable fields
     f = g(t) H(x) the s-integration is an exact discrete correlation along
     the ray, whose Fourier sum factorises into a sum over g and a sum over
-    H on its support, which is much cheaper; it raises SupportTruncated
-    when H does not vanish at the edges of the support box.  Pass
-    use_separable=False to force the direct tensor evaluation.
+    H on its support, which is much cheaper.  Either path raises
+    SupportTruncated when the ray data do not vanish at the edges of the
+    support box, along the ray or across it.  Pass use_separable=False to
+    force the direct tensor evaluation.
     """
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
@@ -383,7 +363,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     u_lo = -h_par - t_hi - perp_pad
     u_hi = h_par - t_lo + perp_pad
     n_u = int(np.ceil((u_hi - u_lo) / spacing)) + 1
-    v_axes = [np.arange(n_launch) * spacing - (h + perp_pad)
+    v_axes = [np.arange(n_launch + 1) * spacing - (h + perp_pad)
               for h in h_perp]
 
     def launch(along):
@@ -430,6 +410,16 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
         for s in s_grid:
             q += f(np.full(base.shape[:-1], s), base + s * omega)
         q *= float(s_grid[1] - s_grid[0])
+    # the end columns of every v-axis lie outside the support box, so the
+    # ray data must vanish there; the last one then leaves the sum, which
+    # keeps the summation order of the axis that stopped short of it
+    for k in range(1, q.ndim):
+        if np.any(np.take(q, [0, -1], axis=k) != 0.0):
+            raise SupportTruncated(
+                f"{f.name}: the ray data are nonzero beyond the support box "
+                f"across omega = {omega}")
+    q = q[(slice(None),) + (slice(-1),) * len(perp)]
+    v_axes = [v[:-1] for v in v_axes]
 
     # Fourier sum: X . xi = center.xi + along a + sum v_k (perp_k.xi)
     ph_u = np.exp(-1j * along * a)

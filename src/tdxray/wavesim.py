@@ -51,8 +51,10 @@ class WaveGrid:
         self.dJ = np.repeat([1, 0, -1, 0], n)
         self.corner = np.isin(self.bI, (0, n)) & np.isin(self.bJ, (0, n))
 
-    def check_cfl(self, c_max: float, n: int = 2) -> None:
-        limit = self.h / np.sqrt(n * c_max)
+    def check_cfl(self, c_max: float) -> None:
+        """CFLViolation unless k is within the leapfrog limit
+        h / sqrt(n max c), n = 2."""
+        limit = self.h / np.sqrt(2 * c_max)
         if self.k > limit * (1 + 1e-12):
             raise CFLViolation(
                 f"k = {self.k:.3e} exceeds h/sqrt(n max c) = {limit:.3e}")
@@ -85,8 +87,10 @@ class BoundaryData:
                                       indexing="ij"))
 
 
-def time_window(T: float, rise: float = 0.3) -> Callable:
-    """Smooth window vanishing identically near t = 0, plateau-free bump."""
+def time_window(T: float) -> Callable:
+    """Smooth window vanishing identically near t = 0 (for
+    t <= 0.3 - 0.02 T), plateau-free bump."""
+    rise = 0.3
     center = 0.5 * (T + rise)
     width = 0.5 * (T - rise) + 0.02 * T
 
@@ -96,9 +100,9 @@ def time_window(T: float, rise: float = 0.3) -> Callable:
     return w
 
 
-def boundary_probes(count: int, T: float, perimeter: float = 4.0
-                    ) -> list[BoundaryData]:
-    """Tensor probes: time window x boundary Fourier modes."""
+def boundary_probes(count: int, T: float) -> list[BoundaryData]:
+    """Tensor probes: time window x Fourier modes along the boundary path
+    of the unit square (perimeter 4)."""
     w = time_window(T)
     probes = []
     m = 1
@@ -106,7 +110,7 @@ def boundary_probes(count: int, T: float, perimeter: float = 4.0
         for trig in (np.cos, np.sin):
             if len(probes) >= count:
                 break
-            k_ang = 2.0 * np.pi * m / perimeter
+            k_ang = 2.0 * np.pi * m / 4.0
 
             def func(t, s, trig=trig, k_ang=k_ang):
                 return w(t) * trig(k_ang * s)
@@ -123,7 +127,6 @@ def boundary_probes(count: int, T: float, perimeter: float = 4.0
 class WaveSolution:
     grid: WaveGrid
     u: np.ndarray            # (nt, nx, nx)
-    c_max: float
 
     def dt_interior(self) -> np.ndarray:
         """Centred time derivative on interior time levels (nt-2, nx, nx)."""
@@ -205,49 +208,7 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
         u[m + 1] = nxt
         if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > bound:
             raise Unstable(f"solution blew up at step {m + 1}")
-    return WaveSolution(grid, u, c_max)
-
-
-def energy_bound_report(sol: WaveSolution, data: BoundaryData) -> dict:
-    """Observed constant in sup_t(|u|_H1 + |du/dt|_L2) <= C |f|_H1.
-
-    Reported, not asserted: the continuum bound guarantees existence of
-    some C; the discrete ratio documents the solver's realisation of it.
-    """
-    g = sol.grid
-    h = g.h
-    sup = 0.0
-    for m in range(g.nt - 1):
-        u = sol.u[m]
-        gx = (u[1:, :] - u[:-1, :]) / h
-        gy = (u[:, 1:] - u[:, :-1]) / h
-        h1 = np.sqrt(np.sum(u * u) * h * h
-                     + (np.sum(gx * gx) + np.sum(gy * gy)) * h * h)
-        du = (sol.u[m + 1] - sol.u[m]) / g.k
-        l2 = np.sqrt(np.sum(du * du) * h * h)
-        sup = max(sup, h1 + l2)
-    fnorm = h1_boundary_norm(g, data.sample(g))
-    return {"sup_energy": float(sup), "boundary_h1": float(fnorm),
-            "constant": float(sup / fnorm) if fnorm > 0 else 0.0}
-
-
-def discrete_energy(sol: WaveSolution, c: ConformalFactor) -> np.ndarray:
-    """Leapfrog energy at half time steps (kinetic + cross-gradient form)."""
-    g = sol.grid
-    c_grid = sample_factor(c, g, g.mesh())
-    u = sol.u
-    k, h = g.k, g.h
-    es = []
-    for m in range(g.nt - 1):
-        du = (u[m + 1] - u[m]) / k
-        kin = 0.5 * np.sum(c_grid[m] * du * du) * h * h
-        gx0 = (u[m][1:, :] - u[m][:-1, :]) / h
-        gx1 = (u[m + 1][1:, :] - u[m + 1][:-1, :]) / h
-        gy0 = (u[m][:, 1:] - u[m][:, :-1]) / h
-        gy1 = (u[m + 1][:, 1:] - u[m + 1][:, :-1]) / h
-        pot = 0.5 * (np.sum(gx0 * gx1) + np.sum(gy0 * gy1)) * h * h
-        es.append(kin + pot)
-    return np.array(es)
+    return WaveSolution(grid, u)
 
 
 # ---------------------------------------------------------------- norms
@@ -324,65 +285,6 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
     return [{"norm_lower_bound": max(r), "ratios": r} for r in ratios]
 
 
-# ---------------------------------------------------------------- rho algebra
-
-
-@dataclass
-class RhoFactors:
-    c: ConformalFactor
-    n: int
-
-    def rho0(self, t, x):
-        return 1.0 - self.c(t, x)
-
-    def rho1(self, t, x):
-        return self.c(t, x) ** (self.n / 2) - 1.0
-
-    def rho2(self, t, x):
-        return self.c(t, x) ** (self.n / 2 - 1) - 1.0
-
-    def rho(self, t, x):
-        return self.rho1(t, x) - self.rho2(t, x)
-
-    def identity_residual(self, t, x) -> float:
-        """Pointwise |rho - c^(n/2-1)(c-1)|, algebraically zero."""
-        cv = self.c(t, x)
-        return float(np.max(np.abs(
-            self.rho(t, x) - cv ** (self.n / 2 - 1) * (cv - 1.0))))
-
-    def c1_bound_check(self, x_lo, x_hi, n_samples: int = 2000,
-                       seed: int = 0) -> dict:
-        """Sampled |rho_j|_C1 <= C |rho0|_C0 with C from the class bounds."""
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.0, self.c.T, n_samples)
-        xs = rng.uniform(np.asarray(x_lo, float), np.asarray(x_hi, float),
-                         (n_samples, self.c.dim))
-        cv = self.c(ts, xs)
-        gv = self.c.grad_x(ts, xs)
-        dtv = self.c.dt(ts, xs)
-        rho0_c0 = float(np.max(np.abs(1.0 - cv)))
-        out = {"rho0_c0": rho0_c0}
-        M0, m0 = self.c.M0, self.c.m0
-        for name, expo in (("rho1", self.n / 2), ("rho2", self.n / 2 - 1)):
-            vals = cv**expo - 1.0
-            dvals = expo * cv ** (expo - 1)
-            c1 = max(float(np.max(np.abs(vals))),
-                     float(np.max(np.abs(dvals[:, None] * gv))),
-                     float(np.max(np.abs(dvals * dtv))))
-            # |c^e - 1| <= e max(c)^(e-1,0) m0^(min(e-1,0)) |c-1|, and the
-            # derivative factor is bounded the same way
-            bound = (abs(expo) * max(M0 ** max(expo - 1, 0),
-                                     m0 ** min(expo - 1, 0))
-                     * (1.0 + M0) + 1.0)
-            out[name] = {"c1": c1, "bound_constant": bound,
-                         "ok": c1 <= bound * max(rho0_c0, 1e-300)}
-        return out
-
-
-def rho_factors(c: ConformalFactor, n: int) -> RhoFactors:
-    return RhoFactors(c, n)
-
-
 # ---------------------------------------------------------------- identity
 
 
@@ -391,8 +293,7 @@ def _trapz_time(vals: np.ndarray, k: float) -> np.ndarray:
 
 
 def key_identity_check(c: ConformalFactor, grid: WaveGrid,
-                       f1: BoundaryData, f2: BoundaryData,
-                       n: int = 2) -> dict:
+                       f1: BoundaryData, f2: BoundaryData) -> dict:
     """Boundary pairing of (Lam_g - Lam_cg) f1 with f2 against the interior
     rho-weighted energy pairing.
 
@@ -403,6 +304,7 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     """
     if c.time_dependent:
         raise ValueError("identity check requires time-independent c")
+    n = 2                        # the square's dimension
     g = constant_factor(1.0, dim=c.dim, T=c.T)
     sol1 = solve_dirichlet(g, grid, f1)
     lam_g = dtn_apply(g, grid, f1, sol=sol1)
@@ -416,7 +318,7 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
 
     sol2_rev = solve_dirichlet(c, grid, BoundaryData(rev_func, "rev"))
     u2 = sol2_rev.u[::-1].copy()
-    sol2 = WaveSolution(grid, u2, sol2_rev.c_max)
+    sol2 = WaveSolution(grid, u2)
 
     corner = grid.corner
     f2_vals = f2.sample(grid)

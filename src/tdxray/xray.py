@@ -48,27 +48,25 @@ class Sinogram:
                            + [repr(float(tau)), repr(float(val))])
 
 
-def xray_single(f: SpaceTimeField, path: GeodesicPath,
-                quad_tol: float = QUAD_TOL) -> float:
+def xray_single(f: SpaceTimeField, path: GeodesicPath) -> float:
     """Integral of f(s, gamma(s)) ds over the path by composite Simpson.
 
     The quadrature error is estimated by comparing against the value on
-    every second sample point; a change above 10*quad_tol raises.
+    every second sample point; a change above 10 * QUAD_TOL raises.
     """
     vals = f(path.times, path.points)
     full = float(simpson(vals, x=path.times))
     if path.times.size >= 5:
         coarse = float(simpson(vals[::2], x=path.times[::2]))
-        if abs(full - coarse) > 10.0 * quad_tol:
+        if abs(full - coarse) > 10.0 * QUAD_TOL:
             raise QuadratureNotConverged(
                 f"Simpson halving changed the value by {abs(full - coarse):.3e}"
-                f" (> {10.0 * quad_tol:.1e}); refine the path sampling")
+                f" (> {10.0 * QUAD_TOL:.1e}); refine the path sampling")
     return full
 
 
 def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
-             body: ConvexBody, dt: float = 2.5e-3,
-             quad_tol: float = QUAD_TOL) -> Sinogram:
+             body: ConvexBody, dt: float = 2.5e-3) -> Sinogram:
     """Per-ray transform over traced paths, in the input ray order.
 
     The family is traced once by :func:`trace_bundle` (exact chords for a
@@ -81,7 +79,7 @@ def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
     def one(pair):
         i, path = pair
         try:
-            return xray_single(f, path, quad_tol)
+            return xray_single(f, path)
         except Exception as exc:
             exc.args = (f"ray index {i}: {exc}",)
             raise

@@ -8,6 +8,33 @@ from tdxray.fields import (RECON_T, bump_profile, default_recon_field,
                            squared_distance, tail_field)
 
 
+def smoothness_budget(f, order=2, n_samples=4000, seed=0):
+    """Sampled sup-norm estimates of the derivatives of f up to ``order``
+    (at most 2), by crude centred finite differences on random interior
+    points: a diagnostic, not a certified bound."""
+    rng = np.random.default_rng(seed)
+    t0, t1 = f.t_support
+    ts = rng.uniform(t0, t1, n_samples)
+    xs = rng.uniform(f.x_lo, f.x_hi, (n_samples, f.dim))
+    f0 = f(ts, xs)
+    vals = {0: float(np.max(np.abs(f0)))}
+    h = 1e-4 * max(t1 - t0, float(np.max(f.x_hi - f.x_lo)))
+    shifts = []
+    for axis in range(f.dim + 1):
+        dx = np.zeros(f.dim)
+        if axis:
+            dx[axis - 1] = h
+        dt = 0.0 if axis else h
+        shifts.append((f(ts + dt, xs + dx), f(ts - dt, xs - dx)))
+    if order >= 1:
+        vals[1] = max(float(np.max(np.abs(fp - fm) / (2 * h)))
+                      for fp, fm in shifts)
+    if order >= 2:
+        vals[2] = max(float(np.max(np.abs(fp - 2 * f0 + fm) / h**2))
+                      for fp, fm in shifts)
+    return vals
+
+
 class TestSquaredDistance:
     # the forward and rays-beams field values depend on these exact bits
     @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 50),
@@ -71,11 +98,11 @@ class TestFields:
 
     def test_smoothness_budget_orders(self):
         f = single_bump()
-        budget = f.smoothness_budget(order=2, n_samples=500)
+        budget = smoothness_budget(f, order=2, n_samples=500)
         assert budget[0] <= 1.0 + 1e-12
         assert budget[1] > 0 and budget[2] > budget[1]
 
-    def test_shift_moves_support(self):
+    def test_shift_moves_support(self, shifted):
         f = single_bump()
-        g = f.shifted(0.3)
+        g = shifted(f, 0.3)
         assert g.t_support[0] == pytest.approx(f.t_support[0] + 0.3)

@@ -7,8 +7,21 @@ from scipy.optimize import brentq
 from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import NoExit, TangentRay
 from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time,
-                             geodesic_trace, make_ray,
-                             sample_inward_bundle, trace_bundle)
+                             geodesic_trace, hamiltonian_jet, make_ray,
+                             march_to_exit, sample_inward_bundle, trace_bundle)
+
+
+def march_ray(c, body, ray, dt):
+    """Times, points and momenta of one ray's Hamiltonian flow from
+    p = -omega: the march that traces it under the conformal metric c."""
+    def flow(t, state):
+        *_, h_x, h_p = hamiltonian_jet(c, t, state["x"], state["p"])
+        return {"x": -h_p, "p": h_x}
+
+    [(times, nodes)] = march_to_exit(flow, c, body, 0.0,
+                                     {"x": ray.x[None, :],
+                                      "p": -ray.omega[None, :]}, dt)
+    return times, nodes["x"], nodes["p"]
 
 
 class TestExitTime:
@@ -113,17 +126,10 @@ class TestGeodesicTrace:
 
     def test_hamiltonian_conserved(self, unit_disk):
         c = bump_factor(0.1, (0.0, 0.0), 0.8)
-        metric = MetricSpec("conformal", c)
         ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
-        path = geodesic_trace(metric, unit_disk, ray, dt=5e-4)
-        # reconstruct momenta from velocities: p = -|dx| direction / ...
-        # h along the path equals sqrt(c)|p| with |p| = |dx|/c
-        hs = []
-        for t, x, v in zip(path.times, path.points, path.velocities):
-            cv = float(c(t, x[None, :])[0])
-            p = -v / cv  # dx/dt = -h_p = -sqrt(c) p/|p|, |p| = |dx|/c
-            hs.append(np.sqrt(cv) * np.linalg.norm(p))
-        hs = np.array(hs)
+        times, points, p = march_ray(c, unit_disk, ray, dt=5e-4)
+        # h = sqrt(c) |p| along the path, for a time-independent c
+        hs = np.sqrt(c(times, points)) * np.linalg.norm(p, axis=1)
         assert np.max(np.abs(hs - hs[0])) < 1e-6
 
     def test_conformal_interior_and_richardson(self, unit_disk):
@@ -140,19 +146,22 @@ class TestGeodesicTrace:
         c = bump_factor(0.1, (0.0, 0.0), 0.8)
         metric = MetricSpec("conformal", c)
         ray = make_ray(unit_disk, (-1.0, 0.0), (0.8, 0.6))
-        path = geodesic_trace(metric, unit_disk, ray, dt=1e-3)
-        cv = c(path.times, path.points)
-        speeds = np.linalg.norm(path.velocities, axis=1) / np.sqrt(cv)
+        times, points, p = march_ray(c, unit_disk, ray, dt=1e-3)
+        assert np.array_equal(
+            points, geodesic_trace(metric, unit_disk, ray, dt=1e-3).points)
+        # the velocity dx/dt = -h_p
+        *_, h_p = hamiltonian_jet(c, times, points, p)
+        speeds = np.linalg.norm(h_p, axis=1) / np.sqrt(c(times, points))
         assert np.max(np.abs(speeds - 1.0)) < 1e-8
 
     def test_reversibility(self, unit_disk):
         c = bump_factor(0.1, (0.05, -0.1), 0.7)
         metric = MetricSpec("conformal", c)
         ray = make_ray(unit_disk, (-1.0, 0.0), (0.9, np.sqrt(1 - 0.81)))
-        path = geodesic_trace(metric, unit_disk, ray, dt=5e-4)
-        back_dir = -path.velocities[-1]
-        back_dir /= np.linalg.norm(back_dir)
-        back_ray = make_ray(unit_disk, path.points[-1], back_dir)
+        _, points, p = march_ray(c, unit_disk, ray, dt=5e-4)
+        # back along -dx/dt = h_p, which points along p
+        back_dir = p[-1] / np.linalg.norm(p[-1])
+        back_ray = make_ray(unit_disk, points[-1], back_dir)
         back = geodesic_trace(metric, unit_disk, back_ray, dt=5e-4)
         assert np.linalg.norm(back.points[-1] - ray.x) < 1e-5
 
@@ -194,7 +203,6 @@ class TestTraceBundle:
             alone = geodesic_trace(metric, unit_disk, ray, dt=1.5e-2)
             assert np.array_equal(path.times, alone.times)
             assert np.array_equal(path.points, alone.points)
-            assert np.array_equal(path.velocities, alone.velocities)
             assert path.exit_time == alone.exit_time
 
     @pytest.mark.parametrize("long_first", [False, True])
@@ -208,6 +216,15 @@ class TestTraceBundle:
         with pytest.raises(NoExit, match=rf"rays \[{inside}\] of 2 ") as err:
             trace_bundle(metric, unit_disk, rays, dt=1e-2, t_max=1.2)
         assert str(err.value).endswith(f"x = {[rays[inside].x.tolist()]}")
+
+    @pytest.mark.parametrize("metric", [
+        MetricSpec(), MetricSpec("conformal",
+                                 bump_factor(0.05, (0.1, 0.0), 0.7))])
+    def test_nonpositive_step_rejected(self, unit_disk, metric):
+        rays = sample_inward_bundle(unit_disk, 2, 1)
+        for dt in (0.0, -1e-2):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                trace_bundle(metric, unit_disk, rays, dt)
 
 
 class TestConvexBody:

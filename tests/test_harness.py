@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tdxray import errors
 from tdxray.cli import main
 from tdxray.conformal import bump_factor
 from tdxray.errors import ConfigInvalid
@@ -153,11 +154,34 @@ class TestRunner:
         ("beam", {"conformal.amplitude": 0.1,
                   "conformal.center": [0.1, 0.0, 0.0]}),
         ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-3, 1e-2]}),
+        # out-of-range values: each escaped run() as a ValueError or a
+        # ZeroDivisionError, except beam.dt = 0, which wrote a two-node
+        # beam at the launch point, and recon.R with recon.delta or
+        # recon.epsilon, which ignored them
+        ("reconstruct", {"grid.points": 16, "slice.n_launch": 16,
+                         "recon.R": 0.5}),
+        ("reconstruct", {"recon.epsilon": 1.5}),
+        ("reconstruct", {"recon.delta": -1}),
+        ("reconstruct", {"recon.R": 2.0, "recon.delta": 1e-6}),
+        ("reconstruct", {"recon.R": 2.0, "recon.epsilon": 0.5}),
+        ("reconstruct", {"grid.points": 0}),
+        ("stability-curve", {"recon.epsilon": 0}),
+        ("forward", {"rays.boundary": 0}),
+        ("forward", {"rays.directions": -2}),
+        ("forward", {"xray.dt": 0}),
+        ("slice-check", {"slice.n_launch": 0}),
+        ("slice-check", {"grid.points": 0}),
+        ("beam", {"beam.dt": 0}),
+        # these ran, without the perturbation and with no slice at all
+        ("forward", {"noise.level": -1e-3}),
+        ("slice-check", {"slice.count": 0}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
         art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
-        assert (art / "error.txt").exists()
+        first = (art / "error.txt").read_text().splitlines()[0]
+        error_type = first.removeprefix("error_type = ")
+        assert issubclass(getattr(errors, error_type), errors.TdxrayError)
 
     def test_stability_diagnostics_recorded(self, tmp_path):
         cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],
@@ -210,7 +234,7 @@ class TestCli:
 
         def fake(ctx):
             calls.append("ran")
-            return acc.CriterionResult(99, "fake", "spectral", True, "x",
+            return acc.CriterionResult(99, "fake", True, "x",
                                        "y", 0.0)
 
         monkeypatch.setattr(acc, "CRITERIA",
@@ -222,7 +246,7 @@ class TestCli:
 
     def test_acceptance_failure_exit_code(self, monkeypatch, capsys):
         def fake(ctx):
-            return acc.CriterionResult(99, "fake", "spectral", False, "x",
+            return acc.CriterionResult(99, "fake", False, "x",
                                        "y", 0.0)
 
         monkeypatch.setattr(acc, "CRITERIA", [(fake, "spectral")])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from tdxray import reconstruct
 from tdxray.errors import InfeasibleSandwich, RTooLargeForGrid
-from tdxray.fields import default_recon_field, linear_combination, single_bump
+from tdxray.fields import default_recon_field, single_bump
 from tdxray.geometry import ball
-from tdxray.reconstruct import (ReconstructionPlan, SpectralSource, choose_R,
+from tdxray.reconstruct import (SpectralSource, choose_R,
                                 feasibility_threshold, hermitian_noise,
                                 lattice_radius_limit, parseval_split,
                                 reconstruction_errors, source_from_spectral,
@@ -65,17 +65,18 @@ class TestChooseR:
 class TestTailBound:
     # the out-of-ball envelope is C * R^(n+1-a)
     def test_exponent_algebra(self):
-        plan = ReconstructionPlan(R=5.0, delta=0.0, n=2)
-        assert plan.a == 4
-        tail = 3.0 * plan.R ** (plan.n + 1 - plan.a)
+        n, R = 2, 5.0
+        a = n + 2                # the tail decay exponent
+        tail = 3.0 * R ** (n + 1 - a)
         assert tail == pytest.approx(3.0 / 5.0)
-        assert 3.0 * 10.0 ** (plan.n + 1 - plan.a) == pytest.approx(0.5 * tail)
+        assert 3.0 * 10.0 ** (n + 1 - a) == pytest.approx(0.5 * tail)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ReconstructionPlan(R=0.5, delta=0.0, n=2, a=4)
-        with pytest.raises(ValueError):
-            ReconstructionPlan(R=2.0, delta=0.0, n=2, a=2.5)
+    def test_domain(self, recon_setup):
+        # the inversion refuses a cut radius that is not above 1
+        source = source_from_spectral(recon_setup[3])
+        for R in (0.5, 1.0):
+            with pytest.raises(InfeasibleSandwich):
+                truncated_inversion(source, R)
 
     def test_measured_tails_dominated(self):
         from tdxray.fields import tail_field
@@ -97,9 +98,7 @@ class TestInversion:
         _, _, grid, sf = recon_setup
         src = SpectralSource(grid, np.zeros_like(sf.values),
                              np.ones(sf.values.shape, dtype=bool))
-        rec, diag = truncated_inversion(src,
-                                        ReconstructionPlan(R=3.0, delta=0.0,
-                                                           n=2))
+        rec, diag = truncated_inversion(src, 3.0)
         assert np.all(rec == 0.0)
 
     def test_oracle_full_band_recovery(self, slice_field):
@@ -116,8 +115,7 @@ class TestInversion:
         f, _, grid, sf = recon_setup
         truth = grid.sample(f)
         for R in (2.0, 3.0, 4.0):
-            plan = ReconstructionPlan(R=R, delta=0.0, n=2)
-            rec, _ = truncated_inversion(source_from_spectral(sf), plan)
+            rec, _ = truncated_inversion(source_from_spectral(sf), R)
             err2 = grid.discrete_l2(rec - truth) ** 2
             split = parseval_split(sf, R)
             expect = split["hidden_in_ball"] + split["out_of_ball"]
@@ -126,21 +124,19 @@ class TestInversion:
     def test_r_too_large(self, recon_setup):
         _, _, grid, sf = recon_setup
         with pytest.raises(RTooLargeForGrid):
-            truncated_inversion(source_from_spectral(sf),
-                                ReconstructionPlan(R=100.0, delta=0.0, n=2))
+            truncated_inversion(source_from_spectral(sf), 100.0)
 
-    def test_linearity(self):
+    def test_linearity(self, linear_combination):
         f1 = single_bump(amplitude=1.0, t_center=1.0, x_center=(0.1, 0.0),
                          x_width=0.5)
         f2 = single_bump(amplitude=1.0, t_center=0.9, x_center=(-0.2, 0.1),
                          x_width=0.4)
         combo = linear_combination([f1, f2], [2.0, -1.0])
         grid = SpectralGrid.for_field(combo, n_points=32, extent=6.0)
-        plan = ReconstructionPlan(R=3.0, delta=0.0, n=2)
         recs = []
         for f in (f1, f2, combo):
             sf = fourier_full(f, grid)
-            rec, _ = truncated_inversion(source_from_spectral(sf), plan)
+            rec, _ = truncated_inversion(source_from_spectral(sf), 3.0)
             recs.append(rec)
         assert np.max(np.abs(2.0 * recs[0] - recs[1] - recs[2])) < 1e-10
 
@@ -233,8 +229,7 @@ class TestStabilityCurve:
         f, body, grid, sf = recon_setup
         curve = stability_curve(f, body, [0.0], 0.5, 7, grid)
         row = curve.rows[0]
-        plan = ReconstructionPlan(R=row.R, delta=0.0, n=2)
-        rec, _ = truncated_inversion(source_from_spectral(sf), plan)
+        rec, _ = truncated_inversion(source_from_spectral(sf), row.R)
         l2, _ = reconstruction_errors(grid, grid.sample(f), rec)
         assert row.l2_error == pytest.approx(l2, rel=1e-12)
 
