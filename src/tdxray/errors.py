@@ -92,6 +92,11 @@ class Unstable(TdxrayError):
     """Discrete energy blew up; scheme failure."""
 
 
+class IncompatibleData(TdxrayError):
+    """Boundary input does not vanish to first order at t = 0, so it does
+    not match the zero initial state on the grid's first time step."""
+
+
 # ---------------------------------------------------------------- harness
 
 

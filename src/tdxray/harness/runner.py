@@ -15,8 +15,9 @@ from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..errors import ConfigInvalid, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
-from ..reconstruct import (choose_R, reconstruction_errors, stability_curve,
-                           truncated_inversion, visible_slice_source)
+from ..reconstruct import (check_cut_radius, choose_R, reconstruction_errors,
+                           stability_curve, truncated_inversion,
+                           visible_slice_source)
 from ..spectral import SpectralGrid, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
 from .config import validate
@@ -78,6 +79,26 @@ def _positive(cfg: dict, key: str, default: float) -> float:
     if not value > 0.0:
         raise ConfigInvalid(f"{key} = {value!r} must be positive")
     return value
+
+
+def _wave_nodes(key: str, nx: int) -> int:
+    """Nodes per axis of a wave grid: the one-sided conormal stencil
+    spans three."""
+    if nx < 3:
+        raise ConfigInvalid(f"{key}: {nx} nodes per axis, but the conormal "
+                            "stencil needs at least 3")
+    return nx
+
+
+def _recon_grid(cfg: dict, f) -> SpectralGrid:
+    """The reconstruction lattice, whose grid.extent must cover the
+    field's support."""
+    n_points = _count(cfg, "grid.points", 64)
+    extent = float(cfg.get("grid.extent", 14.0))
+    try:
+        return SpectralGrid.for_field(f, n_points=n_points, extent=extent)
+    except ValueError as exc:
+        raise ConfigInvalid(f"grid.extent = {extent!r}: {exc}") from exc
 
 
 def _epsilon(cfg: dict) -> float:
@@ -166,9 +187,7 @@ def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg, default="recon-default")
     body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
-    grid = SpectralGrid.for_field(
-        f, n_points=_count(cfg, "grid.points", 64),
-        extent=float(cfg.get("grid.extent", 14.0)))
+    grid = _recon_grid(cfg, f)
     if "recon.R" in cfg:
         # the rule's inputs would change nothing once R is given
         if "recon.delta" in cfg or "recon.epsilon" in cfg:
@@ -179,6 +198,7 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
         cut = choose_R(_positive(cfg, "recon.delta", 1e-6),
                        _epsilon(cfg), f.dim)
         R, conflict = cut.R, cut.conflict
+    check_cut_radius(grid, R)
     man.stage("setup")
     source = visible_slice_source(f, body, grid, R,
                                   n_launch=_count(cfg, "slice.n_launch", 200),
@@ -200,9 +220,7 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
                         man: RunManifest) -> None:
     f = build_field(cfg, default="recon-default")
     body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
-    grid = SpectralGrid.for_field(
-        f, n_points=_count(cfg, "grid.points", 64),
-        extent=float(cfg.get("grid.extent", 14.0)))
+    grid = _recon_grid(cfg, f)
     levels = cfg.get("noise.levels",
                      [10.0 ** (-k) for k in range(3, 10)])
     levels = [float(l) for l in np.atleast_1d(levels)]
@@ -238,6 +256,11 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
         raise ConfigInvalid(f"the beam's ray is planar, but the conformal "
                             f"factor is {c.dim}-D")
     body = build_body(cfg, c.dim)
+    lams = ([float(l) for l in np.atleast_1d(cfg["beam.lambdas"])]
+            if "beam.lambdas" in cfg else None)
+    if lams is not None and len(lams) < 4:
+        raise ConfigInvalid(f"beam.lambdas has {len(lams)} values; the "
+                            "slope fit needs at least 4")
     ang = float(cfg.get("ray.angle", 0.0))
     anchor = body.boundary_point(np.array([-np.cos(ang), -np.sin(ang)]))
     ray = make_ray(body, anchor, [np.cos(ang), np.sin(ang)])
@@ -246,8 +269,7 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
                       dt=_positive(cfg, "beam.dt", 2e-3))
     beam.write_csv(os.path.join(art, "beam.csv"))
     man.stage("beam")
-    if "beam.lambdas" in cfg:
-        lams = [float(l) for l in np.atleast_1d(cfg["beam.lambdas"])]
+    if lams is not None:
         res = residual_scaling(beam, body, lams)
         _write_csv(os.path.join(art, "beam_residual.csv"),
                    ["lambda", "residual_l2"],
@@ -260,9 +282,9 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     from ..wavesim import WaveGrid, conformal_stability_experiment
 
-    nx = int(cfg.get("grid.nx", 97))
-    grid = WaveGrid(nx=nx, k=float(cfg.get("grid.k", 0.6 / (nx - 1))),
-                    T=float(cfg.get("grid.T", 2.0)))
+    nx = _wave_nodes("grid.nx", int(cfg.get("grid.nx", 97)))
+    grid = WaveGrid(nx=nx, k=_positive(cfg, "grid.k", 0.6 / (nx - 1)),
+                    T=_positive(cfg, "grid.T", 2.0))
     scales = [float(s) for s in
               np.atleast_1d(cfg.get("family.scales", [0.01, 0.02, 0.04, 0.08]))]
     center = [float(v) for v in
@@ -276,6 +298,13 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
         bump_center=tuple(center),
         bump_width=float(cfg.get("bump.width", 0.3)))
     man.stage("experiment")
+    for i, r in enumerate(out["rows"]):
+        norm = r["dtn_norm"]
+        man.diagnostics.append((f"row{i}", {
+            **{f"ratio_{name}": v for name, v in r["ratios"].items()},
+            "c_dist_over_norm": (r["c_dist_l2"] / norm if norm > 0
+                                 else float("nan")),
+            "cfl_margin": r["cfl_margin"]}))
     _write_csv(os.path.join(art, "dtn_curve.csv"),
                ["scale", "c_dist_l2", "dtn_norm", "envelope"],
                [[r["scale"], r["c_dist_l2"], r["dtn_norm"], r["envelope"]]
@@ -290,10 +319,10 @@ def run_identity_check(cfg: dict, seed: int, art: str,
                        man: RunManifest) -> None:
     from ..wavesim import WaveGrid, boundary_probes, key_identity_check
 
-    sizes = [int(s) for s in np.atleast_1d(cfg.get("grid.sizes",
-                                                   [33, 65, 129]))]
-    T = float(cfg.get("grid.T", 1.5))
-    cfl = float(cfg.get("grid.cfl", 0.6))
+    sizes = [_wave_nodes("grid.sizes", int(s)) for s in
+             np.atleast_1d(cfg.get("grid.sizes", [33, 65, 129]))]
+    T = _positive(cfg, "grid.T", 1.5)
+    cfl = _positive(cfg, "grid.cfl", 0.6)
     center = [float(v) for v in
               np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
     c = bump_factor(float(cfg.get("bump.amplitude", 0.05)), center,

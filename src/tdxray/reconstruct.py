@@ -160,6 +160,17 @@ def lattice_radius_limit(grid: SpectralGrid) -> float:
     return float(min(limits))
 
 
+def check_cut_radius(grid: SpectralGrid, R: float) -> None:
+    """InfeasibleSandwich unless R > 1, RTooLargeForGrid unless the ball
+    B_R fits the lattice; checked before any slice is filled for R."""
+    if R <= 1.0:
+        raise InfeasibleSandwich(f"cut radius R = {R:.3f} must exceed 1")
+    if R > lattice_radius_limit(grid):
+        raise RTooLargeForGrid(
+            f"R = {R:.2f} exceeds the lattice radius "
+            f"{lattice_radius_limit(grid):.2f}")
+
+
 def kept_modes(source: SpectralSource, R: float) -> np.ndarray:
     """The lattice points the inversion keeps: inside B_R, visible and
     data-backed."""
@@ -178,12 +189,7 @@ def truncated_inversion(source: SpectralSource, R: float):
     lattice (RTooLargeForGrid).
     """
     grid = source.grid
-    if R <= 1.0:
-        raise InfeasibleSandwich(f"cut radius R = {R:.3f} must exceed 1")
-    if R > lattice_radius_limit(grid):
-        raise RTooLargeForGrid(
-            f"R = {R:.2f} exceeds the lattice radius "
-            f"{lattice_radius_limit(grid):.2f}")
+    check_cut_radius(grid, R)
     mask = kept_modes(source, R)
     rec = grid.inverse(np.where(mask, source.values, 0.0))
     field_norm = grid.discrete_l2(rec.real)
@@ -314,6 +320,7 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
 
     R_need = max([c.R for c in cuts if c is not None], default=0.0)
     if R_need > 0.0:
+        check_cut_radius(grid, R_need)
         source = visible_slice_source(f, body, grid, R_need,
                                       n_launch=n_launch, n_s=n_s)
     else:

@@ -17,6 +17,13 @@ Grid: vertex-centred lattice on [0,1]^2 including the boundary; leapfrog in
 time; one-sided second-order normal derivative for the DtN trace.  Corner
 nodes carry Dirichlet data but are excluded from DtN outputs (no single
 outward normal exists there).
+
+One leapfrog march serves every caller.  It advances several factors at
+once on a leading factor axis and holds three time levels; each caller
+records what it needs from a level: every node (solve_dirichlet, for the
+energy checks and the identity's backward solve) or the DtN stencil rows
+alone (dtn_traces).  The probed DtN norm marches the reference factor and
+the whole family together, one march per probe.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .conformal import ConformalFactor, bump_factor, constant_factor
-from .errors import CFLViolation, Unstable
+from .errors import CFLViolation, IncompatibleData, Unstable
 from .fields import bump_profile
+from .parallel import parallel_map
 
 
 @dataclass
@@ -47,17 +55,21 @@ class WaveGrid:
         zero, last = np.zeros(n, dtype=int), np.full(n, n)
         self.bI = np.concatenate([up, last, down, zero])
         self.bJ = np.concatenate([zero, up, last, down])
-        self.dI = np.repeat([0, -1, 0, 1], n)
-        self.dJ = np.repeat([1, 0, -1, 0], n)
+        dI = np.repeat([0, -1, 0, 1], n)
+        dJ = np.repeat([1, 0, -1, 0], n)
+        # flat node indices of each path node and its two inward neighbours
+        self.stencil = np.stack([(self.bI + j * dI) * self.nx + self.bJ
+                                 + j * dJ for j in range(3)])
         self.corner = np.isin(self.bI, (0, n)) & np.isin(self.bJ, (0, n))
 
-    def check_cfl(self, c_max: float) -> None:
-        """CFLViolation unless k is within the leapfrog limit
-        h / sqrt(n max c), n = 2."""
+    def check_cfl(self, c_max: float) -> float:
+        """The CFL margin k / limit for the leapfrog limit
+        h / sqrt(n max c), n = 2; CFLViolation unless k is within it."""
         limit = self.h / np.sqrt(2 * c_max)
         if self.k > limit * (1 + 1e-12):
             raise CFLViolation(
                 f"k = {self.k:.3e} exceeds h/sqrt(n max c) = {limit:.3e}")
+        return float(self.k / limit)
 
     @property
     def times(self) -> np.ndarray:
@@ -142,13 +154,6 @@ class WaveSolution:
         return gx, gy
 
 
-def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:]
-                       + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / h**2
-    return out
-
-
 def sample_factor(c: ConformalFactor, grid: WaveGrid,
                   points: np.ndarray) -> np.ndarray:
     """c at every time level on fixed points (..., 2): shape (nt, ...).
@@ -162,52 +167,112 @@ def sample_factor(c: ConformalFactor, grid: WaveGrid,
     return np.stack([c(np.full(shape, t), points) for t in grid.times])
 
 
-def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
-                    u0: np.ndarray | None = None,
-                    v0: np.ndarray | None = None,
-                    source: Callable | None = None) -> WaveSolution:
-    """Leapfrog solution of c u_tt = Lap u + F with Dirichlet data.
+def _mesh_levels(factors: list[ConformalFactor], grid: WaveGrid):
+    """c of every factor on the mesh, stacked on a leading factor axis: a
+    function of the time level m giving (F, nx, nx), and each factor's
+    CFL margin (CFLViolation past the limit).
 
-    Zero initial data unless u0/v0 given (used by the energy-conservation
-    checks).  The first step uses the Taylor expansion
-    u^1 = u^0 + k v^0 + (k^2/2) (Lap u^0 + F^0)/c.
+    Without a time-dependent factor the stack is built once.
     """
     mesh = grid.mesh()
-    c_grid = sample_factor(c, grid, mesh)
-    c_max = float(np.max(c_grid))
-    grid.check_cfl(c_max)
+    samples = [sample_factor(c, grid, mesh) for c in factors]
+    # a time-independent sample broadcasts its first level
+    margins = [grid.check_cfl(float(np.max(s if c.time_dependent else s[0])))
+               for c, s in zip(factors, samples)]
+    if not any(c.time_dependent for c in factors):
+        fixed = np.stack([s[0] for s in samples])
+        return (lambda m: fixed), margins
+    return (lambda m: np.stack([s[m] for s in samples])), margins
 
-    bI, bJ = grid.bI, grid.bJ
-    bvals = data.sample(grid) if data is not None else \
-        np.zeros((grid.nt, bI.size))
 
+def _march(factors: list[ConformalFactor], grid: WaveGrid,
+           bvals: np.ndarray, record: Callable, u0: np.ndarray | None = None,
+           v0: np.ndarray | None = None,
+           source: Callable | None = None) -> list[float]:
+    """Leapfrog for c u_tt = Lap u + F with Dirichlet values bvals
+    (nt, n_boundary), one solution per factor on a leading axis, all
+    marched together in three rotating level buffers.
+
+    record(m, u) receives time level m as an (F, nx, nx) buffer that later
+    steps overwrite.  The first step uses the Taylor expansion
+    u^1 = u^0 + k v^0 + (k^2/2) (Lap u^0 + F^0)/c.  Unstable is raised at
+    the first level past 1e8 (1 + max|bvals| + max|u0| + max|v0|), NaN and
+    inf included.  Returns each factor's CFL margin.
+    """
+    c_at, margins = _mesh_levels(factors, grid)
     nt, nx, h, k = grid.nt, grid.nx, grid.h, grid.k
-    u = np.zeros((nt, nx, nx))
-    u_prev = np.zeros((nx, nx)) if u0 is None else u0.copy()
-    u_prev[bI, bJ] = bvals[0]
-    u[0] = u_prev
+    F, size = len(factors), grid.nx**2
+    edge = grid.stencil[0]
+    # levels are flat per factor, so the five-point stencil reads shifted
+    # contiguous runs; the run span holds every interior node and the
+    # frame nodes between rows, whose values the boundary data overwrite
+    lo, hi = nx + 1, size - nx - 1
+    span = np.s_[:, lo:hi]
+    mesh = grid.mesh() if source is not None else None
+    prev, cur, nxt = (np.zeros((F, size)) for _ in range(3))
+    acc, tmp = np.empty((F, hi - lo)), np.empty((F, hi - lo))
 
-    def F_at(m):
-        if source is None:
-            return 0.0
-        return source(grid.times[m], mesh)
+    def accel(u, m, scale):
+        """scale (Lap u + F^m) / c^m over the span, into acc; the operation
+        order of the unbatched scheme, element by element."""
+        np.add(u[:, lo + nx:hi + nx], u[:, lo - nx:hi - nx], out=acc)
+        np.add(acc, u[:, lo + 1:hi + 1], out=acc)
+        np.add(acc, u[:, lo - 1:hi - 1], out=acc)
+        np.multiply(u[span], 4.0, out=tmp)
+        np.subtract(acc, tmp, out=acc)
+        np.divide(acc, h**2, out=acc)
+        if source is not None:
+            np.add(acc, source(grid.times[m], mesh).reshape(-1)[lo:hi],
+                   out=acc)
+        np.multiply(acc, scale, out=acc)
+        np.divide(acc, c_at(m).reshape(F, size)[span], out=acc)
+        return acc
 
-    first = u_prev + (k if v0 is not None else 0.0) * (v0 if v0 is not None
-                                                       else 0.0)
-    first = first + 0.5 * k**2 * (_laplacian(u_prev, h) + F_at(0)) / c_grid[0]
-    first[bI, bJ] = bvals[1]
-    u[1] = first
+    if u0 is not None:
+        prev[:] = u0.reshape(-1)
+    prev[:, edge] = bvals[0]
+    record(0, prev.reshape(F, nx, nx))
+    cur[:] = prev if v0 is None else prev + k * v0.reshape(-1)
+    np.add(cur[span], accel(prev, 0, 0.5 * k**2), out=cur[span])
+    cur[:, edge] = bvals[1]
+    record(1, cur.reshape(F, nx, nx))
 
     bound = 1e8 * (1.0 + np.max(np.abs(bvals))
                    + (np.max(np.abs(u0)) if u0 is not None else 0.0)
                    + (np.max(np.abs(v0)) if v0 is not None else 0.0))
     for m in range(1, nt - 1):
-        nxt = (2.0 * u[m] - u[m - 1]
-               + k**2 * (_laplacian(u[m], h) + F_at(m)) / c_grid[m])
-        nxt[bI, bJ] = bvals[m + 1]
-        u[m + 1] = nxt
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > bound:
+        a = accel(cur, m, k**2)
+        np.multiply(cur[span], 2.0, out=nxt[span])
+        np.subtract(nxt[span], prev[span], out=nxt[span])
+        np.add(nxt[span], a, out=nxt[span])
+        nxt[:, edge] = bvals[m + 1]
+        # prev is dead once nxt is built; np.max propagates NaN, which
+        # fails the comparison
+        if not np.max(np.abs(nxt, out=prev)) <= bound:
             raise Unstable(f"solution blew up at step {m + 1}")
+        record(m + 1, nxt.reshape(F, nx, nx))
+        prev, cur, nxt = cur, nxt, prev
+    return margins
+
+
+def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
+                    u0: np.ndarray | None = None,
+                    v0: np.ndarray | None = None,
+                    source: Callable | None = None) -> WaveSolution:
+    """Leapfrog solution of c u_tt = Lap u + F with Dirichlet data, every
+    time level stored.
+
+    Zero initial data unless u0/v0 given (used by the energy-conservation
+    checks); no source term unless given.
+    """
+    bvals = data.sample(grid) if data is not None else \
+        np.zeros((grid.nt, grid.bI.size))
+    u = np.empty((grid.nt, grid.nx, grid.nx))
+
+    def keep(m, level):
+        u[m] = level[0]
+
+    _march([c], grid, bvals, keep, u0, v0, source)
     return WaveSolution(grid, u)
 
 
@@ -243,46 +308,83 @@ def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
 # ---------------------------------------------------------------- DtN
 
 
+def _conormal(grid: WaveGrid, u: np.ndarray) -> np.ndarray:
+    """Outward du/dnu on the boundary path from the one-sided three-point
+    second-order stencil along the inward axis, over the last two axes of
+    u: (..., nx, nx) -> (..., n_boundary)."""
+    rows = u.reshape(u.shape[:-2] + (-1,))[..., grid.stencil]
+    return -(-3.0 * rows[..., 0, :] + 4.0 * rows[..., 1, :]
+             - rows[..., 2, :]) / (2 * grid.h)
+
+
+def _boundary_factor(c: ConformalFactor, grid: WaveGrid) -> np.ndarray:
+    """c at every time level on the boundary path: (nt, n_boundary)."""
+    return sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ])
+
+
+def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
+               bvals: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Conormal traces c du/dnu (corners NaN) of every factor's solution
+    with Dirichlet values bvals (nt, n_boundary): (F, nt, n_boundary),
+    and each factor's CFL margin.
+
+    The factors are marched together; only the stencil rows of each level
+    are recorded, so three time levels are held.
+    """
+    dn = np.empty((len(factors), grid.nt, grid.bI.size))
+
+    def keep(m, level):
+        dn[:, m] = _conormal(grid, level)
+
+    margins = _march(factors, grid, bvals, keep)
+    for c, trace in zip(factors, dn):
+        np.multiply(_boundary_factor(c, grid), trace, out=trace)
+    dn[:, :, grid.corner] = np.nan
+    return dn, margins
+
+
 def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
               sol: WaveSolution | None = None) -> np.ndarray:
-    """Conormal trace c * du/dnu on the boundary path (corners NaN).
-
-    One-sided three-point second-order stencils along the inward axis.
-    """
+    """Conormal trace c * du/dnu on the boundary path (corners NaN), from
+    the stored solution sol when given."""
     if sol is None:
-        sol = solve_dirichlet(c, grid, data)
-    g, u = grid, sol.u
-    I, J, dI, dJ = g.bI, g.bJ, g.dI, g.dJ
-    dn = -(-3.0 * u[:, I, J] + 4.0 * u[:, I + dI, J + dJ]
-           - u[:, I + 2 * dI, J + 2 * dJ]) / (2 * g.h)
-    out = sample_factor(c, g, g.mesh()[I, J]) * dn
-    out[:, g.corner] = np.nan
+        return dtn_traces([c], grid, data.sample(grid))[0][0]
+    out = _boundary_factor(c, grid) * _conormal(grid, sol.u)
+    out[:, grid.corner] = np.nan
     return out
 
 
 def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
                   grid: WaveGrid, probes: list[BoundaryData]) -> list[dict]:
     """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_c1 - Lam_c, one
-    per c in family; Lam_c1 is solved once per probe.
+    per c in family, with the per-probe ratios and the CFL margin of c.
 
-    Each probe must vanish to first order at t = 0 (zero-initial-data
-    compatibility); violations raise.
+    Each probe marches c1 and the whole family together; probes run
+    through parallel_map.  Each probe must vanish to first order at t = 0
+    (zero-initial-data compatibility); violations raise IncompatibleData.
     """
     if not probes:
         raise ValueError("need at least one probe")
-    ratios = [[] for _ in family]
-    for probe in probes:
+    factors = [c1, *family]
+
+    def probe_ratios(probe):
         bvals = probe.sample(grid)
         if np.max(np.abs(bvals[0])) > 1e-12 or \
                 np.max(np.abs(bvals[1] - bvals[0])) / grid.k > 1e-6:
-            raise ValueError("boundary input must vanish to first order at t=0")
+            raise IncompatibleData(
+                f"boundary input {probe.name} must vanish to first order "
+                f"at t = 0 (time step k = {grid.k:.3g})")
         den = h1_boundary_norm(grid, bvals)
-        lam1 = dtn_apply(c1, grid, probe)
-        for c, out in zip(family, ratios):
-            lam = dtn_apply(c, grid, probe)
-            out.append(l2_boundary_norm(grid, np.nan_to_num(lam1 - lam),
-                                        grid.corner) / den)
-    return [{"norm_lower_bound": max(r), "ratios": r} for r in ratios]
+        lam, margins = dtn_traces(factors, grid, bvals)
+        return [l2_boundary_norm(grid, np.nan_to_num(lam[0] - trace),
+                                 grid.corner) / den
+                for trace in lam[1:]], margins[1:]
+
+    ratios, margins = zip(*parallel_map(probe_ratios, probes))
+    # per-probe rows, transposed to one row per family member
+    return [{"norm_lower_bound": max(r), "ratios": list(r),
+             "cfl_margin": margin}
+            for r, margin in zip(zip(*ratios), margins[0])]
 
 
 # ---------------------------------------------------------------- identity
@@ -362,16 +464,26 @@ def conformal_stability_experiment(scales, grid: WaveGrid,
     T = T if T is not None else grid.T
     family = [bump_factor(s, bump_center, bump_width, T=T, name=f"bump{s:g}")
               for s in scales]
-    norms = dtn_norm_diff(constant_factor(1.0, T=T), family, grid,
-                          boundary_probes(probe_count, T))
     mesh = grid.mesh()
-    rows = []
-    for s, cs, norm in zip(scales, family, norms):
+    weights = _time_weights(grid.nt)[:, None, None]
+    # one (nt, nx, nx) array at a time, squared and weighted in place, and
+    # none held through the marches
+    dists = []
+    for cs in family:
         vals = 1.0 - sample_factor(cs, grid, mesh)
-        l2 = float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None, None]
-                                  * vals**2) * grid.k * grid.h**2))
+        np.square(vals, out=vals)
+        np.multiply(weights, vals, out=vals)
+        dists.append(float(np.sqrt(np.sum(vals) * grid.k * grid.h**2)))
+        del vals
+    probes = boundary_probes(probe_count, T)
+    norms = dtn_norm_diff(constant_factor(1.0, T=T), family, grid, probes)
+    rows = []
+    for s, l2, norm in zip(scales, dists, norms):
         rows.append({"scale": float(s), "c_dist_l2": l2,
-                     "dtn_norm": norm["norm_lower_bound"]})
+                     "dtn_norm": norm["norm_lower_bound"],
+                     "ratios": dict(zip((p.name for p in probes),
+                                        norm["ratios"])),
+                     "cfl_margin": norm["cfl_margin"]})
     # degenerate rows (vanishing DtN difference) carry no log-scale
     # information and are excluded from the envelope fit
     live = [r for r in rows if r["dtn_norm"] > 1e-14]

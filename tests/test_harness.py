@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tdxray import errors
+from tdxray import errors, reconstruct
 from tdxray.cli import main
 from tdxray.conformal import bump_factor
 from tdxray.errors import ConfigInvalid
@@ -16,6 +16,7 @@ from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
 from tdxray.harness.manifest import RunManifest
 from tdxray.harness.runner import PIPELINES, run
 from tdxray.parallel import thread_count
+from tdxray.spectral import slice_from_sinogram
 from tdxray.xray import sinogram
 
 # small but complete runs of each pipeline; every other key keeps its
@@ -54,6 +55,19 @@ class ReadLog(dict):
     def __contains__(self, key):
         self.read.add(key)
         return super().__contains__(key)
+
+
+def manifest_sections(path) -> dict:
+    """{section: {key: value}} of a run manifest."""
+    sections: dict = {}
+    entries = sections.setdefault("header", {})
+    for line in path.read_text().splitlines():
+        if line.startswith("["):
+            entries = sections.setdefault(line.strip("[]"), {})
+        else:
+            key, value = line.split(" = ", 1)
+            entries[key] = value
+    return sections
 
 
 class TestConfig:
@@ -175,6 +189,21 @@ class TestRunner:
         # these ran, without the perturbation and with no slice at all
         ("forward", {"noise.level": -1e-3}),
         ("slice-check", {"slice.count": 0}),
+        # wave grids too coarse for the conormal stencil or the probes'
+        # zero window, degenerate wave steps, too few beam wavenumbers for
+        # the slope fit and a lattice box smaller than the field: each
+        # escaped run() as a ZeroDivisionError, IndexError or ValueError
+        ("dtn", {"grid.nx": 1}),
+        ("dtn", {"grid.nx": 2}),
+        ("dtn", {"grid.nx": 3}),
+        ("identity-check", {"grid.sizes": [1]}),
+        ("beam", {"beam.lambdas": [16.0, 32.0]}),
+        ("reconstruct", {"grid.extent": 1.0}),
+        ("stability-curve", {"grid.extent": 1.0}),
+        ("dtn", {"grid.k": 0.0}),
+        ("dtn", {"grid.T": 0.0}),
+        ("identity-check", {"grid.sizes": [17], "grid.cfl": 0.0}),
+        ("identity-check", {"grid.sizes": [17], "grid.T": -1.0}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -188,14 +217,7 @@ class TestRunner:
                "slice.n_launch": 48, "slice.n_s": 48}
         assert run("stability-curve", dict(cfg), str(tmp_path), seed=3) == 0
         art = tmp_path / f"stability-curve-{config_hash(cfg, 3)[:12]}"
-        sections: dict = {}
-        entries = sections.setdefault("header", {})
-        for line in (art / "manifest.txt").read_text().splitlines():
-            if line.startswith("["):
-                entries = sections.setdefault(line.strip("[]"), {})
-            else:
-                key, value = line.split(" = ", 1)
-                entries[key] = value
+        sections = manifest_sections(art / "manifest.txt")
         tol = float(sections["tolerances"]["hermitian_tol"])
         rows = sections["diagnostics"]
         n_rows = len((art / "stability_curve.csv").read_text().splitlines())
@@ -204,6 +226,45 @@ class TestRunner:
             values = dict(item.split("=") for item in entry.split())
             assert int(values["n_modes"]) > 0
             assert float(values["imag_residual"]) <= tol
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("reconstruct", {"grid.points": 32, "slice.n_launch": 32,
+                         "recon.R": 100.0}),
+        ("stability-curve", {**SMALL_CURVE, "grid.points": 8,
+                             "noise.levels": [1e-9, 1e-10]}),
+    ])
+    def test_oversized_cut_radius_rejected_before_fill(
+            self, tmp_path, monkeypatch, name, cfg):
+        slices = []
+
+        def counted(*args, **kwargs):
+            slices.append(args[1])
+            return slice_from_sinogram(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "slice_from_sinogram", counted)
+        assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        first = (art / "error.txt").read_text().splitlines()[0]
+        assert first == "error_type = RTooLargeForGrid"
+        assert slices == []
+
+    def test_dtn_diagnostics_recorded(self, tmp_path):
+        cfg = {"grid.nx": 17, "probes.count": 3,
+               "family.scales": [0.02, 0.04, 0.08]}
+        assert run("dtn", dict(cfg), str(tmp_path), seed=0) == 0
+        art = tmp_path / f"dtn-{config_hash(cfg, 0)[:12]}"
+        rows = manifest_sections(art / "manifest.txt")["diagnostics"]
+        lines = (art / "dtn_curve.csv").read_text().splitlines()[1:]
+        assert list(rows) == [f"row{i}" for i in range(len(lines))]
+        for line, entry in zip(lines, rows.values()):
+            scale, c_dist, norm, _ = (float(v) for v in line.split(","))
+            values = {k: float(v) for k, v in
+                      (item.split("=") for item in entry.split())}
+            ratios = [v for k, v in values.items() if k.startswith("ratio_")]
+            assert len(ratios) == 3
+            assert max(ratios) == norm
+            assert values["c_dist_over_norm"] == c_dist / norm
+            assert 0.0 < values["cfl_margin"] <= 1.0
 
     def test_identity_check_pipeline(self, tmp_path, capsys):
         cfg = {"grid.sizes": [17, 33], "grid.T": 1.0}
@@ -323,6 +384,10 @@ class TestBenchmarkHooks:
         # forward, a beam and a conformal sinogram through the bundled march
         self.check_tiny_run("rays-beams", variant, tmp_path, monkeypatch)
 
+    def test_tiny_dtn_family_matches_reference(self, tmp_path, monkeypatch):
+        # dtn takes no random input, so one variant covers the workload
+        self.check_tiny_run("dtn-family", 0, tmp_path, monkeypatch)
+
 
 class TestDeterminism:
     def test_forward_byte_identical_across_threads(self, tmp_path,
@@ -348,6 +413,19 @@ class TestDeterminism:
             path = tmp_path / f"t{threads}.csv"
             sinogram(slice_field, rays, metric, unit_disk).write_csv(path)
             blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_dtn_byte_identical_across_threads(self, tmp_path,
+                                               monkeypatch):
+        cfg = {"grid.nx": 17, "probes.count": 3,
+               "family.scales": [0.02, 0.04]}
+        blobs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("TDXRAY_THREADS", threads)
+            sub = tmp_path / f"t{threads}"
+            assert run("dtn", dict(cfg), str(sub), seed=0) == 0
+            art = sub / f"dtn-{config_hash(cfg, 0)[:12]}"
+            blobs.append((art / "dtn_curve.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_forward_zero_field(self, tmp_path):

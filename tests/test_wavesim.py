@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from tdxray import wavesim
 from tdxray.conformal import bump_factor, constant_factor
-from tdxray.errors import CFLViolation, Unstable
+from tdxray.errors import CFLViolation, IncompatibleData, Unstable
 from tdxray.fields import bump_profile
 from tdxray.wavesim import (BoundaryData, WaveGrid, WaveSolution,
                             boundary_probes, conformal_stability_experiment,
-                            dtn_apply, dtn_norm_diff, h1_boundary_norm,
-                            key_identity_check, l2_boundary_norm,
-                            sample_factor, solve_dirichlet)
+                            dtn_apply, dtn_norm_diff, dtn_traces,
+                            h1_boundary_norm, key_identity_check,
+                            l2_boundary_norm, sample_factor, solve_dirichlet)
 
 
 def pulse(v, center=1.0, width=0.8):
@@ -23,6 +23,29 @@ def dalembert_bc(t, s):
     s = np.asarray(s)
     x = np.where(s < 1, s, np.where(s < 2, 1.0, np.where(s < 3, 3 - s, 0.0)))
     return pulse(np.asarray(t) - x)
+
+
+def leapfrog_reference(c, grid, data):
+    """The unbatched scheme, one factor and whole-array arithmetic, every
+    level stored: the oracle for the batched march."""
+    def laplacian(u):
+        out = np.zeros_like(u)
+        out[1:-1, 1:-1] = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:]
+                           + u[1:-1, :-2] - 4.0 * u[1:-1, 1:-1]) / grid.h**2
+        return out
+
+    c_grid = sample_factor(c, grid, grid.mesh())
+    bI, bJ, k = grid.bI, grid.bJ, grid.k
+    bvals = data.sample(grid)
+    u = np.zeros((grid.nt, grid.nx, grid.nx))
+    u[0][bI, bJ] = bvals[0]
+    u[1] = u[0] + 0.5 * k**2 * laplacian(u[0]) / c_grid[0]
+    u[1][bI, bJ] = bvals[1]
+    for m in range(1, grid.nt - 1):
+        u[m + 1] = (2.0 * u[m] - u[m - 1]
+                    + k**2 * laplacian(u[m]) / c_grid[m])
+        u[m + 1][bI, bJ] = bvals[m + 1]
+    return u
 
 
 def discrete_energy(sol, c):
@@ -221,6 +244,50 @@ class TestSolver:
             solve_dirichlet(c_unit, grid, BoundaryData(dalembert_bc))
 
 
+@st.composite
+def factor_families(draw):
+    """Bump factors with amplitudes in +-0.08, some time-dependent."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = (draw(st.floats(0.3, 0.7)), draw(st.floats(0.3, 0.7)))
+        t_center = draw(st.none() | st.floats(0.2, 0.8))
+        factors.append(bump_factor(draw(st.floats(-0.08, 0.08)), center,
+                                   draw(st.floats(0.2, 0.4)), T=1.0,
+                                   t_center=t_center, t_width=0.6))
+    return factors
+
+
+class TestMarch:
+    @given(factors=factor_families(), nx=st.integers(9, 40),
+           probe=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_traces_match_stored_solves(self, factors, nx, probe):
+        # the batched march over [1, factors...] records only the stencil
+        # rows; each trace must equal the trace of that factor's stored
+        # solve bit for bit, and each stored solve the unbatched scheme's
+        grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.0)
+        data = boundary_probes(4, 1.0)[probe]
+        family = [constant_factor(1.0, T=1.0), *factors]
+        traces, margins = dtn_traces(family, grid, data.sample(grid))
+        assert traces.shape == (len(family), grid.nt, grid.bI.size)
+        for c, trace, margin in zip(family, traces, margins):
+            sol = solve_dirichlet(c, grid, data)
+            assert np.array_equal(sol.u, leapfrog_reference(c, grid, data))
+            assert np.array_equal(trace, dtn_apply(c, grid, data, sol=sol),
+                                  equal_nan=True)
+            c_max = np.max(sample_factor(c, grid, grid.mesh()))
+            assert margin == grid.k / (grid.h / np.sqrt(2 * c_max))
+
+    def test_unstable_guard_on_dtn_path(self, monkeypatch):
+        grid = WaveGrid(nx=33, k=1.2 / 32, T=2.0)
+        monkeypatch.setattr(WaveGrid, "check_cfl",
+                            lambda self, c_max: None)
+        c = bump_factor(0.04, (0.55, 0.42), 0.3, T=2.0)
+        with pytest.raises(Unstable):
+            dtn_norm_diff(constant_factor(1.0, T=2.0), [c], grid,
+                          boundary_probes(2, 2.0))
+
+
 class TestDtN:
     def test_zero_data(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.0)
@@ -293,7 +360,7 @@ class TestDtN:
     def test_incompatible_input_rejected(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
         bad = BoundaryData(lambda t, s: np.ones_like(s))
-        with pytest.raises(ValueError):
+        with pytest.raises(IncompatibleData):
             dtn_norm_diff(c_unit, [c_unit], grid, [bad])
 
     def test_linearity(self, c_unit):
@@ -407,18 +474,18 @@ class TestStabilityExperiment:
         assert row["c_dist_l2"] == 0.0
         assert row["dtn_norm"] < 1e-12
 
-    def test_reference_solved_once_per_probe(self, monkeypatch):
-        solves = []
+    def test_one_march_per_probe(self, monkeypatch):
+        # the reference and the whole family share each probe's march
+        marches, march = [], wavesim._march
 
-        def counted(*args, **kwargs):
-            solves.append(args[0].name)
-            return solve_dirichlet(*args, **kwargs)
+        def counted(factors, *args, **kwargs):
+            marches.append([c.name for c in factors])
+            return march(factors, *args, **kwargs)
 
-        monkeypatch.setattr(wavesim, "solve_dirichlet", counted)
+        monkeypatch.setattr(wavesim, "_march", counted)
         grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
         conformal_stability_experiment([0.02, 0.04], grid, probe_count=2)
-        assert len(solves) == (1 + 2) * 2
-        assert solves.count("const1") == 2
+        assert marches == [["const1", "bump0.02", "bump0.04"]] * 2
 
     def test_probe_saturation(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5, )
