@@ -208,22 +208,18 @@ def beam_evaluate(beam: BeamCurve, params: BeamParams, t: float,
 
     Vectorised over x with shape (..., n).
     """
-    x = np.asarray(x, dtype=float)
     st = state or beam.state_at(t)
-    d = x - st["x"]
-    psi = (beam.psi0 + d @ st["p"]
-           + 0.5 * np.einsum("...i,ij,...j->...", d, st["M"], d))
     lam = params.lam
     return ((lam / np.pi) ** (beam.dim / 4)
-            * np.exp(1j * lam * psi) * st["a0"])
+            * np.exp(1j * lam * beam_psi(beam, st, x)) * st["a0"])
 
 
-def beam_psi(beam: BeamCurve, t: float, x: np.ndarray) -> np.ndarray:
-    st = beam.state_at(t)
-    x = np.asarray(x, dtype=float)
-    d = x - st["x"]
-    return (beam.psi0 + d @ st["p"]
-            + 0.5 * np.einsum("...i,ij,...j->...", d, st["M"], d))
+def beam_psi(beam: BeamCurve, state: dict, x: np.ndarray) -> np.ndarray:
+    """psi = psi0 + <p, d> + <M d, d>/2, d = x - xtilde, at the beam state
+    (beam.state_at(t)); vectorised over x with shape (..., n)."""
+    d = np.asarray(x, dtype=float) - state["x"]
+    return (beam.psi0 + d @ state["p"]
+            + 0.5 * np.einsum("...i,ij,...j->...", d, state["M"], d))
 
 
 def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,

@@ -1,15 +1,20 @@
 """Cross-module acceptance suite.
 
 Twelve quantitative criteria with fixed tolerances; each one prints a
-single pass/fail line with the measured value.  Heavy intermediates are
-cached on the context object so independent criteria can share them.
+single pass/fail line with the measured value.  C01, C05, C10 and C11 run
+the slice-check, stability-curve, identity-check and dtn pipelines at their
+defaults, so a pipeline default is its criterion's experiment.  Heavy
+intermediates are cached on the context object so independent criteria
+can share them.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 import time
+from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -19,9 +24,12 @@ from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..geometry import MetricSpec, ball, make_ray, sample_inward_bundle
 from ..reconstruct import (choose_R, parseval_split, source_from_spectral,
-                           stability_curve, truncated_inversion)
-from ..spectral import SpectralGrid, fourier_full, hidden_bound, is_visible, slice_from_sinogram, visible_direction
+                           truncated_inversion)
+from ..spectral import (SpectralGrid, fourier_full, hidden_bound, is_visible,
+                        visible_direction)
 from ..xray import sinogram
+from .manifest import RunManifest
+from .runner import PIPELINES, run
 
 
 @dataclass
@@ -45,13 +53,14 @@ class AcceptanceContext:
     seed: int = 20260809
     _cache: dict = field(default_factory=dict)
 
-    def slice_setup(self):
-        if "slice" not in self._cache:
-            f = field_lib.default_slice_field()
-            body = ball()
-            grid = SpectralGrid.for_field(f, n_points=128, pad=0.25)
-            self._cache["slice"] = (f, body, grid, grid.sample(f))
-        return self._cache["slice"]
+    def run_pipeline(self, name: str):
+        """The named pipeline's result at its defaults and self.seed; its
+        artifacts go to a temporary directory and its printed line is
+        dropped, so the report holds criterion lines only."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                redirect_stdout(io.StringIO()):
+            return PIPELINES[name]({}, self.seed, tmp,
+                                   RunManifest(name, {}, self.seed))
 
     def envelope_setup(self):
         """Calibration + held-out fields, shared lattice, data sup-norms."""
@@ -68,24 +77,6 @@ class AcceptanceContext:
                                 "delta": sino.sup_norm})
             self._cache["envelope"] = (grid, entries)
         return self._cache["envelope"]
-
-    def recon_setup(self):
-        if "recon" not in self._cache:
-            f = field_lib.default_recon_field()
-            body = ball(field_lib.RECON_RADIUS)
-            grid = SpectralGrid.for_field(f, n_points=64, extent=14.0)
-            self._cache["recon"] = (f, body, grid, fourier_full(f, grid))
-        return self._cache["recon"]
-
-    def curve(self):
-        if "curve" not in self._cache:
-            f, body, grid, _ = self.recon_setup()
-            t0 = time.perf_counter()
-            curve = stability_curve(f, body,
-                                    [10.0 ** (-k) for k in range(3, 10)],
-                                    0.5, self.seed, grid)
-            self._cache["curve"] = (curve, time.perf_counter() - t0)
-        return self._cache["curve"]
 
     def beam_setup(self):
         if "beam" not in self._cache:
@@ -104,17 +95,7 @@ class AcceptanceContext:
 def criterion_01(ctx: AcceptanceContext) -> CriterionResult:
     """Fourier-slice identity on 20 random (omega, xi) pairs."""
     t0 = time.perf_counter()
-    f, body, grid, samples = ctx.slice_setup()
-    rng = np.random.default_rng(ctx.seed)
-    worst = 0.0
-    for _ in range(20):
-        ang = rng.uniform(0.0, 2 * np.pi)
-        omega = np.array([np.cos(ang), np.sin(ang)])
-        xi = rng.uniform(-6.0, 6.0, 2)
-        tau = -float(omega @ xi)
-        ref = grid.point_transform(samples, [tau], [xi])[0]
-        val = slice_from_sinogram(f, omega, xi, body, n_launch=160, n_s=160)
-        worst = max(worst, abs(val - ref) / (1.0 + abs(ref)))
+    worst = ctx.run_pipeline("slice-check")
     dt = time.perf_counter() - t0
     return CriterionResult(1, "fourier-slice-identity",
                            worst <= 1e-6 and dt < 30.0,
@@ -208,7 +189,9 @@ def criterion_04(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_05(ctx: AcceptanceContext) -> CriterionResult:
     """Log-stability sweep: C/log(1/delta) fit quality and envelope."""
-    curve, elapsed = ctx.curve()
+    t0 = time.perf_counter()
+    curve = ctx.run_pipeline("stability-curve")
+    elapsed = time.perf_counter() - t0
     fit = curve.fit()
     feas = [r for r in curve.rows if r.feasible]
     env_ok = all(r.l2_error <= r.envelope + 1e-12 for r in feas)
@@ -224,7 +207,9 @@ def criterion_05(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_06(ctx: AcceptanceContext) -> CriterionResult:
     """Parseval accounting of the hidden-zeroed truncation error."""
     t0 = time.perf_counter()
-    f, body, grid, sf = ctx.recon_setup()
+    f = field_lib.default_recon_field()
+    grid = SpectralGrid.for_field(f, n_points=64, extent=14.0)
+    sf = fourier_full(f, grid)
     truth = grid.sample(f)
     R = choose_R(1e-9, 0.5, 2).R
     rec, _ = truncated_inversion(source_from_spectral(sf), R)
@@ -275,7 +260,7 @@ def criterion_08(ctx: AcceptanceContext) -> CriterionResult:
         st = beam.state_at(t)
         d = rng.uniform(-0.5, 0.5, 2)
         x = st["x"] + d
-        im_psi = float(np.imag(beam_psi(beam, t, x[None, :])[0]))
+        im_psi = float(np.imag(beam_psi(beam, st, x[None, :])[0]))
         Ct = 0.5 * float(np.min(np.linalg.eigvalsh(st["M"].imag)))
         worst = min(worst, im_psi - Ct * float(d @ d))
     dt = time.perf_counter() - t0
@@ -310,15 +295,8 @@ def criterion_09(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     """Boundary identity gap: second-order convergence, finest gap < 2%."""
-    from ..wavesim import WaveGrid, boundary_probes, key_identity_check
     t0 = time.perf_counter()
-    c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
-    probes = boundary_probes(4, 1.5)
-    gaps = []
-    for nx in (33, 65, 129):
-        grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.5)
-        gaps.append(key_identity_check(c, grid, probes[0],
-                                       probes[2])["relative_gap"])
+    gaps = ctx.run_pipeline("identity-check")
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
     dt = time.perf_counter() - t0
     ok = all(3.0 <= r <= 5.0 for r in ratios) and gaps[-1] < 0.02
@@ -330,14 +308,8 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     """Conformal log-stability at desk scale (96^2)."""
-    from ..wavesim import WaveGrid, conformal_stability_experiment
     t0 = time.perf_counter()
-    grid = WaveGrid(nx=97, k=0.6 / 96, T=2.0)
-    out = conformal_stability_experiment([0.01, 0.02, 0.04, 0.08], grid,
-                                         probe_count=6,
-                                         bump_center=(0.55, 0.42),
-                                         bump_width=0.3)
-    rows = out["rows"]
+    rows = ctx.run_pipeline("dtn")["rows"]
     env_ok = all(r["c_dist_l2"] <= r["envelope"] + 1e-12 for r in rows)
     norms = [r["dtn_norm"] for r in rows]
     mono = all(a < b for a, b in zip(norms, norms[1:]))
@@ -351,15 +323,16 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
     """Byte-identical CSVs across reruns and thread counts."""
-    from .runner import run
     t0 = time.perf_counter()
     cfg = {"rays.boundary": 12, "rays.directions": 4, "noise.level": 1e-3}
     curve_cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-5],
                  "slice.n_launch": 64, "slice.n_s": 64}
     ok = True
     detail = []
-    # patch.dict restores the caller's TDXRAY_THREADS on the way out
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+    # patch.dict restores the caller's TDXRAY_THREADS on the way out; the
+    # runs' printed lines are dropped, as in run_pipeline
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            redirect_stdout(io.StringIO()):
         for name, c, artifact in (("forward", cfg, "sinogram.csv"),
                                   ("stability-curve", curve_cfg,
                                    "stability_curve.csv")):

@@ -15,9 +15,9 @@ from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..errors import ConfigInvalid, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
-from ..reconstruct import (check_cut_radius, choose_R, reconstruction_errors,
-                           stability_curve, truncated_inversion,
-                           visible_slice_source)
+from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
+                           reconstruction_errors, stability_curve,
+                           truncated_inversion, visible_slice_source)
 from ..spectral import SpectralGrid, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
 from .config import validate
@@ -43,11 +43,14 @@ def build_body(cfg: dict, dim: int, default_radius: float = 1.0):
     (or ray) it is traced with."""
     kind = cfg.get("body.kind", "ball")
     if kind == "ball":
-        body = ball(float(cfg.get("body.radius", default_radius)),
+        body = ball(_positive(cfg, "body.radius", default_radius),
                     dim=int(cfg.get("body.dim", dim)))
     elif kind == "ellipse":
-        body = ellipsoid([float(s) for s in np.atleast_1d(
-            cfg.get("body.semiaxes", [2.0, 1.0]))])
+        semiaxes = [float(s) for s in np.atleast_1d(
+            cfg.get("body.semiaxes", [2.0, 1.0]))]
+        if not min(semiaxes) > 0.0:
+            raise ConfigInvalid(f"body.semiaxes = {semiaxes} must be positive")
+        body = ellipsoid(semiaxes)
     else:
         raise TdxrayError(f"unknown body.kind {kind!r}")
     declared = int(cfg.get("body.dim", body.dim))
@@ -146,11 +149,17 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
           f"refinement_ratio = {float(ratio)!r}")
 
 
-def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
+def run_slice_check(cfg: dict, seed: int, art: str,
+                    man: RunManifest) -> float:
+    """The worst relative slice-identity error over the probes."""
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
+    pad = float(cfg.get("grid.pad", 0.25))
+    if not pad >= 0.0:
+        # a negative pad shrinks the lattice box inside the field's support
+        raise ConfigInvalid(f"grid.pad = {pad!r} must be >= 0")
     grid = SpectralGrid.for_field(f, n_points=_count(cfg, "grid.points", 128),
-                                  pad=float(cfg.get("grid.pad", 0.25)))
+                                  pad=pad)
     samples = grid.sample(f)
     man.stage("sample")
     rng = np.random.default_rng(seed)
@@ -182,6 +191,7 @@ def run_slice_check(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
                rows)
     man.stage("write")
     print(f"max relative slice-identity error = {float(worst)!r}")
+    return worst
 
 
 def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
@@ -217,7 +227,7 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 
 
 def run_stability_curve(cfg: dict, seed: int, art: str,
-                        man: RunManifest) -> None:
+                        man: RunManifest) -> StabilityCurve:
     f = build_field(cfg, default="recon-default")
     body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
     grid = _recon_grid(cfg, f)
@@ -237,6 +247,7 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
     man.stage("write")
     fit = curve.fit()
     print(f"fit C = {float(fit['C'])!r}  R^2 = {float(fit['r_squared'])!r}")
+    return curve
 
 
 def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
@@ -248,7 +259,7 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     else:
         center = [float(v) for v in
                   np.atleast_1d(cfg.get("conformal.center", [0.1, 0.0]))]
-        c = bump_factor(amp, center, float(cfg.get("conformal.width", 0.75)),
+        c = bump_factor(amp, center, _positive(cfg, "conformal.width", 0.75),
                         dim=len(center))
     # ray.angle sets a ray in the plane, so the factor must be 2-D; the
     # body is then checked against the factor
@@ -279,12 +290,16 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     man.stage("write")
 
 
-def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
+def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
+    """The conformal_stability_experiment result."""
     from ..wavesim import WaveGrid, conformal_stability_experiment
 
     nx = _wave_nodes("grid.nx", int(cfg.get("grid.nx", 97)))
     grid = WaveGrid(nx=nx, k=_positive(cfg, "grid.k", 0.6 / (nx - 1)),
                     T=_positive(cfg, "grid.T", 2.0))
+    if grid.nt < 3:
+        raise ConfigInvalid(f"grid.T = {grid.T!r} spans {grid.nt - 1} steps "
+                            "of grid.k; the leapfrog needs at least 2")
     scales = [float(s) for s in
               np.atleast_1d(cfg.get("family.scales", [0.01, 0.02, 0.04, 0.08]))]
     center = [float(v) for v in
@@ -296,7 +311,7 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     out = conformal_stability_experiment(
         scales, grid, probe_count=probe_count,
         bump_center=tuple(center),
-        bump_width=float(cfg.get("bump.width", 0.3)))
+        bump_width=_positive(cfg, "bump.width", 0.3))
     man.stage("experiment")
     for i, r in enumerate(out["rows"]):
         norm = r["dtn_norm"]
@@ -313,10 +328,12 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     norms = [r["dtn_norm"] for r in out["rows"]]
     print(f"envelope C = {float(out['envelope_C'])!r}  monotone = "
           f"{all(a < b for a, b in zip(norms, norms[1:]))}")
+    return out
 
 
 def run_identity_check(cfg: dict, seed: int, art: str,
-                       man: RunManifest) -> None:
+                       man: RunManifest) -> list[float]:
+    """The relative identity gap on each grid size."""
     from ..wavesim import WaveGrid, boundary_probes, key_identity_check
 
     sizes = [_wave_nodes("grid.sizes", int(s)) for s in
@@ -326,7 +343,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     center = [float(v) for v in
               np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
     c = bump_factor(float(cfg.get("bump.amplitude", 0.05)), center,
-                    float(cfg.get("bump.width", 0.27)), T=T)
+                    _positive(cfg, "bump.width", 0.27), T=T)
     probes = boundary_probes(4, T)
     picks = [int(cfg.get("probe.first", 0)), int(cfg.get("probe.second", 2))]
     if any(p not in range(len(probes)) for p in picks):
@@ -337,6 +354,9 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     rows = []
     for nx in sizes:
         grid = WaveGrid(nx=nx, k=cfl / (nx - 1), T=T)
+        if grid.nt < 3:
+            raise ConfigInvalid(f"grid.T = {T!r} spans {grid.nt - 1} steps "
+                                f"at nx = {nx}; the leapfrog needs at least 2")
         res = key_identity_check(c, grid, f1, f2)
         rows.append([nx, float(res["lhs"]), float(res["rhs"]),
                      float(res["relative_gap"])])
@@ -348,6 +368,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
     print(f"gaps = {[repr(g) for g in gaps]}  ratios = "
           f"{[round(r, 2) for r in ratios]}")
+    return gaps
 
 
 PIPELINES = {

@@ -122,7 +122,7 @@ class TestBuildBeam:
         _, _, _, beam = curved_beam
         for t in np.linspace(0.05, beam.t_exit - 0.05, 9):
             st = beam.state_at(t)
-            psi = beam_psi(beam, t, st["x"][None, :])[0]
+            psi = beam_psi(beam, st, st["x"][None, :])[0]
             assert abs(psi - beam.psi0) < 1e-8
 
     def test_amplitude_closed_form_free_space(self, free_beam):

@@ -204,6 +204,23 @@ class TestRunner:
         ("dtn", {"grid.T": 0.0}),
         ("identity-check", {"grid.sizes": [17], "grid.cfl": 0.0}),
         ("identity-check", {"grid.sizes": [17], "grid.T": -1.0}),
+        # wave grids of one and two time levels, too few for the leapfrog,
+        # and one of three on which every probe samples to 0: each escaped
+        # run() as an IndexError or a ZeroDivisionError
+        ("dtn", {"grid.nx": 17, "grid.T": 0.01}),
+        ("dtn", {"grid.nx": 17, "grid.T": 0.04}),
+        ("dtn", {"grid.nx": 17, "grid.T": 0.075}),
+        ("identity-check", {"grid.sizes": [17], "grid.T": 0.01}),
+        # sizes not above 0 (below 0 for grid.pad): a ZeroDivisionError, a
+        # NaN envelope, a 0.0 gap, a truncated lattice, a TangentRay, and a
+        # disk and an ellipse run as their reflections
+        ("beam", {"conformal.amplitude": 0.1, "conformal.width": 0}),
+        ("dtn", {"grid.nx": 17, "bump.width": 0}),
+        ("identity-check", {"grid.sizes": [17], "bump.width": 0}),
+        ("slice-check", {"grid.pad": -1}),
+        ("forward", {"body.radius": 0}),
+        ("slice-check", {"body.radius": -1.0}),
+        ("forward", {"body.kind": "ellipse", "body.semiaxes": [2.0, -1.0]}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
