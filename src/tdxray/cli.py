@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigInvalid, TdxrayError
-from .harness.config import SCHEMAS, load_config
+from .harness.config import SCHEMAS, load_config, validate
 from .harness.runner import run
 
 
@@ -44,19 +44,18 @@ def main(argv=None) -> int:
     else:
         cfg.pop("seed", None)
 
-    if args.subcommand == "acceptance":
-        from .harness.acceptance import run_acceptance
-        only = args.only or cfg.get("acceptance.only")
-        results = run_acceptance(only=only)
-        failed = [r for r in results if not r.passed]
-        print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-        return 1 if failed else 0
-
     try:
-        return run(args.subcommand, cfg, args.out, seed)
+        if args.subcommand != "acceptance":
+            return run(args.subcommand, cfg, args.out, seed)
+        from .harness.acceptance import run_acceptance
+        validate("acceptance", cfg)
+        results = run_acceptance(only=args.only or cfg.get("acceptance.only"))
     except TdxrayError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    failed = [r for r in results if not r.passed]
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

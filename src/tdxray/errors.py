@@ -93,8 +93,8 @@ class Unstable(TdxrayError):
 
 
 class IncompatibleData(TdxrayError):
-    """Boundary input does not vanish to first order at t = 0, so it does
-    not match the zero initial state on the grid's first time step."""
+    """Boundary input does not vanish to first order at t = 0 (the zero
+    initial state), or the wave grid sees none of it."""
 
 
 # ---------------------------------------------------------------- harness

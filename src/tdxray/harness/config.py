@@ -63,7 +63,7 @@ def load_config(path) -> dict:
 
 _COMMON = {"seed"}
 
-_BODY = {"body.kind", "body.dim", "body.radius", "body.semiaxes"}
+_BODY = {"body.kind", "body.radius", "body.semiaxes"}
 _FIELD = {"field.preset"}
 
 SCHEMAS: dict[str, set] = {

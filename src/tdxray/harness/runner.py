@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
-from ..errors import ConfigInvalid, TdxrayError
+from ..errors import ConfigInvalid, IncompatibleData, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
 from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
                            reconstruction_errors, stability_curve,
@@ -43,8 +43,7 @@ def build_body(cfg: dict, dim: int, default_radius: float = 1.0):
     (or ray) it is traced with."""
     kind = cfg.get("body.kind", "ball")
     if kind == "ball":
-        body = ball(_positive(cfg, "body.radius", default_radius),
-                    dim=int(cfg.get("body.dim", dim)))
+        body = ball(_positive(cfg, "body.radius", default_radius), dim=dim)
     elif kind == "ellipse":
         semiaxes = [float(s) for s in np.atleast_1d(
             cfg.get("body.semiaxes", [2.0, 1.0]))]
@@ -53,11 +52,9 @@ def build_body(cfg: dict, dim: int, default_radius: float = 1.0):
         body = ellipsoid(semiaxes)
     else:
         raise TdxrayError(f"unknown body.kind {kind!r}")
-    declared = int(cfg.get("body.dim", body.dim))
-    if declared != dim or body.dim != dim:
-        raise ConfigInvalid(
-            f"{kind} with body.dim = {declared} and {body.dim} axes does "
-            f"not match the {dim}-D field")
+    if body.dim != dim:
+        raise ConfigInvalid(f"{kind} with {body.dim} axes does not match "
+                            f"the {dim}-D field")
     return body
 
 
@@ -91,6 +88,18 @@ def _wave_nodes(key: str, nx: int) -> int:
         raise ConfigInvalid(f"{key}: {nx} nodes per axis, but the conormal "
                             "stencil needs at least 3")
     return nx
+
+
+def _wave_grid(nx: int, k: float, T: float):
+    """A wave grid whose grid.T spans the 2 steps the leapfrog needs."""
+    from ..wavesim import WaveGrid
+
+    grid = WaveGrid(nx=nx, k=k, T=T)
+    if grid.nt < 3:
+        raise ConfigInvalid(f"grid.T = {T!r} spans {grid.nt - 1} steps of "
+                            f"{k:.3g} at nx = {nx}; the leapfrog needs at "
+                            "least 2")
+    return grid
 
 
 def _recon_grid(cfg: dict, f) -> SpectralGrid:
@@ -209,13 +218,14 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
                        _epsilon(cfg), f.dim)
         R, conflict = cut.R, cut.conflict
     check_cut_radius(grid, R)
+    samples = grid.sample(f)
     man.stage("setup")
-    source = visible_slice_source(f, body, grid, R,
+    source = visible_slice_source(f, body, grid, samples, R,
                                   n_launch=_count(cfg, "slice.n_launch", 200),
                                   n_s=_count(cfg, "slice.n_s", 160))
     man.stage("slices")
     rec, diag = truncated_inversion(source, R)
-    l2, c0 = reconstruction_errors(grid, grid.sample(f), rec)
+    l2, c0 = reconstruction_errors(grid, samples, rec)
     man.stage("invert")
     _write_csv(os.path.join(art, "recon_metrics.csv"),
                ["R", "conflict", "n_modes", "l2_error", "c0_error",
@@ -241,7 +251,8 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
         n_s=_count(cfg, "slice.n_s", 160))
     man.stage("sweep")
     man.diagnostics += [
-        (f"row{i}", {"n_modes": r.n_modes, "imag_residual": r.imag_residual})
+        (f"row{i}", {"n_modes": r.n_modes, "imag_residual": r.imag_residual,
+                     "conflict": int(r.conflict)})
         for i, r in enumerate(curve.rows)]
     curve.write_csv(os.path.join(art, "stability_curve.csv"))
     man.stage("write")
@@ -292,26 +303,25 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 
 def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     """The conformal_stability_experiment result."""
-    from ..wavesim import WaveGrid, conformal_stability_experiment
+    from ..wavesim import conformal_stability_experiment
 
     nx = _wave_nodes("grid.nx", int(cfg.get("grid.nx", 97)))
-    grid = WaveGrid(nx=nx, k=_positive(cfg, "grid.k", 0.6 / (nx - 1)),
-                    T=_positive(cfg, "grid.T", 2.0))
-    if grid.nt < 3:
-        raise ConfigInvalid(f"grid.T = {grid.T!r} spans {grid.nt - 1} steps "
-                            "of grid.k; the leapfrog needs at least 2")
+    grid = _wave_grid(nx, _positive(cfg, "grid.k", 0.6 / (nx - 1)),
+                      _positive(cfg, "grid.T", 2.0))
     scales = [float(s) for s in
               np.atleast_1d(cfg.get("family.scales", [0.01, 0.02, 0.04, 0.08]))]
     center = [float(v) for v in
               np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
-    probe_count = int(cfg.get("probes.count", 6))
-    if probe_count < 1:
-        raise ConfigInvalid(f"probes.count = {probe_count} must be >= 1")
+    probe_count = _count(cfg, "probes.count", 6)
     man.stage("setup")
     out = conformal_stability_experiment(
         scales, grid, probe_count=probe_count,
         bump_center=tuple(center),
         bump_width=_positive(cfg, "bump.width", 0.3))
+    if np.isnan(out["envelope_C"]):
+        # no row's DtN norm is above roundoff, so none fixes the envelope
+        raise IncompatibleData(f"grid.T = {grid.T!r}: every probed DtN "
+                               "norm is at roundoff")
     man.stage("experiment")
     for i, r in enumerate(out["rows"]):
         norm = r["dtn_norm"]
@@ -334,7 +344,7 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
 def run_identity_check(cfg: dict, seed: int, art: str,
                        man: RunManifest) -> list[float]:
     """The relative identity gap on each grid size."""
-    from ..wavesim import WaveGrid, boundary_probes, key_identity_check
+    from ..wavesim import boundary_probes, key_identity_check
 
     sizes = [_wave_nodes("grid.sizes", int(s)) for s in
              np.atleast_1d(cfg.get("grid.sizes", [33, 65, 129]))]
@@ -353,11 +363,12 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     man.stage("setup")
     rows = []
     for nx in sizes:
-        grid = WaveGrid(nx=nx, k=cfl / (nx - 1), T=T)
-        if grid.nt < 3:
-            raise ConfigInvalid(f"grid.T = {T!r} spans {grid.nt - 1} steps "
-                                f"at nx = {nx}; the leapfrog needs at least 2")
-        res = key_identity_check(c, grid, f1, f2)
+        res = key_identity_check(c, _wave_grid(nx, cfl / (nx - 1), T),
+                                 f1, f2)
+        if res["lhs"] == 0.0 and res["rhs"] == 0.0:
+            # the relative gap would be 0 / 0
+            raise IncompatibleData(f"grid.T = {T!r}: both identity "
+                                   f"pairings are 0 at nx = {nx}")
         rows.append([nx, float(res["lhs"]), float(res["rhs"]),
                      float(res["relative_gap"])])
         man.stage(f"grid{nx}")
@@ -384,11 +395,11 @@ PIPELINES = {
 
 def run(subcommand: str, cfg: dict, out_dir: str, seed: int) -> int:
     """Execute a pipeline; returns the process exit status."""
-    validate(subcommand, cfg)
     man = RunManifest(subcommand, cfg, seed)
     art = os.path.join(out_dir, f"{subcommand}-{man.hash[:12]}")
     os.makedirs(art, exist_ok=True)
     try:
+        validate(subcommand, cfg)
         PIPELINES[subcommand](cfg, seed, art, man)
     except TdxrayError as exc:
         record = os.path.join(art, "error.txt")

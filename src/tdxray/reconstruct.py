@@ -9,9 +9,10 @@ radius R follows the delta rule
     upper = (1 - eps/2) log(1/delta) / (n + 2),
     R = min(lower, upper),
 
-with a conflict flag when the two ends cross (they always do for n >= 2:
-the printed interval is empty as derived, so the binding constraint is the
-upper end).  InfeasibleSandwich is raised when no R > 1 exists.
+with a conflict flag when the two ends cross, lower > upper, which holds
+for eps < (6(n+2) - 2) / (6(n+2) - 1) (22/23 at n = 2); the printed
+interval is then empty and the upper end binds.  InfeasibleSandwich is
+raised when no R > 1 exists.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .errors import (ConfigInvalid, FitUnderdetermined, InfeasibleSandwich,
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
 from .parallel import parallel_map
-from .spectral import (SpectralField, SpectralGrid, fourier_full,
-                       slice_from_sinogram, visible_direction)
+from .spectral import SpectralGrid, slice_from_sinogram, visible_direction
 
 
 # ---------------------------------------------------------------- R rule
@@ -78,23 +78,27 @@ class SpectralSource:
     values: np.ndarray
     available: np.ndarray
 
-
-def source_from_spectral(sf: SpectralField) -> SpectralSource:
-    """Oracle source: the full tensor-grid transform, available everywhere."""
-    return SpectralSource(sf.grid, sf.values.copy(),
-                          np.ones(sf.values.shape, dtype=bool))
+    @classmethod
+    def from_samples(cls, grid: SpectralGrid,
+                     samples: np.ndarray) -> "SpectralSource":
+        """Oracle source: the tensor-grid transform of the lattice samples,
+        available everywhere."""
+        values = grid.forward(samples)
+        return cls(grid, values, np.ones(values.shape, dtype=bool))
 
 
 def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
-                         grid: SpectralGrid, R_max: float,
-                         n_launch: int = 200, n_s: int = 160) -> SpectralSource:
+                         grid: SpectralGrid, samples: np.ndarray,
+                         R_max: float, n_launch: int = 200,
+                         n_s: int = 160) -> SpectralSource:
     """Fill the visible lattice inside B_Rmax from chord-family slices.
 
     Each visible lattice point (tau, xi) with xi != 0 gets the chord slice
     in the direction omega(tau, xi) with omega . xi = -tau; the origin is
-    taken from the tensor-grid transform (no chord direction exists for
-    xi = 0).  Values are Hermitian-symmetrised: only one point per mirror
-    pair is integrated, the other is its conjugate, as for real data.
+    the tensor-grid transform of f's lattice samples (no chord direction
+    exists for xi = 0).  Values are Hermitian-symmetrised: only one point
+    per mirror pair is integrated, the other is its conjugate, as for real
+    data.
     """
     mesh = grid.frequency_mesh()
     available = grid.visible_mask() & (grid.radius_mesh() <= R_max)
@@ -110,11 +114,6 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     has_mirror = paired[rep]
     mirrors = partner[rep][has_mirror]
     del index, partner, paired
-
-    # sampled once, before the workers start, when the origin column
-    # (xi = 0, no chord direction) is among the representatives
-    origin = np.all([m == 0.0 for m in mesh[1:]], axis=0)
-    samples = grid.sample(f) if np.any(rep & origin) else None
 
     def one_slice(idx):
         tau = float(mesh[0][idx])
@@ -209,13 +208,13 @@ def reconstruction_errors(grid: SpectralGrid, truth: np.ndarray,
     return float(l2), c0
 
 
-def parseval_split(sf: SpectralField, R: float) -> dict:
-    """Three-way energy split of the lattice transform at cut radius R."""
-    E2 = np.abs(sf.values) ** 2
-    radius = sf.grid.radius_mesh()
-    in_ball = radius < R
-    vis = sf.visible
-    w = np.prod(sf.grid.dk) / (2 * np.pi) ** (sf.grid.dim + 1)
+def parseval_split(source: SpectralSource, R: float) -> dict:
+    """Three-way energy split of the lattice values at cut radius R."""
+    grid = source.grid
+    E2 = np.abs(source.values) ** 2
+    in_ball = grid.radius_mesh() < R
+    vis = grid.visible_mask()
+    w = np.prod(grid.dk) / (2 * np.pi) ** (grid.dim + 1)
     return {
         "kept": float(E2[in_ball & vis].sum() * w),
         "hidden_in_ball": float(E2[in_ball & ~vis].sum() * w),
@@ -299,7 +298,6 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
         raise ConfigInvalid("noise levels must be nonincreasing")
     n = f.dim
     truth = grid.sample(f)
-    sf = fourier_full(f, grid)
     rng = np.random.default_rng(seed)
     V = noise_transfer_volume(f)
     R_limit = lattice_radius_limit(grid)
@@ -318,19 +316,19 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
         except InfeasibleSandwich:
             cuts.append(None)
 
+    # with no feasible cut, no row reads the slice fill
     R_need = max([c.R for c in cuts if c is not None], default=0.0)
     if R_need > 0.0:
         check_cut_radius(grid, R_need)
-        source = visible_slice_source(f, body, grid, R_need,
+        source = visible_slice_source(f, body, grid, truth, R_need,
                                       n_launch=n_launch, n_s=n_s)
-    else:
-        source = source_from_spectral(sf)
 
     curve = StabilityCurve()
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
         if level == 0.0:
             R = 0.98 * R_limit
-            rec, diag = truncated_inversion(source_from_spectral(sf), R)
+            rec, diag = truncated_inversion(
+                SpectralSource.from_samples(grid, truth), R)
             l2, c0 = reconstruction_errors(grid, truth, rec)
             curve.rows.append(StabilityRow(0.0, R, l2, c0,
                                            float("nan"), True, False,

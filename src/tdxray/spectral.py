@@ -293,22 +293,6 @@ class SpectralGrid:
         return float(np.sqrt(self.cell_volume * np.sum(np.abs(samples) ** 2)))
 
 
-# ---------------------------------------------------------------- field
-
-
-@dataclass
-class SpectralField:
-    grid: SpectralGrid
-    values: np.ndarray           # centered complex lattice values
-    visible: np.ndarray          # bool mask, True on the visible region
-
-
-def fourier_full(f: SpaceTimeField, grid: SpectralGrid) -> SpectralField:
-    """Full transform of f on the grid's frequency lattice."""
-    return SpectralField(grid, grid.forward(grid.sample(f)),
-                         grid.visible_mask())
-
-
 # ---------------------------------------------------------------- slices
 
 

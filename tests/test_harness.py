@@ -16,7 +16,7 @@ from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
 from tdxray.harness.manifest import RunManifest
 from tdxray.harness.runner import PIPELINES, run
 from tdxray.parallel import thread_count
-from tdxray.spectral import slice_from_sinogram
+from tdxray.spectral import SpectralGrid, slice_from_sinogram
 from tdxray.xray import sinogram
 
 # small but complete runs of each pipeline; every other key keeps its
@@ -152,7 +152,8 @@ class TestRunner:
         # one and zero feasible rows leave the log-stability fit undetermined
         ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-3]}),
         ("stability-curve", {**SMALL_CURVE, "noise.levels": [1e-1]}),
-        # 3-D bodies against the 2-D fields, ray and conformal factor
+        # 3-D bodies against the 2-D fields, ray and conformal factor; a
+        # body takes its dimension from the field, so body.dim is no key
         ("forward", BODY_3D), ("slice-check", BODY_3D),
         ("reconstruct", BODY_3D), ("stability-curve", BODY_3D),
         ("beam", BODY_3D),
@@ -221,6 +222,13 @@ class TestRunner:
         ("forward", {"body.radius": 0}),
         ("slice-check", {"body.radius": -1.0}),
         ("forward", {"body.kind": "ellipse", "body.semiaxes": [2.0, -1.0]}),
+        # wave grids too short for the probes' time window: every DtN norm
+        # at roundoff (exit 0 with a NaN envelope) and both identity
+        # pairings exactly 0 (exit 0 with gap 0.0)
+        ("dtn", {"grid.nx": 17, "grid.T": 0.3}),
+        ("dtn", {"grid.nx": 17, "grid.T": 0.4}),
+        ("identity-check", {"grid.sizes": [17], "grid.T": 0.1}),
+        ("identity-check", {"grid.sizes": [17], "grid.T": 0.4}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -239,10 +247,35 @@ class TestRunner:
         rows = sections["diagnostics"]
         n_rows = len((art / "stability_curve.csv").read_text().splitlines())
         assert list(rows) == [f"row{i}" for i in range(n_rows - 1)]
-        for entry in rows.values():
+        # at recon.epsilon 0.5 the cut-radius rule's ends cross on every
+        # noisy row; the noise-free row takes no cut
+        for entry, conflict in zip(rows.values(), ["1", "1", "0"]):
             values = dict(item.split("=") for item in entry.split())
             assert int(values["n_modes"]) > 0
             assert float(values["imag_residual"]) <= tol
+            assert values["conflict"] == conflict
+
+    @pytest.mark.parametrize("name, cfg, samples, transforms", [
+        ("stability-curve", SMALL["stability-curve"], 1, 0),
+        ("stability-curve", {**SMALL["stability-curve"],
+                             "noise.levels": [1e-3, 1e-4, 0.0]}, 1, 1),
+        ("reconstruct", SMALL["reconstruct"], 1, 0),
+    ])
+    def test_field_sampled_once(self, tmp_path, monkeypatch, name, cfg,
+                                samples, transforms):
+        # the lattice samples feed the errors, the fill's origin and, on a
+        # noise-free row only, the tensor-grid oracle
+        calls = []
+        for method in ("sample", "forward"):
+            def counted(self, *args, _method=method,
+                        _orig=getattr(SpectralGrid, method)):
+                calls.append(_method)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(SpectralGrid, method, counted)
+        assert run(name, dict(cfg), str(tmp_path), seed=0) == 0
+        assert calls.count("sample") == samples
+        assert calls.count("forward") == transforms
 
     @pytest.mark.parametrize("name, cfg", [
         ("reconstruct", {"grid.points": 32, "slice.n_launch": 32,
@@ -321,6 +354,25 @@ class TestCli:
         assert code == 0
         assert len(calls) == 1
         assert "1/1 criteria passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--only", "typo"], ""),
+        ([], "foo.bar = 1\n"),
+        ([], "acceptance.only = typo\n"),
+    ], ids=["only-typo", "unknown-key", "only-key-typo"])
+    def test_acceptance_rejects_unknown_input(self, monkeypatch, tmp_path,
+                                              argv, text):
+        calls = []
+
+        def fake(ctx):
+            calls.append("ran")
+            return acc.CriterionResult(99, "fake", True, "x", "y", 0.0)
+
+        monkeypatch.setattr(acc, "CRITERIA", [(fake, "spectral")])
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(text)
+        assert main(["acceptance", "--config", str(cfg), *argv]) == 2
+        assert calls == []
 
     def test_acceptance_failure_exit_code(self, monkeypatch, capsys):
         def fake(ctx):

@@ -12,18 +12,18 @@ from tdxray.geometry import ball
 from tdxray.reconstruct import (SpectralSource, choose_R,
                                 feasibility_threshold, hermitian_noise,
                                 lattice_radius_limit, parseval_split,
-                                reconstruction_errors, source_from_spectral,
-                                stability_curve, truncated_inversion,
-                                visible_slice_source)
-from tdxray.spectral import SpectralGrid, fourier_full, visible_direction
+                                reconstruction_errors, stability_curve,
+                                truncated_inversion, visible_slice_source)
+from tdxray.spectral import SpectralGrid, visible_direction
 
 
 @pytest.fixture(scope="module")
 def recon_setup():
+    """Field, body, lattice and the field's tensor-grid oracle source."""
     f = default_recon_field()
     body = ball(4.0)
     grid = SpectralGrid.for_field(f, n_points=32, extent=14.0)
-    return f, body, grid, fourier_full(f, grid)
+    return f, body, grid, SpectralSource.from_samples(grid, grid.sample(f))
 
 
 class TestChooseR:
@@ -33,6 +33,11 @@ class TestChooseR:
         assert cut.upper == pytest.approx(18.75, rel=1e-12)
         assert cut.R == pytest.approx(18.75, rel=1e-12)
         assert cut.conflict
+
+    def test_conflict_below_22_23_at_n2(self):
+        # lower > upper iff 3 (n + 2) (1 - eps) > 1 - eps / 2
+        assert choose_R(1e-30, 0.956, 2).conflict
+        assert not choose_R(1e-30, 0.957, 2).conflict
 
     def test_infeasible_at_large_delta(self):
         with pytest.raises(InfeasibleSandwich):
@@ -73,7 +78,7 @@ class TestTailBound:
 
     def test_domain(self, recon_setup):
         # the inversion refuses a cut radius that is not above 1
-        source = source_from_spectral(recon_setup[3])
+        source = recon_setup[3]
         for R in (0.5, 1.0):
             with pytest.raises(InfeasibleSandwich):
                 truncated_inversion(source, R)
@@ -82,10 +87,10 @@ class TestTailBound:
         from tdxray.fields import tail_field
         f = tail_field()
         grid = SpectralGrid.for_field(f, n_points=64, extent=8.0)
-        sf = fourier_full(f, grid)
+        values = grid.forward(grid.sample(f))
         radius = grid.radius_mesh()
         w = float(np.prod(grid.dk))
-        tails = {R: float(np.sum(np.abs(sf.values)[radius > R]) * w)
+        tails = {R: float(np.sum(np.abs(values)[radius > R]) * w)
                  for R in (4.0, 8.0, 16.0)}
         # a = 4 at n = 2: the envelope is C / R
         C = tails[4.0] * 4.0
@@ -95,36 +100,34 @@ class TestTailBound:
 
 class TestInversion:
     def test_zero_source_zero_field(self, recon_setup):
-        _, _, grid, sf = recon_setup
-        src = SpectralSource(grid, np.zeros_like(sf.values),
-                             np.ones(sf.values.shape, dtype=bool))
+        _, _, grid, oracle = recon_setup
+        src = SpectralSource(grid, np.zeros_like(oracle.values),
+                             oracle.available)
         rec, diag = truncated_inversion(src, 3.0)
         assert np.all(rec == 0.0)
 
     def test_oracle_full_band_recovery(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=96, pad=0.35)
-        sf = fourier_full(slice_field, grid)
+        samples = grid.sample(slice_field)
         in_ball = grid.radius_mesh() < 0.99 * lattice_radius_limit(grid)
-        rec = grid.inverse(np.where(in_ball, sf.values, 0.0))
-        l2, _ = reconstruction_errors(grid, grid.sample(slice_field),
-                                      rec.real)
+        rec = grid.inverse(np.where(in_ball, grid.forward(samples), 0.0))
+        l2, _ = reconstruction_errors(grid, samples, rec.real)
         assert l2 < 1e-3
         assert grid.discrete_l2(rec.imag) / grid.discrete_l2(rec.real) < 1e-8
 
     def test_parseval_accounting(self, recon_setup):
-        f, _, grid, sf = recon_setup
+        f, _, grid, oracle = recon_setup
         truth = grid.sample(f)
         for R in (2.0, 3.0, 4.0):
-            rec, _ = truncated_inversion(source_from_spectral(sf), R)
+            rec, _ = truncated_inversion(oracle, R)
             err2 = grid.discrete_l2(rec - truth) ** 2
-            split = parseval_split(sf, R)
+            split = parseval_split(oracle, R)
             expect = split["hidden_in_ball"] + split["out_of_ball"]
             assert abs(err2 - expect) / expect < 1e-6
 
     def test_r_too_large(self, recon_setup):
-        _, _, grid, sf = recon_setup
         with pytest.raises(RTooLargeForGrid):
-            truncated_inversion(source_from_spectral(sf), 100.0)
+            truncated_inversion(recon_setup[3], 100.0)
 
     def test_linearity(self, linear_combination):
         f1 = single_bump(amplitude=1.0, t_center=1.0, x_center=(0.1, 0.0),
@@ -135,21 +138,21 @@ class TestInversion:
         grid = SpectralGrid.for_field(combo, n_points=32, extent=6.0)
         recs = []
         for f in (f1, f2, combo):
-            sf = fourier_full(f, grid)
-            rec, _ = truncated_inversion(source_from_spectral(sf), 3.0)
+            oracle = SpectralSource.from_samples(grid, grid.sample(f))
+            rec, _ = truncated_inversion(oracle, 3.0)
             recs.append(rec)
         assert np.max(np.abs(2.0 * recs[0] - recs[1] - recs[2])) < 1e-10
 
 
 class TestSliceSource:
     def test_matches_lattice_transform(self, recon_setup):
-        f, body, grid, sf = recon_setup
-        src = visible_slice_source(f, body, grid, R_max=2.2,
+        f, body, grid, oracle = recon_setup
+        src = visible_slice_source(f, body, grid, grid.sample(f), R_max=2.2,
                                    n_launch=160, n_s=128)
         mask = src.available
         assert mask.sum() > 10
-        diff = np.abs(src.values - sf.values)[mask]
-        rel = diff / (1.0 + np.abs(sf.values[mask]))
+        diff = np.abs(src.values - oracle.values)[mask]
+        rel = diff / (1.0 + np.abs(oracle.values[mask]))
         # lattice sampling error dominates this comparison; the slice side
         # integrates the continuum field
         assert np.max(rel) < 2e-2
@@ -160,7 +163,7 @@ class TestSliceSource:
 
     def test_available_only_visible_in_ball(self, recon_setup):
         f, body, grid, _ = recon_setup
-        src = visible_slice_source(f, body, grid, R_max=1.8,
+        src = visible_slice_source(f, body, grid, grid.sample(f), R_max=1.8,
                                    n_launch=96, n_s=96)
         r = grid.radius_mesh()
         vis = grid.visible_mask()
@@ -184,7 +187,8 @@ class TestSliceSource:
             return value(omega, xi)
 
         with mock.patch.object(reconstruct, "slice_from_sinogram", stub):
-            src = visible_slice_source(f, ball(4.0), grid, R_max)
+            src = visible_slice_source(f, ball(4.0), grid, grid.sample(f),
+                                       R_max)
         pick = grid.visible_mask() & (grid.radius_mesh() <= R_max)
         assert np.array_equal(src.available, pick)
 
@@ -226,10 +230,10 @@ class TestHermitianNoise:
 
 class TestStabilityCurve:
     def test_noise_free_baseline(self, recon_setup):
-        f, body, grid, sf = recon_setup
+        f, body, grid, oracle = recon_setup
         curve = stability_curve(f, body, [0.0], 0.5, 7, grid)
         row = curve.rows[0]
-        rec, _ = truncated_inversion(source_from_spectral(sf), row.R)
+        rec, _ = truncated_inversion(oracle, row.R)
         l2, _ = reconstruction_errors(grid, grid.sample(f), rec)
         assert row.l2_error == pytest.approx(l2, rel=1e-12)
 

@@ -12,9 +12,8 @@ from tdxray.fields import (BumpSpec, SpaceTimeField, bump_field,
                            default_recon_field, default_slice_field,
                            symmetric_field)
 from tdxray.geometry import ball, perp_frame
-from tdxray.spectral import (SpectralGrid, fourier_full, hidden_bound,
-                             is_visible, slice_from_sinogram,
-                             visible_direction)
+from tdxray.spectral import (SpectralGrid, hidden_bound, is_visible,
+                             slice_from_sinogram, visible_direction)
 
 
 def separable_gaussian():
@@ -51,8 +50,7 @@ class TestFourierFull:
             lambda t, x: np.zeros(np.broadcast(t, x[..., 0]).shape),
             (0.0, 2.0), np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 2)
         grid = SpectralGrid.for_field(f, n_points=16)
-        sf = fourier_full(f, grid)
-        assert np.all(sf.values == 0.0)
+        assert np.all(grid.forward(grid.sample(f)) == 0.0)
 
     def test_separable_against_1d_quadrature(self):
         f = separable_gaussian()
@@ -78,22 +76,21 @@ class TestFourierFull:
 
     def test_hermitian_residual(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=48)
-        v = fourier_full(slice_field, grid).values
+        v = grid.forward(grid.sample(slice_field))
         core = v[grid.core]
         residual = np.max(np.abs(core - np.conj(grid.mirrored(v))))
         assert residual / np.max(np.abs(core)) < 1e-10
 
     def test_hermitian_pairs_on_lattice(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=32)
-        v = fourier_full(slice_field, grid).values
+        v = grid.forward(grid.sample(slice_field))
         assert np.max(np.abs(np.abs(v[grid.core])
                              - np.abs(grid.mirrored(v)))) < 1e-12
 
     def test_tau_reflection_for_symmetric_field(self):
         f = symmetric_field()
         grid = SpectralGrid.for_field(f, n_points=32)
-        sf = fourier_full(f, grid)
-        mags = np.abs(sf.values[grid.core])
+        mags = np.abs(grid.forward(grid.sample(f))[grid.core])
         assert np.max(np.abs(mags - mags[::-1])) < 1e-10
 
     def test_aliasing_guard(self, slice_field):
@@ -371,13 +368,13 @@ class TestGridGuards:
 
     def test_mask_agrees_with_pointwise_classification(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
-        sf = fourier_full(slice_field, grid)
+        visible = grid.visible_mask()
         mesh = grid.frequency_mesh()
         it = np.nditer(mesh[0], flags=["multi_index"])
         for tau in it:
             idx = it.multi_index
             xi = (float(mesh[1][idx]), float(mesh[2][idx]))
-            assert bool(sf.visible[idx]) == bool(is_visible(float(tau), xi))
+            assert bool(visible[idx]) == bool(is_visible(float(tau), xi))
 
 
 class TestThreeDimensional:
