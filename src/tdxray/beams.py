@@ -202,16 +202,16 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
 # ---------------------------------------------------------------- evaluation
 
 
-def beam_evaluate(beam: BeamCurve, params: BeamParams, t: float,
-                  x: np.ndarray, state: dict | None = None) -> np.ndarray:
-    """U(t, x) = (lam/pi)^(n/4) exp(i lam psi) a0 with quadratic psi.
+def beam_evaluate(beam: BeamCurve, params: BeamParams, state: dict,
+                  x: np.ndarray) -> np.ndarray:
+    """U(t, x) = (lam/pi)^(n/4) exp(i lam psi) a0 with quadratic psi, at
+    the beam state of time t (beam.state_at(t)).
 
     Vectorised over x with shape (..., n).
     """
-    st = state or beam.state_at(t)
     lam = params.lam
     return ((lam / np.pi) ** (beam.dim / 4)
-            * np.exp(1j * lam * beam_psi(beam, st, x)) * st["a0"])
+            * np.exp(1j * lam * beam_psi(beam, state, x)) * state["a0"])
 
 
 def beam_psi(beam: BeamCurve, state: dict, x: np.ndarray) -> np.ndarray:
@@ -236,8 +236,7 @@ def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,
                   for dt_off in (-2, -1, 0, 1, 2)}
 
     def U_t(dt_off, pts):
-        return beam_evaluate(beam, params, t + dt_off * h_fd, pts,
-                             state=lam_states[dt_off])
+        return beam_evaluate(beam, params, lam_states[dt_off], pts)
 
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -280,8 +279,11 @@ def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
     return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cell))
 
 
-def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
-                     h_scale: float = 0.5) -> dict:
+# the residual's stencil step, in units of lam^(-3/2)
+STENCIL_SCALE = 0.5
+
+
+def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
     """Size of Box U_lam per lambda over the tube of a built beam, and the
     log-log slope of a least-squares fit.
 
@@ -296,8 +298,8 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
     a quadratic-phase, curve-constant-amplitude beam.)  It is measured
     with symbolic-free finite differences.
 
-    The stencil step follows lam^(-3/2): the phase oscillates at scale
-    1/lam inside a Gaussian envelope of width 1/sqrt(lam), and a
+    The stencil step is STENCIL_SCALE lam^(-3/2): the phase oscillates at
+    scale 1/lam inside a Gaussian envelope of width 1/sqrt(lam), and a
     lam^(-1/2)-sized step cannot resolve it (halving such a step fails
     the stencil-convergence guard), while lam^(-3/2) keeps the
     fourth-order truncation error a fixed small fraction of |U|.
@@ -314,7 +316,7 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas,
 
     sups = []
     for lam in lambdas:
-        h_fd = h_scale * lam ** (-1.5)
+        h_fd = STENCIL_SCALE * lam ** (-1.5)
         sups.append(size_at(lam, h_fd))
         if lam == lambdas[-1]:
             half = size_at(lam, h_fd / 2)
@@ -386,8 +388,7 @@ def cutoff_build(params: BeamParams, beam: BeamCurve):
 
 
 def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
-                           params: BeamParams, lambdas, t_eval: float,
-                           apply_cutoff: bool = True) -> dict:
+                           params: BeamParams, lambdas, t_eval: float) -> dict:
     """Error of the normalised Gaussian average of h against h on the curve.
 
     Computes (lam/pi)^(n/2) sqrt(det B) * int exp(-lam <B d, d>) h chi dx
@@ -412,11 +413,8 @@ def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
     d = mesh - x0
     quad_form = np.einsum("...i,ij,...j->...", d, B, d)
     hv = h_field(np.full(mesh.shape[:-1], t_eval), mesh)
-    if apply_cutoff:
-        chi = cutoff_build(params, beam)
-        chiv = chi(np.full(mesh.shape[:-1], t_eval), mesh)
-    else:
-        chiv = np.ones(mesh.shape[:-1])
+    chi = cutoff_build(params, beam)
+    chiv = chi(np.full(mesh.shape[:-1], t_eval), mesh)
     cell = np.prod([ax[1] - ax[0] for ax in axes])
     target = float(h_field(np.array([t_eval]), x0[None, :])[0])
 

@@ -1,7 +1,7 @@
 """tdxray command line interface.
 
-    tdxray <subcommand> --config <path> [--out <dir>] [--seed <int>]
-    tdxray acceptance [--only <module>]
+    tdxray <subcommand> [--config <path>] [--out <dir>] [--seed <int>]
+    tdxray acceptance [--config <path>] [--only <module>]
 
 Subcommands: forward, slice-check, reconstruct, stability-curve, beam,
 dtn, identity-check, acceptance.  TDXRAY_THREADS caps data parallelism;
@@ -25,11 +25,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="key-value config file (section.key = value)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         if name == "acceptance":
+            # the criteria run at fixed seeds into temporary directories
             p.add_argument("--only", default=None,
                            help="restrict to one module's criteria")
+        else:
+            p.add_argument("--out", default="out", help="output directory")
+            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -38,14 +40,13 @@ def main(argv=None) -> int:
         print(f"ERROR ConfigInvalid: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed
-    if seed is None:
-        seed = int(cfg.pop("seed", 0))
-    else:
-        cfg.pop("seed", None)
-
     try:
         if args.subcommand != "acceptance":
+            seed = cfg.pop("seed", 0)
+            if args.seed is not None:
+                seed = args.seed
+            elif type(seed) is not int:
+                raise ConfigInvalid(f"seed = {seed!r} must be an integer")
             return run(args.subcommand, cfg, args.out, seed)
         from .harness.acceptance import run_acceptance
         validate("acceptance", cfg)

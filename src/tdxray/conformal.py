@@ -40,7 +40,8 @@ class ConformalFactor:
         return self.func(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
 
     def check_admissible(self, x_lo, x_hi) -> dict:
-        """Sampled admissibility check; raises Inadmissible on violation.
+        """Sampled admissibility check; raises Inadmissible on violation,
+        or where c, grad_x c or d_t c is not finite.
 
         The C^1 distance to 1 is estimated from the analytic derivatives on
         4000 random points of [0, T] x box, drawn from seed 0.
@@ -53,6 +54,8 @@ class ConformalFactor:
         c = self(ts, xs)
         g = self.grad_x(ts, xs)
         dt = self.dt(ts, xs)
+        if not all(np.isfinite(v).all() for v in (c, g, dt)):
+            raise Inadmissible("c or a derivative of c is not finite")
         c0 = float(np.max(np.abs(c - 1.0)))
         c1 = max(c0, float(np.max(np.abs(g))), float(np.max(np.abs(dt))))
         report = {
@@ -92,8 +95,7 @@ def constant_factor(value: float = 1.0, dim: int = 2,
 
 def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
                 t_center: float | None = None, t_width: float = 1.0,
-                T: float = 2.0, eps: float = 0.5,
-                name: str | None = None) -> ConformalFactor:
+                T: float = 2.0, name: str | None = None) -> ConformalFactor:
     """c = 1 + a * B(|x - xc|^2 / w^2) [* B(((t - tc)/wt)^2)].
 
     Time-independent unless t_center is given.  Amplitude may be negative;
@@ -142,6 +144,6 @@ def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
 
     lower = min(1.0, 1.0 + a)
     return ConformalFactor(func, grad, hess, dt_func, dim=dim,
-                           m0=0.5 * lower, eps=eps, T=T,
+                           m0=0.5 * lower, T=T,
                            time_dependent=timed,
                            name=name or f"bump{a:+g}")

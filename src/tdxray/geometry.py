@@ -35,6 +35,9 @@ from .errors import NoExit, TangentRay
 
 GRAZING_TOL = 1e-8
 BOUNDARY_TOL = 1e-9
+# time a march may take before NoExit, in diameters at the slowest
+# admissible speed sqrt(m0)
+EXIT_BUDGET = 8.0
 
 
 @dataclass
@@ -331,7 +334,7 @@ def rk4_step(rhs, t, state: dict, dt) -> dict:
 
 
 def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
-                  state: dict, dt: float, t_max: float | None = None,
+                  state: dict, dt: float,
                   check=None) -> list[tuple[np.ndarray, dict]]:
     """Fixed-step RK4 of a bundle of rows from (t0, state) until every
     row's state["x"] has left the body.
@@ -350,14 +353,13 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
     that row's values of each entry stacked along the first axis.
     ``check(t, state)`` sees each full step of the rows still
     inside before the exit test and may raise.  NoExit names every row
-    still inside, with its launch point, once t - t0 exceeds ``t_max``
-    (default 8 diameters at the slowest admissible speed sqrt(m0)).
+    still inside, with its launch point, once t - t0 exceeds t_max,
+    EXIT_BUDGET diameters at the slowest admissible speed sqrt(m0).
     ``dt`` must be positive (ValueError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if t_max is None:
-        t_max = 8.0 * body.diameter / np.sqrt(c.m0)
+    t_max = EXIT_BUDGET * body.diameter / np.sqrt(c.m0)
     n_rows = len(state["x"])
     live = np.arange(n_rows)
     # runs of steps taken by the same rows: (first clock index, rows, states)
@@ -434,8 +436,7 @@ def _chord(body: ConvexBody, ray: BoundaryRay, dt: float) -> GeodesicPath:
 
 
 def trace_bundle(metric: MetricSpec, body: ConvexBody,
-                 rays: list[BoundaryRay], dt: float,
-                 t_max: float | None = None) -> list[GeodesicPath]:
+                 rays: list[BoundaryRay], dt: float) -> list[GeodesicPath]:
     """Trace a family of rays through the body until each exits, in the
     input order.
 
@@ -446,8 +447,8 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     last sample lands on the boundary.  A path equals the one its ray
     gives when traced alone.  An invalid ray (TangentRay, ValueError) is
     named by its index, and dt must be positive (ValueError).
-    ``t_max`` overrides the default time budget; NoExit names the index and
-    launch point of every ray still inside when it runs out.
+    NoExit names the index and launch point of every ray still inside when
+    the march's time budget runs out.
     """
     if not rays:
         raise ValueError("ray family is empty")
@@ -466,11 +467,11 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
              "p": -np.array([ray.omega for ray in rays], dtype=float)}
     return [GeodesicPath(times, nodes["x"], float(times[-1]))
             for times, nodes in march_to_exit(partial(_ray_flow, c), c,
-                                              body, 0.0, state, dt, t_max)]
+                                              body, 0.0, state, dt)]
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,
-                   dt: float, t_max: float | None = None) -> GeodesicPath:
+                   dt: float) -> GeodesicPath:
     """Trace one ray through the body until it exits: the one-ray
     :func:`trace_bundle`, so Euclidean metrics give the exact chord."""
-    return trace_bundle(metric, body, [ray], dt, t_max)[0]
+    return trace_bundle(metric, body, [ray], dt)[0]

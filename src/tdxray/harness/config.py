@@ -3,12 +3,13 @@
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
 ignored.  Values parse as int, float, bool, comma-separated lists of those,
 or bare strings.  Every subcommand validates against its schema; unknown
-keys are errors.
+keys and non-finite numbers (nan, inf) are errors.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from ..errors import ConfigInvalid
 
 
@@ -87,7 +88,8 @@ SCHEMAS: dict[str, set] = {
     "identity-check": _COMMON | {
         "grid.sizes", "grid.cfl", "grid.T", "bump.amplitude",
         "bump.center", "bump.width", "probe.first", "probe.second"},
-    "acceptance": _COMMON | {"acceptance.only"},
+    # the criteria fix their own seeds, so acceptance takes none
+    "acceptance": {"acceptance.only"},
 }
 
 
@@ -99,6 +101,11 @@ def validate(subcommand: str, cfg: dict) -> dict:
     if unknown:
         raise ConfigInvalid(
             f"unknown keys for {subcommand!r}: {', '.join(unknown)}")
+    # NaN passes every range check the pipelines make, and inf most
+    for key, value in sorted(cfg.items()):
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigInvalid(f"{key} = {value!r} is not finite")
     return cfg
 
 

@@ -365,11 +365,14 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     for nx in sizes:
         res = key_identity_check(c, _wave_grid(nx, cfl / (nx - 1), T),
                                  f1, f2)
-        if res["lhs"] == 0.0 and res["rhs"] == 0.0:
-            # the relative gap would be 0 / 0
-            raise IncompatibleData(f"grid.T = {T!r}: both identity "
-                                   f"pairings are 0 at nx = {nx}")
-        rows.append([nx, float(res["lhs"]), float(res["rhs"]),
+        lhs, rhs = res["lhs"], res["rhs"]
+        if not np.sign(lhs) * np.sign(rhs) > 0.0:
+            # the relative gap reads 0 / 0 or exactly 1: it cannot tell
+            # an unresolved grid from a wrong identity
+            raise IncompatibleData(
+                f"grid.T = {T!r}: the identity pairings lhs = {lhs:.3g} "
+                f"and rhs = {rhs:.3g} share no sign at nx = {nx}")
+        rows.append([nx, float(lhs), float(rhs),
                      float(res["relative_gap"])])
         man.stage(f"grid{nx}")
     _write_csv(os.path.join(art, "identity_check.csv"),

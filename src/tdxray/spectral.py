@@ -295,10 +295,13 @@ class SpectralGrid:
 
 # ---------------------------------------------------------------- slices
 
+# margin of the launch grid on each side of the support, in units of its
+# widest perpendicular extent
+LAUNCH_PAD = 0.06
+
 
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                         n_launch: int = 160, n_s: int = 160,
-                        pad: float = 0.06,
                         use_separable: bool = True) -> complex:
     """Spatial Fourier transform of the ray data in direction omega at xi.
 
@@ -310,10 +313,10 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     comparing against the tensor-grid transform, which organises the same
     integral along coordinate axes instead.
 
-    n_launch sets the interval count across the padded support
-    (perpendicular axes, whose end columns lie outside the support box);
-    the along-ray axis inherits the same spacing.  n_s is the s-point
-    count of the tensor evaluation only.  For separable fields
+    n_launch sets the interval count across the support padded by
+    LAUNCH_PAD (perpendicular axes, whose end columns lie outside the
+    support box); the along-ray axis inherits the same spacing.  n_s is
+    the s-point count of the tensor evaluation only.  For separable fields
     f = g(t) H(x) the s-integration is an exact discrete correlation along
     the ray, whose Fourier sum factorises into a sum over g and a sum over
     H on its support, which is much cheaper.  Either path raises
@@ -342,7 +345,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     # launch coordinates: x = center + u*omega + sum_k v_k*perp_k, with u
     # shifted by the time support so every chord through the support at
     # some admissible time is launched
-    perp_pad = pad * 2 * max(h_perp)
+    perp_pad = LAUNCH_PAD * 2 * max(h_perp)
     spacing = (2 * max(h_perp) + 2 * perp_pad) / n_launch
     u_lo = -h_par - t_hi - perp_pad
     u_hi = h_par - t_lo + perp_pad

@@ -20,10 +20,11 @@ outward normal exists there).
 
 One leapfrog march serves every caller.  It advances several factors at
 once on a leading factor axis and holds three time levels; each caller
-records what it needs from a level: every node (solve_dirichlet, for the
-energy checks and the identity's backward solve) or the DtN stencil rows
-alone (dtn_traces).  The probed DtN norm marches the reference factor and
-the whole family together, one march per probe.
+records what it needs from a level: every node (solve_dirichlet) or the
+DtN stencil rows alone (dtn_traces).  It starts from rest with no source
+term; the energy and source checks run on the tests' unbatched scheme,
+which it matches bit for bit.  The probed DtN norm marches the reference
+factor and the whole family together, one march per probe.
 """
 
 from __future__ import annotations
@@ -177,18 +178,16 @@ def _mesh_levels(factors: list[ConformalFactor], grid: WaveGrid):
 
 
 def _march(factors: list[ConformalFactor], grid: WaveGrid,
-           bvals: np.ndarray, record: Callable, u0: np.ndarray | None = None,
-           v0: np.ndarray | None = None,
-           source: Callable | None = None) -> list[float]:
-    """Leapfrog for c u_tt = Lap u + F with Dirichlet values bvals
-    (nt, n_boundary), one solution per factor on a leading axis, all
-    marched together in three rotating level buffers.
+           bvals: np.ndarray, record: Callable) -> list[float]:
+    """Leapfrog for c u_tt = Lap u from zero initial data with Dirichlet
+    values bvals (nt, n_boundary), one solution per factor on a leading
+    axis, all marched together in three rotating level buffers.
 
     record(m, u) receives time level m as an (F, nx, nx) buffer that later
     steps overwrite.  The first step uses the Taylor expansion
-    u^1 = u^0 + k v^0 + (k^2/2) (Lap u^0 + F^0)/c.  Unstable is raised at
-    the first level past 1e8 (1 + max|bvals| + max|u0| + max|v0|), NaN and
-    inf included.  Returns each factor's CFL margin.
+    u^1 = u^0 + (k^2/2) Lap u^0 / c.  Unstable is raised at the first level
+    past 1e8 (1 + max|bvals|), NaN and inf included.  Returns each
+    factor's CFL margin.
     """
     c_at, margins = _mesh_levels(factors, grid)
     nt, nx, h, k = grid.nt, grid.nx, grid.h, grid.k
@@ -199,38 +198,30 @@ def _march(factors: list[ConformalFactor], grid: WaveGrid,
     # frame nodes between rows, whose values the boundary data overwrite
     lo, hi = nx + 1, size - nx - 1
     span = np.s_[:, lo:hi]
-    mesh = grid.mesh() if source is not None else None
     prev, cur, nxt = (np.zeros((F, size)) for _ in range(3))
     acc, tmp = np.empty((F, hi - lo)), np.empty((F, hi - lo))
 
     def accel(u, m, scale):
-        """scale (Lap u + F^m) / c^m over the span, into acc; the operation
-        order of the unbatched scheme, element by element."""
+        """scale Lap u / c^m over the span, into acc; the operation order
+        of the unbatched scheme, element by element."""
         np.add(u[:, lo + nx:hi + nx], u[:, lo - nx:hi - nx], out=acc)
         np.add(acc, u[:, lo + 1:hi + 1], out=acc)
         np.add(acc, u[:, lo - 1:hi - 1], out=acc)
         np.multiply(u[span], 4.0, out=tmp)
         np.subtract(acc, tmp, out=acc)
         np.divide(acc, h**2, out=acc)
-        if source is not None:
-            np.add(acc, source(grid.times[m], mesh).reshape(-1)[lo:hi],
-                   out=acc)
         np.multiply(acc, scale, out=acc)
         np.divide(acc, c_at(m).reshape(F, size)[span], out=acc)
         return acc
 
-    if u0 is not None:
-        prev[:] = u0.reshape(-1)
     prev[:, edge] = bvals[0]
     record(0, prev.reshape(F, nx, nx))
-    cur[:] = prev if v0 is None else prev + k * v0.reshape(-1)
+    cur[:] = prev
     np.add(cur[span], accel(prev, 0, 0.5 * k**2), out=cur[span])
     cur[:, edge] = bvals[1]
     record(1, cur.reshape(F, nx, nx))
 
-    bound = 1e8 * (1.0 + np.max(np.abs(bvals))
-                   + (np.max(np.abs(u0)) if u0 is not None else 0.0)
-                   + (np.max(np.abs(v0)) if v0 is not None else 0.0))
+    bound = 1e8 * (1.0 + np.max(np.abs(bvals)))
     for m in range(1, nt - 1):
         a = accel(cur, m, k**2)
         np.multiply(cur[span], 2.0, out=nxt[span])
@@ -246,24 +237,16 @@ def _march(factors: list[ConformalFactor], grid: WaveGrid,
     return margins
 
 
-def solve_dirichlet(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
-                    u0: np.ndarray | None = None,
-                    v0: np.ndarray | None = None,
-                    source: Callable | None = None) -> WaveSolution:
-    """Leapfrog solution of c u_tt = Lap u + F with Dirichlet data, every
-    time level stored.
-
-    Zero initial data unless u0/v0 given (used by the energy-conservation
-    checks); no source term unless given.
-    """
-    bvals = data.sample(grid) if data is not None else \
-        np.zeros((grid.nt, grid.bI.size))
+def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
+                    data: BoundaryData) -> WaveSolution:
+    """Leapfrog solution of c u_tt = Lap u from zero initial data with
+    Dirichlet data, every time level stored."""
     u = np.empty((grid.nt, grid.nx, grid.nx))
 
     def keep(m, level):
         u[m] = level[0]
 
-    _march([c], grid, bvals, keep, u0, v0, source)
+    _march([c], grid, data.sample(grid), keep)
     return WaveSolution(grid, u)
 
 
@@ -289,11 +272,11 @@ def h1_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
 
 
 def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
-                     mask: np.ndarray | None = None) -> float:
-    k, h = grid.k, grid.h
-    vals = bvals if mask is None else bvals[:, ~mask]
-    return float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None] * vals**2)
-                         * k * h))
+                     mask: np.ndarray) -> float:
+    """Discrete L^2 norm of boundary data off the masked path nodes:
+    trapezoid in time, lumped mass along the path."""
+    return float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None]
+                                * bvals[:, ~mask] ** 2) * grid.k * grid.h))
 
 
 # ---------------------------------------------------------------- DtN
@@ -444,14 +427,13 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
 def conformal_stability_experiment(scales, grid: WaveGrid,
                                    probe_count: int = 6,
                                    bump_center=(0.5, 0.5),
-                                   bump_width: float = 0.3,
-                                   T: float | None = None) -> dict:
+                                   bump_width: float = 0.3) -> dict:
     """Rows (|1 - c_s|_L2, probed DtN norm, envelope) for c_s = 1 + s bump.
 
     The envelope constant is the smallest C with |1 - c_s| <=
     C / log(1 / norm) across all rows (fit-then-assert protocol).
     """
-    T = T if T is not None else grid.T
+    T = grid.T
     family = [bump_factor(s, bump_center, bump_width, T=T, name=f"bump{s:g}")
               for s in scales]
     mesh = grid.mesh()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tdxray import beams
 from tdxray.beams import (BeamParams, beam_evaluate, beam_psi, build_beam,
                           cutoff_build, gaussian_concentration,
                           residual_scaling, wave_operator_fd)
@@ -182,7 +183,7 @@ class TestEvaluate:
         params = BeamParams(lam=64.0)
         t = 1.0
         st = beam.state_at(t)
-        val = beam_evaluate(beam, params, t, st["x"][None, :])[0]
+        val = beam_evaluate(beam, params, st, st["x"][None, :])[0]
         want = (64.0 / np.pi) ** 0.5 * abs(st["a0"])
         assert abs(val) == pytest.approx(want, rel=1e-12)
 
@@ -192,10 +193,10 @@ class TestEvaluate:
         t = 0.8
         st = beam.state_at(t)
         margin = float(np.min(np.linalg.eigvalsh(st["M"].imag)))
-        on = abs(beam_evaluate(beam, params, t, st["x"][None, :])[0])
+        on = abs(beam_evaluate(beam, params, st, st["x"][None, :])[0])
         for _ in range(50):
             d = rng.uniform(-0.5, 0.5, 2)
-            off = abs(beam_evaluate(beam, params, t,
+            off = abs(beam_evaluate(beam, params, st,
                                     (st["x"] + d)[None, :])[0])
             bound = on * np.exp(-params.lam * margin * float(d @ d) / 2.0)
             assert off <= bound * (1.0 + 1e-12)
@@ -210,7 +211,7 @@ class TestEvaluate:
             r = 6.0 / np.sqrt(lam)
             ax = np.linspace(-r, r, 400)
             mesh = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
-            vals = beam_evaluate(beam, params, t, st["x"] + mesh)
+            vals = beam_evaluate(beam, params, st, st["x"] + mesh)
             masses.append(np.sum(np.abs(vals) ** 2) * (ax[1] - ax[0]) ** 2)
         closed = abs(st["a0"]) ** 2 / np.sqrt(
             np.linalg.det(st["M"].imag))
@@ -281,10 +282,11 @@ class TestResidual:
         slope = float(np.polyfit(np.log(lams), np.log(sups), 1)[0])
         assert 0.8 <= slope <= 1.15
 
-    def test_under_resolved_stencil_rejected(self, free_beam):
+    def test_under_resolved_stencil_rejected(self, free_beam, monkeypatch):
         body, _, _, beam = free_beam
+        monkeypatch.setattr(beams, "STENCIL_SCALE", 60.0)
         with pytest.raises(StencilUnderResolved):
-            residual_scaling(beam, body, [16, 32, 64, 256], h_scale=60.0)
+            residual_scaling(beam, body, [16, 32, 64, 256])
 
 
 class TestCutoff:
@@ -335,15 +337,17 @@ class TestCutoff:
 
 
 class TestConcentration:
-    def test_exact_normalisation_without_cutoff(self, free_beam):
+    def test_exact_normalisation_without_cutoff(self, free_beam,
+                                                monkeypatch):
         _, _, _, beam = free_beam
         params = BeamParams(sigma=0.1)
 
         def one(t, x):
             return np.ones(np.broadcast(t, x[..., 0]).shape)
 
+        monkeypatch.setattr(beams, "cutoff_build", lambda params, beam: one)
         out = gaussian_concentration(one, beam, np.eye(2), params,
-                                     [64.0], t_eval=1.0, apply_cutoff=False)
+                                     [64.0], t_eval=1.0)
         assert out["rows"][0]["error"] < 1e-9
 
     def test_linear_h_error_small(self, free_beam):

@@ -65,7 +65,14 @@ class TestAdmissibility:
         with pytest.raises(Inadmissible):
             c.check_admissible((-1, -1), (1, 1))
 
+    def test_nan_factor(self):
+        # NaN fails no comparison against m0 or eps, so it passed
+        c = bump_factor(float("nan"), (0.0, 0.0), 0.5)
+        with pytest.raises(Inadmissible, match="not finite"):
+            c.check_admissible((-1, -1), (1, 1))
+
     def test_c1_violation(self):
-        c = bump_factor(0.4, (0.0, 0.0), 0.3, eps=0.1)
+        c = bump_factor(0.4, (0.0, 0.0), 0.3)
+        c.eps = 0.1
         with pytest.raises(Inadmissible):
             c.check_admissible((-1, -1), (1, 1))

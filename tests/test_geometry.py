@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from tdxray import geometry
 from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import NoExit, TangentRay
 from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time,
@@ -165,12 +166,15 @@ class TestGeodesicTrace:
         back = geodesic_trace(metric, unit_disk, back_ray, dt=5e-4)
         assert np.linalg.norm(back.points[-1] - ray.x) < 1e-5
 
-    def test_no_exit_guard(self, unit_disk):
+    def test_no_exit_guard(self, unit_disk, monkeypatch):
+        # 0.1 diameters at speed sqrt(m0) = sqrt(0.5) allow t = 0.28 for
+        # a chord of length 2
+        monkeypatch.setattr(geometry, "EXIT_BUDGET", 0.1)
         c = bump_factor(0.1, (0.0, 0.0), 0.8)
         metric = MetricSpec("conformal", c)
         ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
         with pytest.raises(NoExit):
-            geodesic_trace(metric, unit_disk, ray, dt=1e-3, t_max=0.5)
+            geodesic_trace(metric, unit_disk, ray, dt=1e-3)
 
 
 def ray_at(body, theta, tilt):
@@ -206,15 +210,18 @@ class TestTraceBundle:
             assert path.exit_time == alone.exit_time
 
     @pytest.mark.parametrize("long_first", [False, True])
-    def test_no_exit_names_rays_inside(self, unit_disk, long_first):
-        # chords of about 0.72 and 2.0; only the longer outlasts t_max
+    def test_no_exit_names_rays_inside(self, unit_disk, monkeypatch,
+                                       long_first):
+        # chords of about 0.72 and 2.0; only the longer outlasts the
+        # t = 1.13 that 0.4 diameters at speed sqrt(m0) = sqrt(0.5) allow
+        monkeypatch.setattr(geometry, "EXIT_BUDGET", 0.4)
         metric = MetricSpec("conformal", bump_factor(0.05, (0.1, 0.0), 0.7))
         rays = [ray_at(unit_disk, np.pi, 1.2), ray_at(unit_disk, np.pi, 0.0)]
         if long_first:
             rays.reverse()
         inside = 0 if long_first else 1
         with pytest.raises(NoExit, match=rf"rays \[{inside}\] of 2 ") as err:
-            trace_bundle(metric, unit_disk, rays, dt=1e-2, t_max=1.2)
+            trace_bundle(metric, unit_disk, rays, dt=1e-2)
         assert str(err.value).endswith(f"x = {[rays[inside].x.tolist()]}")
 
     @pytest.mark.parametrize("metric", [

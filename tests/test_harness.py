@@ -1,9 +1,12 @@
 import importlib.util
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdxray import errors, reconstruct
 from tdxray.cli import main
@@ -17,6 +20,7 @@ from tdxray.harness.manifest import RunManifest
 from tdxray.harness.runner import PIPELINES, run
 from tdxray.parallel import thread_count
 from tdxray.spectral import SpectralGrid, slice_from_sinogram
+from tdxray.wavesim import WaveGrid
 from tdxray.xray import sinogram
 
 # small but complete runs of each pipeline; every other key keeps its
@@ -94,6 +98,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             validate("forward", {"body.kind": "ball", "bogus.key": 1})
+
+    @pytest.mark.parametrize("name, text", [
+        ("forward", "noise.level = nan"),
+        ("reconstruct", "recon.R = -inf"),
+        ("stability-curve", "noise.levels = 1e-3, inf"),
+    ])
+    def test_non_finite_value_rejected(self, name, text):
+        key = text.split(" = ")[0]
+        with pytest.raises(ConfigInvalid, match=rf"^{key} = .* not finite"):
+            validate(name, parse_config_text(text))
 
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigInvalid):
@@ -229,6 +243,16 @@ class TestRunner:
         ("dtn", {"grid.nx": 17, "grid.T": 0.4}),
         ("identity-check", {"grid.sizes": [17], "grid.T": 0.1}),
         ("identity-check", {"grid.sizes": [17], "grid.T": 0.4}),
+        # identity pairings of opposite signs: exit 0 with gap 1.0
+        ("identity-check", {"grid.sizes": [17], "grid.T": 0.5}),
+        ("identity-check", {"grid.sizes": [17], "grid.T": 1.0}),
+        ("identity-check", {"grid.sizes": [3]}),
+        # non-finite values: an unperturbed sinogram, R = nan with l2 1.0,
+        # a NaN beam marched until NoExit, and an infinite noise level
+        ("forward", {"noise.level": float("nan")}),
+        ("reconstruct", {"recon.R": float("nan")}),
+        ("beam", {"conformal.amplitude": float("nan")}),
+        ("stability-curve", {"noise.levels": [1e-3, float("inf")]}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -317,13 +341,38 @@ class TestRunner:
             assert 0.0 < values["cfl_margin"] <= 1.0
 
     def test_identity_check_pipeline(self, tmp_path, capsys):
-        cfg = {"grid.sizes": [17, 33], "grid.T": 1.0}
+        # at grid.T 1.0 the nx = 17 pairings have opposite signs, which
+        # the pipeline rejects; at the default 1.5 both grids resolve
+        cfg = {"grid.sizes": [17, 33], "grid.T": 1.5}
         code = run("identity-check", dict(cfg), str(tmp_path), seed=0)
         assert code == 0
         art = tmp_path / f"identity-check-{config_hash(cfg, 0)[:12]}"
         lines = (art / "identity_check.csv").read_text().splitlines()
         assert lines[0] == "nx,lhs,rhs,relative_gap"
         assert len(lines) == 3
+
+    @given(nx=st.sampled_from([3, 5, 9, 17]), T=st.floats(0.3, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_identity_gap_resolved_or_rejected(self, nx, T):
+        # a written gap compares two pairings of one sign, so it is below
+        # 1; anything else is a named error
+        cfg = {"grid.sizes": [nx], "grid.T": T}
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run("identity-check", dict(cfg), tmp, seed=0)
+            art = Path(tmp) / f"identity-check-{config_hash(cfg, 0)[:12]}"
+            if code == 2:
+                first = (art / "error.txt").read_text().splitlines()[0]
+            else:
+                row = (art / "identity_check.csv").read_text().splitlines()[1]
+        if WaveGrid(nx=nx, k=0.6 / (nx - 1), T=T).nt < 3:
+            assert first == "error_type = ConfigInvalid"
+        elif code == 2:
+            assert first == "error_type = IncompatibleData"
+        else:
+            assert code == 0
+            _, lhs, rhs, gap = (float(v) for v in row.split(","))
+            assert (lhs > 0 and rhs > 0) or (lhs < 0 and rhs < 0)
+            assert gap < 1.0
 
 
 class TestCli:
@@ -359,7 +408,12 @@ class TestCli:
         (["--only", "typo"], ""),
         ([], "foo.bar = 1\n"),
         ([], "acceptance.only = typo\n"),
-    ], ids=["only-typo", "unknown-key", "only-key-typo"])
+        # the criteria fix their own seeds and write no artifacts
+        (["--seed", "1"], ""),
+        (["--out", "elsewhere"], ""),
+        ([], "seed = 1\n"),
+    ], ids=["only-typo", "unknown-key", "only-key-typo", "seed-flag",
+            "out-flag", "seed-key"])
     def test_acceptance_rejects_unknown_input(self, monkeypatch, tmp_path,
                                               argv, text):
         calls = []
@@ -371,8 +425,23 @@ class TestCli:
         monkeypatch.setattr(acc, "CRITERIA", [(fake, "spectral")])
         cfg = tmp_path / "a.cfg"
         cfg.write_text(text)
-        assert main(["acceptance", "--config", str(cfg), *argv]) == 2
+        try:
+            code = main(["acceptance", "--config", str(cfg), *argv])
+        except SystemExit as exc:       # argparse rejects a flag
+            code = exc.code
+        assert code == 2
         assert calls == []
+
+    @pytest.mark.parametrize("seed", ["abc", "nan", "1.5", "true"])
+    def test_non_integer_seed_rejected(self, tmp_path, capsys, seed):
+        # each escaped main() as a ValueError or ran at a truncated seed
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(f"rays.boundary = 2\nrays.directions = 1\n"
+                       f"seed = {seed}\n")
+        assert main(["forward", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_acceptance_failure_exit_code(self, monkeypatch, capsys):
         def fake(ctx):

@@ -1,6 +1,7 @@
 """Every top-level function and class of the package, and every method of
-those classes, is used by other package code: an API only the tests
-call belongs in the tests."""
+those classes, is used by other package code, and every defaulted
+parameter of those functions is set by some package call: an API or a
+knob only the tests use belongs in the tests."""
 
 import ast
 from collections import Counter
@@ -11,6 +12,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tdxray"
 # bound by name from outside the package: the benchmark's tracer counts
 # the rays traced through it
 OUTSIDE_CALLERS = {"geodesic_trace"}
+
+# defaulted parameters that no package call sets, each kept for a reason
+# other than a test
+KEPT_PARAMETERS = {
+    # the direct tensor evaluation is the oracle of the separable slice
+    "slice_from_sinogram.use_separable",
+    # time-dependent factors are the paper's subject; the dtn pipeline is
+    # to take them next
+    "bump_factor.t_center",
+    "bump_factor.t_width",
+    # the console entry point reads sys.argv; tests pass their own
+    "main.argv",
+}
 
 
 def definitions(tree):
@@ -60,3 +74,65 @@ def unused_definitions(src: Path) -> list[str]:
 
 def test_every_definition_has_a_caller_in_src():
     assert unused_definitions(SRC) == []
+
+
+def defaulted_parameters(node, is_method):
+    """(name, position) of each defaulted parameter of a function; the
+    position counts the arguments a call passes, None for keyword-only."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list) else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def sets(call, name, position):
+    """Whether a call passes the parameter, by keyword, by position or
+    through an unpacked * or ** argument."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(src: Path) -> dict[str, str]:
+    """{function.parameter: location} of each defaulted parameter that
+    no call in the package sets; calls are matched to definitions by
+    name."""
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(src.rglob("*.py"))}
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name) else
+                          func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                calls.setdefault(callee, []).append(node)
+    unset = {}
+    for path, tree in modules.items():
+        for name, node, is_method in definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, position in defaulted_parameters(node, is_method):
+                if not any(sets(call, param, position)
+                           for call in calls.get(name, [])):
+                    unset[f"{name}.{param}"] = (
+                        f"{path.relative_to(src)}:{node.lineno}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    unset = unset_parameters(SRC)
+    assert {key: where for key, where in unset.items()
+            if key not in KEPT_PARAMETERS} == {}
+    # an entry a package call now sets, or that is gone, is no longer kept
+    assert KEPT_PARAMETERS <= set(unset)

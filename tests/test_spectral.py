@@ -6,14 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tdxray import spectral
 from tdxray.errors import (CoverageError, NotVisible, OddLattice,
                            SupportTruncated, ZeroXi)
 from tdxray.fields import (BumpSpec, SpaceTimeField, bump_field,
                            default_recon_field, default_slice_field,
                            symmetric_field)
 from tdxray.geometry import ball, perp_frame
-from tdxray.spectral import (SpectralGrid, hidden_bound, is_visible,
-                             slice_from_sinogram, visible_direction)
+from tdxray.spectral import (LAUNCH_PAD, SpectralGrid, hidden_bound,
+                             is_visible, slice_from_sinogram,
+                             visible_direction)
 
 
 def separable_gaussian():
@@ -210,7 +212,7 @@ class TestSlices:
             slice_from_sinogram(slice_field, (1.0, 0.0), (1.0, 0.0), small)
 
 
-def correlation_reference(f, omega, xi, n_launch, pad=0.06):
+def correlation_reference(f, omega, xi, n_launch):
     """The separable slice by the direct correlation loop over the full
     m-lattice: q = spacing * sum_k g_k H[k:k+n_u], then the (u, v)
     Fourier sum.  Returns the value and cell * sum|q|, the L1 norm of the
@@ -221,7 +223,7 @@ def correlation_reference(f, omega, xi, n_launch, pad=0.06):
     perp = perp_frame(omega)
     h_par = float(np.sum(np.abs(omega) * half))
     h_perp = [float(np.sum(np.abs(e) * half)) for e in perp]
-    perp_pad = pad * 2 * max(h_perp)
+    perp_pad = LAUNCH_PAD * 2 * max(h_perp)
     spacing = (2 * max(h_perp) + 2 * perp_pad) / n_launch
     u_lo = -h_par - t_hi - perp_pad
     n_u = int(np.ceil((h_par - t_lo + perp_pad - u_lo) / spacing)) + 1
@@ -307,14 +309,16 @@ class TestSliceEngine:
         pytest.param((0.0, 0.0), -0.05, True, id="0.0--0.05"),
         pytest.param((0.0, 0.2), 0.06, True, id="across-separable"),
         pytest.param((0.0, 0.2), 0.06, False, id="across-tensor")])
-    def test_understated_support_raised(self, unit_disk, slice_field, clip,
-                                        pad, use_separable):
+    def test_understated_support_raised(self, unit_disk, slice_field,
+                                        monkeypatch, clip, pad,
+                                        use_separable):
+        monkeypatch.setattr(spectral, "LAUNCH_PAD", pad)
         clipped = dataclasses.replace(slice_field,
                                       x_lo=slice_field.x_lo + np.array(clip),
                                       x_hi=slice_field.x_hi - np.array(clip))
         with pytest.raises(SupportTruncated):
             slice_from_sinogram(clipped, (1.0, 0.0), (1.7, -2.2), unit_disk,
-                                pad=pad, use_separable=use_separable)
+                                use_separable=use_separable)
 
     def test_coverage_sampled_once_per_field(self, unit_disk):
         calls = []
