@@ -21,11 +21,11 @@ part is c |xi|^2.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfc
 
 from .conformal import ConformalFactor
 from .errors import CausticDetected, QuadratureNotConverged, StencilUnderResolved
@@ -434,12 +434,13 @@ def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
         err = abs(value - target)
         first = 2.0 * lam ** params.sigma \
             * params.eps1 ** (-1.0 / (2 * params.alpha)) / np.sqrt(lam)
+        tail = lam ** (2 * params.sigma)
         rows.append({
             "lam": lam,
             "value": complex(value),
             "error": float(err),
-            "bound_erfc_neg": float(first + 4.0 * erfc(-lam ** (2 * params.sigma))),
-            "bound_erfc_pos": float(first + 4.0 * erfc(lam ** (2 * params.sigma))),
+            "bound_erfc_neg": float(first + 4.0 * math.erfc(-tail)),
+            "bound_erfc_pos": float(first + 4.0 * math.erfc(tail)),
         })
     lams = np.array([r["lam"] for r in rows])
     errs = np.array([max(r["error"], 1e-16) for r in rows])

@@ -62,30 +62,30 @@ def load_config(path) -> dict:
 
 # ---------------------------------------------------------------- schemas
 
-_COMMON = {"seed"}
-
 _BODY = {"body.kind", "body.radius", "body.semiaxes"}
 _FIELD = {"field.preset"}
+# no schema holds the seed: the command line takes it out of the config
+# (or from --seed) and passes it to run() on its own
 
 SCHEMAS: dict[str, set] = {
-    "forward": _COMMON | _BODY | _FIELD | {
+    "forward": _BODY | _FIELD | {
         "rays.boundary", "rays.directions", "xray.dt", "noise.level"},
-    "slice-check": _COMMON | _BODY | _FIELD | {
+    "slice-check": _BODY | _FIELD | {
         "grid.points", "grid.pad", "slice.count", "slice.n_launch",
         "slice.n_s", "slice.xi_max"},
-    "reconstruct": _COMMON | _BODY | _FIELD | {
+    "reconstruct": _BODY | _FIELD | {
         "grid.points", "grid.extent", "recon.epsilon", "recon.delta",
         "recon.R", "slice.n_launch", "slice.n_s"},
-    "stability-curve": _COMMON | _BODY | _FIELD | {
+    "stability-curve": _BODY | _FIELD | {
         "grid.points", "grid.extent", "recon.epsilon", "noise.levels",
         "slice.n_launch", "slice.n_s"},
-    "beam": _COMMON | _BODY | {
+    "beam": _BODY | {
         "conformal.amplitude", "conformal.width", "conformal.center",
         "beam.dt", "beam.lambdas", "beam.t0", "ray.angle"},
-    "dtn": _COMMON | {
+    "dtn": {
         "grid.nx", "grid.k", "grid.T", "probes.count", "family.scales",
         "bump.center", "bump.width"},
-    "identity-check": _COMMON | {
+    "identity-check": {
         "grid.sizes", "grid.cfl", "grid.T", "bump.amplitude",
         "bump.center", "bump.width", "probe.first", "probe.second"},
     # the criteria fix their own seeds, so acceptance takes none

@@ -152,6 +152,9 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     if level > 0:
         sino, _ = perturb_sinogram(sino, level, seed)
     man.stage("sinogram")
+    man.diagnostics.append(("sinogram", {
+        "max_halving_gap": sino.max_halving_gap,
+        "refinement_ratio": float(ratio)}))
     sino.write_csv(os.path.join(art, "sinogram.csv"))
     man.stage("write")
     print(f"rays = {len(rays)}  sup_norm = {float(sino.sup_norm)!r}  "

@@ -424,10 +424,8 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
 # ---------------------------------------------------------------- stability
 
 
-def conformal_stability_experiment(scales, grid: WaveGrid,
-                                   probe_count: int = 6,
-                                   bump_center=(0.5, 0.5),
-                                   bump_width: float = 0.3) -> dict:
+def conformal_stability_experiment(scales, grid: WaveGrid, probe_count: int,
+                                   bump_center, bump_width: float) -> dict:
     """Rows (|1 - c_s|_L2, probed DtN norm, envelope) for c_s = 1 + s bump.
 
     The envelope constant is the smallest C with |1 - c_s| <=

@@ -127,7 +127,7 @@ class TestConfig:
             PIPELINES[name](cfg, 0, str(tmp_path),
                             RunManifest(name, dict(cfg), 0))
             read |= cfg.read
-        assert SCHEMAS[name] - {"seed"} - read == set()
+        assert SCHEMAS[name] - read == set()
 
     def test_hash_stable_under_ordering(self):
         a = {"x.a": 1, "x.b": [1, 2]}
@@ -138,7 +138,7 @@ class TestConfig:
 
 
 class TestRunner:
-    def test_forward_artifacts(self, tmp_path):
+    def test_forward_artifacts(self, tmp_path, capsys):
         cfg = {"rays.boundary": 6, "rays.directions": 2}
         code = run("forward", dict(cfg), str(tmp_path), seed=5)
         assert code == 0
@@ -148,6 +148,24 @@ class TestRunner:
         assert len(sino) == 1 + 12
         manifest = (art / "manifest.txt").read_text()
         assert "config_hash" in manifest and "quad_tol" in manifest
+        # the quadrature diagnostics are kept, not only printed
+        sections = manifest_sections(art / "manifest.txt")
+        values = dict(item.split("=")
+                      for item in sections["diagnostics"]["sinogram"].split())
+        assert list(values) == ["max_halving_gap", "refinement_ratio"]
+        tol = float(sections["tolerances"]["quad_tol"])
+        assert 0.0 <= float(values["max_halving_gap"]) <= 10.0 * tol
+        printed = capsys.readouterr().out
+        assert f"refinement_ratio = {values['refinement_ratio']}\n" in printed
+
+    def test_seed_key_rejected(self, tmp_path):
+        # the seed is run()'s argument; as a key it would change the
+        # artifact hash and nothing else
+        cfg = {"rays.boundary": 2, "rays.directions": 1, "seed": 5}
+        assert run("forward", dict(cfg), str(tmp_path), seed=0) == 2
+        art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
+        first = (art / "error.txt").read_text().splitlines()[0]
+        assert first == "error_type = ConfigInvalid"
 
     def test_error_record(self, tmp_path):
         cfg = {"body.kind": "torus"}
@@ -389,6 +407,21 @@ class TestCli:
         assert len(subdirs) == 1
         assert (subdirs[0] / "sinogram.csv").exists()
 
+    def test_seed_line_same_as_seed_flag(self, tmp_path):
+        base = "rays.boundary = 2\nrays.directions = 1\nnoise.level = 0.01\n"
+        blobs = []
+        for name, text, argv in [("line", base + "seed = 5\n", []),
+                                 ("flag", base, ["--seed", "5"]),
+                                 ("none", base, [])]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert main(["forward", "--config", str(cfg), "--out", str(out),
+                         *argv]) == 0
+            (art,) = out.iterdir()
+            blobs.append((art / "sinogram.csv").read_bytes())
+        assert blobs[0] == blobs[1] != blobs[2]
+
     def test_acceptance_only_filter(self, monkeypatch, capsys):
         calls = []
 
@@ -538,7 +571,9 @@ class TestDeterminism:
             sub = tmp_path / f"t{threads}"
             run("forward", dict(cfg), str(sub), seed=11)
             art = sub / f"forward-{config_hash(cfg, 11)[:12]}"
-            blobs.append((art / "sinogram.csv").read_bytes())
+            diagnostics = manifest_sections(art / "manifest.txt")[
+                "diagnostics"]
+            blobs.append(((art / "sinogram.csv").read_bytes(), diagnostics))
         assert blobs[0] == blobs[1]
 
     def test_conformal_sinogram_byte_identical_across_threads(

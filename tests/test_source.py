@@ -1,9 +1,14 @@
 """Every top-level function and class of the package, and every method of
 those classes, is used by other package code, and every defaulted
 parameter of those functions is set by some package call: an API or a
-knob only the tests use belongs in the tests."""
+knob only the tests use belongs in the tests.  The package runs on numpy
+alone: scipy is a test dependency."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -136,3 +141,51 @@ def test_every_defaulted_parameter_is_set_in_src():
             if key not in KEPT_PARAMETERS} == {}
     # an entry a package call now sets, or that is gone, is no longer kept
     assert KEPT_PARAMETERS <= set(unset)
+
+
+def scipy_imports(src: Path) -> list[str]:
+    """Every import of scipy or a scipy submodule in the package,
+    including those inside functions."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(src)}:{node.lineno} {m}"
+                      for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_scipy_import_in_src():
+    assert scipy_imports(SRC) == []
+
+
+# a forward run and a beam run through the command line, after importing
+# every entry module; prints the scipy modules then loaded
+NO_SCIPY_RUN = """
+import json, sys, tempfile
+import tdxray, tdxray.cli, tdxray.harness.runner, tdxray.harness.acceptance
+with tempfile.TemporaryDirectory() as tmp:
+    for name, text in [
+            ("forward", "rays.boundary = 2\\nrays.directions = 1\\n"),
+            ("beam", "conformal.amplitude = 0.01\\nbeam.dt = 0.01\\n"
+                     "beam.lambdas = 16, 32, 64, 128\\n")]:
+        cfg = f"{tmp}/{name}.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert tdxray.cli.main([name, "--config", cfg, "--out", tmp]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_runs_load_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent),
+                               "TDXRAY_THREADS": "1"}, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

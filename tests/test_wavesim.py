@@ -483,7 +483,8 @@ class TestKeyIdentity:
 class TestStabilityExperiment:
     def test_degenerate_family(self):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.0)
-        out = conformal_stability_experiment([0.0], grid, probe_count=2)
+        out = conformal_stability_experiment([0.0], grid, 2, (0.55, 0.42),
+                                             0.3)
         row = out["rows"][0]
         assert row["c_dist_l2"] == 0.0
         assert row["dtn_norm"] < 1e-12
@@ -498,7 +499,8 @@ class TestStabilityExperiment:
 
         monkeypatch.setattr(wavesim, "_march", counted)
         grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
-        conformal_stability_experiment([0.02, 0.04], grid, probe_count=2)
+        conformal_stability_experiment([0.02, 0.04], grid, 2, (0.55, 0.42),
+                                       0.3)
         assert marches == [["const1", "bump0.02", "bump0.04"]] * 2
 
     def test_probe_saturation(self):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from tdxray.conformal import bump_factor
 from tdxray.errors import Inadmissible, QuadratureNotConverged, TangentRay
 from tdxray.fields import SpaceTimeField, single_bump
 from tdxray.geometry import (BoundaryRay, GeodesicPath, MetricSpec, make_ray,
-                             sample_inward_bundle)
-from tdxray.xray import perturb_sinogram, sinogram, xray_single
+                             sample_inward_bundle, trace_bundle)
+from tdxray.xray import (QUAD_TOL, _simpson, perturb_sinogram, sinogram,
+                         xray_single)
 
 
 def inline_field(evaluator, dim=2):
@@ -22,14 +26,40 @@ def diameter_path(unit_disk, n=801):
                         2.0)
 
 
+class TestSimpson:
+    @given(n=st.integers(2, 600), seed=st.integers(0, 2**32 - 1),
+           even=st.booleans(), last=st.sampled_from(["full", "short", "zero"]),
+           zero_inner=st.booleans())
+    @example(n=2, seed=0, even=True, last="zero", zero_inner=False)
+    @example(n=3, seed=0, even=False, last="full", zero_inner=True)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_scipy(self, n, seed, even, last, zero_inner):
+        # scipy's rule is the reference: the sinograms it produced must
+        # not move by one bit
+        rng = np.random.default_rng(seed)
+        steps = (np.full(n - 1, 2.0 / (n - 1)) if even
+                 else rng.uniform(1e-3, 1.0, n - 1))
+        if last == "short":
+            # what the exit bisection leaves after the march's last step
+            steps[-1] *= rng.uniform()
+        elif last == "zero":
+            steps[-1] = 0.0
+        if zero_inner:
+            # a zero-length interval hits the rule's guarded divisions
+            steps[rng.integers(n - 1)] = 0.0
+        x = np.concatenate([[0.0], np.cumsum(steps)])
+        y = rng.normal(size=n)
+        assert np.array_equal(_simpson(y, x), simpson(y, x=x))
+
+
 class TestXraySingle:
     def test_zero_field(self, unit_disk):
         f = inline_field(lambda t, x: np.zeros(np.broadcast(t, x[..., 0]).shape))
-        assert xray_single(f, diameter_path(unit_disk)) == 0.0
+        assert xray_single(f, diameter_path(unit_disk)) == (0.0, 0.0)
 
     def test_constant_field_gives_chord_length(self, unit_disk):
         f = inline_field(lambda t, x: np.ones(np.broadcast(t, x[..., 0]).shape))
-        assert xray_single(f, diameter_path(unit_disk)) == pytest.approx(
+        assert xray_single(f, diameter_path(unit_disk))[0] == pytest.approx(
             2.0, abs=1e-12)
 
     def test_against_dense_trapezoid_oracle(self, unit_disk):
@@ -38,7 +68,7 @@ class TestXraySingle:
                 * np.sin(np.asarray(t))
 
         f = inline_field(ev)
-        val = xray_single(f, diameter_path(unit_disk))
+        val, _ = xray_single(f, diameter_path(unit_disk))
         s = np.linspace(0.0, 2.0, 100_000)
         pts = np.stack([-1.0 + s, np.zeros_like(s)], axis=-1)
         oracle = np.trapezoid(ev(s, pts), s)
@@ -51,6 +81,13 @@ class TestXraySingle:
         f = inline_field(ev)
         with pytest.raises(QuadratureNotConverged):
             xray_single(f, diameter_path(unit_disk, n=21))
+
+    def test_halving_gap_returned(self, unit_disk, slice_field):
+        path = diameter_path(unit_disk)
+        val, gap = xray_single(slice_field, path)
+        vals = slice_field(path.times, path.points)
+        assert gap == abs(val - simpson(vals[::2], x=path.times[::2]))
+        assert 0.0 < gap <= 10.0 * QUAD_TOL
 
 
 class TestSinogram:
@@ -98,9 +135,18 @@ class TestSinogram:
                          x_width=0.4)
         combo = linear_combination([f1, f2], [2.0, -3.0])
         path = diameter_path(unit_disk)
-        lhs = xray_single(combo, path)
-        rhs = 2.0 * xray_single(f1, path) - 3.0 * xray_single(f2, path)
+        lhs = xray_single(combo, path)[0]
+        rhs = 2.0 * xray_single(f1, path)[0] - 3.0 * xray_single(f2, path)[0]
         assert abs(lhs - rhs) <= 2e-9
+
+    def test_max_halving_gap_over_rays(self, unit_disk, slice_field):
+        rays = sample_inward_bundle(unit_disk, 6, 3)
+        sino = sinogram(slice_field, rays, MetricSpec(), unit_disk)
+        gaps = [xray_single(slice_field, path)[1] for path in
+                trace_bundle(MetricSpec(), unit_disk, rays, 2.5e-3)]
+        assert sino.max_halving_gap == max(gaps) > 0.0
+        noisy, _ = perturb_sinogram(sino, 1e-3, seed=1)
+        assert noisy.max_halving_gap == sino.max_halving_gap
 
     def test_inadmissible_factor_rejected(self, unit_disk, slice_field):
         # C1 distance to 1 is about 4.3 against eps = 0.5; the family is
@@ -123,7 +169,7 @@ class TestSinogram:
 
     def test_time_shift_covariance(self, unit_disk, slice_field, shifted):
         path = diameter_path(unit_disk)
-        val = xray_single(shifted(slice_field, 0.1), path)
+        val, _ = xray_single(shifted(slice_field, 0.1), path)
         s = np.linspace(0.0, 2.0, 100_000)
         pts = np.stack([-1.0 + s, np.zeros_like(s)], axis=-1)
         oracle = np.trapezoid(slice_field(s - 0.1, pts), s)
