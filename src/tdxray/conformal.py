@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import Inadmissible
-from .fields import bump_profile, bump_profile_du, bump_profile_d2u
+from .fields import (bump_profile, bump_profile_d2u, bump_profile_du,
+                     squared_distance)
 
 
 @dataclass
@@ -107,28 +108,27 @@ def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
     timed = t_center is not None
 
     def parts(t, x):
-        dx = x - xc
-        u = np.sum(dx * dx, axis=-1) / w**2
+        u = squared_distance(x, xc) / w**2
         if timed:
             ut = ((t - t_center) / t_width) ** 2
-            return u, dx, bump_profile(ut), bump_profile_du(ut), ut
+            return u, bump_profile(ut), bump_profile_du(ut), ut
         shape = np.broadcast(t, x[..., 0]).shape
-        return u, dx, np.ones(shape), np.zeros(shape), None
+        return u, np.ones(shape), np.zeros(shape), None
 
     def func(t, x):
-        u, _, bt, _, _ = parts(t, x)
+        u, bt, _, _ = parts(t, x)
         return 1.0 + a * bt * bump_profile(u)
 
     def grad(t, x):
-        u, dx, bt, _, _ = parts(t, x)
+        u, bt, _, _ = parts(t, x)
         dBdu = bump_profile_du(u)
-        return (a * bt * dBdu * 2.0 / w**2)[..., None] * dx
+        return (a * bt * dBdu * 2.0 / w**2)[..., None] * (x - xc)
 
     def hess(t, x):
-        u, dx, bt, _, _ = parts(t, x)
+        u, bt, _, _ = parts(t, x)
         d1 = bump_profile_du(u)
         d2 = bump_profile_d2u(u)
-        grad_u = 2.0 * dx / w**2
+        grad_u = 2.0 * (x - xc) / w**2
         outer = grad_u[..., :, None] * grad_u[..., None, :]
         eye = np.eye(dim)
         return a * bt[..., None, None] * (
@@ -136,7 +136,7 @@ def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
             + d1[..., None, None] * (2.0 / w**2) * eye)
 
     def dt_func(t, x):
-        u, _, bt, dbt_du, ut = parts(t, x)
+        u, bt, dbt_du, ut = parts(t, x)
         if not timed:
             return np.zeros(np.broadcast(t, x[..., 0]).shape)
         dut_dt = 2.0 * (np.asarray(t, float) - t_center) / t_width**2

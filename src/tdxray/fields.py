@@ -14,7 +14,7 @@ normalised so B(0) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,7 +74,12 @@ class SpaceTimeField:
     When the field factorises exactly as f(t, x) = g(t) H(x), the pair of
     callables (g, H) may be exposed through ``separable``; consumers are
     free to exploit it (the chord-slice quadrature collapses one axis to a
-    convolution) but must produce the same values as ``evaluator``.
+    convolution) but must produce the same values as ``evaluator``.  g
+    takes times of any shape.  H takes a launch frame rather than points:
+    ``H(origin, omega, perp, along, v_axes)`` is H at
+    origin + along_i omega + sum_k v_k[j_k] perp[k], for the orthonormal
+    omega and perp[k] and the 1-D coordinate arrays along and v_axes[k],
+    with shape (len(along), *map(len, v_axes)).
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -141,7 +146,9 @@ def bump_field(specs: Sequence[BumpSpec], dim: int = 2,
     """Superposition of separable space-time bumps.
 
     When every component shares the same time profile the field factorises
-    as g(t) H(x) and the pair is exposed via ``separable``.
+    as g(t) H(x) and the pair is exposed via ``separable``.  On a launch
+    frame |X - c|^2 is a sum of 1-D squares, one per frame axis, so H
+    builds no point mesh.
     """
     specs = list(specs)
     t_lo = min(s.t_center - s.t_width for s in specs)
@@ -156,12 +163,25 @@ def bump_field(specs: Sequence[BumpSpec], dim: int = 2,
         def g(t):
             return bump_profile(((np.asarray(t, dtype=float) - tc) / tw) ** 2)
 
-        def H(x):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros(x.shape[:-1])
+        def H(origin, omega, perp, along, v_axes):
+            frame = [(along, omega)] + list(zip(v_axes, perp))
+            total = np.zeros(tuple(len(axis) for axis, _ in frame))
             for s in specs:
-                total += s.amplitude * bump_profile(
-                    squared_distance(x, s.x_center) / s.x_width**2)
+                d = np.asarray(origin, dtype=float) - s.x_center
+                # |X - c|^2 / w^2 is one square per frame axis; where any
+                # of them reaches 1 the bump is exactly 0, so it is summed
+                # only on the window where every one is below 1
+                terms, window = [], []
+                for axis, e in frame:
+                    term = (axis + float(np.dot(d, e))) ** 2 / s.x_width**2
+                    inside = np.flatnonzero(term < 1.0)
+                    if inside.size == 0:
+                        break
+                    window.append(slice(inside[0], inside[-1] + 1))
+                    terms.append(term[window[-1]])
+                else:
+                    total[tuple(window)] += s.amplitude * bump_profile(
+                        reduce(np.add.outer, terms))
             return total
 
         separable = (g, H)

@@ -368,15 +368,16 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     for nx in sizes:
         res = key_identity_check(c, _wave_grid(nx, cfl / (nx - 1), T),
                                  f1, f2)
-        lhs, rhs = res["lhs"], res["rhs"]
-        if not np.sign(lhs) * np.sign(rhs) > 0.0:
-            # the relative gap reads 0 / 0 or exactly 1: it cannot tell
-            # an unresolved grid from a wrong identity
+        lhs, rhs, gap = res["lhs"], res["rhs"], res["relative_gap"]
+        if not (np.sign(lhs) * np.sign(rhs) > 0.0 and gap < 1.0):
+            # the relative gap reads 0 / 0 or exactly 1 (opposite signs, or
+            # one pairing below the other's rounding): it cannot tell an
+            # unresolved grid from a wrong identity
             raise IncompatibleData(
                 f"grid.T = {T!r}: the identity pairings lhs = {lhs:.3g} "
-                f"and rhs = {rhs:.3g} share no sign at nx = {nx}")
-        rows.append([nx, float(lhs), float(rhs),
-                     float(res["relative_gap"])])
+                f"and rhs = {rhs:.3g} give no relative gap below 1 at "
+                f"nx = {nx}")
+        rows.append([nx, float(lhs), float(rhs), float(gap)])
         man.stage(f"grid{nx}")
     _write_csv(os.path.join(art, "identity_check.csv"),
                ["nx", "lhs", "rhs", "relative_gap"], rows)

@@ -319,7 +319,10 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     the s-point count of the tensor evaluation only.  For separable fields
     f = g(t) H(x) the s-integration is an exact discrete correlation along
     the ray, whose Fourier sum factorises into a sum over g and a sum over
-    H on its support, which is much cheaper.  Either path raises
+    H on its support, which is much cheaper.  That path hands H the launch
+    frame (center, omega, perp, the 1-D along rows and v-axes) and builds
+    no point mesh; the tensor path meshes the launch points and evaluates
+    f on every chord sample.  Either path raises
     SupportTruncated when the ray data do not vanish at the edges of the
     support box, along the ray or across it.  Pass use_separable=False to
     force the direct tensor evaluation.
@@ -353,14 +356,6 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     v_axes = [np.arange(n_launch + 1) * spacing - (h + perp_pad)
               for h in h_perp]
 
-    def launch(along):
-        """Launch points center + along*omega + v.perp on the (along, v)
-        mesh."""
-        mesh = np.meshgrid(along, *v_axes, indexing="ij")
-        return (center + mesh[0][..., None] * omega
-                + sum(mesh[k + 1][..., None] * perp[k]
-                      for k in range(len(perp))))
-
     a = float(np.dot(omega, xi))
     if use_separable and f.separable is not None:
         # f = g(t) H(x) with the s-grid on the launch spacing, so with
@@ -382,7 +377,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                 f"m-rows {first}..{last} of |m| <= h_par leave the exact "
                 f"correlation rows {n_s_conv - 1}..{n_u - 1}")
         along = m_lo + spacing * np.arange(first - 1, last + 2)
-        Hv = H(launch(along))
+        Hv = H(center, omega, perp, along, v_axes)
         if np.any(Hv[0] != 0.0) or np.any(Hv[-1] != 0.0):
             raise SupportTruncated(
                 f"{f.name}: the separable factor H is nonzero beyond the "
@@ -392,7 +387,9 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     else:
         along, weight = u_lo + spacing * np.arange(n_u), 1.0
         s_grid = np.linspace(t_lo, t_hi, n_s)
-        base = launch(along)
+        mesh = np.meshgrid(along, *v_axes, indexing="ij")
+        base = (center + mesh[0][..., None] * omega
+                + sum(m[..., None] * e for m, e in zip(mesh[1:], perp)))
         q = np.zeros(base.shape[:-1])
         for s in s_grid:
             q += f(np.full(base.shape[:-1], s), base + s * omega)

@@ -1,11 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdxray.fields import (RECON_T, bump_profile, default_recon_field,
-                           default_slice_field, heldout_fields, single_bump,
-                           squared_distance, tail_field)
+from tdxray.fields import (RECON_T, BumpSpec, bump_field, bump_profile,
+                           default_recon_field, default_slice_field,
+                           heldout_fields, single_bump, squared_distance,
+                           tail_field)
+from tdxray.geometry import perp_frame
 
 
 def smoothness_budget(f, order=2, n_samples=4000, seed=0):
@@ -53,6 +57,65 @@ class TestSquaredDistance:
                               np.sum(dx * dx, axis=-1))
 
 
+def unwindowed(specs, origin, omega, perp, along, v_axes):
+    """Sum over the bumps of amp * B(A + V), every bump on the whole frame,
+    from the same 1-D terms as the separable factor's H."""
+    total = 0.0
+    for s in specs:
+        d = np.asarray(origin, dtype=float) - s.x_center
+        terms = [(axis + float(np.dot(d, e))) ** 2 / s.x_width**2
+                 for axis, e in zip([along, *v_axes], [omega, *perp])]
+        total = total + s.amplitude * bump_profile(
+            functools.reduce(np.add.outer, terms))
+    return total
+
+
+class TestBumpFrame:
+    # each bump is summed only on its window of the frame; outside it B is
+    # exactly 0, so the windowed sum must give the unwindowed bits
+    @given(dim=st.sampled_from([2, 3]), azimuth=st.floats(0.0, 2 * np.pi),
+           polar=st.floats(0.0, np.pi), n_along=st.integers(1, 40),
+           n_v=st.integers(1, 24), edge_row=st.sampled_from([0, -1]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_window_is_exact(self, dim, azimuth, polar, n_along, n_v,
+                             edge_row, seed):
+        rng = np.random.default_rng(seed)
+        omega = np.array([np.cos(azimuth), np.sin(azimuth)])
+        if dim == 3:
+            omega = np.append(np.sin(polar) * omega, np.cos(polar))
+        perp = perp_frame(omega)
+        origin = rng.uniform(-1.0, 1.0, dim)
+        spacing = rng.uniform(0.02, 0.2)
+        along, *v_axes = [rng.uniform(-2.0, 0.0) + spacing * np.arange(n)
+                          for n in [n_along] + [n_v] * len(perp)]
+
+        def frame_point(i, js):
+            return origin + along[i] * omega + sum(
+                v[j] * e for v, j, e in zip(v_axes, js, perp))
+
+        def spec(amplitude, center, width):
+            return BumpSpec(amplitude, 1.0, 0.8, tuple(center), width)
+
+        specs = [spec(rng.normal(), origin + rng.uniform(-2.5, 2.5, dim),
+                      rng.uniform(0.05, 1.5)) for _ in range(3)]
+        # centred on the first or last along row, so its window touches it
+        specs.append(spec(rng.normal(), frame_point(
+            edge_row, rng.integers(0, n_v, len(perp))),
+            rng.uniform(0.1, 1.0)))
+        # two widths beyond the last row: its along window is empty
+        width = rng.uniform(0.05, 1.0)
+        empty = spec(rng.normal(), frame_point(-1, [0] * len(perp))
+                     + 2 * width * omega, width)
+        frame = (origin, omega, perp, along, v_axes)
+        _, H = bump_field(specs + [empty], dim=dim).separable
+        got = H(*frame)
+        assert got.shape == (n_along,) + (n_v,) * len(perp)
+        assert np.array_equal(got, unwindowed(specs + [empty], *frame))
+        assert np.array_equal(got, bump_field(specs, dim=dim).separable[1](
+            *frame))
+
+
 class TestBumpProfile:
     def test_normalisation_and_support(self):
         assert bump_profile(np.array([0.0]))[0] == 1.0
@@ -82,9 +145,18 @@ class TestFields:
     def test_separable_matches_evaluator(self, rng):
         f = default_recon_field()
         g, H = f.separable
-        ts = rng.uniform(0, RECON_T, 300)
-        xs = rng.uniform(-3.8, 3.8, (300, 2))
-        assert np.allclose(f(ts, xs), g(ts) * H(xs), atol=1e-14)
+        origin = rng.uniform(-0.5, 0.5, 2)
+        omega = np.array([np.cos(0.7), np.sin(0.7)])
+        perp = perp_frame(omega)
+        along = np.linspace(-3.8, 3.8, 30)
+        v_axes = [np.linspace(-3.6, 3.7, 20)]
+        mesh = np.meshgrid(along, *v_axes, indexing="ij")
+        xs = (origin + mesh[0][..., None] * omega
+              + mesh[1][..., None] * perp[0])
+        ts = rng.uniform(0, RECON_T, xs.shape[:-1])
+        assert np.allclose(f(ts, xs),
+                           g(ts) * H(origin, omega, perp, along, v_axes),
+                           atol=1e-14)
 
     def test_recon_field_inside_ball4(self, rng):
         f = default_recon_field()

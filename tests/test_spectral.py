@@ -231,11 +231,9 @@ def correlation_reference(f, omega, xi, n_launch):
     v_axes = [np.arange(n_launch + 1) * spacing - (h + perp_pad)
               for h in h_perp]
     m = u_lo + t_lo + spacing * np.arange(n_u + n_s - 1)
-    mesh = np.meshgrid(m, *v_axes, indexing="ij")
-    x = center + mesh[0][..., None] * omega + sum(
-        w[..., None] * e for w, e in zip(mesh[1:], perp))
     g, H = f.separable
-    gv, Hv = g(t_lo + spacing * np.arange(n_s)), H(x)
+    gv = g(t_lo + spacing * np.arange(n_s))
+    Hv = H(center, omega, perp, m, v_axes)
     q = np.zeros((n_u,) + Hv.shape[1:])
     for k in range(n_s):
         q += gv[k] * Hv[k:k + n_u]
