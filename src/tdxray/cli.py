@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigInvalid, TdxrayError
-from .harness.config import SCHEMAS, load_config, validate
+from .harness.config import SCHEMAS, Key, load_config, validate
 from .harness.runner import run
 
 
@@ -43,14 +43,16 @@ def main(argv=None) -> int:
     try:
         if args.subcommand != "acceptance":
             seed = cfg.pop("seed", 0)
-            if args.seed is not None:
+            if args.seed is not None:       # the flag overrides the key
                 seed = args.seed
-            elif type(seed) is not int:
-                raise ConfigInvalid(f"seed = {seed!r} must be an integer")
-            return run(args.subcommand, cfg, args.out, seed)
+            # numpy's generators take no negative seed
+            return run(args.subcommand, cfg, args.out,
+                       Key(0, int, 0).check("seed", seed))
         from .harness.acceptance import run_acceptance
-        validate("acceptance", cfg)
-        results = run_acceptance(only=args.only or cfg.get("acceptance.only"))
+        if args.only is not None:       # the flag overrides the key
+            cfg["acceptance.only"] = args.only
+        results = run_acceptance(
+            only=validate("acceptance", cfg).get("acceptance.only"))
     except TdxrayError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

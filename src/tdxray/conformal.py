@@ -94,13 +94,13 @@ def constant_factor(value: float = 1.0, dim: int = 2,
                            name=f"const{v:g}")
 
 
-def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
+def bump_factor(amplitude: float, x_center, x_width: float,
                 t_center: float | None = None, t_width: float = 1.0,
                 T: float = 2.0, name: str | None = None) -> ConformalFactor:
     """c = 1 + a * B(|x - xc|^2 / w^2) [* B(((t - tc)/wt)^2)].
 
-    Time-independent unless t_center is given.  Amplitude may be negative;
-    admissibility then requires 1 + a >= m0.
+    x has the dimension of xc.  Time-independent unless t_center is given.
+    Amplitude may be negative; admissibility then requires 1 + a >= m0.
     """
     a = float(amplitude)
     xc = np.asarray(x_center, dtype=float)
@@ -130,7 +130,7 @@ def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
         d2 = bump_profile_d2u(u)
         grad_u = 2.0 * (x - xc) / w**2
         outer = grad_u[..., :, None] * grad_u[..., None, :]
-        eye = np.eye(dim)
+        eye = np.eye(xc.size)
         return a * bt[..., None, None] * (
             d2[..., None, None] * outer
             + d1[..., None, None] * (2.0 / w**2) * eye)
@@ -143,7 +143,7 @@ def bump_factor(amplitude: float, x_center, x_width: float, dim: int = 2,
         return a * bump_profile(u) * dbt_du * dut_dt
 
     lower = min(1.0, 1.0 + a)
-    return ConformalFactor(func, grad, hess, dt_func, dim=dim,
+    return ConformalFactor(func, grad, hess, dt_func, dim=xc.size,
                            m0=0.5 * lower, T=T,
                            time_dependent=timed,
                            name=name or f"bump{a:+g}")

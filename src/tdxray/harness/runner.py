@@ -11,7 +11,6 @@ import csv
 import os
 import numpy as np
 
-from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..errors import ConfigInvalid, IncompatibleData, TdxrayError
 from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
@@ -20,74 +19,25 @@ from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
                            truncated_inversion, visible_slice_source)
 from ..spectral import SpectralGrid, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
-from .config import validate
+from .config import FIELD_PRESETS, validate
 from .manifest import RunManifest
 
-def _zero_field():
-    f = field_lib.single_bump(amplitude=0.0, name="zero")
-    return f
 
-
-FIELD_PRESETS = {
-    "slice-default": field_lib.default_slice_field,
-    "recon-default": field_lib.default_recon_field,
-    "hidden-calibration": field_lib.calibration_field,
-    "symmetric": field_lib.symmetric_field,
-    "tail": field_lib.tail_field,
-    "zero": _zero_field,
-}
-
-
-def build_body(cfg: dict, dim: int, default_radius: float = 1.0):
+def build_body(cfg: dict, dim: int):
     """The configured body, which must have the dimension dim of the field
     (or ray) it is traced with."""
-    kind = cfg.get("body.kind", "ball")
-    if kind == "ball":
-        body = ball(_positive(cfg, "body.radius", default_radius), dim=dim)
-    elif kind == "ellipse":
-        semiaxes = [float(s) for s in np.atleast_1d(
-            cfg.get("body.semiaxes", [2.0, 1.0]))]
-        if not min(semiaxes) > 0.0:
-            raise ConfigInvalid(f"body.semiaxes = {semiaxes} must be positive")
-        body = ellipsoid(semiaxes)
-    else:
-        raise TdxrayError(f"unknown body.kind {kind!r}")
+    kind = cfg["body.kind"]
+    body = (ball(cfg["body.radius"], dim=dim) if kind == "ball"
+            else ellipsoid(cfg["body.semiaxes"]))
     if body.dim != dim:
         raise ConfigInvalid(f"{kind} with {body.dim} axes does not match "
                             f"the {dim}-D field")
     return body
 
 
-def build_field(cfg: dict, default: str = "slice-default"):
-    preset = cfg.get("field.preset", default)
-    if preset not in FIELD_PRESETS:
-        raise TdxrayError(f"unknown field.preset {preset!r}")
-    return FIELD_PRESETS[preset]()
-
-
-def _count(cfg: dict, key: str, default: int) -> int:
-    """A count from the config, which must be at least 1."""
-    value = int(cfg.get(key, default))
-    if value < 1:
-        raise ConfigInvalid(f"{key} = {value} must be >= 1")
-    return value
-
-
-def _positive(cfg: dict, key: str, default: float) -> float:
-    """A step or level from the config, which must be positive."""
-    value = float(cfg.get(key, default))
-    if not value > 0.0:
-        raise ConfigInvalid(f"{key} = {value!r} must be positive")
-    return value
-
-
-def _wave_nodes(key: str, nx: int) -> int:
-    """Nodes per axis of a wave grid: the one-sided conormal stencil
-    spans three."""
-    if nx < 3:
-        raise ConfigInvalid(f"{key}: {nx} nodes per axis, but the conormal "
-                            "stencil needs at least 3")
-    return nx
+def build_field(cfg: dict):
+    # the benchmark builds the default field with build_field({})
+    return FIELD_PRESETS[cfg.get("field.preset", "slice-default")]()
 
 
 def _wave_grid(nx: int, k: float, T: float):
@@ -105,20 +55,12 @@ def _wave_grid(nx: int, k: float, T: float):
 def _recon_grid(cfg: dict, f) -> SpectralGrid:
     """The reconstruction lattice, whose grid.extent must cover the
     field's support."""
-    n_points = _count(cfg, "grid.points", 64)
-    extent = float(cfg.get("grid.extent", 14.0))
+    extent = cfg["grid.extent"]
     try:
-        return SpectralGrid.for_field(f, n_points=n_points, extent=extent)
+        return SpectralGrid.for_field(f, n_points=cfg["grid.points"],
+                                      extent=extent)
     except ValueError as exc:
         raise ConfigInvalid(f"grid.extent = {extent!r}: {exc}") from exc
-
-
-def _epsilon(cfg: dict) -> float:
-    """recon.epsilon, which the cut-radius rule needs inside (0, 1)."""
-    eps = float(cfg.get("recon.epsilon", 0.5))
-    if not 0.0 < eps < 1.0:
-        raise ConfigInvalid(f"recon.epsilon = {eps!r} must lie in (0, 1)")
-    return eps
 
 
 def _write_csv(path, header, rows):
@@ -135,20 +77,16 @@ def _write_csv(path, header, rows):
 def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    nb = _count(cfg, "rays.boundary", 16)
-    nd = _count(cfg, "rays.directions", 8)
+    nb, nd, dt = cfg["rays.boundary"], cfg["rays.directions"], cfg["xray.dt"]
     rays = sample_inward_bundle(body, nb, nd)
     man.stage("setup")
-    dt = _positive(cfg, "xray.dt", 2.5e-3)
     sino = sinogram(f, rays, MetricSpec(), body, dt=dt)
     # any finite family undersamples the sup over all boundary rays; the
     # ratio against a doubled family is the standard refinement diagnostic
     fine = sinogram(f, sample_inward_bundle(body, 2 * nb, nd), MetricSpec(),
                     body, dt=dt)
     ratio = fine.sup_norm / sino.sup_norm if sino.sup_norm > 0 else 1.0
-    level = float(cfg.get("noise.level", 0.0))
-    if level < 0:
-        raise ConfigInvalid(f"noise.level = {level!r} must be >= 0")
+    level = cfg["noise.level"]
     if level > 0:
         sino, _ = perturb_sinogram(sino, level, seed)
     man.stage("sinogram")
@@ -166,29 +104,23 @@ def run_slice_check(cfg: dict, seed: int, art: str,
     """The worst relative slice-identity error over the probes."""
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    pad = float(cfg.get("grid.pad", 0.25))
-    if not pad >= 0.0:
-        # a negative pad shrinks the lattice box inside the field's support
-        raise ConfigInvalid(f"grid.pad = {pad!r} must be >= 0")
-    grid = SpectralGrid.for_field(f, n_points=_count(cfg, "grid.points", 128),
-                                  pad=pad)
+    grid = SpectralGrid.for_field(f, n_points=cfg["grid.points"],
+                                  pad=cfg["grid.pad"])
     samples = grid.sample(f)
     man.stage("sample")
     rng = np.random.default_rng(seed)
-    count = _count(cfg, "slice.count", 20)
-    xi_max = float(cfg.get("slice.xi_max", 6.0))
-    n_launch = _count(cfg, "slice.n_launch", 160)
-    n_s = _count(cfg, "slice.n_s", 160)
+    xi_max = cfg["slice.xi_max"]
     rows = []
     worst = 0.0
-    for _ in range(count):
+    for _ in range(cfg["slice.count"]):
         ang = rng.uniform(0.0, 2.0 * np.pi)
         omega = np.array([np.cos(ang), np.sin(ang)])
         xi = rng.uniform(-xi_max, xi_max, f.dim)
         tau = -float(omega @ xi)
         ref = grid.point_transform(samples, [tau], [xi])[0]
         val = slice_from_sinogram(f, omega, xi, body,
-                                  n_launch=n_launch, n_s=n_s)
+                                  n_launch=cfg["slice.n_launch"],
+                                  n_s=cfg["slice.n_s"])
         err = abs(val - ref)
         rel = err / (1.0 + abs(ref))
         worst = max(worst, rel)
@@ -207,25 +139,24 @@ def run_slice_check(cfg: dict, seed: int, art: str,
 
 
 def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
-    f = build_field(cfg, default="recon-default")
-    body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
+    f = build_field(cfg)
+    body = build_body(cfg, f.dim)
     grid = _recon_grid(cfg, f)
     if "recon.R" in cfg:
         # the rule's inputs would change nothing once R is given
         if "recon.delta" in cfg or "recon.epsilon" in cfg:
             raise ConfigInvalid("recon.R fixes the cut radius; recon.delta "
                                 "and recon.epsilon cannot be set with it")
-        R, conflict = float(cfg["recon.R"]), False
+        R, conflict = cfg["recon.R"], False
     else:
-        cut = choose_R(_positive(cfg, "recon.delta", 1e-6),
-                       _epsilon(cfg), f.dim)
+        cut = choose_R(cfg["recon.delta"], cfg["recon.epsilon"], f.dim)
         R, conflict = cut.R, cut.conflict
     check_cut_radius(grid, R)
     samples = grid.sample(f)
     man.stage("setup")
     source = visible_slice_source(f, body, grid, samples, R,
-                                  n_launch=_count(cfg, "slice.n_launch", 200),
-                                  n_s=_count(cfg, "slice.n_s", 160))
+                                  n_launch=cfg["slice.n_launch"],
+                                  n_s=cfg["slice.n_s"])
     man.stage("slices")
     rec, diag = truncated_inversion(source, R)
     l2, c0 = reconstruction_errors(grid, samples, rec)
@@ -241,17 +172,13 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
 
 def run_stability_curve(cfg: dict, seed: int, art: str,
                         man: RunManifest) -> StabilityCurve:
-    f = build_field(cfg, default="recon-default")
-    body = build_body(cfg, f.dim, default_radius=field_lib.RECON_RADIUS)
+    f = build_field(cfg)
+    body = build_body(cfg, f.dim)
     grid = _recon_grid(cfg, f)
-    levels = cfg.get("noise.levels",
-                     [10.0 ** (-k) for k in range(3, 10)])
-    levels = [float(l) for l in np.atleast_1d(levels)]
     man.stage("setup")
     curve = stability_curve(
-        f, body, levels, _epsilon(cfg), seed, grid,
-        n_launch=_count(cfg, "slice.n_launch", 200),
-        n_s=_count(cfg, "slice.n_s", 160))
+        f, body, cfg["noise.levels"], cfg["recon.epsilon"], seed, grid,
+        n_launch=cfg["slice.n_launch"], n_s=cfg["slice.n_s"])
     man.stage("sweep")
     man.diagnostics += [
         (f"row{i}", {"n_modes": r.n_modes, "imag_residual": r.imag_residual,
@@ -267,35 +194,20 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
 def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     from ..beams import build_beam, residual_scaling
 
-    amp = float(cfg.get("conformal.amplitude", 0.0))
-    if amp == 0.0:
-        c = constant_factor(1.0)
-    else:
-        center = [float(v) for v in
-                  np.atleast_1d(cfg.get("conformal.center", [0.1, 0.0]))]
-        c = bump_factor(amp, center, _positive(cfg, "conformal.width", 0.75),
-                        dim=len(center))
-    # ray.angle sets a ray in the plane, so the factor must be 2-D; the
-    # body is then checked against the factor
-    if c.dim != 2:
-        raise ConfigInvalid(f"the beam's ray is planar, but the conformal "
-                            f"factor is {c.dim}-D")
+    amp = cfg["conformal.amplitude"]
+    c = (constant_factor(1.0) if amp == 0.0 else
+         bump_factor(amp, cfg["conformal.center"], cfg["conformal.width"]))
+    # ray.angle sets a ray in the plane, and the factor is planar too
     body = build_body(cfg, c.dim)
-    lams = ([float(l) for l in np.atleast_1d(cfg["beam.lambdas"])]
-            if "beam.lambdas" in cfg else None)
-    if lams is not None and len(lams) < 4:
-        raise ConfigInvalid(f"beam.lambdas has {len(lams)} values; the "
-                            "slope fit needs at least 4")
-    ang = float(cfg.get("ray.angle", 0.0))
+    ang = cfg["ray.angle"]
     anchor = body.boundary_point(np.array([-np.cos(ang), -np.sin(ang)]))
     ray = make_ray(body, anchor, [np.cos(ang), np.sin(ang)])
     man.stage("setup")
-    beam = build_beam(c, body, ray, t0=float(cfg.get("beam.t0", 0.0)),
-                      dt=_positive(cfg, "beam.dt", 2e-3))
+    beam = build_beam(c, body, ray, t0=cfg["beam.t0"], dt=cfg["beam.dt"])
     beam.write_csv(os.path.join(art, "beam.csv"))
     man.stage("beam")
-    if lams is not None:
-        res = residual_scaling(beam, body, lams)
+    if "beam.lambdas" in cfg:
+        res = residual_scaling(beam, body, cfg["beam.lambdas"])
         _write_csv(os.path.join(art, "beam_residual.csv"),
                    ["lambda", "residual_l2"],
                    [[lam, float(s)] for lam, s in zip(res["lambdas"],
@@ -308,19 +220,11 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     """The conformal_stability_experiment result."""
     from ..wavesim import conformal_stability_experiment
 
-    nx = _wave_nodes("grid.nx", int(cfg.get("grid.nx", 97)))
-    grid = _wave_grid(nx, _positive(cfg, "grid.k", 0.6 / (nx - 1)),
-                      _positive(cfg, "grid.T", 2.0))
-    scales = [float(s) for s in
-              np.atleast_1d(cfg.get("family.scales", [0.01, 0.02, 0.04, 0.08]))]
-    center = [float(v) for v in
-              np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
-    probe_count = _count(cfg, "probes.count", 6)
+    grid = _wave_grid(cfg["grid.nx"], cfg["grid.k"], cfg["grid.T"])
     man.stage("setup")
     out = conformal_stability_experiment(
-        scales, grid, probe_count=probe_count,
-        bump_center=tuple(center),
-        bump_width=_positive(cfg, "bump.width", 0.3))
+        cfg["family.scales"], grid, probe_count=cfg["probes.count"],
+        bump_center=tuple(cfg["bump.center"]), bump_width=cfg["bump.width"])
     if np.isnan(out["envelope_C"]):
         # no row's DtN norm is above roundoff, so none fixes the envelope
         raise IncompatibleData(f"grid.T = {grid.T!r}: every probed DtN "
@@ -349,23 +253,15 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     """The relative identity gap on each grid size."""
     from ..wavesim import boundary_probes, key_identity_check
 
-    sizes = [_wave_nodes("grid.sizes", int(s)) for s in
-             np.atleast_1d(cfg.get("grid.sizes", [33, 65, 129]))]
-    T = _positive(cfg, "grid.T", 1.5)
-    cfl = _positive(cfg, "grid.cfl", 0.6)
-    center = [float(v) for v in
-              np.atleast_1d(cfg.get("bump.center", [0.55, 0.42]))]
-    c = bump_factor(float(cfg.get("bump.amplitude", 0.05)), center,
-                    _positive(cfg, "bump.width", 0.27), T=T)
+    T, cfl = cfg["grid.T"], cfg["grid.cfl"]
+    c = bump_factor(cfg["bump.amplitude"], cfg["bump.center"],
+                    cfg["bump.width"], T=T)
+    # the schema bounds probe.first and probe.second by these four
     probes = boundary_probes(4, T)
-    picks = [int(cfg.get("probe.first", 0)), int(cfg.get("probe.second", 2))]
-    if any(p not in range(len(probes)) for p in picks):
-        raise ConfigInvalid(f"probe.first/probe.second = {picks} must lie "
-                            f"in 0..{len(probes) - 1}")
-    f1, f2 = (probes[p] for p in picks)
+    f1, f2 = probes[cfg["probe.first"]], probes[cfg["probe.second"]]
     man.stage("setup")
     rows = []
-    for nx in sizes:
+    for nx in cfg["grid.sizes"]:
         res = key_identity_check(c, _wave_grid(nx, cfl / (nx - 1), T),
                                  f1, f2)
         lhs, rhs, gap = res["lhs"], res["rhs"], res["relative_gap"]
@@ -406,8 +302,8 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: int) -> int:
     art = os.path.join(out_dir, f"{subcommand}-{man.hash[:12]}")
     os.makedirs(art, exist_ok=True)
     try:
-        validate(subcommand, cfg)
-        PIPELINES[subcommand](cfg, seed, art, man)
+        # the manifest and the artifact directory keep the config as given
+        PIPELINES[subcommand](validate(subcommand, cfg), seed, art, man)
     except TdxrayError as exc:
         record = os.path.join(art, "error.txt")
         with open(record, "w") as fh:

@@ -1,7 +1,9 @@
 import importlib.util
+import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from tdxray.errors import ConfigInvalid
 from tdxray.geometry import MetricSpec, sample_inward_bundle
 from tdxray.harness import acceptance as acc
 from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
-                                   parse_config_text, validate)
+                                   parse_config_text, parse_value, validate)
 from tdxray.harness.manifest import RunManifest
 from tdxray.harness.runner import PIPELINES, run
 from tdxray.parallel import thread_count
@@ -24,7 +26,7 @@ from tdxray.wavesim import WaveGrid
 from tdxray.xray import sinogram
 
 # small but complete runs of each pipeline; every other key keeps its
-# default, which the pipeline still looks up
+# default, which validate fills in
 SMALL = {
     "forward": {"rays.boundary": 2, "rays.directions": 1},
     "slice-check": {"grid.points": 8, "slice.count": 1,
@@ -59,6 +61,35 @@ class ReadLog(dict):
     def __contains__(self, key):
         self.read.add(key)
         return super().__contains__(key)
+
+
+def conforms(spec, value) -> bool:
+    """Whether value is of the type a schema key declares, inside its
+    bound."""
+    if spec.options:
+        return value in spec.options
+    if spec.length is not None:
+        fewest, most = spec.length
+        return (type(value) is list and fewest <= len(value) <= most
+                and all(conforms(replace(spec, length=None), v)
+                        for v in value)
+                and not (spec.distinct and len(set(value)) < len(value)))
+    return (type(value) is spec.kind and -math.inf < value < math.inf
+            and (spec.lo < value < spec.hi if spec.open
+                 else spec.lo <= value <= spec.hi))
+
+
+# config lines as a user might write them, numbers, lists and words
+CONFIG_TEXT = st.one_of(
+    st.text(max_size=12), st.integers().map(str), st.floats().map(repr),
+    st.lists(st.one_of(st.integers(), st.floats()), max_size=6).map(
+        lambda vs: ", ".join(map(repr, vs))),
+    st.sampled_from(["true", "off", "ball", "ellipse", "zero", "spectral",
+                     "nan", "-inf", ",", "16, 16, 32, 64"]))
+
+# the optional keys validate leaves unset when they are not given
+UNFILLED = {"reconstruct": {"recon.R"}, "beam": {"beam.lambdas"},
+            "acceptance": {"acceptance.only"}}
 
 
 def manifest_sections(path) -> dict:
@@ -122,12 +153,52 @@ class TestConfig:
             bodies.append({"body.kind": "ellipse",
                            "body.semiaxes": [5.0, 4.5]})
         for body in bodies:
-            cfg = ReadLog({**SMALL[name], **body})
-            validate(name, cfg)
+            given = {**SMALL[name], **body}
+            cfg = ReadLog(validate(name, given))
             PIPELINES[name](cfg, 0, str(tmp_path),
-                            RunManifest(name, dict(cfg), 0))
+                            RunManifest(name, given, 0))
             read |= cfg.read
-        assert SCHEMAS[name] - read == set()
+        assert SCHEMAS[name].keys() - read == set()
+
+    @given(text=CONFIG_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_validate_returns_checked_values(self, text):
+        # under every key of every subcommand, a value is either refused by
+        # name or comes back of its declared kind inside its bound, and so
+        # does every default filled in
+        given = parse_value(text)
+        values = given if isinstance(given, list) else [given]
+        for name, schema in SCHEMAS.items():
+            for key in schema:
+                try:
+                    checked = validate(name, {key: given})
+                except ConfigInvalid as exc:
+                    assert str(exc).startswith(key)
+                    continue
+                # handed back as given, as a float where an int is taken for
+                # one, and a lone value as a list of one for a list key
+                back = checked[key]
+                back = back if isinstance(back, list) else [back]
+                assert back == [type(b)(v) for b, v in zip(back, values)]
+                assert len(back) == len(values)
+                for k, value in checked.items():
+                    assert conforms(schema[k], value), (k, value)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_defaults_filled(self, name):
+        assert set(validate(name, {})) == (
+            SCHEMAS[name].keys() - UNFILLED.get(name, set()))
+
+    def test_cut_radius_rule_inputs_unfilled_with_R(self):
+        # the pipeline must see whether recon.delta or recon.epsilon was
+        # given alongside recon.R
+        assert set(validate("reconstruct", {})) - set(
+            validate("reconstruct", {"recon.R": 2.0})) == {
+            "recon.delta", "recon.epsilon"}
+
+    def test_acceptance_options_are_its_modules(self):
+        assert set(SCHEMAS["acceptance"]["acceptance.only"].options) == {
+            module for _, module in acc.CRITERIA}
 
     def test_hash_stable_under_ordering(self):
         a = {"x.a": 1, "x.b": [1, 2]}
@@ -172,9 +243,30 @@ class TestRunner:
         code = run("forward", dict(cfg), str(tmp_path), seed=0)
         assert code == 2
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
-        assert "TdxrayError" in (art / "error.txt").read_text()
+        assert "ConfigInvalid" in (art / "error.txt").read_text()
 
     SMALL_CURVE = {"grid.points": 16, "slice.n_launch": 16, "slice.n_s": 16}
+    # values of the wrong type, length or range: each escaped run() as a
+    # ValueError or an IndexError, or ran with a truncated or dropped value
+    NOT_IN_SCHEMA = [
+        ("stability-curve", {"grid.points": "abc"}),
+        ("dtn", {"grid.nx": "x"}),
+        ("beam", {"ray.angle": "abc"}),
+        ("beam", {"conformal.amplitude": 0.1, "conformal.center": "a"}),
+        ("forward", {"body.kind": "ellipse", "body.semiaxes": "a"}),
+        ("dtn", {"bump.center": [0.5]}),
+        ("identity-check", {"bump.center": 0.5}),
+        ("beam", {"beam.lambdas": [0.5, 16, 32, 64]}),
+        ("slice-check", {"slice.xi_max": -1}),
+        ("forward", {"rays.boundary": 2.7}),
+        ("dtn", {"grid.nx": 17.5}),
+        ("identity-check", {"probe.first": 1.7}),
+        ("forward", {"rays.boundary": True}),
+        ("forward", {"body.radius": True}),
+        ("dtn", {"bump.center": [0.5, 0.5, 0.5]}),
+        ("identity-check", {"grid.sizes": []}),
+        ("beam", {"beam.lambdas": [16, 16, 16, 16]}),
+    ]
     BODY_3D = {"body.dim": 3}
     ELLIPSOID = {"body.kind": "ellipse", "body.semiaxes": [2.0, 1.0, 1.0]}
 
@@ -271,6 +363,7 @@ class TestRunner:
         ("reconstruct", {"recon.R": float("nan")}),
         ("beam", {"conformal.amplitude": float("nan")}),
         ("stability-curve", {"noise.levels": [1e-3, float("inf")]}),
+        *NOT_IN_SCHEMA,
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -278,6 +371,8 @@ class TestRunner:
         first = (art / "error.txt").read_text().splitlines()[0]
         error_type = first.removeprefix("error_type = ")
         assert issubclass(getattr(errors, error_type), errors.TdxrayError)
+        if (name, cfg) in self.NOT_IN_SCHEMA:
+            assert error_type == "ConfigInvalid"
 
     def test_stability_diagnostics_recorded(self, tmp_path):
         cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],
@@ -468,9 +563,11 @@ class TestCli:
         assert code == 2
         assert calls == []
 
-    @pytest.mark.parametrize("seed", ["abc", "nan", "1.5", "true"])
+    @pytest.mark.parametrize("seed", ["abc", "nan", "1.5", "true", "-1"])
     def test_non_integer_seed_rejected(self, tmp_path, capsys, seed):
-        # each escaped main() as a ValueError or ran at a truncated seed
+        # each escaped main() as a ValueError or ran at a truncated seed; a
+        # negative one ran here, with no noise drawn, and escaped any run
+        # that seeds a generator as numpy's ValueError
         cfg = tmp_path / "f.cfg"
         cfg.write_text(f"rays.boundary = 2\nrays.directions = 1\n"
                        f"seed = {seed}\n")

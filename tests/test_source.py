@@ -189,3 +189,47 @@ def test_cli_runs_load_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent),
                                "TDXRAY_THREADS": "1"}, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+RUNNER = SRC / "harness" / "runner.py"
+
+# the pipelines read the dict validate returns, checked and with every
+# default filled in, by cfg[key] alone; build_field keeps a default
+# because perfbench/workloads.py calls runner.build_field({})
+KEPT_CONFIG_GETS = {("build_field", "field.preset")}
+
+
+def is_cfg(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "cfg"
+
+
+def is_cfg_get(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and is_cfg(node.func.value))
+
+
+def unchecked_config_reads(path: Path) -> list[str]:
+    """Each cfg.get(...) call in the module's functions, but the kept ones,
+    and each int, float or np.atleast_1d call around a config read."""
+    found = []
+    for fn in ast.parse(path.read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if is_cfg_get(node):
+                key = node.args[0].value if node.args else None
+                if (fn.name, key) not in KEPT_CONFIG_GETS:
+                    found.append(f"{fn.name}:{node.lineno} cfg.get")
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in ("int", "float")
+                    or getattr(node.func, "attr", None) == "atleast_1d"):
+                if any(is_cfg_get(n) or (isinstance(n, ast.Subscript)
+                                         and is_cfg(n.value))
+                       for arg in node.args for n in ast.walk(arg)):
+                    found.append(f"{fn.name}:{node.lineno} "
+                                 f"{ast.unparse(node.func)}(cfg...)")
+    return found
+
+
+def test_pipelines_read_checked_config():
+    assert unchecked_config_reads(RUNNER) == []
