@@ -73,7 +73,7 @@ class ConformalFactor:
         return report
 
 
-def constant_factor(value: float = 1.0, dim: int = 2,
+def constant_factor(value: float, dim: int = 2,
                     T: float = 2.0) -> ConformalFactor:
     v = float(value)
 

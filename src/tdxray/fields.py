@@ -141,8 +141,8 @@ def _make_evaluator(specs: Sequence[BumpSpec], dim: int):
     return evaluate
 
 
-def bump_field(specs: Sequence[BumpSpec], dim: int = 2,
-               name: str = "bump") -> SpaceTimeField:
+def bump_field(specs: Sequence[BumpSpec], dim: int,
+               name: str) -> SpaceTimeField:
     """Superposition of separable space-time bumps.
 
     When every component shares the same time profile the field factorises
@@ -198,8 +198,8 @@ def bump_field(specs: Sequence[BumpSpec], dim: int = 2,
 
 
 def single_bump(amplitude=1.0, t_center=1.0, t_width=0.85,
-                x_center=(0.05, -0.08), x_width=0.55,
-                name="bump") -> SpaceTimeField:
+                x_center=(0.05, -0.08), x_width=0.55, *,
+                name: str) -> SpaceTimeField:
     return bump_field(
         [BumpSpec(amplitude, t_center, t_width, tuple(x_center), x_width)],
         dim=len(x_center), name=name)

@@ -145,7 +145,7 @@ def criterion_03(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     grid, entries = ctx.envelope_setup()
     mesh = grid.frequency_mesh()
-    hidden = ~grid.visible_mask()
+    hidden = ~grid.visible_mask
     taus = np.abs(mesh[0][hidden])
 
     def ratio(entry):
@@ -174,7 +174,7 @@ def criterion_04(ctx: AcceptanceContext) -> CriterionResult:
     f = field_lib.tail_field()
     grid = SpectralGrid.for_field(f, n_points=64, extent=8.0)
     values = grid.forward(grid.sample(f))
-    radius = grid.radius_mesh()
+    radius = grid.radius_mesh
     w = float(np.prod(grid.dk))
     tails = {R: float(np.sum(np.abs(values)[radius > R]) * w)
              for R in (4.0, 8.0, 16.0)}
@@ -362,7 +362,7 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(only: str | None = None) -> list[CriterionResult]:
+def run_acceptance(only: str | None) -> list[CriterionResult]:
     """Every criterion, or those of the one module named by only."""
     ctx = AcceptanceContext()
     results = []

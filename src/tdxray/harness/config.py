@@ -43,12 +43,10 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigInvalid(f"line {ln}: expected 'section.key = value'")
-        key, val = line.split("=", 1)
+        key, sep, val = line.partition("=")
         key = key.strip()
-        if not key or ("." not in key and key != "seed"):
-            raise ConfigInvalid(f"line {ln}: key must look like section.key")
+        if not sep or not key:
+            raise ConfigInvalid(f"line {ln}: expected 'section.key = value'")
         if key in out:
             raise ConfigInvalid(f"line {ln}: duplicate key {key!r}")
         out[key] = parse_value(val)

@@ -89,8 +89,8 @@ class SpectralSource:
 
 def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
                          grid: SpectralGrid, samples: np.ndarray,
-                         R_max: float, n_launch: int = 200,
-                         n_s: int = 160) -> SpectralSource:
+                         R_max: float, n_launch: int,
+                         n_s: int) -> SpectralSource:
     """Fill the visible lattice inside B_Rmax from chord-family slices.
 
     Each visible lattice point (tau, xi) with xi != 0 gets the chord slice
@@ -101,7 +101,7 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     data.
     """
     mesh = grid.frequency_mesh()
-    available = grid.visible_mask() & (grid.radius_mesh() <= R_max)
+    available = grid.visible_mask & (grid.radius_mesh <= R_max)
 
     # one representative per Hermitian mirror pair, the first of the two
     # in C order; a point off the core or equal to its mirror stands alone
@@ -154,9 +154,7 @@ def hermitian_noise(grid: SpectralGrid, mask: np.ndarray, amplitude: float,
 
 def lattice_radius_limit(grid: SpectralGrid) -> float:
     """Largest ball radius fully inside the centered lattice."""
-    limits = [np.max(grid.taus)] + [np.max(grid.xis(a))
-                                    for a in range(grid.dim)]
-    return float(min(limits))
+    return float(min(np.max(grid.freqs(a)) for a in range(grid.dim + 1)))
 
 
 def check_cut_radius(grid: SpectralGrid, R: float) -> None:
@@ -174,7 +172,7 @@ def kept_modes(source: SpectralSource, R: float) -> np.ndarray:
     """The lattice points the inversion keeps: inside B_R, visible and
     data-backed."""
     grid = source.grid
-    return (grid.radius_mesh() < R) & grid.visible_mask() & source.available
+    return (grid.radius_mesh < R) & grid.visible_mask & source.available
 
 
 def truncated_inversion(source: SpectralSource, R: float):
@@ -212,8 +210,8 @@ def parseval_split(source: SpectralSource, R: float) -> dict:
     """Three-way energy split of the lattice values at cut radius R."""
     grid = source.grid
     E2 = np.abs(source.values) ** 2
-    in_ball = grid.radius_mesh() < R
-    vis = grid.visible_mask()
+    in_ball = grid.radius_mesh < R
+    vis = grid.visible_mask
     w = np.prod(grid.dk) / (2 * np.pi) ** (grid.dim + 1)
     return {
         "kept": float(E2[in_ball & vis].sum() * w),
@@ -282,7 +280,7 @@ def noise_transfer_volume(f: SpaceTimeField) -> float:
 def stability_curve(f: SpaceTimeField, body: ConvexBody,
                     noise_levels, epsilon: float, seed: int,
                     grid: SpectralGrid,
-                    n_launch: int = 200, n_s: int = 160) -> StabilityCurve:
+                    n_launch: int, n_s: int) -> StabilityCurve:
     """Log-stability sweep: perturb data at each level, cut, reconstruct.
 
     Each level draws a 64-ray uniform perturbation; its measured sup-norm

@@ -15,8 +15,8 @@ only the exponentially weighted envelope bound holds.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,48 +108,34 @@ def _phase_sum(values: np.ndarray, phases, labels: str):
     return np.einsum(f"{labels},{','.join(labels)}->", values, *phases)
 
 
-def _lattice_array(method):
-    """Compute a lattice-sized array once per grid and hand it out
-    read-only, so no caller can change what the next one reads."""
-    key = "_cached_" + method.__name__
-
-    @functools.wraps(method)
-    def cached(self):
-        out = self.__dict__.get(key)
-        if out is None:
-            out = method(self)
-            out.flags.writeable = False
-            self.__dict__[key] = out
-        return out
-
-    return cached
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, read-only, so no caller of a cached lattice array can change
+    what the next one reads."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform (t, x) sample grid and its DFT-conjugate frequency lattice.
 
-    Frozen, because the radius mesh, the visible mask and the corner phase
-    are computed once per grid and shared read-only.
+    The dim + 1 axes, t first, start at origin, step by spacing and hold
+    n points each.  Frozen, because the radius mesh, the visible mask and
+    the corner phase are computed once per grid and shared read-only.
     """
 
-    t0: float
-    dt: float
-    nt: int
-    x0: np.ndarray
-    dx: np.ndarray
-    nx: tuple[int, ...]
-    dim: int
+    origin: np.ndarray
+    spacing: np.ndarray
+    n: int
 
     def __post_init__(self):
         # the centered lattice mirrors index i to N - i only for even N;
         # odd sizes would pair each frequency with a wrong partner
-        sizes = (self.nt,) + tuple(self.nx)
-        if any(n % 2 for n in sizes):
-            raise OddLattice(f"lattice sizes {sizes} must all be even")
+        if self.n % 2:
+            raise OddLattice(f"lattice size {self.n} must be even")
 
     @classmethod
-    def for_field(cls, f: SpaceTimeField, n_points: int = 64,
+    def for_field(cls, f: SpaceTimeField, n_points: int,
                   pad: float = 0.25,
                   extent: float | None = None) -> "SpectralGrid":
         """Grid covering the field support.
@@ -160,63 +146,49 @@ class SpectralGrid:
         the delta-sweep experiments need that resolution).
         """
         (t_lo, t_hi), x_lo, x_hi = f.support_box
+        lo = np.array([t_lo, *x_lo], dtype=float)
+        hi = np.array([t_hi, *x_hi], dtype=float)
         if extent is None:
-            t_pad = pad * (t_hi - t_lo)
-            x_pad = pad * (x_hi - x_lo)
-            t0, t1 = t_lo - t_pad, t_hi + t_pad
-            lo, hi = x_lo - x_pad, x_hi + x_pad
+            margin = pad * (hi - lo)
+            lo, hi = lo - margin, hi + margin
         else:
-            span = max(t_hi - t_lo, float(np.max(np.asarray(x_hi)
-                                                 - np.asarray(x_lo))))
+            span = float(np.max(hi - lo))
             if extent < span:
                 raise ValueError(
                     f"extent {extent} smaller than the field support span "
                     f"{span:.3g}: samples would truncate the field")
-            tc = 0.5 * (t_lo + t_hi)
-            xc = 0.5 * (x_lo + x_hi)
-            t0, t1 = tc - extent / 2, tc + extent / 2
-            lo, hi = xc - extent / 2, xc + extent / 2
-        nxs = (n_points,) * f.dim
-        return cls(
-            t0=float(t0), dt=float((t1 - t0) / n_points), nt=n_points,
-            x0=np.asarray(lo, dtype=float),
-            dx=(np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float))
-               / n_points,
-            nx=nxs, dim=f.dim)
-
-    # --- sample axes -------------------------------------------------
+            mid = 0.5 * (lo + hi)
+            lo, hi = mid - extent / 2, mid + extent / 2
+        return cls(origin=lo, spacing=(hi - lo) / n_points, n=n_points)
 
     @property
-    def t_samples(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.nt)
+    def dim(self) -> int:
+        """Spatial dimension: the axes after t."""
+        return self.origin.size - 1
 
-    def x_samples(self, axis: int) -> np.ndarray:
-        return self.x0[axis] + self.dx[axis] * np.arange(self.nx[axis])
+    # --- sample and frequency axes (frequencies centered) -------------
+
+    def axis(self, a: int) -> np.ndarray:
+        """Sample points of axis a; axis 0 is t."""
+        return self.origin[a] + self.spacing[a] * np.arange(self.n)
+
+    def freqs(self, a: int) -> np.ndarray:
+        """Frequencies of axis a in fftshift order; axis 0 is tau."""
+        return 2.0 * np.pi * np.fft.fftshift(
+            np.fft.fftfreq(self.n, self.spacing[a]))
 
     @property
     def cell_volume(self) -> float:
-        return float(self.dt * np.prod(self.dx))
-
-    # --- frequency axes (centered / fftshift order) -------------------
-
-    @property
-    def taus(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(self.nt, self.dt))
-
-    def xis(self, axis: int) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftshift(
-            np.fft.fftfreq(self.nx[axis], self.dx[axis]))
+        return float(self.spacing[0] * np.prod(self.spacing[1:]))
 
     @property
     def dk(self) -> np.ndarray:
         """Frequency spacing per axis, tau first."""
-        return np.array([2 * np.pi / (self.nt * self.dt)]
-                        + [2 * np.pi / (n * d)
-                           for n, d in zip(self.nx, self.dx)])
+        return 2 * np.pi / (self.n * self.spacing)
 
     def frequency_mesh(self):
-        axes = [self.taus] + [self.xis(a) for a in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*(self.freqs(a) for a in range(self.dim + 1)),
+                           indexing="ij")
 
     @property
     def core(self) -> tuple:
@@ -232,43 +204,44 @@ class SpectralGrid:
         """a(-k) on the core lattice, for a lattice-shaped array a."""
         return a[self.core][(slice(None, None, -1),) * (self.dim + 1)]
 
-    @_lattice_array
+    @cached_property
     def radius_mesh(self) -> np.ndarray:
         mesh = self.frequency_mesh()
-        return np.sqrt(sum(m * m for m in mesh))
+        return _read_only(np.sqrt(sum(m * m for m in mesh)))
 
-    @_lattice_array
+    @cached_property
     def visible_mask(self) -> np.ndarray:
         mesh = self.frequency_mesh()
-        return is_visible(mesh[0], np.stack(mesh[1:], axis=-1))
+        return _read_only(is_visible(mesh[0], np.stack(mesh[1:], axis=-1)))
 
     # --- transforms ----------------------------------------------------
 
     def sample(self, f: SpaceTimeField) -> np.ndarray:
-        axes = [self.x_samples(a) for a in range(self.dim)]
+        shape = (self.n,) * self.dim
+        axes = [self.axis(a) for a in range(1, self.dim + 1)]
         xmesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        out = np.empty((self.nt,) + self.nx)
-        for j, t in enumerate(self.t_samples):
-            out[j] = f(np.full(self.nx, t), xmesh)
+        out = np.empty((self.n,) + shape)
+        for j, t in enumerate(self.axis(0)):
+            out[j] = f(np.full(shape, t), xmesh)
         return out
 
-    @_lattice_array
+    @cached_property
     def _corner_phase(self) -> np.ndarray:
-        """exp(-i (t0 tau + x0 . xi)) on the centered lattice."""
+        """exp(-i origin . (tau, xi)) on the centered lattice."""
         mesh = self.frequency_mesh()
-        phase = self.t0 * mesh[0]
-        for a in range(self.dim):
-            phase = phase + self.x0[a] * mesh[a + 1]
-        return np.exp(-1j * phase)
+        phase = self.origin[0] * mesh[0]
+        for o, m in zip(self.origin[1:], mesh[1:]):
+            phase = phase + o * m
+        return _read_only(np.exp(-1j * phase))
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Trapezoid-rule transform on the centered frequency lattice."""
         spec = np.fft.fftshift(np.fft.fftn(samples))
-        return self.cell_volume * self._corner_phase() * spec
+        return self.cell_volume * self._corner_phase * spec
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward` back onto the sample grid."""
-        spec = values / (self.cell_volume * self._corner_phase())
+        spec = values / (self.cell_volume * self._corner_phase)
         return np.fft.ifftn(np.fft.ifftshift(spec))
 
     def point_transform(self, samples: np.ndarray, taus, xis) -> np.ndarray:
@@ -280,13 +253,11 @@ class SpectralGrid:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
         out = np.empty(taus.shape, dtype=complex)
-        ts = self.t_samples
-        axes = [self.x_samples(a) for a in range(self.dim)]
+        axes = [self.axis(a) for a in range(self.dim + 1)]
         labels = "t" + _AXIS_LABELS[:self.dim]
         for i, (tau, xi) in enumerate(zip(taus, xis)):
-            et = np.exp(-1j * ts * tau)
-            phis = [np.exp(-1j * axes[a] * xi[a]) for a in range(self.dim)]
-            out[i] = _phase_sum(samples, [et, *phis], labels)
+            phases = [np.exp(-1j * ax * k) for ax, k in zip(axes, (tau, *xi))]
+            out[i] = _phase_sum(samples, phases, labels)
         return self.cell_volume * out
 
     def discrete_l2(self, samples: np.ndarray) -> float:
@@ -301,7 +272,7 @@ LAUNCH_PAD = 0.06
 
 
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
-                        n_launch: int = 160, n_s: int = 160,
+                        n_launch: int, n_s: int,
                         use_separable: bool = True) -> complex:
     """Spatial Fourier transform of the ray data in direction omega at xi.
 

@@ -139,7 +139,8 @@ def perturb_sinogram(s: Sinogram, noise_level: float,
     """Add uniform noise of the given amplitude to every ray value.
 
     Returns the perturbed sinogram and the measured sup-norm of the
-    perturbation itself, which the stability experiments use as delta.
+    perturbation itself, which the forward pipeline records as its
+    noise_sup diagnostic.
     """
     if noise_level < 0:
         raise ValueError("noise_level must be >= 0")

@@ -108,12 +108,13 @@ class TestBumpFrame:
         empty = spec(rng.normal(), frame_point(-1, [0] * len(perp))
                      + 2 * width * omega, width)
         frame = (origin, omega, perp, along, v_axes)
-        _, H = bump_field(specs + [empty], dim=dim).separable
+        _, H = bump_field(specs + [empty], dim=dim,
+                          name="bump").separable
         got = H(*frame)
         assert got.shape == (n_along,) + (n_v,) * len(perp)
         assert np.array_equal(got, unwindowed(specs + [empty], *frame))
-        assert np.array_equal(got, bump_field(specs, dim=dim).separable[1](
-            *frame))
+        assert np.array_equal(got, bump_field(
+            specs, dim=dim, name="bump").separable[1](*frame))
 
 
 class TestBumpProfile:
@@ -169,12 +170,12 @@ class TestFields:
         assert a.name != b.name
 
     def test_smoothness_budget_orders(self):
-        f = single_bump()
+        f = single_bump(name="bump")
         budget = smoothness_budget(f, order=2, n_samples=500)
         assert budget[0] <= 1.0 + 1e-12
         assert budget[1] > 0 and budget[2] > budget[1]
 
     def test_shift_moves_support(self, shifted):
-        f = single_bump()
+        f = single_bump(name="bump")
         g = shifted(f, 0.3)
         assert g.t_support[0] == pytest.approx(f.t_support[0] + 0.3)

@@ -119,8 +119,9 @@ class TestConfig:
         assert cfg["xray.dt"] == 0.001
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigInvalid):
-            parse_config_text("just words\n")
+        for text in ["just words\n", "= 1\n"]:
+            with pytest.raises(ConfigInvalid, match="^line 1: expected"):
+                parse_config_text(text)
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigInvalid):
@@ -223,11 +224,27 @@ class TestRunner:
         sections = manifest_sections(art / "manifest.txt")
         values = dict(item.split("=")
                       for item in sections["diagnostics"]["sinogram"].split())
-        assert list(values) == ["max_halving_gap", "refinement_ratio"]
+        assert list(values) == ["max_halving_gap", "refinement_ratio",
+                                "noise_sup"]
         tol = float(sections["tolerances"]["quad_tol"])
         assert 0.0 <= float(values["max_halving_gap"]) <= 10.0 * tol
+        assert float(values["noise_sup"]) == 0.0
         printed = capsys.readouterr().out
         assert f"refinement_ratio = {values['refinement_ratio']}\n" in printed
+        # with noise, noise_sup is the sup-norm of what was added
+        level = 1e-3
+        noisy_cfg = {**cfg, "noise.level": level}
+        assert run("forward", dict(noisy_cfg), str(tmp_path), seed=5) == 0
+        noisy = tmp_path / f"forward-{config_hash(noisy_cfg, 5)[:12]}"
+        sections = manifest_sections(noisy / "manifest.txt")
+        values = dict(item.split("=")
+                      for item in sections["diagnostics"]["sinogram"].split())
+        added = [float(b.rsplit(",", 1)[1]) - float(a.rsplit(",", 1)[1])
+                 for a, b in zip(sino[1:], (noisy / "sinogram.csv")
+                                 .read_text().splitlines()[1:])]
+        noise_sup = float(values["noise_sup"])
+        assert 0.0 < noise_sup <= level
+        assert max(map(abs, added)) == pytest.approx(noise_sup, rel=1e-9)
 
     def test_seed_key_rejected(self, tmp_path):
         # the seed is run()'s argument; as a key it would change the
@@ -494,6 +511,22 @@ class TestRunner:
 class TestCli:
     def test_bad_config_path(self, tmp_path):
         assert main(["forward", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("subcommand", ["forward", "acceptance"])
+    def test_dotless_key_rejected_by_schema(self, monkeypatch, tmp_path,
+                                            capsys, subcommand):
+        # the schema is the one rule for a key: a key without a dot is
+        # unknown like any other
+        monkeypatch.setattr(acc, "CRITERIA", [])
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("foo = 1\n")
+        argv = [subcommand, "--config", str(cfg)]
+        if subcommand != "acceptance":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert (f"ERROR ConfigInvalid: unknown keys for {subcommand!r}: "
+                "foo\n") in printed.out + printed.err
 
     def test_forward_roundtrip(self, tmp_path):
         cfg = tmp_path / "f.cfg"

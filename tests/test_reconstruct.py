@@ -88,7 +88,7 @@ class TestTailBound:
         f = tail_field()
         grid = SpectralGrid.for_field(f, n_points=64, extent=8.0)
         values = grid.forward(grid.sample(f))
-        radius = grid.radius_mesh()
+        radius = grid.radius_mesh
         w = float(np.prod(grid.dk))
         tails = {R: float(np.sum(np.abs(values)[radius > R]) * w)
                  for R in (4.0, 8.0, 16.0)}
@@ -109,7 +109,7 @@ class TestInversion:
     def test_oracle_full_band_recovery(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=96, pad=0.35)
         samples = grid.sample(slice_field)
-        in_ball = grid.radius_mesh() < 0.99 * lattice_radius_limit(grid)
+        in_ball = grid.radius_mesh < 0.99 * lattice_radius_limit(grid)
         rec = grid.inverse(np.where(in_ball, grid.forward(samples), 0.0))
         l2, _ = reconstruction_errors(grid, samples, rec.real)
         assert l2 < 1e-3
@@ -131,9 +131,9 @@ class TestInversion:
 
     def test_linearity(self, linear_combination):
         f1 = single_bump(amplitude=1.0, t_center=1.0, x_center=(0.1, 0.0),
-                         x_width=0.5)
+                         x_width=0.5, name="bump")
         f2 = single_bump(amplitude=1.0, t_center=0.9, x_center=(-0.2, 0.1),
-                         x_width=0.4)
+                         x_width=0.4, name="bump")
         combo = linear_combination([f1, f2], [2.0, -1.0])
         grid = SpectralGrid.for_field(combo, n_points=32, extent=6.0)
         recs = []
@@ -165,8 +165,8 @@ class TestSliceSource:
         f, body, grid, _ = recon_setup
         src = visible_slice_source(f, body, grid, grid.sample(f), R_max=1.8,
                                    n_launch=96, n_s=96)
-        r = grid.radius_mesh()
-        vis = grid.visible_mask()
+        r = grid.radius_mesh
+        vis = grid.visible_mask
         assert not np.any(src.available & ~vis)
         assert not np.any(src.available & (r > 1.8))
 
@@ -188,8 +188,8 @@ class TestSliceSource:
 
         with mock.patch.object(reconstruct, "slice_from_sinogram", stub):
             src = visible_slice_source(f, ball(4.0), grid, grid.sample(f),
-                                       R_max)
-        pick = grid.visible_mask() & (grid.radius_mesh() <= R_max)
+                                       R_max, n_launch=200, n_s=160)
+        pick = grid.visible_mask & (grid.radius_mesh <= R_max)
         assert np.array_equal(src.available, pick)
 
         # mirror classes by the even-lattice rule -k at index N - j, with
@@ -218,7 +218,7 @@ class TestSliceSource:
 class TestHermitianNoise:
     def test_symmetry_and_amplitude(self, recon_setup):
         _, _, grid, _ = recon_setup
-        mask = grid.radius_mesh() < 3.0
+        mask = grid.radius_mesh < 3.0
         rng = np.random.default_rng(0)
         eta = hermitian_noise(grid, mask, 1e-3, rng)
         assert np.max(np.abs(eta[grid.core]
@@ -231,7 +231,8 @@ class TestHermitianNoise:
 class TestStabilityCurve:
     def test_noise_free_baseline(self, recon_setup):
         f, body, grid, oracle = recon_setup
-        curve = stability_curve(f, body, [0.0], 0.5, 7, grid)
+        curve = stability_curve(f, body, [0.0], 0.5, 7, grid,
+                                n_launch=200, n_s=160)
         row = curve.rows[0]
         rec, _ = truncated_inversion(oracle, row.R)
         l2, _ = reconstruction_errors(grid, grid.sample(f), rec)

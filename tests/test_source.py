@@ -1,8 +1,9 @@
 """Every top-level function and class of the package, and every method of
 those classes, is used by other package code, and every defaulted
-parameter of those functions is set by some package call: an API or a
-knob only the tests use belongs in the tests.  The package runs on numpy
-alone: scipy is a test dependency."""
+parameter of those functions is set by some package call and left at its
+default by another: an API, a knob or a default only the tests use
+belongs in the tests.  The package runs on numpy alone: scipy is a test
+dependency."""
 
 import ast
 import json
@@ -29,6 +30,13 @@ KEPT_PARAMETERS = {
     "bump_factor.t_width",
     # the console entry point reads sys.argv; tests pass their own
     "main.argv",
+}
+
+# defaulted parameters that every package call sets, each kept for a
+# reason other than a test
+KEPT_DEFAULTS = {
+    # perfbench/workloads.py calls xray.sinogram without dt
+    "sinogram.dt",
 }
 
 
@@ -107,10 +115,10 @@ def sets(call, name, position):
         or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def unset_parameters(src: Path) -> dict[str, str]:
-    """{function.parameter: location} of each defaulted parameter that
-    no call in the package sets; calls are matched to definitions by
-    name."""
+def parameter_calls(src: Path):
+    """(function.parameter, location, whether each package call of the
+    function sets it) for each defaulted parameter; calls are matched to
+    definitions by name."""
     modules = {path: ast.parse(path.read_text())
                for path in sorted(src.rglob("*.py"))}
     calls = {}
@@ -122,17 +130,29 @@ def unset_parameters(src: Path) -> dict[str, str]:
                           func.attr if isinstance(func, ast.Attribute)
                           else None)
                 calls.setdefault(callee, []).append(node)
-    unset = {}
     for path, tree in modules.items():
         for name, node, is_method in definitions(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             for param, position in defaulted_parameters(node, is_method):
-                if not any(sets(call, param, position)
-                           for call in calls.get(name, [])):
-                    unset[f"{name}.{param}"] = (
-                        f"{path.relative_to(src)}:{node.lineno}")
-    return unset
+                yield (f"{name}.{param}",
+                       f"{path.relative_to(src)}:{node.lineno}",
+                       [sets(call, param, position)
+                        for call in calls.get(name, [])])
+
+
+def unset_parameters(src: Path) -> dict[str, str]:
+    """{function.parameter: location} of each defaulted parameter that
+    no call in the package sets."""
+    return {key: where for key, where, set_by in parameter_calls(src)
+            if not any(set_by)}
+
+
+def overridden_defaults(src: Path) -> dict[str, str]:
+    """{function.parameter: location} of each defaulted parameter that
+    every call in the package sets, so only the tests read its default."""
+    return {key: where for key, where, set_by in parameter_calls(src)
+            if set_by and all(set_by)}
 
 
 def test_every_defaulted_parameter_is_set_in_src():
@@ -141,6 +161,15 @@ def test_every_defaulted_parameter_is_set_in_src():
             if key not in KEPT_PARAMETERS} == {}
     # an entry a package call now sets, or that is gone, is no longer kept
     assert KEPT_PARAMETERS <= set(unset)
+
+
+def test_every_default_is_read_in_src():
+    overridden = overridden_defaults(SRC)
+    assert {key: where for key, where in overridden.items()
+            if key not in KEPT_DEFAULTS} == {}
+    # an entry a package call now leaves at its default, or that is gone,
+    # is no longer kept
+    assert KEPT_DEFAULTS <= set(overridden)
 
 
 def scipy_imports(src: Path) -> list[str]:

@@ -36,11 +36,10 @@ def aliasing_gap(f, grid, seed=7):
     within 0.4 of the smallest per-axis Nyquist frequency when the sample
     grid is doubled; above 1e-6 the lattice aliases f."""
     rng = np.random.default_rng(seed)
-    k = 0.4 * min(np.pi / grid.dt, *(np.pi / grid.dx))
+    k = 0.4 * float(np.min(np.pi / grid.spacing))
     taus = rng.uniform(-k, k, 8)
     xis = rng.uniform(-k, k, (8, grid.dim))
-    zoom = SpectralGrid(grid.t0, grid.dt / 2, grid.nt * 2, grid.x0,
-                        grid.dx / 2, tuple(2 * n for n in grid.nx), grid.dim)
+    zoom = SpectralGrid(grid.origin, grid.spacing / 2, grid.n * 2)
     base = grid.point_transform(grid.sample(f), taus, xis)
     fine = zoom.point_transform(zoom.sample(f), taus, xis)
     return float(np.max(np.abs(base - fine) / (1.0 + np.abs(fine))))
@@ -113,8 +112,8 @@ class TestFourierFull:
         samples = grid.sample(slice_field)
         lattice = grid.forward(samples)
         i, j, k = 13, 7, 16
-        val = grid.point_transform(samples, [grid.taus[i]],
-                                   [[grid.xis(0)[j], grid.xis(1)[k]]])[0]
+        val = grid.point_transform(samples, [grid.freqs(0)[i]],
+                                   [[grid.freqs(1)[j], grid.freqs(2)[k]]])[0]
         assert abs(val - lattice[i, j, k]) < 1e-10
 
 
@@ -173,7 +172,8 @@ class TestSlices:
         f = SpaceTimeField(
             lambda t, x: np.zeros(np.broadcast(t, x[..., 0]).shape),
             (0.5, 1.5), np.array([-0.5, -0.5]), np.array([0.5, 0.5]), 2)
-        val = slice_from_sinogram(f, (1.0, 0.0), (0.3, -0.4), unit_disk)
+        val = slice_from_sinogram(f, (1.0, 0.0), (0.3, -0.4), unit_disk,
+                                  n_launch=160, n_s=160)
         assert abs(val) < 1e-14
 
     def test_zero_frequency_consistency(self, unit_disk, slice_field):
@@ -181,7 +181,7 @@ class TestSlices:
         ref = grid.point_transform(grid.sample(slice_field), [0.0],
                                    [[0.0, 0.0]])[0]
         val = slice_from_sinogram(slice_field, (0.6, 0.8), (0.0, 0.0),
-                                  unit_disk)
+                                  unit_disk, n_launch=160, n_s=160)
         assert abs(val - ref) < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -193,7 +193,8 @@ class TestSlices:
         tau = -float(omega @ xi)
         grid = SpectralGrid.for_field(slice_field, n_points=128)
         ref = grid.point_transform(grid.sample(slice_field), [tau], [xi])[0]
-        val = slice_from_sinogram(slice_field, omega, xi, unit_disk)
+        val = slice_from_sinogram(slice_field, omega, xi, unit_disk,
+                                  n_launch=160, n_s=160)
         assert abs(val - ref) <= 1e-6 * (1.0 + abs(ref))
 
     def test_direct_path_matches_separable_path(self, unit_disk,
@@ -201,15 +202,16 @@ class TestSlices:
         omega = np.array([0.8, 0.6])
         xi = np.array([1.7, -2.2])
         a = slice_from_sinogram(slice_field, omega, xi, unit_disk,
-                                use_separable=False)
+                                n_launch=160, n_s=160, use_separable=False)
         b = slice_from_sinogram(slice_field, omega, xi, unit_disk,
-                                use_separable=True)
+                                n_launch=160, n_s=160, use_separable=True)
         assert abs(a - b) < 1e-7
 
     def test_coverage_error(self, slice_field):
         small = ball(0.5)
         with pytest.raises(CoverageError):
-            slice_from_sinogram(slice_field, (1.0, 0.0), (1.0, 0.0), small)
+            slice_from_sinogram(slice_field, (1.0, 0.0), (1.0, 0.0), small,
+                                n_launch=160, n_s=160)
 
 
 def correlation_reference(f, omega, xi, n_launch):
@@ -291,7 +293,8 @@ class TestSliceEngine:
         # the oracle bars were set at the fixed sizes; the correlation
         # loop must agree at any size, down to those where an axis ending
         # one spacing short of +(h + pad) would end inside the box
-        val = slice_from_sinogram(f, omega, xi, body, n_launch=n_drawn)
+        val = slice_from_sinogram(f, omega, xi, body, n_launch=n_drawn,
+                                  n_s=160)
         ref, l1 = correlation_reference(f, omega, xi, n_drawn)
         assert abs(val - ref) <= 1e-12 * l1
 
@@ -316,6 +319,7 @@ class TestSliceEngine:
                                       x_hi=slice_field.x_hi - np.array(clip))
         with pytest.raises(SupportTruncated):
             slice_from_sinogram(clipped, (1.0, 0.0), (1.7, -2.2), unit_disk,
+                                n_launch=160, n_s=160,
                                 use_separable=use_separable)
 
     def test_coverage_sampled_once_per_field(self, unit_disk):
@@ -328,10 +332,12 @@ class TestSliceEngine:
 
         f = dataclasses.replace(base, evaluator=counted)
         for xi in [(1.7, -2.2), (0.3, 0.4)]:
-            slice_from_sinogram(f, (0.8, 0.6), xi, unit_disk, n_launch=32)
+            slice_from_sinogram(f, (0.8, 0.6), xi, unit_disk, n_launch=32,
+                                n_s=160)
         assert len(calls) == 5       # one per interior sample time
         with pytest.raises(CoverageError):
-            slice_from_sinogram(f, (1.0, 0.0), (1.0, 0.0), ball(0.5))
+            slice_from_sinogram(f, (1.0, 0.0), (1.0, 0.0), ball(0.5),
+                                n_launch=32, n_s=160)
         assert len(calls) == 5
 
 
@@ -357,20 +363,28 @@ class TestGridGuards:
                 SpectralGrid.for_field(slice_field, n_points=n)
         else:
             grid = SpectralGrid.for_field(slice_field, n_points=n)
-            assert grid.nt == n and grid.nx == (n, n)
+            assert grid.n == n and grid.dim == 2
 
     @given(n=st.integers(1, 8).map(lambda k: 2 * k),
            dim=st.sampled_from([2, 3]))
     @settings(max_examples=20, deadline=None)
     def test_mirror_is_negated_frequency(self, n, dim):
-        grid = SpectralGrid(0.0, 0.3, n, np.zeros(dim), np.full(dim, 0.2),
-                            (n,) * dim, dim)
+        grid = SpectralGrid(np.zeros(dim + 1), np.array([0.3] + [0.2] * dim),
+                            n)
         for axis in grid.frequency_mesh():
             assert np.array_equal(grid.mirrored(axis), -axis[grid.core])
 
+    def test_lattice_arrays_built_once_and_read_only(self, slice_field):
+        grid = SpectralGrid.for_field(slice_field, n_points=12)
+        for name in ("radius_mesh", "visible_mask", "_corner_phase"):
+            first = getattr(grid, name)
+            assert getattr(grid, name) is first, name
+            with pytest.raises(ValueError):
+                first[(0,) * first.ndim] = first[(1,) * first.ndim]
+
     def test_mask_agrees_with_pointwise_classification(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
-        visible = grid.visible_mask()
+        visible = grid.visible_mask
         mesh = grid.frequency_mesh()
         it = np.nditer(mesh[0], flags=["multi_index"])
         for tau in it:

@@ -130,9 +130,10 @@ class TestSinogram:
         assert np.all(np.abs(sino.values) <= sino.taus * fmax + 1e-12)
 
     def test_linearity(self, unit_disk, linear_combination):
-        f1 = single_bump(amplitude=1.0, x_center=(0.1, 0.0), x_width=0.5)
+        f1 = single_bump(amplitude=1.0, x_center=(0.1, 0.0), x_width=0.5,
+                         name="bump")
         f2 = single_bump(amplitude=0.7, t_center=0.8, x_center=(-0.2, 0.1),
-                         x_width=0.4)
+                         x_width=0.4, name="bump")
         combo = linear_combination([f1, f2], [2.0, -3.0])
         path = diameter_path(unit_disk)
         lhs = xray_single(combo, path)[0]
