@@ -1,8 +1,10 @@
 """Strictly convex domains, boundary rays, exit times and ray tracing.
 
-Domains are level sets {phi < 0} of a smooth scalar field.  Built-ins cover
-balls and axis-aligned ellipses/ellipsoids in 2-D and 3-D; anything strictly
-convex with a smooth phi works through the same interface.
+A body is the ellipsoid {phi < 0}, phi(x) = sum_i (x_i / a_i)^2 - 1, of
+semiaxes a along the coordinate axes about the origin.  One row-wise search,
+:func:`bisect`, finds every chord length (:func:`exit_time`), boundary
+point (:meth:`ConvexBody.boundary_point`) and march exit
+(:func:`march_to_exit`) of a family at once.
 
 Ray tracing follows the flow
 
@@ -17,16 +19,16 @@ chord x + s*omega.
 A family of rays is traced as one bundle: :func:`march_to_exit` steps every
 ray still inside on a shared RK4 clock, with arrays that carry a leading
 ray axis, and bisects all boundary crossings together after the march.
-Every operation acts row by row, so a ray's path is the same, bit for bit,
-whether it is traced alone or in a family.  The Gaussian beams of
-``tdxray.beams`` ride the same march as one-row bundles.
+Every operation acts row by row, so a ray's path, chord length or boundary
+point is the same, bit for bit, whether it is found alone or in a family.
+The Gaussian beams of ``tdxray.beams`` ride the same march as one-row
+bundles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -38,76 +40,79 @@ BOUNDARY_TOL = 1e-9
 # time a march may take before NoExit, in diameters at the slowest
 # admissible speed sqrt(m0)
 EXIT_BUDGET = 8.0
+# halvings before bisect stops: a bracket [0, h] about a crossing at s
+# closes to adjacent floats after about 53 + log2(h / s) of them
+BISECT_CAP = 200
 
 
-@dataclass
+def bisect(inside, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, where ``inside`` turns from true to false in [lo, hi]:
+    every bracket is halved together until a halving moves none of them,
+    since every later one would give the same brackets, or BISECT_CAP
+    halvings.  Returns the midpoints; a row's depends on its entries alone.
+    """
+    for _ in range(BISECT_CAP):
+        mid = 0.5 * (lo + hi)
+        ins = inside(mid)
+        new_lo, new_hi = np.where(ins, mid, lo), np.where(ins, hi, mid)
+        if (new_lo == lo).all() and (new_hi == hi).all():
+            break
+        lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
+
+
+@dataclass(eq=False)
 class ConvexBody:
-    """Smooth strictly convex domain {phi < 0}."""
+    """The ellipsoid {phi < 0}, phi(x) = sum((x / semiaxes)**2) - 1, about
+    the origin with its axes along the coordinate axes."""
 
-    level_fn: Callable[[np.ndarray], np.ndarray]
-    grad_fn: Callable[[np.ndarray], np.ndarray]
-    bounding_box: tuple[np.ndarray, np.ndarray]
-    diameter: float
-    dim: int
-    center: np.ndarray
+    semiaxes: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.semiaxes.size
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * float(np.max(self.semiaxes))
+
+    @property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        return -self.semiaxes, self.semiaxes
 
     def phi(self, x) -> np.ndarray:
-        return self.level_fn(np.asarray(x, dtype=float))
+        d = np.asarray(x, dtype=float) / self.semiaxes
+        return np.sum(d * d, axis=-1) - 1.0
 
     def grad(self, x) -> np.ndarray:
-        return self.grad_fn(np.asarray(x, dtype=float))
+        return 2.0 * np.asarray(x, dtype=float) / self.semiaxes**2
 
     def outward_normal(self, x) -> np.ndarray:
         g = self.grad(x)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-    def boundary_point(self, direction: np.ndarray) -> np.ndarray:
-        """Intersection of the ray center + r*direction with the boundary."""
+    def boundary_point(self, direction) -> np.ndarray:
+        """Where the rays r * direction from the origin leave the body, for
+        directions of shape (..., n), one point per direction."""
         d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        r_hi = 1.5 * self.diameter
-        lo, hi = 0.0, r_hi
-        # phi(center) < 0, phi(center + r_hi d) > 0 for strictly convex bodies
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.phi(self.center + mid * d) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return self.center + 0.5 * (lo + hi) * d
+        d = d / np.sqrt(np.vecdot(d, d))[..., None]
+        # phi(0) < 0 and phi(r d) > 0 at r = 1.5 diameters
+        r = bisect(lambda s: self.phi(s[..., None] * d) < 0.0,
+                   np.zeros(d.shape[:-1]),
+                   np.full(d.shape[:-1], 1.5 * self.diameter))
+        # + 0.0 turns the -0.0 of a zero coordinate into 0.0
+        return r[..., None] * d + 0.0
 
 
 def ball(radius: float = 1.0, dim: int = 2) -> ConvexBody:
     """The ball of the given radius about the origin."""
-    c = np.zeros(dim)
-    r = float(radius)
-
-    def phi(x):
-        d = np.asarray(x, dtype=float) - c
-        return np.sum(d * d, axis=-1) / r**2 - 1.0
-
-    def grad(x):
-        return 2.0 * (np.asarray(x, dtype=float) - c) / r**2
-
-    return ConvexBody(phi, grad, (c - r, c + r), 2.0 * r, dim, c)
+    return ellipsoid((radius,) * dim)
 
 
 def ellipsoid(semiaxes) -> ConvexBody:
     """The axis-aligned ellipse or ellipsoid with these semiaxes about the
     origin."""
-    a = np.asarray(semiaxes, dtype=float)
-    dim = a.size
-    c = np.zeros(dim)
-
-    def phi(x):
-        d = (np.asarray(x, dtype=float) - c) / a
-        return np.sum(d * d, axis=-1) - 1.0
-
-    def grad(x):
-        return 2.0 * (np.asarray(x, dtype=float) - c) / a**2
-
-    return ConvexBody(phi, grad, (c - a, c + a), 2.0 * float(np.max(a)),
-                      dim, c)
+    return ConvexBody(np.asarray(semiaxes, dtype=float))
 
 
 @dataclass
@@ -165,48 +170,28 @@ class GeodesicPath:
 # ---------------------------------------------------------------- exit time
 
 
-def exit_time(body: ConvexBody, ray: BoundaryRay) -> float:
-    """Length of the straight chord from ray.x along ray.omega.
+def _check_family(body: ConvexBody, rays: list[BoundaryRay]) -> None:
+    """Validate every ray of a non-empty family; an invalid ray (TangentRay,
+    ValueError) is named by its index."""
+    if not rays:
+        raise ValueError("ray family is empty")
+    for i, ray in enumerate(rays):
+        try:
+            ray.validate(body)
+        except (TangentRay, ValueError) as exc:
+            exc.args = (f"ray index {i}: {exc}",)
+            raise
 
-    Bracketed bisection to 1e-12 followed by two Newton polish steps.
-    """
-    ray.validate(body)
-    x0, w = ray.x, ray.omega
 
-    def phi_s(s):
-        return float(body.phi(x0 + s * w))
-
-    # Find a bracket: phi < 0 somewhere inside, phi > 0 beyond the far side.
-    d = body.diameter
-    probes = np.concatenate([
-        d * np.array([1e-7, 1e-5, 1e-3]),
-        np.linspace(0.01 * d, 1.5 * d, 192),
-    ])
-    vals = body.phi(x0[None, :] + probes[:, None] * w[None, :])
-    neg = np.nonzero(vals < 0)[0]
-    if neg.size == 0:
-        raise TangentRay("no interior point found along the ray")
-    pos_after = np.nonzero((vals > 0) & (probes > probes[neg[0]]))[0]
-    if pos_after.size == 0:
-        raise TangentRay("ray never re-crosses the boundary inside the probe range")
-    hi = probes[pos_after[0]]
-    lo = probes[neg[neg < pos_after[0]][-1]]  # last negative before hi
-
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if phi_s(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(2):
-        dphi = float(np.dot(body.grad(x0 + s * w), w))
-        if dphi != 0.0:
-            s = s - phi_s(s) / dphi
-        s = min(max(s, lo - 1e-9), hi + 1e-9)
-    return float(s)
+def exit_time(body: ConvexBody, rays: list[BoundaryRay]) -> np.ndarray:
+    """Lengths of the straight chords from each ray.x along ray.omega, one
+    per ray, by one :func:`bisect` of every chord over [0, 1.5 diameters].
+    The family is validated first, naming an invalid ray by its index."""
+    _check_family(body, rays)
+    x = np.array([ray.x for ray in rays], dtype=float)
+    w = np.array([ray.omega for ray in rays], dtype=float)
+    return bisect(lambda s: body.phi(x + s[:, None] * w) < 0.0,
+                  np.zeros(len(rays)), np.full(len(rays), 1.5 * body.diameter))
 
 
 # ---------------------------------------------------------------- bundles
@@ -254,10 +239,9 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
     else:
         raise ValueError("only dim 2 and 3 supported")
 
+    points = body.boundary_point(dirs)
     rays: list[BoundaryRay] = []
-    for d in dirs:
-        bx = body.boundary_point(d)
-        nu = body.outward_normal(bx)
+    for bx, nu in zip(points, body.outward_normal(points)):
         if n_directions == 1:
             rays.append(BoundaryRay(bx, -nu, nu))
             continue
@@ -343,14 +327,13 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
     ``rhs(t, state)`` gives the derivatives of every entry; state["x"] and
     state["p"] follow the ray flow of c, whatever else the state carries.
     The rows share the step clock t0, t0 + dt, ...; a row whose full step
-    lands at phi >= 0 stops advancing, and after the march one bisection
-    (80 halvings) over every row's crossing step together puts its last
+    lands at phi >= 0 stops advancing, and after the march one
+    :func:`bisect` of every row's crossing step together puts its last
     node on phi = 0.  The bisection steps x and p alone, along the ray
-    flow, since nothing else moves x, and stops once a halving moves no
-    row's bracket, since every later one would give the same brackets.
-    Every operation acts row by row, so a row's nodes do not depend on the
-    other rows.  Returns one (times, nodes) pair per row, ``nodes`` holding
-    that row's values of each entry stacked along the first axis.
+    flow, since nothing else moves x.  Every operation acts row by row, so
+    a row's nodes do not depend on the other rows.  Returns one (times,
+    nodes) pair per row, ``nodes`` holding that row's values of each entry
+    stacked along the first axis.
     ``check(t, state)`` sees each full step of the rows still
     inside before the exit test and may raise.  NoExit names every row
     still inside, with its launch point, once t - t0 exceeds t_max,
@@ -396,15 +379,9 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
                 f"from x = {state['x'][live].tolist()}")
 
     flow, xp = partial(_ray_flow, c), {"x": base["x"], "p": base["p"]}
-    lo, hi = np.zeros(n_rows), np.full(n_rows, dt)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        inside = body.phi(rk4_step(flow, base_t, xp, mid)["x"]) < 0.0
-        new_lo, new_hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-        if (new_lo == lo).all() and (new_hi == hi).all():
-            break
-        lo, hi = new_lo, new_hi
-    step = 0.5 * (lo + hi)
+    step = bisect(
+        lambda s: body.phi(rk4_step(flow, base_t, xp, s)["x"]) < 0.0,
+        np.zeros(n_rows), np.full(n_rows, dt))
     final = rk4_step(rhs, base_t, base, step)
 
     clock = np.array(clock)
@@ -422,17 +399,17 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
 # ---------------------------------------------------------------- tracing
 
 
-def _chord(body: ConvexBody, ray: BoundaryRay, dt: float) -> GeodesicPath:
-    """The exact straight chord, sampled at an even number of intervals of
-    at most about dt (positive, ValueError) for Simpson users."""
+def _chord(ray: BoundaryRay, tau: float, dt: float) -> GeodesicPath:
+    """The exact straight chord of length tau, sampled at an even number of
+    intervals of at most about dt (positive, ValueError) for Simpson
+    users."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tau = exit_time(body, ray)
     n = max(2, int(np.ceil(tau / dt)))
     n += n % 2
     s = np.linspace(0.0, tau, n + 1)
     pts = ray.x[None, :] + s[:, None] * ray.omega[None, :]
-    return GeodesicPath(s, pts, tau)
+    return GeodesicPath(s, pts, float(tau))
 
 
 def trace_bundle(metric: MetricSpec, body: ConvexBody,
@@ -440,28 +417,23 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     """Trace a family of rays through the body until each exits, in the
     input order.
 
-    Euclidean metrics short-circuit to the exact straight chords, ray by
-    ray.  A conformal metric is first checked for admissibility over the
-    body (Inadmissible), once per family; then the whole family rides one
-    :func:`march_to_exit` of the Hamiltonian flow from p = -omega, so every
-    last sample lands on the boundary.  A path equals the one its ray
-    gives when traced alone.  An invalid ray (TangentRay, ValueError) is
-    named by its index, and dt must be positive (ValueError).
-    NoExit names the index and launch point of every ray still inside when
-    the march's time budget runs out.
+    A metric is first checked, and a conformal one for admissibility over
+    the body (Inadmissible), once per family.  Euclidean metrics
+    short-circuit to the exact straight chords, whose lengths come from one
+    :func:`exit_time` of the family.  Under a conformal metric the whole
+    family rides one :func:`march_to_exit` of the Hamiltonian flow from
+    p = -omega, so every last sample lands on the boundary.  A path equals
+    the one its ray gives when traced alone.  An invalid ray (TangentRay,
+    ValueError) is named by its index, and dt must be positive
+    (ValueError).  NoExit names the index and launch point of every ray
+    still inside when the march's time budget runs out.
     """
-    if not rays:
-        raise ValueError("ray family is empty")
-    for i, ray in enumerate(rays):
-        try:
-            ray.validate(body)
-        except (TangentRay, ValueError) as exc:
-            exc.args = (f"ray index {i}: {exc}",)
-            raise
     metric.validate(body)
     if metric.kind == "euclidean":
-        return [_chord(body, ray, dt) for ray in rays]
+        return [_chord(ray, tau, dt)
+                for ray, tau in zip(rays, exit_time(body, rays))]
 
+    _check_family(body, rays)
     c = metric.c
     state = {"x": np.array([ray.x for ray in rays], dtype=float),
              "p": -np.array([ray.omega for ray in rays], dtype=float)}

@@ -17,7 +17,7 @@ from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bund
 from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
                            reconstruction_errors, stability_curve,
                            truncated_inversion, visible_slice_source)
-from ..spectral import SpectralGrid, slice_from_sinogram
+from ..spectral import SpectralGrid, check_coverage, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
 from .config import FIELD_PRESETS, validate
 from .manifest import RunManifest
@@ -77,6 +77,7 @@ def _write_csv(path, header, rows):
 def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
+    check_coverage(f, body)
     nb, nd, dt = cfg["rays.boundary"], cfg["rays.directions"], cfg["xray.dt"]
     rays = sample_inward_bundle(body, nb, nd)
     man.stage("setup")

@@ -115,13 +115,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralGrid:
     """Uniform (t, x) sample grid and its DFT-conjugate frequency lattice.
 
     The dim + 1 axes, t first, start at origin, step by spacing and hold
     n points each.  Frozen, because the radius mesh, the visible mask and
     the corner phase are computed once per grid and shared read-only.
+    Grids compare and hash by identity, as the array fields have no
+    single truth value.
     """
 
     origin: np.ndarray
@@ -271,6 +273,15 @@ class SpectralGrid:
 LAUNCH_PAD = 0.06
 
 
+def check_coverage(f: SpaceTimeField, body: ConvexBody) -> None:
+    """CoverageError unless the spatial support of f (where it is actually
+    nonzero, not its box) sits strictly inside the body."""
+    if np.any(body.phi(f.live_support) >= 0.0):
+        raise CoverageError(
+            "field support reaches the domain boundary: the chord family "
+            "cannot sweep it")
+
+
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                         n_launch: int, n_s: int,
                         use_separable: bool = True) -> complex:
@@ -301,12 +312,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
     xi = np.asarray(xi, dtype=float)
-    # the spatial support (where f is actually nonzero) must sit strictly
-    # inside the body; the bounding box alone may poke outside it
-    if np.any(body.phi(f.live_support) >= 0.0):
-        raise CoverageError(
-            "field support reaches the domain boundary: the chord family "
-            "cannot sweep it")
+    check_coverage(f, body)
 
     (t_lo, t_hi), x_lo, x_hi = f.support_box
     center = 0.5 * (np.asarray(x_lo) + np.asarray(x_hi))

@@ -9,7 +9,8 @@ from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import NoExit, TangentRay
 from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time,
                              geodesic_trace, hamiltonian_jet, make_ray,
-                             march_to_exit, sample_inward_bundle, trace_bundle)
+                             march_to_exit, perp_frame, sample_inward_bundle,
+                             trace_bundle)
 
 
 def march_ray(c, body, ray, dt):
@@ -28,13 +29,14 @@ def march_ray(c, body, ray, dt):
 class TestExitTime:
     def test_diameter_chord(self, unit_disk):
         ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
-        assert exit_time(unit_disk, ray) == pytest.approx(2.0, abs=1e-11)
+        [tau] = exit_time(unit_disk, [ray])
+        assert tau == pytest.approx(2.0, abs=1e-11)
 
     def test_oblique_chord(self, unit_disk):
         th = np.pi / 4
         ray = make_ray(unit_disk, (-1.0, 0.0), (np.cos(th), np.sin(th)))
-        assert exit_time(unit_disk, ray) == pytest.approx(np.sqrt(2.0),
-                                                          abs=1e-11)
+        [tau] = exit_time(unit_disk, [ray])
+        assert tau == pytest.approx(np.sqrt(2.0), abs=1e-11)
 
     def test_ellipse_against_bisection_oracle(self):
         body = ellipsoid((2.0, 1.0))
@@ -44,7 +46,8 @@ class TestExitTime:
             return float(body.phi(ray.x + s * ray.omega))
 
         oracle = brentq(phi_line, 1e-6, 1.5 * body.diameter, xtol=1e-14)
-        assert exit_time(body, ray) == pytest.approx(oracle, abs=1e-10)
+        [tau] = exit_time(body, [ray])
+        assert tau == pytest.approx(oracle, abs=1e-10)
 
     def test_tangent_ray_rejected(self, unit_disk):
         with pytest.raises(TangentRay):
@@ -61,25 +64,51 @@ class TestExitTime:
     def test_3d_ball_chord(self):
         body = ball(dim=3)
         ray = make_ray(body, (0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
-        assert exit_time(body, ray) == pytest.approx(2.0, abs=1e-11)
+        [tau] = exit_time(body, [ray])
+        assert tau == pytest.approx(2.0, abs=1e-11)
 
-    @given(a=st.floats(0.5, 3.0), b=st.floats(0.5, 3.0),
-           theta=st.floats(0.05, 2 * np.pi - 0.05),
-           tilt=st.floats(-1.2, 1.2))
+    @given(semiaxes=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=3),
+           angles=st.lists(st.tuples(st.floats(0.05, 2 * np.pi - 0.05),
+                                     st.floats(0.05, np.pi - 0.05),
+                                     st.floats(-1.2, 1.2),
+                                     st.floats(0.0, 2 * np.pi)),
+                           min_size=1, max_size=8),
+           radius=st.sampled_from([1.0, 4.0]))
     @settings(max_examples=30, deadline=None)
-    def test_exit_point_on_boundary(self, a, b, theta, tilt):
-        body = ellipsoid((a, b))
-        anchor = body.boundary_point(np.array([np.cos(theta),
-                                               np.sin(theta)]))
-        nu = body.outward_normal(anchor)
-        tangent = np.array([-nu[1], nu[0]])
-        omega = -np.cos(tilt) * nu + np.sin(tilt) * tangent
-        ray = make_ray(body, anchor, omega)
-        tau = exit_time(body, ray)
-        assert 0.0 < tau <= body.diameter + 1e-9
-        assert abs(body.phi(anchor + tau * ray.omega)) < 1e-8
-        mid = anchor + 0.5 * tau * ray.omega
-        assert body.phi(mid) < 0.0
+    def test_exit_point_on_boundary(self, semiaxes, angles, radius):
+        # a family of rays on a 2-D or 3-D ellipsoid: the anchors at
+        # azimuth theta (and polar angle), each ray turned by tilt from
+        # the inward normal, towards the tangent at angle spin
+        body = ellipsoid(semiaxes)
+        theta, polar, tilt, spin = np.array(angles).T
+        dirs = np.stack([np.cos(theta) * np.sin(polar),
+                         np.sin(theta) * np.sin(polar), np.cos(polar)], -1)
+        if body.dim == 2:
+            dirs = dirs[:, :2]
+        anchors = body.boundary_point(dirs)
+        for d, anchor in zip(dirs, anchors):
+            assert np.array_equal(body.boundary_point(d), anchor)
+        rays = []
+        for anchor, nu, tl, sp in zip(anchors, body.outward_normal(anchors),
+                                      tilt, spin):
+            frame = perp_frame(nu)
+            tangent = (frame[0] if body.dim == 2 else
+                       np.cos(sp) * frame[0] + np.sin(sp) * frame[1])
+            rays.append(make_ray(body, anchor,
+                                 -np.cos(tl) * nu + np.sin(tl) * tangent))
+        taus = exit_time(body, rays)
+        assert taus.shape == (len(rays),)
+        for ray, tau in zip(rays, taus):
+            # a family changes no bit of any of its chord lengths
+            assert exit_time(body, [ray])[0] == tau
+            assert 0.0 < tau <= body.diameter + 1e-9
+            assert abs(body.phi(ray.x + tau * ray.omega)) < 1e-12
+            assert body.phi(ray.x + 0.5 * tau * ray.omega) < 0.0
+        # a ball is the ellipsoid of equal semiaxes, and its level function
+        # keeps the bits of |x|^2 / r^2 - 1 at radii that are powers of two
+        pts = radius * np.concatenate([anchors, dirs])
+        assert np.array_equal(ball(radius, body.dim).phi(pts),
+                              np.sum(pts * pts, axis=-1) / radius**2 - 1.0)
 
 
 class TestBundle:
@@ -100,8 +129,7 @@ class TestBundle:
     def test_ellipse_chords_below_diameter(self):
         body = ellipsoid((2.0, 1.0))
         rays = sample_inward_bundle(body, 16, 16)
-        for r in rays:
-            assert exit_time(body, r) <= body.diameter + 1e-9
+        assert np.all(exit_time(body, rays) <= body.diameter + 1e-9)
 
     def test_3d_bundle(self):
         body = ball(dim=3)
@@ -236,7 +264,7 @@ class TestTraceBundle:
 
 class TestConvexBody:
     def test_level_signs(self, unit_disk):
-        assert unit_disk.phi(unit_disk.center) < 0
+        assert unit_disk.phi(np.zeros(2)) < 0
         assert unit_disk.phi(np.array([2.0, 0.0])) > 0
 
     def test_two_sign_changes_along_chords(self, unit_disk, rng):

@@ -262,6 +262,18 @@ class TestRunner:
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
         assert "ConfigInvalid" in (art / "error.txt").read_text()
 
+    @pytest.mark.parametrize("cfg", [
+        {"body.radius": 0.3},
+        {"body.kind": "ellipse", "body.semiaxes": [0.3, 0.2]}])
+    def test_forward_rejects_field_reaching_boundary(self, tmp_path, cfg):
+        # the default field reaches past both bodies: the disk ran as the
+        # transform of the field cut off at its boundary, and the ellipse
+        # failed as QuadratureNotConverged on one ray, hiding the cause
+        assert run("forward", dict(cfg), str(tmp_path), seed=0) == 2
+        art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
+        first = (art / "error.txt").read_text().splitlines()[0]
+        assert first == "error_type = CoverageError"
+
     SMALL_CURVE = {"grid.points": 16, "slice.n_launch": 16, "slice.n_s": 16}
     # values of the wrong type, length or range: each escaped run() as a
     # ValueError or an IndexError, or ran with a truncated or dropped value

@@ -382,6 +382,19 @@ class TestGridGuards:
             with pytest.raises(ValueError):
                 first[(0,) * first.ndim] = first[(1,) * first.ndim]
 
+    def test_grids_compare_and_hash_by_identity(self, slice_field):
+        # the generated == compared the array fields, which raised numpy's
+        # ValueError, and the generated __hash__ raised TypeError on them
+        grid = SpectralGrid.for_field(slice_field, n_points=12)
+        twin = SpectralGrid.for_field(slice_field, n_points=12)
+        assert grid == grid and not grid != grid
+        assert grid != twin and not grid == twin
+        assert hash(grid) == hash(grid)
+        assert len({grid, twin, grid}) == 2
+        assert grid.visible_mask is grid.visible_mask
+        assert np.array_equal(grid.visible_mask, twin.visible_mask)
+        assert np.array_equal(grid.radius_mesh, twin.radius_mesh)
+
     def test_mask_agrees_with_pointwise_classification(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
         visible = grid.visible_mask

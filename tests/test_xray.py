@@ -7,8 +7,8 @@ from scipy.integrate import simpson
 from tdxray.conformal import bump_factor
 from tdxray.errors import Inadmissible, QuadratureNotConverged, TangentRay
 from tdxray.fields import SpaceTimeField, single_bump
-from tdxray.geometry import (BoundaryRay, GeodesicPath, MetricSpec, make_ray,
-                             sample_inward_bundle, trace_bundle)
+from tdxray.geometry import (BoundaryRay, GeodesicPath, MetricSpec, exit_time,
+                             make_ray, sample_inward_bundle, trace_bundle)
 from tdxray.xray import (QUAD_TOL, _simpson, perturb_sinogram, sinogram,
                          xray_single)
 
@@ -109,9 +109,7 @@ class TestSinogram:
         rays = sample_inward_bundle(unit_disk, 8, 8)
         sino = sinogram(slice_field, rays, MetricSpec(), unit_disk)
         oracle = []
-        for r in rays:
-            from tdxray.geometry import exit_time
-            tau = exit_time(unit_disk, r)
+        for r, tau in zip(rays, exit_time(unit_disk, rays)):
             s = np.linspace(0.0, tau, 30_000)
             pts = r.x[None, :] + s[:, None] * r.omega[None, :]
             oracle.append(np.trapezoid(slice_field(s, pts), s))
