@@ -9,7 +9,7 @@ characteristic flow
 launched from a boundary ray (x0, omega0) with momentum p(t0) chosen so
 that grad psi(t0, x0) = -omega0 and psi_t(t0, x0) = 1 (the two coincide
 when c = 1 at the launch point).  The phase is quadratic transverse to the
-curve, psi = psi0 + <p, dx> + <M dx, dx>/2, with M = N Y^{-1} propagated
+curve, psi = <p, dx> + <M dx, dx>/2, with M = N Y^{-1} propagated
 through the variational system of the flow (Y(0) = I, N(0) = M(0)); the
 leading amplitude solves the transport equation along the curve.
 
@@ -33,28 +33,18 @@ from .geometry import (BoundaryRay, ConvexBody, hamiltonian_jet,
                        march_to_exit, rk4_step)
 
 
-@dataclass
-class BeamParams:
-    lam: float = 64.0         # asymptotic parameter, > 1
-    eps1: float = 0.01        # cutoff scale in (0, 1)
-    alpha: float = 1.5        # cutoff exponent, > 1
-    sigma: float = 0.1        # concentration exponent in (0, 1/2)
+# the concentration lemma's cutoff scale in (0, 1), cutoff exponent > 1
+# and concentration exponent in (0, 1/2)
+EPS1 = 0.01
+ALPHA = 1.5
+SIGMA = 0.1
 
-    def __post_init__(self):
-        if self.lam <= 1.0:
-            raise ValueError("asymptotic parameter must exceed 1")
-        if not 0.0 < self.eps1 < 1.0:
-            raise ValueError("eps1 must lie in (0, 1)")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError("sigma must lie in (0, 1/2)")
 
-    def tube_inner(self, n: int) -> float:
-        return float(self.eps1 ** (1.0 / (2 * n * self.alpha)))
-
-    def tube_outer(self, n: int) -> float:
-        return float(2.0 ** (1.0 / n) * self.tube_inner(n))
+def tube_radii(n: int) -> tuple[float, float]:
+    """Inner and outer radius of the cutoff tube in n dimensions:
+    eps1^(1/(2 n alpha)) and 2^(1/n) times it."""
+    inner = float(EPS1 ** (1.0 / (2 * n * ALPHA)))
+    return inner, float(2.0 ** (1.0 / n) * inner)
 
 
 # ---------------------------------------------------------------- h derivatives
@@ -110,7 +100,6 @@ class BeamCurve:
     Y: np.ndarray               # (nt, n, n) complex
     N: np.ndarray               # (nt, n, n) complex
     a0: np.ndarray              # (nt,) complex
-    psi0: float = 0.0
 
     @property
     def t_exit(self) -> float:
@@ -202,27 +191,25 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
 # ---------------------------------------------------------------- evaluation
 
 
-def beam_evaluate(beam: BeamCurve, params: BeamParams, state: dict,
-                  x: np.ndarray) -> np.ndarray:
+def beam_evaluate(lam: float, state: dict, x: np.ndarray) -> np.ndarray:
     """U(t, x) = (lam/pi)^(n/4) exp(i lam psi) a0 with quadratic psi, at
     the beam state of time t (beam.state_at(t)).
 
     Vectorised over x with shape (..., n).
     """
-    lam = params.lam
-    return ((lam / np.pi) ** (beam.dim / 4)
-            * np.exp(1j * lam * beam_psi(beam, state, x)) * state["a0"])
+    return ((lam / np.pi) ** (state["x"].size / 4)
+            * np.exp(1j * lam * beam_psi(state, x)) * state["a0"])
 
 
-def beam_psi(beam: BeamCurve, state: dict, x: np.ndarray) -> np.ndarray:
-    """psi = psi0 + <p, d> + <M d, d>/2, d = x - xtilde, at the beam state
+def beam_psi(state: dict, x: np.ndarray) -> np.ndarray:
+    """psi = <p, d> + <M d, d>/2, d = x - xtilde, at the beam state
     (beam.state_at(t)); vectorised over x with shape (..., n)."""
     d = np.asarray(x, dtype=float) - state["x"]
-    return (beam.psi0 + d @ state["p"]
+    return (d @ state["p"]
             + 0.5 * np.einsum("...i,ij,...j->...", d, state["M"], d))
 
 
-def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,
+def wave_operator_fd(beam: BeamCurve, lam: float, t: float,
                      xs: np.ndarray, h_fd: float) -> np.ndarray:
     """Box U = d_t^2 U - c^{n/2} div(c^{1-n/2} grad U) at probe points.
 
@@ -236,7 +223,7 @@ def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,
                   for dt_off in (-2, -1, 0, 1, 2)}
 
     def U_t(dt_off, pts):
-        return beam_evaluate(beam, params, lam_states[dt_off], pts)
+        return beam_evaluate(lam, lam_states[dt_off], pts)
 
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -258,8 +245,17 @@ def wave_operator_fd(beam: BeamCurve, params: BeamParams, t: float,
     return utt - div_term
 
 
-def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
-                    h_fd: float, body: ConvexBody) -> float:
+def _patch(center, half_width: float, points: int):
+    """A mesh of points nodes per axis over the cube of that half width
+    about center, shape (points,) * n + (n,), and its cell volume."""
+    axes = [np.linspace(x - half_width, x + half_width, points)
+            for x in center]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return mesh, np.prod([ax[1] - ax[0] for ax in axes])
+
+
+def _residual_l2_at(beam: BeamCurve, lam: float, t: float, h_fd: float,
+                    body: ConvexBody) -> float:
     """Spatial L2 norm of Box U(t, .) over the Gaussian core inside the body.
 
     The patch covers 3.5 envelope widths on a 36-point grid per axis;
@@ -268,14 +264,9 @@ def _residual_l2_at(beam: BeamCurve, params: BeamParams, t: float,
     """
     st = beam.state_at(t)
     m = max(np.min(np.linalg.eigvalsh(st["M"].imag)), 1e-6)
-    r = 3.5 / np.sqrt(params.lam * m)
-    axes = [np.linspace(st["x"][a] - r, st["x"][a] + r, 36)
-            for a in range(beam.dim)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"),
-                   axis=-1).reshape(-1, beam.dim)
-    inside = body.phi(pts) < 0.0
-    vals = wave_operator_fd(beam, params, t, pts[inside], h_fd)
-    cell = np.prod([ax[1] - ax[0] for ax in axes])
+    mesh, cell = _patch(st["x"], 3.5 / np.sqrt(lam * m), 36)
+    pts = mesh.reshape(-1, beam.dim)
+    vals = wave_operator_fd(beam, lam, t, pts[body.phi(pts) < 0.0], h_fd)
     return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cell))
 
 
@@ -310,9 +301,7 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
     t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
 
     def size_at(lam: float, h_fd: float) -> float:
-        params = BeamParams(lam=lam)
-        return max(_residual_l2_at(beam, params, t, h_fd, body)
-                   for t in t_sel)
+        return max(_residual_l2_at(beam, lam, t, h_fd, body) for t in t_sel)
 
     sups = []
     for lam in lambdas:
@@ -331,7 +320,7 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
 # ---------------------------------------------------------------- cutoff
 
 
-def cutoff_build(params: BeamParams, beam: BeamCurve):
+def cutoff_build(beam: BeamCurve):
     """Smooth cutoff chi: 1 inside the inner space-time tube around the
     curve, 0 outside the outer tube, monotone in the tube distance
     min_r (|s - r| + |y - x(r)|).
@@ -344,8 +333,7 @@ def cutoff_build(params: BeamParams, beam: BeamCurve):
     """
     max_nodes, chunk = 256, 8192
     n = beam.dim
-    a1 = params.tube_inner(n)
-    a2 = params.tube_outer(n)
+    a1, a2 = tube_radii(n)
     width = a2 - a1
     stride = max(1, len(beam.times) // max_nodes)
     nodes_t = np.concatenate([beam.times[::stride], beam.times[-1:]])
@@ -387,58 +375,45 @@ def cutoff_build(params: BeamParams, beam: BeamCurve):
 # Gaussian concentration
 
 
-def gaussian_concentration(h_field, beam: BeamCurve, B: np.ndarray,
-                           params: BeamParams, lambdas, t_eval: float) -> dict:
+def gaussian_concentration(h_field, beam: BeamCurve, lambdas,
+                           t_eval: float) -> dict:
     """Error of the normalised Gaussian average of h against h on the curve.
 
-    Computes (lam/pi)^(n/2) sqrt(det B) * int exp(-lam <B d, d>) h chi dx
+    Computes (lam/pi)^(n/2) int exp(-lam |d|^2) h chi dx, d = x - x(t),
     per lambda by trapezoid quadrature (220 points per axis) over the
     cutoff tube, and returns |result - h(t, x(t))| together with the
     printed bound evaluated with both erfc sign conventions
     (erfc(-lam^{2 sigma}) tends to 2, so that version of the additive term
-    does not vanish; both are reported).
+    does not vanish; both are reported).  The quadrature on every second
+    node of each axis must agree (QuadratureNotConverged).
     """
-    B = np.asarray(B, dtype=complex)
-    if np.linalg.matrix_rank(B) < B.shape[0]:
-        raise ValueError("B must be nonsingular")
-    if np.min(np.linalg.eigvalsh(0.5 * (B + B.conj().T).real)) < -1e-12:
-        raise ValueError("Re B must be positive semidefinite")
     n = beam.dim
     st = beam.state_at(t_eval)
     x0 = st["x"]
-    extent = params.tube_outer(n) * 1.35
-    axes = [np.linspace(x0[a] - extent, x0[a] + extent, 220)
-            for a in range(n)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mesh, cell = _patch(x0, tube_radii(n)[1] * 1.35, 220)
     d = mesh - x0
-    quad_form = np.einsum("...i,ij,...j->...", d, B, d)
+    sq_dist = np.einsum("...i,...i->...", d, d)
     hv = h_field(np.full(mesh.shape[:-1], t_eval), mesh)
-    chi = cutoff_build(params, beam)
-    chiv = chi(np.full(mesh.shape[:-1], t_eval), mesh)
-    cell = np.prod([ax[1] - ax[0] for ax in axes])
+    chiv = cutoff_build(beam)(np.full(mesh.shape[:-1], t_eval), mesh)
     target = float(h_field(np.array([t_eval]), x0[None, :])[0])
+    every_second = (slice(None, None, 2),) * n
 
     rows = []
-    detB = np.linalg.det(B)
     for lam in sorted(float(l) for l in lambdas):
-        integral = np.sum(np.exp(-lam * quad_form) * hv * chiv) * cell
-        # quadrature sanity: halve the resolution
-        coarse = np.sum((np.exp(-lam * quad_form) * hv * chiv)[::2, ::2]) \
-            * cell * 4 if n == 2 else None
-        value = (lam / np.pi) ** (n / 2) * np.sqrt(detB) * integral
-        if coarse is not None:
-            coarse_val = (lam / np.pi) ** (n / 2) * np.sqrt(detB) * coarse
-            if abs(coarse_val - value) > 5e-3 * (1.0 + abs(value)):
-                raise QuadratureNotConverged(
-                    f"concentration quadrature unresolved at lambda={lam}")
-        err = abs(value - target)
-        first = 2.0 * lam ** params.sigma \
-            * params.eps1 ** (-1.0 / (2 * params.alpha)) / np.sqrt(lam)
-        tail = lam ** (2 * params.sigma)
+        weighted = np.exp(-lam * sq_dist) * hv * chiv
+        scale = (lam / np.pi) ** (n / 2)
+        value = scale * (np.sum(weighted) * cell)
+        coarse = scale * (np.sum(weighted[every_second]) * cell * 2**n)
+        if abs(coarse - value) > 5e-3 * (1.0 + abs(value)):
+            raise QuadratureNotConverged(
+                f"concentration quadrature unresolved at lambda={lam}")
+        first = 2.0 * lam ** SIGMA * EPS1 ** (-1.0 / (2 * ALPHA)) \
+            / np.sqrt(lam)
+        tail = lam ** (2 * SIGMA)
         rows.append({
             "lam": lam,
-            "value": complex(value),
-            "error": float(err),
+            "value": float(value),
+            "error": float(abs(value - target)),
             "bound_erfc_neg": float(first + 4.0 * math.erfc(-tail)),
             "bound_erfc_pos": float(first + 4.0 * math.erfc(tail)),
         })

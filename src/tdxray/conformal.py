@@ -31,11 +31,11 @@ class ConformalFactor:
     hess_x: Callable
     dt: Callable
     dim: int
-    m0: float = 0.5
+    m0: float
+    T: float
+    name: str
     eps: float = 0.5
-    T: float = 2.0
     time_dependent: bool = False
-    name: str = "conformal"
 
     def __call__(self, t, x):
         return self.func(np.asarray(t, dtype=float), np.asarray(x, dtype=float))

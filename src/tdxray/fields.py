@@ -87,8 +87,8 @@ class SpaceTimeField:
     x_lo: np.ndarray
     x_hi: np.ndarray
     dim: int
-    name: str = "field"
-    separable: tuple[Callable, Callable] | None = None
+    name: str
+    separable: tuple[Callable, Callable] | None
 
     def __call__(self, t, x):
         t = np.asarray(t, dtype=float)

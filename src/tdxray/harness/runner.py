@@ -249,10 +249,18 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     return out
 
 
+# the identity pairings' floor relative to the product of the two probes'
+# boundary L2 norms.  On the default bump and probes, over grid.T 0.9 to
+# 2.0, the pairings at 3 and 5 nodes per axis are roundoff, at most 3e-12
+# of that product, and at 9 to 33 nodes they are at least 4e-5 of it; 1e-8
+# lies more than three decades from either.
+PAIRING_FLOOR = 1e-8
+
+
 def run_identity_check(cfg: dict, seed: int, art: str,
                        man: RunManifest) -> list[float]:
     """The relative identity gap on each grid size."""
-    from ..wavesim import boundary_probes, key_identity_check
+    from ..wavesim import boundary_probes, key_identity_check, l2_boundary_norm
 
     T, cfl = cfg["grid.T"], cfg["grid.cfl"]
     c = bump_factor(cfg["bump.amplitude"], cfg["bump.center"],
@@ -263,8 +271,8 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     man.stage("setup")
     rows = []
     for nx in cfg["grid.sizes"]:
-        res = key_identity_check(c, _wave_grid(nx, cfl / (nx - 1), T),
-                                 f1, f2)
+        grid = _wave_grid(nx, cfl / (nx - 1), T)
+        res = key_identity_check(c, grid, f1, f2)
         lhs, rhs, gap = res["lhs"], res["rhs"], res["relative_gap"]
         if not (np.sign(lhs) * np.sign(rhs) > 0.0 and gap < 1.0):
             # the relative gap reads 0 / 0 or exactly 1 (opposite signs, or
@@ -274,6 +282,15 @@ def run_identity_check(cfg: dict, seed: int, art: str,
                 f"grid.T = {T!r}: the identity pairings lhs = {lhs:.3g} "
                 f"and rhs = {rhs:.3g} give no relative gap below 1 at "
                 f"nx = {nx}")
+        norms = np.prod([l2_boundary_norm(grid, f.sample(grid), grid.corner)
+                         for f in (f1, f2)])
+        if max(abs(lhs), abs(rhs)) < PAIRING_FLOOR * norms:
+            # pairings this far below the probes' norms are roundoff, whose
+            # signs and gap mean nothing
+            raise IncompatibleData(
+                f"grid.T = {T!r}: the identity pairings lhs = {lhs:.3g} "
+                f"and rhs = {rhs:.3g} are below {PAIRING_FLOOR:g} times the "
+                f"probes' norm product {norms:.3g} at nx = {nx}")
         rows.append([nx, float(lhs), float(rhs), float(gap)])
         man.stage(f"grid{nx}")
     _write_csv(os.path.join(art, "identity_check.csv"),

@@ -18,7 +18,7 @@ raised when no R > 1 exists.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,8 +239,8 @@ class StabilityRow:
 
 @dataclass
 class StabilityCurve:
-    rows: list[StabilityRow] = field(default_factory=list)
-    envelope_C: float = float("nan")
+    rows: list[StabilityRow]
+    envelope_C: float            # nan without a feasible noisy row
 
     def fit(self) -> dict:
         """Least-squares fit err = C / log(1/delta) on feasible rows."""
@@ -321,37 +321,33 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
         source = visible_slice_source(f, body, grid, truth, R_need,
                                       n_launch=n_launch, n_s=n_s)
 
-    curve = StabilityCurve()
+    rows = []
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
         if level == 0.0:
             R = 0.98 * R_limit
             rec, diag = truncated_inversion(
                 SpectralSource.from_samples(grid, truth), R)
             l2, c0 = reconstruction_errors(grid, truth, rec)
-            curve.rows.append(StabilityRow(0.0, R, l2, c0,
-                                           float("nan"), True, False,
-                                           **diag))
+            rows.append(StabilityRow(0.0, R, l2, c0, float("nan"), True, False,
+                                     **diag))
             continue
         if cut is None:
-            curve.rows.append(StabilityRow(delta_hat, float("nan"),
-                                           float("nan"), float("nan"),
-                                           float("nan"), False, False,
-                                           0, float("nan")))
+            rows.append(StabilityRow(delta_hat, float("nan"), float("nan"),
+                                     float("nan"), float("nan"), False,
+                                     False, 0, float("nan")))
             continue
         noise = hermitian_noise(grid, kept_modes(source, cut.R),
                                 delta_hat * V, rng)
         noisy = SpectralSource(grid, source.values + noise, source.available)
         rec, diag = truncated_inversion(noisy, cut.R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
-        curve.rows.append(StabilityRow(delta_hat, cut.R, l2, c0,
-                                       float("nan"), True, cut.conflict,
-                                       **diag))
+        rows.append(StabilityRow(delta_hat, cut.R, l2, c0, float("nan"),
+                                 True, cut.conflict, **diag))
 
-    feas = [r for r in curve.rows if r.feasible and r.delta > 0]
+    feas = [r for r in rows if r.feasible and r.delta > 0]
+    envelope_C = float("nan")
     if feas:
-        first = feas[0]
-        curve.envelope_C = first.l2_error * np.log(1.0 / first.delta)
-        for r in curve.rows:
-            if r.feasible and r.delta > 0:
-                r.envelope = float(curve.envelope_C / np.log(1.0 / r.delta))
-    return curve
+        envelope_C = feas[0].l2_error * np.log(1.0 / feas[0].delta)
+        for r in feas:
+            r.envelope = float(envelope_C / np.log(1.0 / r.delta))
+    return StabilityCurve(rows, envelope_C)

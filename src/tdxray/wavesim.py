@@ -92,7 +92,7 @@ class BoundaryData:
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "probe"
+    name: str
 
     def sample(self, grid: WaveGrid) -> np.ndarray:
         """Samples (nt, n_boundary) at every time level and path node."""
@@ -398,8 +398,6 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
         return f2.func(T - np.asarray(t, dtype=float), s)
 
     sol2_rev = solve_dirichlet(c, grid, BoundaryData(rev_func, "rev"))
-    u2 = sol2_rev.u[::-1].copy()
-    sol2 = WaveSolution(grid, u2)
 
     corner = grid.corner
     f2_vals = f2.sample(grid)
@@ -409,7 +407,9 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
 
     c_grid = sample_factor(c, grid, grid.mesh())
     du1 = sol1.dt_interior()
-    du2 = sol2.dt_interior()
+    # u2(t) = u2_rev(T - t), so its centred time derivative is the
+    # reversed one of u2_rev with the sign flipped
+    du2 = -sol2_rev.dt_interior()[::-1]
     rho1_vals = c_grid[1:-1] ** (n / 2) - 1.0
     term_t = _trapz_time(
         np.sum(rho1_vals * du1 * du2, axis=(1, 2))[..., None],

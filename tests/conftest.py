@@ -39,7 +39,7 @@ def linear_combination():
         x_lo = np.min([f.x_lo for f in fields], axis=0)
         x_hi = np.max([f.x_hi for f in fields], axis=0)
         return SpaceTimeField(evaluate, (t_lo, t_hi), x_lo, x_hi,
-                              fields[0].dim, name)
+                              fields[0].dim, name, None)
 
     return combine
 
@@ -51,6 +51,6 @@ def shifted():
         return SpaceTimeField(
             lambda t, x: f.evaluator(np.asarray(t) - dt, x),
             (f.t_support[0] + dt, f.t_support[1] + dt), f.x_lo, f.x_hi,
-            f.dim, f"{f.name}+shift{dt:g}")
+            f.dim, f"{f.name}+shift{dt:g}", None)
 
     return shift

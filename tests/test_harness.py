@@ -393,6 +393,11 @@ class TestRunner:
         ("beam", {"conformal.amplitude": float("nan")}),
         ("stability-curve", {"noise.levels": [1e-3, float("inf")]}),
         *NOT_IN_SCHEMA,
+        # identity pairings at roundoff, far below the probes' norms: at
+        # grid.T 0.9 they shared a sign and exited 0 with gap 0.995
+        ("identity-check", {"grid.sizes": [3], "grid.T": 0.9}),
+        ("identity-check", {"grid.sizes": [3], "grid.T": 1.5}),
+        ("identity-check", {"grid.sizes": [5], "grid.T": 0.9}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2

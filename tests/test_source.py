@@ -1,9 +1,9 @@
 """Every top-level function and class of the package, and every method of
 those classes, is used by other package code, and every defaulted
-parameter of those functions is set by some package call and left at its
-default by another: an API, a knob or a default only the tests use
-belongs in the tests.  The package runs on numpy alone: scipy is a test
-dependency."""
+parameter of those functions, and every plainly defaulted field of those
+dataclasses, is set by some package call and left at its default by
+another: an API, a knob or a default only the tests use belongs in the
+tests.  The package runs on numpy alone: scipy is a test dependency."""
 
 import ast
 import json
@@ -19,9 +19,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tdxray"
 # the rays traced through it
 OUTSIDE_CALLERS = {"geodesic_trace"}
 
-# defaulted parameters that no package call sets, each kept for a reason
-# other than a test
+# defaulted parameters and fields that no package call sets, each kept for
+# a reason other than a test
 KEPT_PARAMETERS = {
+    # perfbench/workloads.py builds MetricSpec("conformal", c)
+    "MetricSpec.kind",
+    "MetricSpec.c",
     # the direct tensor evaluation is the oracle of the separable slice
     "slice_from_sinogram.use_separable",
     # time-dependent factors are the paper's subject; the dtn pipeline is
@@ -105,6 +108,31 @@ def defaulted_parameters(node, is_method):
             yield arg.arg, None
 
 
+def is_dataclass(node) -> bool:
+    return any(ast.unparse(d).split("(")[0] in ("dataclass",
+                                                "dataclasses.dataclass")
+               for d in node.decorator_list)
+
+
+def is_field_call(value) -> bool:
+    return (isinstance(value, ast.Call)
+            and ast.unparse(value.func) in ("field", "dataclasses.field"))
+
+
+def defaulted_fields(node):
+    """(name, position) of each field of a dataclass with a plain default;
+    the position counts the constructor's arguments.  A field(...) default
+    (a default_factory) holds state, not an option, and is skipped."""
+    position = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        if stmt.value is not None and not is_field_call(stmt.value):
+            yield stmt.target.id, position
+        position += 1
+
+
 def sets(call, name, position):
     """Whether a call passes the parameter, by keyword, by position or
     through an unpacked * or ** argument."""
@@ -117,8 +145,9 @@ def sets(call, name, position):
 
 def parameter_calls(src: Path):
     """(function.parameter, location, whether each package call of the
-    function sets it) for each defaulted parameter; calls are matched to
-    definitions by name."""
+    function sets it) for each defaulted parameter, and the same with
+    Class.field for each plainly defaulted dataclass field; calls are
+    matched to definitions by name."""
     modules = {path: ast.parse(path.read_text())
                for path in sorted(src.rglob("*.py"))}
     calls = {}
@@ -132,9 +161,13 @@ def parameter_calls(src: Path):
                 calls.setdefault(callee, []).append(node)
     for path, tree in modules.items():
         for name, node, is_method in definitions(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            for param, position in defaulted_parameters(node, is_method):
+            if isinstance(node, ast.ClassDef):
+                if not is_dataclass(node):
+                    continue
+                params = defaulted_fields(node)
+            else:
+                params = defaulted_parameters(node, is_method)
+            for param, position in params:
                 yield (f"{name}.{param}",
                        f"{path.relative_to(src)}:{node.lineno}",
                        [sets(call, param, position)

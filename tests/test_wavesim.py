@@ -25,6 +25,9 @@ def dalembert_bc(t, s):
     return pulse(np.asarray(t) - x)
 
 
+DALEMBERT = BoundaryData(dalembert_bc, "dalembert")
+
+
 def leapfrog_reference(c, grid, data=None, u0=None, v0=None, source=None):
     """The unbatched scheme for c u_tt = Lap u + F, one factor and
     whole-array arithmetic, every level stored: the oracle for the batched
@@ -167,19 +170,19 @@ class TestSolver:
     def test_cfl_guard(self, c_unit):
         grid = WaveGrid(nx=33, k=0.9 / 32, T=1.0)
         with pytest.raises(CFLViolation):
-            solve_dirichlet(c_unit, grid, BoundaryData(dalembert_bc))
+            solve_dirichlet(c_unit, grid, DALEMBERT)
 
     def test_zero_data_zero_solution(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.0)
-        sol = solve_dirichlet(c_unit, grid,
-                              BoundaryData(lambda t, s: np.zeros_like(s)))
+        sol = solve_dirichlet(c_unit, grid, BoundaryData(
+            lambda t, s: np.zeros_like(s), "zero"))
         assert np.all(sol.u == 0.0)
 
     def test_dalembert_oracle_convergence(self, c_unit):
         errs = []
         for nx in (33, 65, 129):
             grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=2.5)
-            sol = solve_dirichlet(c_unit, grid, BoundaryData(dalembert_bc))
+            sol = solve_dirichlet(c_unit, grid, DALEMBERT)
             mesh = grid.mesh()
             exact = np.stack([pulse(t - mesh[..., 0]) for t in grid.times])
             errs.append(np.max(np.abs(sol.u - exact)))
@@ -255,7 +258,7 @@ class TestSolver:
         monkeypatch.setattr(WaveGrid, "check_cfl",
                             lambda self, c_max: None)
         with pytest.raises(Unstable):
-            solve_dirichlet(c_unit, grid, BoundaryData(dalembert_bc))
+            solve_dirichlet(c_unit, grid, DALEMBERT)
 
 
 @st.composite
@@ -305,8 +308,8 @@ class TestMarch:
 class TestDtN:
     def test_zero_data(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.0)
-        lam = dtn_apply(c_unit, grid,
-                        BoundaryData(lambda t, s: np.zeros_like(s)))
+        lam = dtn_apply(c_unit, grid, BoundaryData(
+            lambda t, s: np.zeros_like(s), "zero"))
         assert np.nanmax(np.abs(lam)) == 0.0
 
     def test_dalembert_normal_derivative(self, c_unit):
@@ -323,7 +326,7 @@ class TestDtN:
         errs = []
         for nx in (33, 65, 129):
             grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=2.5)
-            lam = dtn_apply(c_unit, grid, BoundaryData(dalembert_bc))
+            lam = dtn_apply(c_unit, grid, DALEMBERT)
             s = grid.boundary_arclength()
             right = (s > 1.0) & (s < 2.0) & ~grid.corner  # edge x = 1
             exact = -pulse_d(grid.times - 1.0)[:, None] \
@@ -373,7 +376,7 @@ class TestDtN:
 
     def test_incompatible_input_rejected(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
-        bad = BoundaryData(lambda t, s: np.ones_like(s))
+        bad = BoundaryData(lambda t, s: np.ones_like(s), "one")
         with pytest.raises(IncompatibleData):
             dtn_norm_diff(c_unit, [c_unit], grid, [bad])
 
@@ -381,7 +384,7 @@ class TestDtN:
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
         p1, p2 = boundary_probes(2, 1.5)
         combo = BoundaryData(lambda t, s: 2.0 * p1.func(t, s)
-                             - 0.5 * p2.func(t, s))
+                             - 0.5 * p2.func(t, s), "combo")
         lam = dtn_apply(c_unit, grid, combo)
         lam1 = dtn_apply(c_unit, grid, p1)
         lam2 = dtn_apply(c_unit, grid, p2)
@@ -519,7 +522,7 @@ class TestStabilityExperiment:
 class TestEnergyReport:
     def test_bounded_constant(self, c_unit):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=2.5)
-        data = BoundaryData(dalembert_bc)
+        data = DALEMBERT
         sol = solve_dirichlet(c_unit, grid, data)
         rep = energy_bound_report(sol, data)
         assert rep["boundary_h1"] > 0

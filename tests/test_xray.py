@@ -15,7 +15,8 @@ from tdxray.xray import (QUAD_TOL, _simpson, perturb_sinogram, sinogram,
 
 def inline_field(evaluator, dim=2):
     return SpaceTimeField(evaluator, (0.0, 2.0),
-                          np.array([-1.0, -1.0]), np.array([1.0, 1.0]), dim)
+                          np.array([-1.0, -1.0]), np.array([1.0, 1.0]), dim,
+                          "inline", None)
 
 
 def diameter_path(unit_disk, n=801):
