@@ -380,7 +380,7 @@ def gaussian_concentration(h_field, beam: BeamCurve, lambdas,
     """Error of the normalised Gaussian average of h against h on the curve.
 
     Computes (lam/pi)^(n/2) int exp(-lam |d|^2) h chi dx, d = x - x(t),
-    per lambda by trapezoid quadrature (220 points per axis) over the
+    per lambda by trapezoid quadrature (221 points per axis) over the
     cutoff tube, and returns |result - h(t, x(t))| together with the
     printed bound evaluated with both erfc sign conventions
     (erfc(-lam^{2 sigma}) tends to 2, so that version of the additive term
@@ -390,7 +390,10 @@ def gaussian_concentration(h_field, beam: BeamCurve, lambdas,
     n = beam.dim
     st = beam.state_at(t_eval)
     x0 = st["x"]
-    mesh, cell = _patch(x0, tube_radii(n)[1] * 1.35, 220)
+    # an odd count puts x(t) on a node; with an even one every second node
+    # mirrors the rest about x(t), and on a symmetric integrand the
+    # halving check compares two equal sums
+    mesh, cell = _patch(x0, tube_radii(n)[1] * 1.35, 221)
     d = mesh - x0
     sq_dist = np.einsum("...i,...i->...", d, d)
     hv = h_field(np.full(mesh.shape[:-1], t_eval), mesh)

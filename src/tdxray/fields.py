@@ -125,7 +125,7 @@ class BumpSpec:
     x_width: float
 
 
-def _make_evaluator(specs: Sequence[BumpSpec], dim: int):
+def _make_evaluator(specs: Sequence[BumpSpec]):
     specs = list(specs)
 
     def evaluate(t, x):
@@ -141,9 +141,9 @@ def _make_evaluator(specs: Sequence[BumpSpec], dim: int):
     return evaluate
 
 
-def bump_field(specs: Sequence[BumpSpec], dim: int,
-               name: str) -> SpaceTimeField:
-    """Superposition of separable space-time bumps.
+def bump_field(specs: Sequence[BumpSpec], name: str) -> SpaceTimeField:
+    """Superposition of separable space-time bumps, in the dimension of
+    their centres (ValueError unless every centre has the same length).
 
     When every component shares the same time profile the field factorises
     as g(t) H(x) and the pair is exposed via ``separable``.  On a launch
@@ -151,6 +151,10 @@ def bump_field(specs: Sequence[BumpSpec], dim: int,
     builds no point mesh.
     """
     specs = list(specs)
+    dims = {len(s.x_center) for s in specs}
+    if len(dims) != 1:
+        raise ValueError(f"bump centres differ in length: {sorted(dims)}")
+    dim, = dims
     t_lo = min(s.t_center - s.t_width for s in specs)
     t_hi = max(s.t_center + s.t_width for s in specs)
     x_lo = np.min([np.asarray(s.x_center) - s.x_width for s in specs], axis=0)
@@ -187,7 +191,7 @@ def bump_field(specs: Sequence[BumpSpec], dim: int,
         separable = (g, H)
 
     return SpaceTimeField(
-        evaluator=_make_evaluator(specs, dim),
+        evaluator=_make_evaluator(specs),
         t_support=(t_lo, t_hi),
         x_lo=x_lo,
         x_hi=x_hi,
@@ -202,7 +206,7 @@ def single_bump(amplitude=1.0, t_center=1.0, t_width=0.85,
                 name: str) -> SpaceTimeField:
     return bump_field(
         [BumpSpec(amplitude, t_center, t_width, tuple(x_center), x_width)],
-        dim=len(x_center), name=name)
+        name=name)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +250,7 @@ def default_recon_field() -> SpaceTimeField:
     specs = [BumpSpec(a, t_center, t_width, c, w)
              for a, w, c in zip(amps, widths, centers)]
     specs.append(BumpSpec(a_neg, t_center, t_width, x_neg, w_neg))
-    return bump_field(specs, dim=2, name="recon-default")
+    return bump_field(specs, name="recon-default")
 
 
 def calibration_field() -> SpaceTimeField:

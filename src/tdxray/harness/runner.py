@@ -87,9 +87,7 @@ def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     fine = sinogram(f, sample_inward_bundle(body, 2 * nb, nd), MetricSpec(),
                     body, dt=dt)
     ratio = fine.sup_norm / sino.sup_norm if sino.sup_norm > 0 else 1.0
-    level, noise_sup = cfg["noise.level"], 0.0
-    if level > 0:
-        sino, noise_sup = perturb_sinogram(sino, level, seed)
+    sino, noise_sup = perturb_sinogram(sino, cfg["noise.level"], seed)
     man.stage("sinogram")
     man.diagnostics.append(("sinogram", {
         "max_halving_gap": sino.max_halving_gap,

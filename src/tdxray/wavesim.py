@@ -115,22 +115,15 @@ def time_window(T: float) -> Callable:
 
 def boundary_probes(count: int, T: float) -> list[BoundaryData]:
     """Tensor probes: time window x Fourier modes along the boundary path
-    of the unit square (perimeter 4)."""
+    of the unit square (perimeter 4), cos1, sin1, cos2, sin2, ..."""
     w = time_window(T)
-    probes = []
-    m = 1
-    while len(probes) < count:
-        for trig in (np.cos, np.sin):
-            if len(probes) >= count:
-                break
-            k_ang = 2.0 * np.pi * m / 4.0
 
-            def func(t, s, trig=trig, k_ang=k_ang):
-                return w(t) * trig(k_ang * s)
+    def probe(trig, m):
+        k_ang = 2.0 * np.pi * m / 4.0
+        return BoundaryData(lambda t, s: w(t) * trig(k_ang * s),
+                            name=f"{trig.__name__}{m}")
 
-            probes.append(BoundaryData(func, name=f"{trig.__name__}{m}"))
-        m += 1
-    return probes
+    return [probe((np.cos, np.sin)[i % 2], i // 2 + 1) for i in range(count)]
 
 
 # ---------------------------------------------------------------- solver
@@ -253,11 +246,13 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
 # ---------------------------------------------------------------- norms
 
 
-def _time_weights(nt: int) -> np.ndarray:
-    """Trapezoid weights over nt time levels, in units of the step."""
-    wt = np.ones(nt)
-    wt[0] = wt[-1] = 0.5
-    return wt
+def _trapz(grid: WaveGrid, vals: np.ndarray, cell: float) -> float:
+    """Trapezoid in time at step grid.k, lumped mass of the given cell in
+    space: sum_m w_m sum vals[m] k cell, w = 1/2 at the first and last of
+    the len(vals) levels (once when they are one).  vals is weighted in
+    place."""
+    vals[[0, -1]] *= 0.5
+    return float(np.sum(vals) * grid.k * cell)
 
 
 def h1_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
@@ -266,17 +261,14 @@ def h1_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
     k, h = grid.k, grid.h
     dt = np.gradient(bvals, k, axis=0)
     ds = (np.roll(bvals, -1, axis=1) - np.roll(bvals, 1, axis=1)) / (2 * h)
-    total = np.sum(_time_weights(grid.nt)[:, None]
-                   * (bvals**2 + dt**2 + ds**2)) * k * h
-    return float(np.sqrt(total))
+    return float(np.sqrt(_trapz(grid, bvals**2 + dt**2 + ds**2, h)))
 
 
 def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
                      mask: np.ndarray) -> float:
     """Discrete L^2 norm of boundary data off the masked path nodes:
     trapezoid in time, lumped mass along the path."""
-    return float(np.sqrt(np.sum(_time_weights(grid.nt)[:, None]
-                                * bvals[:, ~mask] ** 2) * grid.k * grid.h))
+    return float(np.sqrt(_trapz(grid, bvals[:, ~mask] ** 2, grid.h)))
 
 
 # ---------------------------------------------------------------- DtN
@@ -291,9 +283,14 @@ def _conormal(grid: WaveGrid, u: np.ndarray) -> np.ndarray:
              - rows[..., 2, :]) / (2 * grid.h)
 
 
-def _boundary_factor(c: ConformalFactor, grid: WaveGrid) -> np.ndarray:
-    """c at every time level on the boundary path: (nt, n_boundary)."""
-    return sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ])
+def _scale_trace(c: ConformalFactor, grid: WaveGrid,
+                 dn: np.ndarray) -> np.ndarray:
+    """The conormal trace c du/dnu from du/dnu (nt, n_boundary), in place:
+    scaled by c at every time level on the boundary path, corners NaN."""
+    np.multiply(sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ]), dn,
+                out=dn)
+    dn[:, grid.corner] = np.nan
+    return dn
 
 
 def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
@@ -312,8 +309,7 @@ def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
 
     margins = _march(factors, grid, bvals, keep)
     for c, trace in zip(factors, dn):
-        np.multiply(_boundary_factor(c, grid), trace, out=trace)
-    dn[:, :, grid.corner] = np.nan
+        _scale_trace(c, grid, trace)
     return dn, margins
 
 
@@ -323,9 +319,7 @@ def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     the stored solution sol when given."""
     if sol is None:
         return dtn_traces([c], grid, data.sample(grid))[0][0]
-    out = _boundary_factor(c, grid) * _conormal(grid, sol.u)
-    out[:, grid.corner] = np.nan
-    return out
+    return _scale_trace(c, grid, _conormal(grid, sol.u))
 
 
 def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
@@ -369,10 +363,6 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
 # ---------------------------------------------------------------- identity
 
 
-def _trapz_time(vals: np.ndarray, k: float) -> np.ndarray:
-    return np.tensordot(_time_weights(vals.shape[0]), vals, axes=(0, 0)) * k
-
-
 def key_identity_check(c: ConformalFactor, grid: WaveGrid,
                        f1: BoundaryData, f2: BoundaryData) -> dict:
     """Boundary pairing of (Lam_g - Lam_cg) f1 with f2 against the interior
@@ -385,7 +375,6 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     """
     if c.time_dependent:
         raise ValueError("identity check requires time-independent c")
-    n = 2                        # the square's dimension
     g = constant_factor(1.0, dim=c.dim, T=c.T)
     sol1 = solve_dirichlet(g, grid, f1)
     lam_g = dtn_apply(g, grid, f1, sol=sol1)
@@ -402,21 +391,17 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     corner = grid.corner
     f2_vals = f2.sample(grid)
     diff = np.nan_to_num(lam_g - lam_cg)[:, ~corner]
-    lhs = float(np.sum(_time_weights(grid.nt)[:, None] * diff
-                       * f2_vals[:, ~corner]) * grid.k * grid.h)
+    lhs = _trapz(grid, diff * f2_vals[:, ~corner], grid.h)
 
     c_grid = sample_factor(c, grid, grid.mesh())
     du1 = sol1.dt_interior()
     # u2(t) = u2_rev(T - t), so its centred time derivative is the
     # reversed one of u2_rev with the sign flipped
     du2 = -sol2_rev.dt_interior()[::-1]
-    rho1_vals = c_grid[1:-1] ** (n / 2) - 1.0
-    term_t = _trapz_time(
-        np.sum(rho1_vals * du1 * du2, axis=(1, 2))[..., None],
-        grid.k)[0] * grid.h**2
-    # the gradient pairing is weighted by rho2 = c^(n/2 - 1) - 1, which is
-    # 0 at n = 2
-    rhs = float(term_t)
+    # on the square (n = 2) rho1 = c^(n/2) - 1 is c - 1, and the gradient
+    # pairing's weight rho2 = c^(n/2 - 1) - 1 is 0
+    pairing = np.sum((c_grid[1:-1] - 1.0) * du1 * du2, axis=(1, 2))
+    rhs = _trapz(grid, pairing, grid.h**2)
     gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return {"lhs": lhs, "rhs": rhs, "relative_gap": gap}
 
@@ -435,33 +420,30 @@ def conformal_stability_experiment(scales, grid: WaveGrid, probe_count: int,
     family = [bump_factor(s, bump_center, bump_width, T=T, name=f"bump{s:g}")
               for s in scales]
     mesh = grid.mesh()
-    weights = _time_weights(grid.nt)[:, None, None]
-    # one (nt, nx, nx) array at a time, squared and weighted in place, and
-    # none held through the marches
-    dists = []
-    for cs in family:
+
+    def c_dist(cs):
+        # one (nt, nx, nx) array, squared and weighted in place, and none
+        # held through the marches
         vals = 1.0 - sample_factor(cs, grid, mesh)
         np.square(vals, out=vals)
-        np.multiply(weights, vals, out=vals)
-        dists.append(float(np.sqrt(np.sum(vals) * grid.k * grid.h**2)))
-        del vals
+        return float(np.sqrt(_trapz(grid, vals, grid.h**2)))
+
+    dists = [c_dist(cs) for cs in family]
     probes = boundary_probes(probe_count, T)
     norms = dtn_norm_diff(constant_factor(1.0, T=T), family, grid, probes)
     rows = []
     for s, l2, norm in zip(scales, dists, norms):
-        rows.append({"scale": float(s), "c_dist_l2": l2,
-                     "dtn_norm": norm["norm_lower_bound"],
+        dtn = norm["norm_lower_bound"]
+        rows.append({"scale": float(s), "c_dist_l2": l2, "dtn_norm": dtn,
                      "ratios": dict(zip((p.name for p in probes),
                                         norm["ratios"])),
-                     "cfl_margin": norm["cfl_margin"]})
-    # degenerate rows (vanishing DtN difference) carry no log-scale
-    # information and are excluded from the envelope fit
-    live = [r for r in rows if r["dtn_norm"] > 1e-14]
-    for r in rows:
-        r["log_inv_norm"] = (float(np.log(1.0 / r["dtn_norm"]))
-                             if r["dtn_norm"] > 1e-14 else float("inf"))
-    C = max((r["c_dist_l2"] * r["log_inv_norm"] for r in live),
-            default=float("nan"))
+                     "cfl_margin": norm["cfl_margin"],
+                     # a vanishing DtN difference carries no log-scale
+                     # information, and its row is left out of the fit
+                     "log_inv_norm": (float(np.log(1.0 / dtn)) if dtn > 1e-14
+                                      else float("inf"))})
+    C = max((r["c_dist_l2"] * r["log_inv_norm"] for r in rows
+             if np.isfinite(r["log_inv_norm"])), default=float("nan"))
     for r in rows:
         r["envelope"] = (C / r["log_inv_norm"]
                          if np.isfinite(r["log_inv_norm"]) else 0.0)

@@ -366,6 +366,19 @@ class TestConcentration:
                                      t_eval=1.25)
         assert out["decay_exponent"] <= SIGMA - 0.5 + 0.1
 
+    def test_unresolved_gaussian_raises(self, free_beam):
+        # at lambda 1e5 the Gaussian is narrower than the node spacing; an
+        # even node count hid it from the halving check on this symmetric
+        # integrand (the value came out 0.309 against h(x(t)) = 0.98)
+        _, _, _, beam = free_beam
+
+        def h(t, x):
+            d2 = np.sum((np.asarray(x) - np.array([0.3, 0.1])) ** 2, axis=-1)
+            return bump_profile(d2 / 0.8 ** 2)
+
+        with pytest.raises(QuadratureNotConverged):
+            gaussian_concentration(h, beam, [1e5], t_eval=1.25)
+
     def test_erfc_discrepancy_reported(self, free_beam):
         _, _, _, beam = free_beam
 

@@ -108,13 +108,12 @@ class TestBumpFrame:
         empty = spec(rng.normal(), frame_point(-1, [0] * len(perp))
                      + 2 * width * omega, width)
         frame = (origin, omega, perp, along, v_axes)
-        _, H = bump_field(specs + [empty], dim=dim,
-                          name="bump").separable
+        _, H = bump_field(specs + [empty], name="bump").separable
         got = H(*frame)
         assert got.shape == (n_along,) + (n_v,) * len(perp)
         assert np.array_equal(got, unwindowed(specs + [empty], *frame))
         assert np.array_equal(got, bump_field(
-            specs, dim=dim, name="bump").separable[1](*frame))
+            specs, name="bump").separable[1](*frame))
 
 
 class TestBumpProfile:
@@ -164,6 +163,21 @@ class TestFields:
         xs = rng.uniform(-5, 5, (4000, 2))
         alive = np.abs(f(np.full(4000, 6.0), xs)) > 0
         assert np.all(np.linalg.norm(xs[alive], axis=1) < 4.0)
+
+    def test_dimension_from_centres(self):
+        # a 3-D centre gives a 3-D field, whose third coordinate counts
+        f = single_bump(x_center=(0.0, 0.0, 0.3), name="bump3d")
+        assert f.dim == 3 and f.x_lo.shape == (3,)
+        t = np.ones(2)
+        got = f(t, np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.0]]))
+        assert got[0] == 1.0
+        assert got[1] == bump_profile(np.array([0.3**2 / 0.55**2]))[0]
+
+    def test_mixed_centre_lengths_rejected(self):
+        specs = [BumpSpec(1.0, 1.0, 0.8, (0.0, 0.1), 0.5),
+                 BumpSpec(0.5, 1.0, 0.8, (0.0, 0.1, 0.2), 0.5)]
+        with pytest.raises(ValueError, match="differ in length"):
+            bump_field(specs, name="mixed")
 
     def test_heldout_fields_distinct(self):
         a, b = heldout_fields()

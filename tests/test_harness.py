@@ -717,6 +717,12 @@ class TestBenchmarkHooks:
         # launch intervals, against the tiny run's 32 and 48
         self.check_run("recon-sweep", 7, "full", tmp_path, monkeypatch)
 
+    def test_full_dtn_family_matches_reference(self, tmp_path, monkeypatch):
+        # dtn at its defaults, the size the benchmark times: six marches of
+        # the reference and four factors on 97 nodes per axis, against the
+        # tiny run's two marches of three on 33
+        self.check_run("dtn-family", 0, "full", tmp_path, monkeypatch)
+
 
 class TestDeterminism:
     def test_forward_byte_identical_across_threads(self, tmp_path,

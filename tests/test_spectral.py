@@ -267,7 +267,7 @@ SLICE_CASES = {
     # test_slice_identity_3d: 2e-5 (1 + |ref|)
     "bump3d": (lambda: bump_field([BumpSpec(1.0, 1.0, 0.8,
                                             (0.05, -0.1, 0.0), 0.5)],
-                                  dim=3, name="bump3d"),
+                                  name="bump3d"),
                lambda: ball(dim=3), 32, 32,
                lambda ref: 2e-5 * (1.0 + abs(ref))),
 }
@@ -418,7 +418,7 @@ class TestThreeDimensional:
     def test_slice_identity_3d(self):
         from tdxray.fields import BumpSpec, bump_field
         f = bump_field([BumpSpec(1.0, 1.0, 0.8, (0.05, -0.1, 0.0), 0.5)],
-                       dim=3, name="bump3d")
+                       name="bump3d")
         body = ball(dim=3)
         grid = SpectralGrid.for_field(f, n_points=48, pad=0.3)
         omega = np.array([0.6, 0.64, 0.48])

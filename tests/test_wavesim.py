@@ -305,6 +305,24 @@ class TestMarch:
                           boundary_probes(2, 2.0))
 
 
+class TestTrapz:
+    @given(nt=st.integers(3, 40), trailing=st.lists(st.integers(1, 6),
+                                                    min_size=1, max_size=3),
+           k=st.floats(1e-3, 1.0), cell=st.floats(1e-4, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_trapezoid(self, nt, trailing, k, cell, seed):
+        # trapezoid in time at step k of the cell-weighted spatial sums, to
+        # 1e-12 of the same integral of |vals|
+        vals = np.random.default_rng(seed).normal(size=(nt, *trailing))
+        grid = WaveGrid(nx=5, k=k, T=k * (nt - 1))
+        assert grid.nt == nt
+        spatial = np.sum(vals, axis=tuple(range(1, vals.ndim))) * cell
+        ref = np.trapezoid(spatial, dx=k)
+        got = wavesim._trapz(grid, vals.copy(), cell)
+        assert abs(got - ref) <= 1e-12 * np.sum(np.abs(vals)) * k * cell
+
+
 class TestDtN:
     def test_zero_data(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.0)
