@@ -52,19 +52,20 @@ def tube_radii(n: int) -> tuple[float, float]:
 
 def _h_derivs(c: ConformalFactor, eye: np.ndarray, t, x: np.ndarray,
               p: np.ndarray):
-    """c, grad_x c and 2h, h_x, h_p, h_xx, h_px, h_pp, dh/dt row by row:
-    x and p have shape (N, n), t is a scalar or has shape (N,), and
-    ``eye`` is the n x n identity.  dh/dt is 0.0 for a time-independent
-    factor, whose time derivative is not evaluated."""
-    cv, gv, gam, pn, phat, h_x, h_p = hamiltonian_jet(c, t, x, p)
+    """c, grad_x c and 2h, h_x, h_p, h_xx, h_px, h_pp, dh/dt row by row,
+    from one order-2 jet of c: x and p have shape (N, n), t is a scalar
+    or has shape (N,), and ``eye`` is the n x n identity.  dh/dt is 0.0
+    for a time-independent factor."""
+    cv, gv, ct, hess = c.jet(t, x, 2)
+    gam, pn, phat, h_x, h_p = hamiltonian_jet(cv, gv, p)
     g2 = 2 * gam
     g3, p3, g23 = gam[:, None, None], pn[:, None, None], g2[:, None, None]
     p_col, g_row = phat[:, :, None], gv[:, None, :]
     h_pp = g3 * (eye - p_col * phat[:, None, :]) / p3
     h_px = p_col * g_row / g23                       # d^2 h / dp_i dx_j
-    h_xx = p3 * (c.hess_x(t, x) / g23
+    h_xx = p3 * (hess / g23
                  - gv[:, :, None] * g_row / (2 * g23 * cv[:, None, None]))
-    h_t = pn * c.dt(t, x) / g2 if c.time_dependent else 0.0
+    h_t = pn * ct / g2 if c.time_dependent else 0.0
     return cv, gv, g2 * pn, h_x, h_p, h_xx, h_px, h_pp, h_t
 
 
@@ -109,26 +110,35 @@ class BeamCurve:
         return np.linalg.eigvalsh(
             (self.N @ np.linalg.inv(self.Y)).imag).min(axis=-1)
 
-    def state_at(self, t: float) -> dict:
-        """Beam state at arbitrary t inside the range.
+    def state_at(self, t) -> dict:
+        """Beam states (x, p, M, a0) at times t, stacked over t's shape: a
+        scalar t gives x of shape (n,), times of shape S give x of shape
+        S + (n,), M of shape S + (n, n) and a0 of shape S.
 
         One fractional integrator step from the nearest stored node keeps
         the map t -> state smooth, so finite-difference stencils in t see
-        a C-infinity field rather than interpolation kinks.
+        a C-infinity field rather than interpolation kinks.  Every time
+        off a node takes its step in one RK4 call, a row per time; a time
+        on a node keeps the node.
         """
-        t = float(t)
-        k = int(np.clip(np.floor((t - self.t0) / self.dt), 0,
-                        len(self.times) - 1))
-        base = {"x": self.xtilde[k:k + 1], "p": self.omega[k:k + 1],
-                "Y": self.Y[k:k + 1], "N": self.N[k:k + 1],
-                "a0": self.a0[k:k + 1]}
-        step = t - self.times[k]
-        if step != 0.0:
-            base = rk4_step(partial(_beam_rhs, self.c, np.eye(self.dim)),
-                            self.times[k], base, step)
-        M = base["N"][0] @ np.linalg.inv(base["Y"][0])
-        return {"x": base["x"][0], "p": base["p"][0], "M": M,
-                "a0": base["a0"][0]}
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        k = np.clip(np.floor((flat - self.t0) / self.dt), 0,
+                    len(self.times) - 1).astype(int)
+        step = flat - self.times[k]
+        off = step != 0.0
+        state = {"x": self.xtilde[k], "p": self.omega[k], "Y": self.Y[k],
+                 "N": self.N[k], "a0": self.a0[k]}
+        moved = rk4_step(partial(_beam_rhs, self.c, np.eye(self.dim)),
+                         self.times[k[off]],
+                         {key: v[off] for key, v in state.items()}, step[off])
+        for key, v in moved.items():
+            state[key][off] = v
+        M = state["N"] @ np.linalg.inv(state["Y"])
+        return {"x": state["x"].reshape(t.shape + (self.dim,)),
+                "p": state["p"].reshape(t.shape + (self.dim,)),
+                "M": M.reshape(t.shape + (self.dim, self.dim)),
+                "a0": state["a0"].reshape(t.shape)}
 
     def write_csv(self, path) -> None:
         det = np.linalg.det(self.Y)
@@ -209,38 +219,42 @@ def beam_psi(state: dict, x: np.ndarray) -> np.ndarray:
             + 0.5 * np.einsum("...i,ij,...j->...", d, state["M"], d))
 
 
-def wave_operator_fd(beam: BeamCurve, lam: float, t: float,
+# the offsets, in stencil steps, of the five times of a residual stencil
+STENCIL_OFFSETS = np.arange(-2, 3)
+
+
+def wave_operator_fd(beam: BeamCurve, lam: float, stencil: dict, t: float,
                      xs: np.ndarray, h_fd: float) -> np.ndarray:
     """Box U = d_t^2 U - c^{n/2} div(c^{1-n/2} grad U) at probe points.
 
-    Fourth-order centred stencils in every variable; symbolic-free, so the
-    test exercises the evaluated field itself.  At n = 2 the operator
-    reduces to d_t^2 U - c (Lap U).
+    ``stencil`` holds the beam states at the times t + k h_fd for k in
+    STENCIL_OFFSETS, stacked on a leading axis (beam.state_at of those
+    times).  Fourth-order centred stencils in every variable;
+    symbolic-free, so the test exercises the evaluated field itself.  At
+    n = 2 the operator reduces to d_t^2 U - c (Lap U).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = beam.dim
-    lam_states = {dt_off: beam.state_at(t + dt_off * h_fd)
-                  for dt_off in (-2, -1, 0, 1, 2)}
-
-    def U_t(dt_off, pts):
-        return beam_evaluate(lam, lam_states[dt_off], pts)
+    states = [{key: v[i] for key, v in stencil.items()}
+              for i in range(len(STENCIL_OFFSETS))]
+    mid = states[len(states) // 2]
 
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
-    utt = sum(w * U_t(o, xs) for w, o in zip(w2, (-2, -1, 0, 1, 2))) / h_fd**2
+    utt = sum(w * beam_evaluate(lam, st, xs)
+              for w, st in zip(w2, states)) / h_fd**2
 
     lap = np.zeros(xs.shape[0], dtype=complex)
     grad = np.zeros((xs.shape[0], n), dtype=complex)
     for a in range(n):
         e = np.zeros(n)
         e[a] = h_fd
-        stack = [U_t(0, xs + k * e) for k in (-2, -1, 0, 1, 2)]
+        stack = [beam_evaluate(lam, mid, xs + k * e) for k in STENCIL_OFFSETS]
         lap += sum(w * s for w, s in zip(w2, stack)) / h_fd**2
         grad[:, a] = sum(w * s for w, s in zip(w1, stack)) / h_fd
 
-    cv = beam.c(np.full(xs.shape[0], t), xs)
-    gv = beam.c.grad_x(np.full(xs.shape[0], t), xs)
+    cv, gv, _ = beam.c.jet(np.full(xs.shape[0], t), xs, 1)
     div_term = cv * lap + (1 - n / 2) * np.einsum("...i,...i->...", gv, grad)
     return utt - div_term
 
@@ -254,19 +268,21 @@ def _patch(center, half_width: float, points: int):
     return mesh, np.prod([ax[1] - ax[0] for ax in axes])
 
 
-def _residual_l2_at(beam: BeamCurve, lam: float, t: float, h_fd: float,
-                    body: ConvexBody) -> float:
-    """Spatial L2 norm of Box U(t, .) over the Gaussian core inside the body.
+def _residual_l2_at(beam: BeamCurve, lam: float, stencil: dict, t: float,
+                    h_fd: float, body: ConvexBody) -> float:
+    """Spatial L2 norm of Box U(t, .) over the Gaussian core inside the
+    body, from the stencil states of :func:`wave_operator_fd`.
 
-    The patch covers 3.5 envelope widths on a 36-point grid per axis;
-    beyond that the integrand is exponentially negligible at every lambda
-    in use.
+    The patch, about the middle state's curve point, covers 3.5 envelope
+    widths on a 36-point grid per axis; beyond that the integrand is
+    exponentially negligible at every lambda in use.
     """
-    st = beam.state_at(t)
-    m = max(np.min(np.linalg.eigvalsh(st["M"].imag)), 1e-6)
-    mesh, cell = _patch(st["x"], 3.5 / np.sqrt(lam * m), 36)
+    mid = len(STENCIL_OFFSETS) // 2
+    m = max(np.min(np.linalg.eigvalsh(stencil["M"][mid].imag)), 1e-6)
+    mesh, cell = _patch(stencil["x"][mid], 3.5 / np.sqrt(lam * m), 36)
     pts = mesh.reshape(-1, beam.dim)
-    vals = wave_operator_fd(beam, lam, t, pts[body.phi(pts) < 0.0], h_fd)
+    vals = wave_operator_fd(beam, lam, stencil, t,
+                            pts[body.phi(pts) < 0.0], h_fd)
     return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cell))
 
 
@@ -301,7 +317,12 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
     t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
 
     def size_at(lam: float, h_fd: float) -> float:
-        return max(_residual_l2_at(beam, lam, t, h_fd, body) for t in t_sel)
+        # every stencil state of the seven probe times in one RK4 step
+        stencils = beam.state_at(t_sel[:, None] + STENCIL_OFFSETS * h_fd)
+        return max(_residual_l2_at(beam, lam,
+                                   {key: v[i] for key, v in stencils.items()},
+                                   t, h_fd, body)
+                   for i, t in enumerate(t_sel))
 
     sups = []
     for lam in lambdas:

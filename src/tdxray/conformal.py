@@ -14,18 +14,25 @@ from typing import Callable
 import numpy as np
 
 from .errors import Inadmissible
-from .fields import (bump_profile, bump_profile_d2u, bump_profile_du,
-                     squared_distance)
+from .fields import bump_jet, squared_distance
 
 
 @dataclass
 class ConformalFactor:
-    """c(t, x) together with analytic first/second x-derivatives and d/dt.
+    """c(t, x) and its analytic derivatives, all from one jet.
 
-    All callables are vectorised: t shape (...,), x shape (..., dim).
-    grad_x returns (..., dim), hess_x returns (..., dim, dim).
+    ``jet(t, x, order)`` returns [c] at order 0, [c, grad_x c, d_t c] at
+    order 1 and [c, grad_x c, d_t c, hess_x c] at order 2, computing what
+    they share once.  It is vectorised: t is a scalar or has shape (...,),
+    x has shape (..., dim), grad_x c has shape (..., dim) and hess_x c
+    (..., dim, dim).  The ray flow, the beam system, the admissibility
+    check and the beam residual call the jet itself.  ``func``,
+    ``grad_x``, ``hess_x`` and ``dt`` are its entries one at a time
+    (:func:`jet_views`), for callers that evaluate or wrap one alone;
+    ``c(t, x)`` calls ``func``.
     """
 
+    jet: Callable
     func: Callable
     grad_x: Callable
     hess_x: Callable
@@ -41,20 +48,22 @@ class ConformalFactor:
         return self.func(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
 
     def check_admissible(self, x_lo, x_hi) -> dict:
-        """Sampled admissibility check; raises Inadmissible on violation,
-        or where c, grad_x c or d_t c is not finite.
+        """Sampled admissibility check; raises Inadmissible when m0 is not
+        positive, on a violation, or where c, grad_x c or d_t c is not
+        finite.
 
         The C^1 distance to 1 is estimated from the analytic derivatives on
         4000 random points of [0, T] x box, drawn from seed 0.
         """
+        if not self.m0 > 0:
+            # rays and beams would march at speed sqrt(c) <= 0 without end
+            raise Inadmissible(f"m0 = {self.m0} is not positive")
         n_samples = 4000
         rng = np.random.default_rng(0)
         ts = rng.uniform(0.0, self.T, n_samples)
         xs = rng.uniform(np.asarray(x_lo, float), np.asarray(x_hi, float),
                          (n_samples, self.dim))
-        c = self(ts, xs)
-        g = self.grad_x(ts, xs)
-        dt = self.dt(ts, xs)
+        c, g, dt = self.jet(ts, xs, 1)
         if not all(np.isfinite(v).all() for v in (c, g, dt)):
             raise Inadmissible("c or a derivative of c is not finite")
         c0 = float(np.max(np.abs(c - 1.0)))
@@ -73,25 +82,32 @@ class ConformalFactor:
         return report
 
 
+def jet_views(jet: Callable) -> tuple[Callable, ...]:
+    """The func, grad_x, hess_x and dt fields of the factor with this
+    jet, each the jet's entry at the lowest order that holds it."""
+    return (lambda t, x: jet(t, x, 0)[0],
+            lambda t, x: jet(t, x, 1)[1],
+            lambda t, x: jet(t, x, 2)[3],
+            lambda t, x: jet(t, x, 1)[2])
+
+
 def constant_factor(value: float, dim: int = 2,
                     T: float = 2.0) -> ConformalFactor:
     v = float(value)
 
-    def func(t, x):
-        return np.full(np.broadcast(t, x[..., 0]).shape, v)
+    def jet(t, x, order):
+        shape = np.broadcast(t, x[..., 0]).shape
+        out = [np.full(shape, v)]
+        if order >= 1:
+            out += [np.zeros(shape + (dim,)), np.zeros(shape)]
+        if order >= 2:
+            out.append(np.zeros(shape + (dim, dim)))
+        return out
 
-    def grad(t, x):
-        return np.zeros(np.broadcast(t, x[..., 0]).shape + (dim,))
-
-    def hess(t, x):
-        return np.zeros(np.broadcast(t, x[..., 0]).shape + (dim, dim))
-
-    def dt(t, x):
-        return np.zeros(np.broadcast(t, x[..., 0]).shape)
-
-    return ConformalFactor(func, grad, hess, dt, dim=dim, m0=0.5 * v,
-                           eps=max(0.5, abs(v - 1.0) + 0.1), T=T,
-                           name=f"const{v:g}")
+    func, grad_x, hess_x, dt = jet_views(jet)
+    return ConformalFactor(jet, func, grad_x, hess_x, dt, dim=dim,
+                           m0=0.5 * v, eps=max(0.5, abs(v - 1.0) + 0.1),
+                           T=T, name=f"const{v:g}")
 
 
 def bump_factor(amplitude: float, x_center, x_width: float,
@@ -105,45 +121,36 @@ def bump_factor(amplitude: float, x_center, x_width: float,
     a = float(amplitude)
     xc = np.asarray(x_center, dtype=float)
     w = float(x_width)
+    eye = np.eye(xc.size)
     timed = t_center is not None
 
-    def parts(t, x):
-        u = squared_distance(x, xc) / w**2
+    def jet(t, x, order):
+        bx = bump_jet(squared_distance(x, xc) / w**2, order)
         if timed:
-            ut = ((t - t_center) / t_width) ** 2
-            return u, bump_profile(ut), bump_profile_du(ut), ut
-        shape = np.broadcast(t, x[..., 0]).shape
-        return u, np.ones(shape), np.zeros(shape), None
-
-    def func(t, x):
-        u, bt, _, _ = parts(t, x)
-        return 1.0 + a * bt * bump_profile(u)
-
-    def grad(t, x):
-        u, bt, _, _ = parts(t, x)
-        dBdu = bump_profile_du(u)
-        return (a * bt * dBdu * 2.0 / w**2)[..., None] * (x - xc)
-
-    def hess(t, x):
-        u, bt, _, _ = parts(t, x)
-        d1 = bump_profile_du(u)
-        d2 = bump_profile_d2u(u)
-        grad_u = 2.0 * (x - xc) / w**2
-        outer = grad_u[..., :, None] * grad_u[..., None, :]
-        eye = np.eye(xc.size)
-        return a * bt[..., None, None] * (
-            d2[..., None, None] * outer
-            + d1[..., None, None] * (2.0 / w**2) * eye)
-
-    def dt_func(t, x):
-        u, bt, dbt_du, ut = parts(t, x)
-        if not timed:
-            return np.zeros(np.broadcast(t, x[..., 0]).shape)
-        dut_dt = 2.0 * (np.asarray(t, float) - t_center) / t_width**2
-        return a * bump_profile(u) * dbt_du * dut_dt
+            bt = bump_jet(((t - t_center) / t_width) ** 2, min(order, 1))
+            scale = a * bt[0]
+        else:
+            scale = a
+        out = [1.0 + scale * bx[0]]
+        if order >= 1:
+            d = x - xc
+            out.append((scale * bx[1] * 2.0 / w**2)[..., None] * d)
+            if timed:
+                dut_dt = 2.0 * (np.asarray(t, float) - t_center) / t_width**2
+                out.append(a * bx[0] * bt[1] * dut_dt)
+            else:
+                out.append(np.zeros(np.broadcast(t, x[..., 0]).shape))
+        if order >= 2:
+            grad_u = 2.0 * d / w**2
+            outer = grad_u[..., :, None] * grad_u[..., None, :]
+            out.append(np.asarray(scale)[..., None, None] * (
+                bx[2][..., None, None] * outer
+                + bx[1][..., None, None] * (2.0 / w**2) * eye))
+        return out
 
     lower = min(1.0, 1.0 + a)
-    return ConformalFactor(func, grad, hess, dt_func, dim=xc.size,
+    func, grad_x, hess_x, dt = jet_views(jet)
+    return ConformalFactor(jet, func, grad_x, hess_x, dt, dim=xc.size,
                            m0=0.5 * lower, T=T,
                            time_dependent=timed,
                            name=name or f"bump{a:+g}")

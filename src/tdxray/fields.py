@@ -34,33 +34,30 @@ def squared_distance(x: np.ndarray, c) -> np.ndarray:
 
 def bump_profile(u: np.ndarray) -> np.ndarray:
     """B as a function of u = r^2, vectorised, zero for u >= 1."""
+    return bump_jet(u, 0)[0]
+
+
+def bump_jet(u: np.ndarray, order: int) -> list[np.ndarray]:
+    """B, dB/du and d^2B/du^2 as functions of u = r^2, the first
+    order + 1 of them, vectorised and zero for u >= 1.
+
+    One exponential serves every entry; the derivatives are the analytic
+    ones that conformal factors are built from.
+    """
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
     inside = u < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui))
-    return out
-
-
-def bump_profile_du(u: np.ndarray) -> np.ndarray:
-    """dB/du; used for analytic gradients of bump-built conformal factors."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = u < 1.0
-    ui = u[inside]
-    out[inside] = -np.exp(1.0 - 1.0 / (1.0 - ui)) / (1.0 - ui) ** 2
-    return out
-
-
-def bump_profile_d2u(u: np.ndarray) -> np.ndarray:
-    """d^2B/du^2."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = u < 1.0
-    ui = u[inside]
-    b = np.exp(1.0 - 1.0 / (1.0 - ui))
-    om = 1.0 - ui
-    out[inside] = b * (1.0 / om**4 - 2.0 / om**3)
+    om = 1.0 - u[inside]
+    b = np.exp(1.0 - 1.0 / om)
+    terms = [b]
+    if order >= 1:
+        terms.append(-b / om**2)
+    if order >= 2:
+        terms.append(b * (1.0 / om**4 - 2.0 / om**3))
+    out = []
+    for term in terms:
+        full = np.zeros_like(u)
+        full[inside] = term
+        out.append(full)
     return out
 
 

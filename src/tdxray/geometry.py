@@ -270,27 +270,27 @@ def sample_inward_bundle(body: ConvexBody, n_boundary: int,
 # ---------------------------------------------------------------- flow
 
 
-def hamiltonian_jet(c: ConformalFactor, t, x, p):
-    """(c, grad_x c, sqrt(c), |p|, p/|p|, h_x, h_p) for h = sqrt(c)|p|, row
-    by row: x and p have shape (N, n), t is a scalar or has shape (N,).
-    The flow is (dx/dt, dp/dt) = (-h_p, h_x).
+def hamiltonian_jet(cv: np.ndarray, gv: np.ndarray, p: np.ndarray):
+    """(sqrt(c), |p|, p/|p|, h_x, h_p) for h = sqrt(c)|p|, row by row,
+    from c and grad_x c at the rows' points, shapes (N,) and (N, n), and
+    the momenta p, shape (N, n).  The flow is (dx/dt, dp/dt) = (-h_p, h_x).
 
     Row dot products go through ``np.vecdot``, which takes the BLAS dot
     kernel of a single-vector product, bit for bit; an elementwise product
     and sum rounds differently where that kernel fuses multiply and add.
     """
-    cv = c(t, x)
-    gv = c.grad_x(t, x)
     pn = np.sqrt(np.vecdot(p, p))
     gam = np.sqrt(cv)
     pc, gc = pn[:, None], gam[:, None]
     phat = p / pc
-    return cv, gv, gam, pn, phat, pc * gv / (2 * gc), gc * phat
+    return gam, pn, phat, pc * gv / (2 * gc), gc * phat
 
 
 def _ray_flow(c: ConformalFactor, t, state: dict) -> dict:
-    """dx/dt = -h_p and dp/dt = h_x of the rows of state["x"], state["p"]."""
-    *_, h_x, h_p = hamiltonian_jet(c, t, state["x"], state["p"])
+    """dx/dt = -h_p and dp/dt = h_x of the rows of state["x"], state["p"],
+    from one order-1 jet of c."""
+    cv, gv, _ = c.jet(t, state["x"], 1)
+    *_, h_x, h_p = hamiltonian_jet(cv, gv, state["p"])
     return {"x": -h_p, "p": h_x}
 
 

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from tdxray import beams
-from tdxray.beams import (SIGMA, beam_evaluate, beam_psi, build_beam,
-                          cutoff_build, gaussian_concentration,
+from tdxray.beams import (SIGMA, STENCIL_OFFSETS, beam_evaluate, beam_psi,
+                          build_beam, cutoff_build, gaussian_concentration,
                           residual_scaling, tube_radii, wave_operator_fd)
 from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import (Inadmissible, QuadratureNotConverged,
                            StencilUnderResolved)
 from tdxray.fields import bump_profile
-from tdxray.geometry import ball, make_ray, perp_frame
+from tdxray.geometry import ball, make_ray, perp_frame, rk4_step
+
+
+def stencil_at(beam, t, h_fd):
+    """The beam states of wave_operator_fd's stencil about time t."""
+    return beam.state_at(t + STENCIL_OFFSETS * h_fd)
 
 
 def phase_hessian(beam, k):
@@ -71,6 +76,14 @@ def free_beam():
     ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
     c1 = constant_factor(1.0)
     return body, ray, c1, build_beam(c1, body, ray, dt=2e-3)
+
+
+@pytest.fixture(scope="module")
+def timed_beam():
+    body = ball()
+    ray = make_ray(body, (-1.0, 0.0), (0.9, np.sqrt(1 - 0.81)))
+    c = bump_factor(0.02, (0.1, 0.0), 0.6, t_center=1.0, t_width=0.8)
+    return body, ray, c, build_beam(c, body, ray, dt=2e-3)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +158,18 @@ class TestBuildBeam:
         with pytest.raises(Inadmissible):
             build_beam(bad, body, ray)
 
+    def test_zero_factor_rejected_before_march(self, monkeypatch):
+        # c = 0 used to pass the check, and the march then ran at speed 0
+        # with an infinite time budget, never returning
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(beams, "march_to_exit", no_march)
+        body = ball()
+        ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
+        with pytest.raises(Inadmissible, match="not positive"):
+            build_beam(constant_factor(0.0), body, ray)
+
     def test_nonpositive_step_rejected(self):
         # the march refuses it; a zero step used to give a two-node beam
         body = ball()
@@ -176,6 +201,87 @@ class TestBuildBeam:
                 p.read_text().splitlines()[1:]]
         assert rows == [[repr(float(e)), repr(float(d.real)),
                          repr(float(d.imag))] for e, d in zip(eig, det)]
+
+
+def state_at_one(beam, t):
+    """The beam state at one time t by its own one-row RK4 step from the
+    nearest node below, M by one 2-D inverse: the per-time state_at that
+    the batched one replaced."""
+    k = int(np.clip(np.floor((t - beam.t0) / beam.dt), 0,
+                    len(beam.times) - 1))
+    base = {"x": beam.xtilde[k:k + 1], "p": beam.omega[k:k + 1],
+            "Y": beam.Y[k:k + 1], "N": beam.N[k:k + 1],
+            "a0": beam.a0[k:k + 1]}
+    step = t - beam.times[k]
+    if step != 0.0:
+        base = rk4_step(lambda s, st: beams._beam_rhs(
+            beam.c, np.eye(beam.dim), s, st), beam.times[k], base, step)
+    M = base["N"][0] @ np.linalg.inv(base["Y"][0])
+    return {"x": base["x"][0], "p": base["p"][0], "M": M,
+            "a0": base["a0"][0]}
+
+
+def residual_per_time(beam, body, lambdas):
+    """sups and slope of residual_scaling with one state_at_one call per
+    stencil time, five per probe time: the loop the batched stencil
+    replaced."""
+    t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
+    sups = []
+    for lam in lambdas:
+        h_fd = beams.STENCIL_SCALE * lam ** (-1.5)
+        sizes = []
+        for t in t_sel:
+            states = [state_at_one(beam, t + k * h_fd)
+                      for k in (-2, -1, 0, 1, 2)]
+            stencil = {key: np.stack([s[key] for s in states])
+                       for key in states[0]}
+            sizes.append(beams._residual_l2_at(beam, lam, stencil, t, h_fd,
+                                               body))
+        sups.append(max(sizes))
+    return sups, float(np.polyfit(np.log(lambdas), np.log(sups), 1)[0])
+
+
+@pytest.fixture(scope="module")
+def workload_beam():
+    # the benchmark's beam factor
+    body = ball()
+    ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
+    c = bump_factor(0.01, (0.1, 0.0), 0.75)
+    return body, ray, c, build_beam(c, body, ray, dt=2e-3)
+
+
+class TestStateAt:
+    @pytest.mark.parametrize("which", ["free_beam", "curved_beam",
+                                       "timed_beam"])
+    def test_batch_equals_one_time_at_a_time(self, request, which):
+        _, _, _, beam = request.getfixturevalue(which)
+        ts = np.array([
+            [beam.times[0], beam.times[7], beam.times[-1]],       # nodes
+            [beam.times[7] + 0.3 * beam.dt, 0.77, beam.t_exit - 1e-4],
+            [beam.t0 - 0.013, beam.t_exit + 0.004, beam.times[7]]])
+        batch = beam.state_at(ts)
+        assert batch["x"].shape == (3, 3, beam.dim)
+        assert batch["M"].shape == (3, 3, beam.dim, beam.dim)
+        assert batch["a0"].shape == (3, 3)
+        for i, j in np.ndindex(ts.shape):
+            one = beam.state_at(ts[i, j])
+            old = state_at_one(beam, float(ts[i, j]))
+            for key in ("x", "p", "M", "a0"):
+                assert one[key].shape == old[key].shape
+                assert np.array_equal(batch[key][i, j], one[key])
+                assert np.array_equal(batch[key][i, j], old[key])
+        # a time on a node keeps the node
+        assert np.array_equal(batch["x"][0, 1], beam.xtilde[7])
+        assert np.array_equal(batch["a0"][0, 2], beam.a0[-1])
+
+    @pytest.mark.parametrize("which", ["free_beam", "workload_beam"])
+    def test_residual_equals_per_time_loop(self, request, which):
+        body, _, _, beam = request.getfixturevalue(which)
+        lambdas = [16.0, 32.0, 64.0, 128.0]
+        res = residual_scaling(beam, body, lambdas)
+        sups, slope = residual_per_time(beam, body, lambdas)
+        assert np.array_equal(res["sups"], sups)
+        assert np.array_equal(res["slope"], slope)
 
 
 class TestEvaluate:
@@ -248,9 +354,9 @@ class TestResidual:
         for lam in (32.0, 128.0):
             h_fd = 0.5 * lam ** (-1.5)
             st = beam.state_at(1.0)
-            vals.append(abs(wave_operator_fd(beam, lam, 1.0,
-                                             st["x"][None, :], h_fd)[0])
-                        / lam ** 0.5)
+            vals.append(abs(wave_operator_fd(
+                beam, lam, stencil_at(beam, 1.0, h_fd), 1.0,
+                st["x"][None, :], h_fd)[0]) / lam ** 0.5)
         assert vals[1] == pytest.approx(vals[0], rel=0.02)
 
     def test_l2_slope_free_space(self, free_beam):
@@ -269,7 +375,7 @@ class TestResidual:
 
         def sup_at(lam, h_fd):
             return max(float(np.max(np.abs(wave_operator_fd(
-                beam, lam, t, pts, h_fd))))
+                beam, lam, stencil_at(beam, t, h_fd), t, pts, h_fd))))
                 for t, pts in residual_probe_set(beam, lam, tube))
 
         sups = [sup_at(lam, 0.5 * lam ** (-1.5)) for lam in lams]

@@ -17,7 +17,8 @@ def march_ray(c, body, ray, dt):
     """Times, points and momenta of one ray's Hamiltonian flow from
     p = -omega: the march that traces it under the conformal metric c."""
     def flow(t, state):
-        *_, h_x, h_p = hamiltonian_jet(c, t, state["x"], state["p"])
+        cv, gv, _ = c.jet(t, state["x"], 1)
+        *_, h_x, h_p = hamiltonian_jet(cv, gv, state["p"])
         return {"x": -h_p, "p": h_x}
 
     [(times, nodes)] = march_to_exit(flow, c, body, 0.0,
@@ -179,7 +180,8 @@ class TestGeodesicTrace:
         assert np.array_equal(
             points, geodesic_trace(metric, unit_disk, ray, dt=1e-3).points)
         # the velocity dx/dt = -h_p
-        *_, h_p = hamiltonian_jet(c, times, points, p)
+        cv, gv, _ = c.jet(times, points, 1)
+        *_, h_p = hamiltonian_jet(cv, gv, p)
         speeds = np.linalg.norm(h_p, axis=1) / np.sqrt(c(times, points))
         assert np.max(np.abs(speeds - 1.0)) < 1e-8
 
@@ -291,6 +293,21 @@ class TestMetricSpec:
             bad.validate(unit_disk)
         with pytest.raises(ValueError):
             MetricSpec("conformal", None).validate(unit_disk)
+
+    def test_zero_factor_rejected_before_march(self, unit_disk,
+                                               monkeypatch):
+        # c = 0 used to pass the check, and the march then ran at speed 0
+        # with an infinite time budget, never returning
+        from tdxray.errors import Inadmissible
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(geometry, "march_to_exit", no_march)
+        metric = MetricSpec("conformal", constant_factor(0.0))
+        with pytest.raises(Inadmissible, match="not positive"):
+            trace_bundle(metric, unit_disk,
+                         sample_inward_bundle(unit_disk, 2, 1), 0.01)
 
     def test_unknown_kind_rejected(self, unit_disk):
         # any kind but "euclidean" is traced with the factor, so a kind the

@@ -684,6 +684,27 @@ class TestBenchmarkHooks:
         for (module, attr), fn in originals.items():
             assert getattr(module, attr) is fn
 
+    def test_traced_tiny_rays_beams(self, tmp_path, monkeypatch):
+        # a traced run calls every factory and field preset through the
+        # tracer, which rebuilds each factor with dataclasses.replace and
+        # wraps its views; the run must still match its reference and the
+        # beam spans must see their work
+        tracer = load_perfbench("tracer", monkeypatch)
+        workloads = load_perfbench("workloads", monkeypatch)
+        rec = tracer.Recorder()
+        rec.install()
+        try:
+            _, calls = workloads.build("rays-beams", 0, "tiny",
+                                       str(tmp_path))
+            reference = workloads.load_reference("tiny", "rays-beams", 0)
+            for name, call in calls:
+                assert workloads.compare(call(), reference[name]) == []
+        finally:
+            rec.uninstall()
+        metrics = tracer.layer_metrics(rec.spans)
+        assert metrics["beams.build_s"] > 0
+        assert metrics["beams.fd_points"] > 0
+
     @staticmethod
     def check_run(workload, variant, size, tmp_path, monkeypatch):
         # the benchmark refuses a run whose outputs leave its recorded

@@ -334,11 +334,11 @@ class TestDtN:
         # u = w(t - x): the conormal trace at x = 1 is -w'(t - 1); the
         # discrete trace converges toward it at second order (edge L2,
         # slightly pre-asymptotic at these resolutions)
-        from tdxray.fields import bump_profile_du
+        from tdxray.fields import bump_jet
 
         def pulse_d(v, center=1.0, width=0.8):
             u = ((np.asarray(v, dtype=float) - center) / width) ** 2
-            return bump_profile_du(u) * 2 * (np.asarray(v) - center) \
+            return bump_jet(u, 1)[1] * 2 * (np.asarray(v) - center) \
                 / width**2
 
         errs = []
