@@ -94,7 +94,8 @@ class Unstable(TdxrayError):
 
 class IncompatibleData(TdxrayError):
     """Boundary input does not vanish to first order at t = 0 (the zero
-    initial state), or the wave grid sees none of it."""
+    initial state) or the wave grid sees none of it, or a field samples to
+    0 where an error relative to it is asked."""
 
 
 # ---------------------------------------------------------------- harness

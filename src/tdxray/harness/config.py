@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -142,12 +143,13 @@ LIST = (1, math.inf)
 PAIR = (2, 2)
 # the wave grids' one-sided conormal stencil spans 3 nodes per axis
 WAVE_NODES = 3
+# numpy's uniform(-a, a) overflows on the width 2a above this
+NOISE_MAX = sys.float_info.max / 2
 
 
 def _body(radius: float) -> dict:
-    return {"body.kind": Key("ball", options=("ball", "ellipse")),
-            "body.radius": positive(radius),
-            "body.semiaxes": Key([2.0, 1.0], lo=0.0, open=True, length=LIST)}
+    # a lone semiaxis is a ball of that radius in the field's dimension
+    return {"body.semiaxes": Key([radius], lo=0.0, open=True, length=LIST)}
 
 
 def _field(preset: str) -> dict:
@@ -167,7 +169,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     "forward": {
         **_body(1.0), **_field("slice-default"),
         "rays.boundary": count(16), "rays.directions": count(8),
-        "xray.dt": positive(2.5e-3), "noise.level": Key(0.0, lo=0.0)},
+        "xray.dt": positive(2.5e-3),
+        "noise.level": Key(0.0, lo=0.0, hi=NOISE_MAX)},
     "slice-check": {
         **_body(1.0), **_field("slice-default"), "grid.points": count(128),
         # a negative pad shrinks the lattice box inside the field's support
@@ -184,7 +187,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     "stability-curve": {
         **_RECON,
         "noise.levels": Key([10.0 ** (-k) for k in range(3, 10)], lo=0.0,
-                            length=LIST)},
+                            hi=NOISE_MAX, length=LIST)},
     "beam": {
         **_body(1.0),
         "conformal.amplitude": Key(0.0), "conformal.width": positive(0.75),

@@ -19,19 +19,18 @@ from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
                            truncated_inversion, visible_slice_source)
 from ..spectral import SpectralGrid, check_coverage, slice_from_sinogram
 from ..xray import perturb_sinogram, sinogram
-from .config import FIELD_PRESETS, validate
+from .config import FIELD_PRESETS, config_hash, validate
 from .manifest import RunManifest
 
 
 def build_body(cfg: dict, dim: int):
     """The configured body, which must have the dimension dim of the field
-    (or ray) it is traced with."""
-    kind = cfg["body.kind"]
-    body = (ball(cfg["body.radius"], dim=dim) if kind == "ball"
-            else ellipsoid(cfg["body.semiaxes"]))
+    (or ray) it is traced with: a lone semiaxis is a ball in it."""
+    axes = cfg["body.semiaxes"]
+    body = ball(axes[0], dim) if len(axes) == 1 else ellipsoid(axes)
     if body.dim != dim:
-        raise ConfigInvalid(f"{kind} with {body.dim} axes does not match "
-                            f"the {dim}-D field")
+        raise ConfigInvalid(f"body.semiaxes = {axes!r} has {body.dim} axes, "
+                            f"not the {dim} of the field")
     return body
 
 
@@ -312,10 +311,15 @@ PIPELINES = {
 }
 
 
+def artifact_dir(out_dir: str, subcommand: str, cfg: dict, seed: int) -> str:
+    """Where run() writes the artifacts of cfg, as given, at seed."""
+    return os.path.join(out_dir, f"{subcommand}-{config_hash(cfg, seed)[:12]}")
+
+
 def run(subcommand: str, cfg: dict, out_dir: str, seed: int) -> int:
     """Execute a pipeline; returns the process exit status."""
     man = RunManifest(subcommand, cfg, seed)
-    art = os.path.join(out_dir, f"{subcommand}-{man.hash[:12]}")
+    art = artifact_dir(out_dir, subcommand, cfg, seed)
     os.makedirs(art, exist_ok=True)
     try:
         # the manifest and the artifact directory keep the config as given

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigInvalid, FitUnderdetermined, InfeasibleSandwich,
-                     RTooLargeForGrid)
+from .errors import (ConfigInvalid, FitUnderdetermined, IncompatibleData,
+                     InfeasibleSandwich, RTooLargeForGrid)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
 from .parallel import parallel_map
@@ -201,7 +201,10 @@ def truncated_inversion(source: SpectralSource, R: float):
 def reconstruction_errors(grid: SpectralGrid, truth: np.ndarray,
                           rec: np.ndarray) -> tuple[float, float]:
     """Relative discrete L2 and sampled sup-norm errors."""
-    l2 = grid.discrete_l2(rec - truth) / grid.discrete_l2(truth)
+    norm = grid.discrete_l2(truth)
+    if norm == 0.0:
+        raise IncompatibleData("the field samples to 0 on the lattice")
+    l2 = grid.discrete_l2(rec - truth) / norm
     c0 = float(np.max(np.abs(rec - truth)) / np.max(np.abs(truth)))
     return float(l2), c0
 

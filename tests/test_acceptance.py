@@ -4,7 +4,12 @@ Each test prints its criterion line (visible with -s or on failure), so a
 full run doubles as the acceptance report; a criterion prints nothing of
 its own, so no pipeline output leaks into that report.  Heavy
 intermediates are shared through a module-scoped context.
+
+The tests are made from acc.CRITERIA, one per criterion, each named
+test_cNN_<name> after the criterion's declared number and name.
 """
+
+import time
 
 import pytest
 
@@ -16,55 +21,31 @@ def ctx():
     return acc.AcceptanceContext()
 
 
-def check(result, capsys):
-    assert capsys.readouterr() == ("", ""), result.line()
-    print(result.line())
-    assert result.passed, result.line()
+def criterion_test(crit):
+    def test(ctx, capsys):
+        result = crit(ctx)
+        assert capsys.readouterr() == ("", ""), result.line()
+        print(result.line())
+        assert result.passed, result.line()
+
+    return test
 
 
-def test_c01_fourier_slice_identity(ctx, capsys):
-    check(acc.criterion_01(ctx), capsys)
+for _crit, _ in acc.CRITERIA:
+    _name = f"test_c{_crit.cid:02d}_{_crit.name.replace('-', '_')}"
+    globals()[_name] = criterion_test(_crit)
 
 
-def test_c02_region_decomposition(ctx, capsys):
-    check(acc.criterion_02(ctx), capsys)
+@pytest.mark.parametrize("limit_s, passed", [(60, True), (0.01, False)])
+def test_time_limit_declared_once(limit_s, passed):
+    # a check that passes fails over its limit, and the tolerance states
+    # that same limit
+    @acc.criterion(99, "fake", "<= 1", limit_s=limit_s)
+    def fake(ctx):
+        time.sleep(0.05)
+        return True, "1"
 
-
-def test_c03_hidden_envelope(ctx, capsys):
-    check(acc.criterion_03(ctx), capsys)
-
-
-def test_c04_tail_bound(ctx, capsys):
-    check(acc.criterion_04(ctx), capsys)
-
-
-def test_c05_log_stability_curve(ctx, capsys):
-    check(acc.criterion_05(ctx), capsys)
-
-
-def test_c06_parseval_split(ctx, capsys):
-    check(acc.criterion_06(ctx), capsys)
-
-
-def test_c07_beam_residual(ctx, capsys):
-    check(acc.criterion_07(ctx), capsys)
-
-
-def test_c08_beam_geometry(ctx, capsys):
-    check(acc.criterion_08(ctx), capsys)
-
-
-def test_c09_concentration(ctx, capsys):
-    check(acc.criterion_09(ctx), capsys)
-
-
-def test_c10_key_identity(ctx, capsys):
-    check(acc.criterion_10(ctx), capsys)
-
-
-def test_c11_conformal_stability(ctx, capsys):
-    check(acc.criterion_11(ctx), capsys)
-
-
-def test_c12_determinism(ctx, capsys):
-    check(acc.criterion_12(ctx), capsys)
+    result = fake(None)
+    assert result.passed is passed
+    assert result.seconds >= 0.05
+    assert result.tolerance == f"<= 1, < {limit_s} s"

@@ -129,7 +129,18 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
-            validate("forward", {"body.kind": "ball", "bogus.key": 1})
+            validate("forward", {"body.semiaxes": 1.0, "bogus.key": 1})
+
+    @pytest.mark.parametrize("key, value", [("body.kind", "ball"),
+                                            ("body.radius", 1.0)])
+    def test_body_is_its_semiaxes(self, key, value):
+        # body.semiaxes alone sets the body; body.kind chose between it and
+        # body.radius, and the one it did not choose was ignored
+        for name, schema in SCHEMAS.items():
+            if "body.semiaxes" in schema:
+                with pytest.raises(ConfigInvalid,
+                                   match=f"unknown keys.*{key}"):
+                    validate(name, {key: value})
 
     @pytest.mark.parametrize("name, text", [
         ("forward", "noise.level = nan"),
@@ -148,18 +159,10 @@ class TestConfig:
     # acceptance.only is read by the command line, not by a pipeline
     @pytest.mark.parametrize("name", sorted(set(SCHEMAS) - {"acceptance"}))
     def test_every_schema_key_is_read(self, name, tmp_path):
-        read = set()
-        bodies = [{}]
-        if "body.kind" in SCHEMAS[name]:
-            bodies.append({"body.kind": "ellipse",
-                           "body.semiaxes": [5.0, 4.5]})
-        for body in bodies:
-            given = {**SMALL[name], **body}
-            cfg = ReadLog(validate(name, given))
-            PIPELINES[name](cfg, 0, str(tmp_path),
-                            RunManifest(name, given, 0))
-            read |= cfg.read
-        assert SCHEMAS[name].keys() - read == set()
+        cfg = ReadLog(validate(name, SMALL[name]))
+        PIPELINES[name](cfg, 0, str(tmp_path),
+                        RunManifest(name, SMALL[name], 0))
+        assert SCHEMAS[name].keys() - cfg.read == set()
 
     @given(text=CONFIG_TEXT)
     @settings(max_examples=300, deadline=None)
@@ -209,6 +212,10 @@ class TestConfig:
         assert "seed = 3" in canonical_text(a, 3)
 
 
+# the largest noise level numpy's uniform draws on
+NOISE_TOP = sys.float_info.max / 2
+
+
 class TestRunner:
     def test_forward_artifacts(self, tmp_path, capsys):
         cfg = {"rays.boundary": 6, "rays.directions": 2}
@@ -256,19 +263,20 @@ class TestRunner:
         assert first == "error_type = ConfigInvalid"
 
     def test_error_record(self, tmp_path):
-        cfg = {"body.kind": "torus"}
+        cfg = {"body.semiaxes": "torus"}
         code = run("forward", dict(cfg), str(tmp_path), seed=0)
         assert code == 2
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
         assert "ConfigInvalid" in (art / "error.txt").read_text()
 
     @pytest.mark.parametrize("cfg", [
-        {"body.radius": 0.3},
-        {"body.kind": "ellipse", "body.semiaxes": [0.3, 0.2]}])
+        {"body.semiaxes": 0.3},
+        {"body.semiaxes": [0.3, 0.2]}])
     def test_forward_rejects_field_reaching_boundary(self, tmp_path, cfg):
         # the default field reaches past both bodies: the disk ran as the
-        # transform of the field cut off at its boundary, and the ellipse
-        # failed as QuadratureNotConverged on one ray, hiding the cause
+        # transform of the field cut off at its boundary (or on the unit
+        # disk, its semiaxis ignored), and the ellipse failed as
+        # QuadratureNotConverged on one ray, hiding the cause
         assert run("forward", dict(cfg), str(tmp_path), seed=0) == 2
         art = tmp_path / f"forward-{config_hash(cfg, 0)[:12]}"
         first = (art / "error.txt").read_text().splitlines()[0]
@@ -282,7 +290,7 @@ class TestRunner:
         ("dtn", {"grid.nx": "x"}),
         ("beam", {"ray.angle": "abc"}),
         ("beam", {"conformal.amplitude": 0.1, "conformal.center": "a"}),
-        ("forward", {"body.kind": "ellipse", "body.semiaxes": "a"}),
+        ("forward", {"body.semiaxes": "a"}),
         ("dtn", {"bump.center": [0.5]}),
         ("identity-check", {"bump.center": 0.5}),
         ("beam", {"beam.lambdas": [0.5, 16, 32, 64]}),
@@ -291,13 +299,13 @@ class TestRunner:
         ("dtn", {"grid.nx": 17.5}),
         ("identity-check", {"probe.first": 1.7}),
         ("forward", {"rays.boundary": True}),
-        ("forward", {"body.radius": True}),
+        ("forward", {"body.semiaxes": True}),
         ("dtn", {"bump.center": [0.5, 0.5, 0.5]}),
         ("identity-check", {"grid.sizes": []}),
         ("beam", {"beam.lambdas": [16, 16, 16, 16]}),
     ]
     BODY_3D = {"body.dim": 3}
-    ELLIPSOID = {"body.kind": "ellipse", "body.semiaxes": [2.0, 1.0, 1.0]}
+    ELLIPSOID = {"body.semiaxes": [2.0, 1.0, 1.0]}
 
     @pytest.mark.parametrize("name, cfg", [
         ("reconstruct", {"grid.points": 33}),
@@ -372,9 +380,9 @@ class TestRunner:
         ("dtn", {"grid.nx": 17, "bump.width": 0}),
         ("identity-check", {"grid.sizes": [17], "bump.width": 0}),
         ("slice-check", {"grid.pad": -1}),
-        ("forward", {"body.radius": 0}),
-        ("slice-check", {"body.radius": -1.0}),
-        ("forward", {"body.kind": "ellipse", "body.semiaxes": [2.0, -1.0]}),
+        ("forward", {"body.semiaxes": 0}),
+        ("slice-check", {"body.semiaxes": -1.0}),
+        ("forward", {"body.semiaxes": [2.0, -1.0]}),
         # wave grids too short for the probes' time window: every DtN norm
         # at roundoff (exit 0 with a NaN envelope) and both identity
         # pairings exactly 0 (exit 0 with gap 0.0)
@@ -398,6 +406,11 @@ class TestRunner:
         ("identity-check", {"grid.sizes": [3], "grid.T": 0.9}),
         ("identity-check", {"grid.sizes": [3], "grid.T": 1.5}),
         ("identity-check", {"grid.sizes": [5], "grid.T": 0.9}),
+        # a zero field: each escaped run() as a ZeroDivisionError from the
+        # error relative to it
+        ("reconstruct", {**SMALL["reconstruct"], "field.preset": "zero"}),
+        ("stability-curve", {**SMALL["stability-curve"],
+                             "field.preset": "zero"}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -407,6 +420,19 @@ class TestRunner:
         assert issubclass(getattr(errors, error_type), errors.TdxrayError)
         if (name, cfg) in self.NOT_IN_SCHEMA:
             assert error_type == "ConfigInvalid"
+
+    @pytest.mark.parametrize("name, key, top, above", [
+        ("forward", "noise.level", NOISE_TOP,
+         math.nextafter(NOISE_TOP, math.inf)),
+        ("stability-curve", "noise.levels", [NOISE_TOP, 1e-3, 1e-4],
+         [1e308, 1e-3, 1e-4])])
+    def test_noise_level_bounded(self, tmp_path, name, key, top, above):
+        # numpy's uniform draws on twice the level: above the top level it
+        # overflowed, and the run escaped as an OverflowError
+        with pytest.raises(ConfigInvalid, match=rf"^{key} = .* is not in"):
+            validate(name, {**SMALL[name], key: above})
+        assert run(name, {**SMALL[name], key: top}, str(tmp_path),
+                   seed=0) == 0
 
     def test_stability_diagnostics_recorded(self, tmp_path):
         cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],
