@@ -13,6 +13,10 @@ curve, psi = <p, dx> + <M dx, dx>/2, with M = N Y^{-1} propagated
 through the variational system of the flow (Y(0) = I, N(0) = M(0)); the
 leading amplitude solves the transport equation along the curve.
 
+The curve (x, p) does not depend on (Y, N, a0): :func:`build_beam`
+marches the ray alone, then steps the linear part along it from one batch
+of the ray's coefficients.
+
 The wave operator consistent with this phase convention scales the inverse
 metric:  Box u = d_t^2 u - c^{n/2} div(c^{1-n/2} grad u), whose principal
 part is c |xi|^2.
@@ -38,6 +42,8 @@ from .geometry import (BoundaryRay, ConvexBody, hamiltonian_jet,
 EPS1 = 0.01
 ALPHA = 1.5
 SIGMA = 0.1
+# |det Y| below which a beam step is a caustic
+CAUSTIC_DET = 1e-10
 
 
 def tube_radii(n: int) -> tuple[float, float]:
@@ -52,10 +58,13 @@ def tube_radii(n: int) -> tuple[float, float]:
 
 def _h_derivs(c: ConformalFactor, eye: np.ndarray, t, x: np.ndarray,
               p: np.ndarray):
-    """c, grad_x c and 2h, h_x, h_p, h_xx, h_px, h_pp, dh/dt row by row,
-    from one order-2 jet of c: x and p have shape (N, n), t is a scalar
-    or has shape (N,), and ``eye`` is the n x n identity.  dh/dt is 0.0
-    for a time-independent factor."""
+    """The ray flow {x: -h_p, p: h_x} and the coefficients of the beam's
+    linear part, row by row, from one order-2 jet of c: x and p have shape
+    (N, n), t is a scalar or has shape (N,), and ``eye`` is the n x n
+    identity.  The coefficients are 2h, c, h_p, h_xx, h_px, h_pp and the
+    parts of psi_tt and lap psi free of M, h_t + <h_x, h_p> (dh/dt is 0.0
+    for a time-independent factor) and (1 - n/2) <grad_x c, p>.
+    """
     cv, gv, ct, hess = c.jet(t, x, 2)
     gam, pn, phat, h_x, h_p = hamiltonian_jet(cv, gv, p)
     g2 = 2 * gam
@@ -66,24 +75,29 @@ def _h_derivs(c: ConformalFactor, eye: np.ndarray, t, x: np.ndarray,
     h_xx = p3 * (hess / g23
                  - gv[:, :, None] * g_row / (2 * g23 * cv[:, None, None]))
     h_t = pn * ct / g2 if c.time_dependent else 0.0
-    return cv, gv, g2 * pn, h_x, h_p, h_xx, h_px, h_pp, h_t
+    return {"x": -h_p, "p": h_x}, (
+        g2 * pn, cv, h_p, h_xx, h_px, h_pp, h_t + np.vecdot(h_x, h_p),
+        (1 - len(eye) / 2) * np.vecdot(gv, p))
 
 
-def _beam_rhs(c: ConformalFactor, eye: np.ndarray, t, state: dict):
-    x, p, Y, N, a0 = (state["x"], state["p"], state["Y"], state["N"],
-                      state["a0"])
-    cv, gv, h2, h_x, h_p, h_xx, h_px, h_pp, h_t = _h_derivs(c, eye, t, x, p)
+def _linear_rhs(coef: tuple, state: dict) -> dict:
+    """The beam's linear part along the ray, row by row, from the ray's
+    coefficients (:func:`_h_derivs`): the variational system
+    Y' = -(h_px Y + h_pp N), N' = h_xx Y + h_px^T N, and the transport
+    equation a0' = -(box psi) / (2h) a0 with M = N Y^{-1}."""
+    h2, cv, h_p, h_xx, h_px, h_pp, psi_tt_ray, lap_ray = coef
+    Y, N = state["Y"], state["N"]
     M = N @ np.linalg.inv(Y)
-    psi_tt = h_t + np.vecdot(h_x, h_p) + np.vecdot(h_p, np.matvec(M, h_p))
-    lap_psi = (cv * M.trace(axis1=1, axis2=2)
-               + (1 - len(eye) / 2) * np.vecdot(gv, p))
-    return {
-        "x": -h_p,
-        "p": h_x,
-        "Y": -(h_px @ Y + h_pp @ N),
-        "N": h_xx @ Y + h_px.mT @ N,
-        "a0": (lap_psi - psi_tt) / h2 * a0,      # -(box psi) / (2h) * a0
-    }
+    psi_tt = psi_tt_ray + np.vecdot(h_p, np.matvec(M, h_p))
+    lap_psi = cv * M.trace(axis1=1, axis2=2) + lap_ray
+    return {"Y": -(h_px @ Y + h_pp @ N), "N": h_xx @ Y + h_px.mT @ N,
+            "a0": (lap_psi - psi_tt) / h2 * state["a0"]}
+
+
+def _beam_rhs(c: ConformalFactor, eye: np.ndarray, t, state: dict) -> dict:
+    """The ray flow and the linear part of (x, p, Y, N, a0) together."""
+    flow, coef = _h_derivs(c, eye, t, state["x"], state["p"])
+    return {**flow, **_linear_rhs(coef, state)}
 
 
 # ---------------------------------------------------------------- beam curve
@@ -168,34 +182,59 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
     The factor must be admissible over the body's box (Inadmissible).
     Normalisation at (t0, x0): a0 = 1, grad psi = -omega0 / sqrt(c), so
     psi_t = 1 exactly; with c = 1 near the boundary this is the inward
-    unit momentum.  Initial phase Hessian M(0) = i I.  The state
-    (x, p, Y, N, a0) rides geometry's :func:`march_to_exit`, the
-    integrator the rays use, as a one-row bundle, with its time budget
-    (NoExit) and a per-step caustic guard raising CausticDetected where
-    |det Y| < 1e-10.
+    unit momentum.  Initial phase Hessian M(0) = i I.
+
+    The ray (x, p) rides geometry's :func:`march_to_exit` alone, as a
+    one-row bundle with its time budget (NoExit).  One batched RK4 step
+    from its nodes keeps the ray's coefficients (:func:`_h_derivs`) at the
+    stage points of every full step, the one past the boundary included,
+    and of the partial last step; (Y, N, a0) then steps through
+    :func:`_linear_rhs` from those rows.  The nodes are those of one
+    coupled march of (x, p, Y, N, a0), bit for bit.  A caustic guard sees
+    the Y of every full step before the next step inverts it and raises
+    CausticDetected where |det Y| < CAUSTIC_DET.
     """
     ray.validate(body)
     c.check_admissible(*body.bounding_box)
-    n = body.dim
+    n, eye = body.dim, np.eye(body.dim)
     c0 = float(c(t0, ray.x[None, :])[0])
-    state = {
-        "x": ray.x[None, :].astype(float),
-        "p": -ray.omega[None, :] / np.sqrt(c0),
-        "Y": np.eye(n, dtype=complex)[None],
-        "N": 1j * np.eye(n, dtype=complex)[None],
-        "a0": np.ones(1, dtype=complex),
-    }
+    [(times, nodes, step)] = march_to_exit(
+        c, body, t0, {"x": ray.x[None, :].astype(float),
+                      "p": -ray.omega[None, :] / np.sqrt(c0)}, dt)
 
-    def caustic_guard(t, s):
-        if (np.abs(np.linalg.det(s["Y"])) < 1e-10).any():
-            raise CausticDetected(f"det Y ~ 0 at t = {t:.4f}")
+    # one RK4 step from every node but the exit: the full steps, the one
+    # past the boundary last, then the partial step to the exit
+    stages = []
 
-    [(times, nodes)] = march_to_exit(partial(_beam_rhs, c, np.eye(n)), c,
-                                     body, t0, state, dt,
-                                     check=caustic_guard)
+    def coefficient_flow(t, s):
+        flow, coef = _h_derivs(c, eye, t, s["x"], s["p"])
+        stages.append(coef)
+        return flow
+
+    rk4_step(coefficient_flow, np.append(times[:-1], times[-2]),
+             {key: np.concatenate([v[:-1], v[-2:-1]])
+              for key, v in nodes.items()},
+             np.append(np.full(len(times) - 1, dt), step))
+    # each stage of a step of the linear part reads that step's row
+    rows = (tuple(v[k:k + 1] for v in coef)
+            for k in range(len(times)) for coef in stages)
+
+    def stored_rhs(_, s):
+        return _linear_rhs(next(rows), s)
+
+    linear = [{"Y": np.eye(n, dtype=complex)[None],
+               "N": 1j * np.eye(n, dtype=complex)[None],
+               "a0": np.ones(1, dtype=complex)}]
+    for t in times[:-1]:
+        linear.append(rk4_step(stored_rhs, t, linear[-1], dt))
+        if (np.abs(np.linalg.det(linear[-1]["Y"])) < CAUSTIC_DET).any():
+            raise CausticDetected(f"det Y ~ 0 at t = {t + dt:.4f}")
+    # the step past the boundary gives way to the partial one
+    linear[-1] = rk4_step(stored_rhs, times[-2], linear[-2], step)
+    Y, N, a0 = (np.concatenate([s[key] for s in linear])
+                for key in ("Y", "N", "a0"))
     return BeamCurve(c=c, dim=n, t0=t0, dt=dt, times=times,
-                     xtilde=nodes["x"], omega=nodes["p"], Y=nodes["Y"],
-                     N=nodes["N"], a0=nodes["a0"])
+                     xtilde=nodes["x"], omega=nodes["p"], Y=Y, N=N, a0=a0)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -127,7 +127,11 @@ def bump_factor(amplitude: float, x_center, x_width: float,
     def jet(t, x, order):
         bx = bump_jet(squared_distance(x, xc) / w**2, order)
         if timed:
-            bt = bump_jet(((t - t_center) / t_width) ** 2, min(order, 1))
+            # u * u, not u ** 2: a float's ** goes through libm's pow,
+            # which rounds about one square in a thousand differently from
+            # an array's, and t may come as either
+            u = (t - t_center) / t_width
+            bt = bump_jet(u * u, min(order, 1))
             scale = a * bt[0]
         else:
             scale = a

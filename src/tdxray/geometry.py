@@ -21,8 +21,9 @@ ray still inside on a shared RK4 clock, with arrays that carry a leading
 ray axis, and bisects all boundary crossings together after the march.
 Every operation acts row by row, so a ray's path, chord length or boundary
 point is the same, bit for bit, whether it is found alone or in a family.
-The Gaussian beams of ``tdxray.beams`` ride the same march as one-row
-bundles.
+A Gaussian beam of ``tdxray.beams`` marches its ray the same way, as a
+one-row bundle, and then steps the beam's linear part along the marched
+nodes with the same :func:`rk4_step`.
 """
 
 from __future__ import annotations
@@ -317,32 +318,35 @@ def rk4_step(rhs, t, state: dict, dt) -> dict:
             for key in state}
 
 
-def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
-                  state: dict, dt: float,
-                  check=None) -> list[tuple[np.ndarray, dict]]:
-    """Fixed-step RK4 of a bundle of rows from (t0, state) until every
-    row's state["x"] has left the body.
+def exit_budget(c: ConformalFactor, body: ConvexBody) -> float:
+    """The time a march through the body may take before NoExit:
+    EXIT_BUDGET diameters at the slowest admissible speed sqrt(m0)."""
+    return float(EXIT_BUDGET * body.diameter / np.sqrt(c.m0))
 
-    Each entry of ``state`` carries a leading row axis of length N, and
-    ``rhs(t, state)`` gives the derivatives of every entry; state["x"] and
-    state["p"] follow the ray flow of c, whatever else the state carries.
-    The rows share the step clock t0, t0 + dt, ...; a row whose full step
-    lands at phi >= 0 stops advancing, and after the march one
-    :func:`bisect` of every row's crossing step together puts its last
-    node on phi = 0.  The bisection steps x and p alone, along the ray
-    flow, since nothing else moves x.  Every operation acts row by row, so
-    a row's nodes do not depend on the other rows.  Returns one (times,
-    nodes) pair per row, ``nodes`` holding that row's values of each entry
-    stacked along the first axis.
-    ``check(t, state)`` sees each full step of the rows still
-    inside before the exit test and may raise.  NoExit names every row
-    still inside, with its launch point, once t - t0 exceeds t_max,
-    EXIT_BUDGET diameters at the slowest admissible speed sqrt(m0).
+
+def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
+                  state: dict, dt: float) -> list[tuple[np.ndarray, dict]]:
+    """Fixed-step RK4 of a bundle of rays along the flow of c
+    (:func:`_ray_flow`) from (t0, state) until every ray has left the
+    body.
+
+    state["x"] and state["p"] carry a leading row axis of length N, one
+    row per ray.  The rows share the step clock t0, t0 + dt, ...; a row
+    whose full step lands at phi >= 0 stops advancing, and after the march
+    one :func:`bisect` of every row's crossing step together puts its last
+    node on phi = 0.  Every operation acts row by row, so a row's nodes do
+    not depend on the other rows.  Returns one (times, nodes, step) triple
+    per row, ``nodes`` holding that row's x and p stacked along the first
+    axis and ``step`` the length of its last, partial step, the
+    bisection's own, which the difference of the last two times need not
+    equal to the bit.  NoExit names every row still inside, with its
+    launch point, once t - t0 exceeds t_max, the :func:`exit_budget`.
     ``dt`` must be positive (ValueError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t_max = EXIT_BUDGET * body.diameter / np.sqrt(c.m0)
+    t_max = exit_budget(c, body)
+    flow = partial(_ray_flow, c)
     n_rows = len(state["x"])
     live = np.arange(n_rows)
     # runs of steps taken by the same rows: (first clock index, rows, states)
@@ -354,9 +358,7 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
     t = t0
     while True:
         cur = runs[-1][2][-1]
-        nxt = rk4_step(rhs, t, cur, dt)
-        if check is not None:
-            check(t + dt, nxt)
+        nxt = rk4_step(flow, t, cur, dt)
         out = body.phi(nxt["x"]) >= 0.0
         if out.any():
             gone = live[out]
@@ -378,11 +380,10 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
                 f"t - t0 = {t - t0:.3f} (> t_max = {t_max:.3f}); launched "
                 f"from x = {state['x'][live].tolist()}")
 
-    flow, xp = partial(_ray_flow, c), {"x": base["x"], "p": base["p"]}
     step = bisect(
-        lambda s: body.phi(rk4_step(flow, base_t, xp, s)["x"]) < 0.0,
+        lambda s: body.phi(rk4_step(flow, base_t, base, s)["x"]) < 0.0,
         np.zeros(n_rows), np.full(n_rows, dt))
-    final = rk4_step(rhs, base_t, base, step)
+    final = rk4_step(flow, base_t, base, step)
 
     clock = np.array(clock)
     grids = {}
@@ -392,7 +393,7 @@ def march_to_exit(rhs, c: ConformalFactor, body: ConvexBody, t0: float,
             grid[start:start + len(states), rows] = [s[key] for s in states]
     return [(np.append(clock[:last[i] + 1], base_t[i] + step[i]),
              {key: np.concatenate([grid[:last[i] + 1, i], final[key][i:i + 1]])
-              for key, grid in grids.items()})
+              for key, grid in grids.items()}, step[i])
             for i in range(n_rows)]
 
 
@@ -438,8 +439,7 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     state = {"x": np.array([ray.x for ray in rays], dtype=float),
              "p": -np.array([ray.omega for ray in rays], dtype=float)}
     return [GeodesicPath(times, nodes["x"], float(times[-1]))
-            for times, nodes in march_to_exit(partial(_ray_flow, c), c,
-                                              body, 0.0, state, dt)]
+            for times, nodes, _ in march_to_exit(c, body, 0.0, state, dt)]
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,

@@ -13,7 +13,8 @@ import numpy as np
 
 from ..conformal import bump_factor, constant_factor
 from ..errors import ConfigInvalid, IncompatibleData, TdxrayError
-from ..geometry import MetricSpec, ball, ellipsoid, make_ray, sample_inward_bundle
+from ..geometry import (MetricSpec, ball, ellipsoid, exit_budget, make_ray,
+                        sample_inward_bundle)
 from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
                            reconstruction_errors, stability_curve,
                            truncated_inversion, visible_slice_source)
@@ -73,11 +74,21 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------- pipelines
 
 
+# path samples a ray may take across the body's diameter
+PATH_SAMPLES = 10**5
+# RK4 steps a beam may take across its march's time budget
+BEAM_STEPS = 10**6
+
+
 def run_forward(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
     check_coverage(f, body)
     nb, nd, dt = cfg["rays.boundary"], cfg["rays.directions"], cfg["xray.dt"]
+    if body.diameter / dt > PATH_SAMPLES:
+        raise ConfigInvalid(f"xray.dt = {dt!r} takes more than "
+                            f"{PATH_SAMPLES} samples across the body's "
+                            f"diameter {body.diameter!r}")
     rays = sample_inward_bundle(body, nb, nd)
     man.stage("setup")
     sino = sinogram(f, rays, MetricSpec(), body, dt=dt)
@@ -200,8 +211,21 @@ def run_beam(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     ang = cfg["ray.angle"]
     anchor = body.boundary_point(np.array([-np.cos(ang), -np.sin(ang)]))
     ray = make_ray(body, anchor, [np.cos(ang), np.sin(ang)])
+    t0, dt = cfg["beam.t0"], cfg["beam.dt"]
+    # the march's time budget is set by the admissible speed sqrt(m0)
+    c.check_admissible(*body.bounding_box)
+    t_max = exit_budget(c, body)
+    if t_max / dt > BEAM_STEPS:
+        raise ConfigInvalid(f"beam.dt = {dt!r} takes more than {BEAM_STEPS} "
+                            f"steps across the time budget {t_max!r}")
+    # the march's clock t0 + k dt must hold each step to 1e-6 of it
+    ulp = float(np.spacing(t0 + t_max))
+    if ulp > 1e-6 * dt:
+        raise ConfigInvalid(f"beam.t0 = {t0!r}: the march's clock there "
+                            f"moves in ulps of {ulp!r}, above 1e-6 of "
+                            "beam.dt")
     man.stage("setup")
-    beam = build_beam(c, body, ray, t0=cfg["beam.t0"], dt=cfg["beam.dt"])
+    beam = build_beam(c, body, ray, t0=t0, dt=dt)
     beam.write_csv(os.path.join(art, "beam.csv"))
     man.stage("beam")
     if "beam.lambdas" in cfg:

@@ -1,15 +1,84 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdxray import beams
 from tdxray.beams import (SIGMA, STENCIL_OFFSETS, beam_evaluate, beam_psi,
                           build_beam, cutoff_build, gaussian_concentration,
                           residual_scaling, tube_radii, wave_operator_fd)
 from tdxray.conformal import bump_factor, constant_factor
-from tdxray.errors import (Inadmissible, QuadratureNotConverged,
-                           StencilUnderResolved)
+from tdxray.errors import (CausticDetected, Inadmissible,
+                           QuadratureNotConverged, StencilUnderResolved)
 from tdxray.fields import bump_profile
-from tdxray.geometry import ball, make_ray, perp_frame, rk4_step
+from tdxray.geometry import (_ray_flow, ball, bisect, exit_budget,
+                             hamiltonian_jet, make_ray, perp_frame, rk4_step)
+
+
+def coupled_rhs(c, eye, t, state):
+    """The beam system as one right-hand side of (x, p, Y, N, a0), each
+    formula as build_beam stepped it when it marched the five together."""
+    x, p, Y, N, a0 = (state["x"], state["p"], state["Y"], state["N"],
+                      state["a0"])
+    cv, gv, ct, hess = c.jet(t, x, 2)
+    gam, pn, phat, h_x, h_p = hamiltonian_jet(cv, gv, p)
+    g2 = 2 * gam
+    g3, p3, g23 = gam[:, None, None], pn[:, None, None], g2[:, None, None]
+    p_col, g_row = phat[:, :, None], gv[:, None, :]
+    h_pp = g3 * (eye - p_col * phat[:, None, :]) / p3
+    h_px = p_col * g_row / g23
+    h_xx = p3 * (hess / g23
+                 - gv[:, :, None] * g_row / (2 * g23 * cv[:, None, None]))
+    h_t = pn * ct / g2 if c.time_dependent else 0.0
+    M = N @ np.linalg.inv(Y)
+    psi_tt = h_t + np.vecdot(h_x, h_p) + np.vecdot(h_p, np.matvec(M, h_p))
+    lap_psi = (cv * M.trace(axis1=1, axis2=2)
+               + (1 - len(eye) / 2) * np.vecdot(gv, p))
+    return {
+        "x": -h_p,
+        "p": h_x,
+        "Y": -(h_px @ Y + h_pp @ N),
+        "N": h_xx @ Y + h_px.mT @ N,
+        "a0": (lap_psi - psi_tt) / (g2 * pn) * a0,
+    }
+
+
+def coupled_build(c, body, ray, t0=0.0, dt=2e-3):
+    """times and nodes of the beam as one march of the coupled state
+    (x, p, Y, N, a0), a caustic guard on the Y of every full step, until
+    a full step lands outside; then the bisection of the crossing step
+    along the ray flow and one partial step of the coupled state: the
+    march build_beam took, kept as its oracle."""
+    n = body.dim
+    rhs = partial(coupled_rhs, c, np.eye(n))
+    c0 = float(c(t0, ray.x[None, :])[0])
+    clock, nodes = [t0], [{
+        "x": ray.x[None, :].astype(float),
+        "p": -ray.omega[None, :] / np.sqrt(c0),
+        "Y": np.eye(n, dtype=complex)[None],
+        "N": 1j * np.eye(n, dtype=complex)[None],
+        "a0": np.ones(1, dtype=complex),
+    }]
+    while True:
+        t = clock[-1]
+        nxt = rk4_step(rhs, t, nodes[-1], dt)
+        if (np.abs(np.linalg.det(nxt["Y"])) < beams.CAUSTIC_DET).any():
+            raise CausticDetected(f"det Y ~ 0 at t = {t + dt:.4f}")
+        if body.phi(nxt["x"])[0] >= 0.0:
+            break
+        clock.append(t + dt)
+        nodes.append(nxt)
+        assert t - t0 < exit_budget(c, body)
+    base_t, base = np.array([t]), nodes[-1]
+    xp = {"x": base["x"], "p": base["p"]}
+    step = bisect(lambda s: body.phi(rk4_step(partial(_ray_flow, c), base_t,
+                                              xp, s)["x"]) < 0.0,
+                  np.zeros(1), np.full(1, dt))
+    nodes.append(rk4_step(rhs, base_t, base, step))
+    return (np.append(clock, t + step[0]),
+            {key: np.concatenate([s[key] for s in nodes]) for key in base})
 
 
 def stencil_at(beam, t, h_fd):
@@ -202,11 +271,72 @@ class TestBuildBeam:
         assert rows == [[repr(float(e)), repr(float(d.real)),
                          repr(float(d.imag))] for e, d in zip(eig, det)]
 
+    @settings(max_examples=12, deadline=None)
+    @given(dim=st.sampled_from([2, 3]),
+           angle=st.floats(0.0, 2 * np.pi),
+           lean=st.floats(-1.0, 1.0),
+           amplitude=st.floats(-0.05, 0.05),
+           t_center=st.one_of(st.none(), st.floats(0.2, 1.8)),
+           dt=st.sampled_from([2e-3, 1e-2, 0.05]))
+    def test_nodes_equal_coupled_march(self, dim, angle, lean, amplitude,
+                                       t_center, dt):
+        # the ray marched alone, its coefficients batched and the linear
+        # part stepped after give the coupled march's nodes, bit for bit
+        body = ball(dim=dim)
+        u = np.array([np.cos(angle), np.sin(angle), 0.3])[:dim]
+        anchor = body.boundary_point(-u)
+        omega = u / np.linalg.norm(u) + lean * perp_frame(
+            u / np.linalg.norm(u))[0]
+        ray = make_ray(body, anchor, omega)
+        c = bump_factor(amplitude, (0.1, 0.0, 0.05)[:dim], 0.6,
+                        t_center=t_center, t_width=0.8)
+        beam = build_beam(c, body, ray, dt=dt)
+        times, nodes = coupled_build(c, body, ray, dt=dt)
+        assert np.array_equal(beam.times, times)
+        for key, got in [("x", beam.xtilde), ("p", beam.omega),
+                         ("Y", beam.Y), ("N", beam.N), ("a0", beam.a0)]:
+            assert np.array_equal(got, nodes[key]), key
+
+    def test_caustic_message_equals_coupled_march(self, monkeypatch):
+        # |det Y| = |1 - i t| on the free beam, so a threshold of 1.5 trips
+        # the guard at its first step
+        body = ball()
+        ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
+        monkeypatch.setattr(beams, "CAUSTIC_DET", 1.5)
+        messages = []
+        for build in (build_beam, coupled_build):
+            with pytest.raises(CausticDetected) as info:
+                build(constant_factor(1.0), body, ray)
+            messages.append(str(info.value))
+        assert messages == ["det Y ~ 0 at t = 0.0020"] * 2
+
+    @pytest.mark.parametrize("trip", [1, 400, 999, 1000, 1001])
+    def test_caustic_guard_sees_every_full_step(self, free_beam, monkeypatch,
+                                                trip):
+        # a det that reads 0 at its trip-th call: the guard takes one det
+        # per full step, the 1000th being the step past the boundary, and
+        # none of the partial last step, in the coupled march as here
+        body, ray, c1, beam = free_beam
+        assert len(beam.times) == 1001
+        det = np.linalg.det
+        outcomes = []
+        for build in (build_beam, coupled_build):
+            calls = iter(range(1, 10**6))
+            monkeypatch.setattr(np.linalg, "det", lambda a: det(a) * (
+                next(calls) != trip))
+            try:
+                build(c1, body, ray, dt=2e-3)
+                outcomes.append(None)
+            except CausticDetected as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (trip == 1001)
+
 
 def state_at_one(beam, t):
-    """The beam state at one time t by its own one-row RK4 step from the
-    nearest node below, M by one 2-D inverse: the per-time state_at that
-    the batched one replaced."""
+    """The beam state at one time t by its own one-row RK4 step of the
+    coupled system from the nearest node below, M by one 2-D inverse: the
+    per-time state_at that the batched one replaced."""
     k = int(np.clip(np.floor((t - beam.t0) / beam.dt), 0,
                     len(beam.times) - 1))
     base = {"x": beam.xtilde[k:k + 1], "p": beam.omega[k:k + 1],
@@ -214,8 +344,8 @@ def state_at_one(beam, t):
             "a0": beam.a0[k:k + 1]}
     step = t - beam.times[k]
     if step != 0.0:
-        base = rk4_step(lambda s, st: beams._beam_rhs(
-            beam.c, np.eye(beam.dim), s, st), beam.times[k], base, step)
+        base = rk4_step(partial(coupled_rhs, beam.c, np.eye(beam.dim)),
+                        beam.times[k], base, step)
     M = base["N"][0] @ np.linalg.inv(base["Y"][0])
     return {"x": base["x"][0], "p": base["p"][0], "M": M,
             "a0": base["a0"][0]}

@@ -100,6 +100,18 @@ class TestBumpFactor:
         if t_center is None:
             assert not ct.any()
 
+    def test_scalar_time_is_a_row_of_the_array(self):
+        # a float's ** 2 went through libm's pow, and 3 of these 2000 jets
+        # came out apart from the array's; the beam batches the jet over
+        # times that a march hands it one float at a time
+        c = bump_factor(0.1, (0.1, 0.0), 0.6, t_center=0.9, t_width=0.55)
+        ts = np.linspace(0.4, 1.4, 2000)
+        x = np.full((2000, 2), 0.15)
+        batch = c.jet(ts, x, 2)
+        for i, t in enumerate(ts.tolist()):
+            for one, rows in zip(c.jet(t, x[i:i + 1], 2), batch):
+                assert np.array_equal(one, rows[i:i + 1])
+
     def test_time_independent_dt_zero(self):
         c = bump_factor(0.1, (0.0, 0.0), 0.6)
         assert not c.time_dependent

@@ -16,14 +16,9 @@ from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time
 def march_ray(c, body, ray, dt):
     """Times, points and momenta of one ray's Hamiltonian flow from
     p = -omega: the march that traces it under the conformal metric c."""
-    def flow(t, state):
-        cv, gv, _ = c.jet(t, state["x"], 1)
-        *_, h_x, h_p = hamiltonian_jet(cv, gv, state["p"])
-        return {"x": -h_p, "p": h_x}
-
-    [(times, nodes)] = march_to_exit(flow, c, body, 0.0,
-                                     {"x": ray.x[None, :],
-                                      "p": -ray.omega[None, :]}, dt)
+    [(times, nodes, _)] = march_to_exit(c, body, 0.0,
+                                        {"x": ray.x[None, :],
+                                         "p": -ray.omega[None, :]}, dt)
     return times, nodes["x"], nodes["p"]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdxray import errors, reconstruct
+from tdxray import beams, errors, geometry, reconstruct
 from tdxray.cli import main
 from tdxray.conformal import bump_factor
 from tdxray.errors import ConfigInvalid
@@ -411,6 +411,13 @@ class TestRunner:
         ("reconstruct", {**SMALL["reconstruct"], "field.preset": "zero"}),
         ("stability-curve", {**SMALL["stability-curve"],
                              "field.preset": "zero"}),
+        # a clock before the paper's t = 0, a clock too coarse for its step
+        # (1,001 rows of t = 1e+300) and steps too many to take: the last
+        # two would never end, since t + dt == t
+        ("beam", {"beam.t0": -0.5}),
+        ("beam", {"beam.t0": 1e300}),
+        ("beam", {"beam.dt": 1e-300}),
+        ("forward", {**SMALL["forward"], "xray.dt": 1e-300}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -433,6 +440,35 @@ class TestRunner:
             validate(name, {**SMALL[name], key: above})
         assert run(name, {**SMALL[name], key: top}, str(tmp_path),
                    seed=0) == 0
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("beam", "beam.t0", -0.5),
+        ("beam", "beam.t0", 1e300),
+        ("beam", "beam.dt", 1e-300),
+        ("forward", "xray.dt", 1e-300)])
+    def test_clock_and_budgets_checked_first(self, tmp_path, monkeypatch,
+                                             name, key, value):
+        # named before any march or chord: xray.dt = 1e-300 escaped as
+        # numpy's ValueError from the chord's sample grid
+        def no_path(*args, **kwargs):
+            raise AssertionError("a march or a chord started")
+
+        monkeypatch.setattr(geometry, "march_to_exit", no_path)
+        monkeypatch.setattr(geometry, "_chord", no_path)
+        monkeypatch.setattr(beams, "march_to_exit", no_path)
+        cfg = {**SMALL[name], key: value}
+        assert run(name, cfg, str(tmp_path), seed=0) == 2
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        first, message = (art / "error.txt").read_text().splitlines()[:2]
+        assert first == "error_type = ConfigInvalid"
+        assert message.startswith(f"message = {key} = {value!r}")
+
+    def test_beam_clock_after_zero_runs(self, tmp_path):
+        cfg = {**SMALL["beam"], "beam.t0": 1.0}
+        assert run("beam", cfg, str(tmp_path), seed=0) == 0
+        art = tmp_path / f"beam-{config_hash(cfg, 0)[:12]}"
+        rows = (art / "beam.csv").read_text().splitlines()
+        assert rows[1].startswith("1.0,") and rows[2].startswith("1.01,")
 
     def test_stability_diagnostics_recorded(self, tmp_path):
         cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],
