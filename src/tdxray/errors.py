@@ -95,7 +95,7 @@ class Unstable(TdxrayError):
 class IncompatibleData(TdxrayError):
     """Boundary input does not vanish to first order at t = 0 (the zero
     initial state) or the wave grid sees none of it, or a field samples to
-    0 where an error relative to it is asked."""
+    0 (or a lattice to NaN or inf) where an error relative to it is asked."""
 
 
 # ---------------------------------------------------------------- harness

@@ -17,8 +17,8 @@ moves along +sqrt(c) omega.  With c == 1 the traced path is the straight
 chord x + s*omega.
 
 A family of rays is traced as one bundle: :func:`march_to_exit` steps every
-ray still inside on a shared RK4 clock, with arrays that carry a leading
-ray axis, and bisects all boundary crossings together after the march.
+ray on a shared RK4 clock until the last has left, with arrays that carry a
+leading ray axis, and bisects each ray's first crossing after the march.
 Every operation acts row by row, so a ray's path, chord length or boundary
 point is the same, bit for bit, whether it is found alone or in a family.
 A Gaussian beam of ``tdxray.beams`` marches its ray the same way, as a
@@ -165,7 +165,6 @@ class MetricSpec:
 class GeodesicPath:
     times: np.ndarray
     points: np.ndarray
-    exit_time: float
 
 
 # ---------------------------------------------------------------- exit time
@@ -331,70 +330,53 @@ def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
     body.
 
     state["x"] and state["p"] carry a leading row axis of length N, one
-    row per ray.  The rows share the step clock t0, t0 + dt, ...; a row
-    whose full step lands at phi >= 0 stops advancing, and after the march
-    one :func:`bisect` of every row's crossing step together puts its last
-    node on phi = 0.  Every operation acts row by row, so a row's nodes do
-    not depend on the other rows.  Returns one (times, nodes, step) triple
-    per row, ``nodes`` holding that row's x and p stacked along the first
-    axis and ``step`` the length of its last, partial step, the
-    bisection's own, which the difference of the last two times need not
-    equal to the bit.  NoExit names every row still inside, with its
-    launch point, once t - t0 exceeds t_max, the :func:`exit_budget`.
-    ``dt`` must be positive (ValueError).
+    row per ray.  Every row steps on the shared clock t0, t0 + dt, ...
+    until the last has left; a row's nodes end before its first full step
+    that lands at phi >= 0, and one :func:`bisect` of every row's crossing
+    step together then puts its last node on phi = 0.  Every operation
+    acts row by row, so a row's nodes do not depend on the other rows.
+    Returns one (times, nodes, step) triple per row, ``nodes`` holding
+    that row's x and p stacked along the first axis and ``step`` the
+    length of its last, partial step, the bisection's own, which the
+    difference of the last two times need not equal to the bit.  NoExit
+    names every row still inside, with its launch point, once t - t0
+    exceeds t_max, the :func:`exit_budget`.  ``dt`` must be positive
+    (ValueError).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     t_max = exit_budget(c, body)
     flow = partial(_ray_flow, c)
     n_rows = len(state["x"])
-    live = np.arange(n_rows)
-    # runs of steps taken by the same rows: (first clock index, rows, states)
-    clock, runs = [t0], [(0, live, [state])]
-    # the state each row crossing the boundary left from, and its time
-    base = {key: np.empty_like(v) for key, v in state.items()}
-    base_t = np.empty(n_rows)
-    last = np.empty(n_rows, dtype=int)
-    t = t0
+    # each row's last node inside the body, -1 while it is still inside
+    last = np.full(n_rows, -1)
+    clock, states = [t0], [state]
     while True:
-        cur = runs[-1][2][-1]
-        nxt = rk4_step(flow, t, cur, dt)
-        out = body.phi(nxt["x"]) >= 0.0
-        if out.any():
-            gone = live[out]
-            base_t[gone] = t
-            last[gone] = len(clock) - 1
-            for key in base:
-                base[key][gone] = cur[key][out]
-            live = live[~out]
-            if not live.size:
-                break
-            nxt = {key: v[~out] for key, v in nxt.items()}
-            runs.append((len(clock), live, []))
-        t = t + dt
-        clock.append(t)
-        runs[-1][2].append(nxt)
-        if t - t0 > t_max:
+        nxt = rk4_step(flow, clock[-1], states[-1], dt)
+        last[(last < 0) & (body.phi(nxt["x"]) >= 0.0)] = len(clock) - 1
+        inside = np.flatnonzero(last < 0)
+        if not inside.size:
+            break
+        clock.append(clock[-1] + dt)
+        states.append(nxt)
+        if clock[-1] - t0 > t_max:
             raise NoExit(
-                f"rays {live.tolist()} of {n_rows} still inside after "
-                f"t - t0 = {t - t0:.3f} (> t_max = {t_max:.3f}); launched "
-                f"from x = {state['x'][live].tolist()}")
+                f"rays {inside.tolist()} of {n_rows} still inside after "
+                f"t - t0 = {clock[-1] - t0:.3f} (> t_max = {t_max:.3f}); "
+                f"launched from x = {state['x'][inside].tolist()}")
 
+    clock = np.array(clock)
+    nodes = {key: np.stack([s[key] for s in states]) for key in state}
+    base_t = clock[last]
+    base = {key: v[last, np.arange(n_rows)] for key, v in nodes.items()}
     step = bisect(
         lambda s: body.phi(rk4_step(flow, base_t, base, s)["x"]) < 0.0,
         np.zeros(n_rows), np.full(n_rows, dt))
     final = rk4_step(flow, base_t, base, step)
-
-    clock = np.array(clock)
-    grids = {}
-    for key, v in state.items():
-        grid = grids[key] = np.empty((len(clock),) + v.shape, v.dtype)
-        for start, rows, states in runs:
-            grid[start:start + len(states), rows] = [s[key] for s in states]
-    return [(np.append(clock[:last[i] + 1], base_t[i] + step[i]),
-             {key: np.concatenate([grid[:last[i] + 1, i], final[key][i:i + 1]])
-              for key, grid in grids.items()}, step[i])
-            for i in range(n_rows)]
+    return [(np.append(clock[:k + 1], base_t[i] + step[i]),
+             {key: np.concatenate([v[:k + 1, i], final[key][i:i + 1]])
+              for key, v in nodes.items()}, step[i])
+            for i, k in enumerate(last)]
 
 
 # ---------------------------------------------------------------- tracing
@@ -410,7 +392,7 @@ def _chord(ray: BoundaryRay, tau: float, dt: float) -> GeodesicPath:
     n += n % 2
     s = np.linspace(0.0, tau, n + 1)
     pts = ray.x[None, :] + s[:, None] * ray.omega[None, :]
-    return GeodesicPath(s, pts, float(tau))
+    return GeodesicPath(s, pts)
 
 
 def trace_bundle(metric: MetricSpec, body: ConvexBody,
@@ -423,8 +405,9 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     short-circuit to the exact straight chords, whose lengths come from one
     :func:`exit_time` of the family.  Under a conformal metric the whole
     family rides one :func:`march_to_exit` of the Hamiltonian flow from
-    p = -omega, so every last sample lands on the boundary.  A path equals
-    the one its ray gives when traced alone.  An invalid ray (TangentRay,
+    p = -omega, so every last sample lands on the boundary at the path's
+    exit time, its last time.  A path equals the one its ray gives when
+    traced alone.  An invalid ray (TangentRay,
     ValueError) is named by its index, and dt must be positive
     (ValueError).  NoExit names the index and launch point of every ray
     still inside when the march's time budget runs out.
@@ -435,11 +418,10 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
                 for ray, tau in zip(rays, exit_time(body, rays))]
 
     _check_family(body, rays)
-    c = metric.c
     state = {"x": np.array([ray.x for ray in rays], dtype=float),
              "p": -np.array([ray.omega for ray in rays], dtype=float)}
-    return [GeodesicPath(times, nodes["x"], float(times[-1]))
-            for times, nodes, _ in march_to_exit(c, body, 0.0, state, dt)]
+    return [GeodesicPath(times, nodes["x"])
+            for times, nodes, _ in march_to_exit(metric.c, body, 0.0, state, dt)]
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from ..conformal import bump_factor, constant_factor
-from ..errors import ConfigInvalid, IncompatibleData, TdxrayError
+from ..errors import ConfigInvalid, IncompatibleData, Inadmissible, TdxrayError
 from ..geometry import (MetricSpec, ball, ellipsoid, exit_budget, make_ray,
                         sample_inward_bundle)
 from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
@@ -50,6 +50,17 @@ def _wave_grid(nx: int, k: float, T: float):
                             f"{k:.3g} at nx = {nx}; the leapfrog needs at "
                             "least 2")
     return grid
+
+
+def _check_bump_support(cfg: dict) -> None:
+    """c = 1 near the unit square's boundary, as the boundary identity and
+    the admissible class need: the bump's support, the disk of radius
+    bump.width about bump.center, must stay inside the square."""
+    (cx, cy), width = cfg["bump.center"], cfg["bump.width"]
+    if not width < min(cx, cy, 1.0 - cx, 1.0 - cy):
+        raise Inadmissible(f"bump.width = {width!r} reaches the unit "
+                           f"square's boundary from bump.center = "
+                           f"{[cx, cy]!r}")
 
 
 def _recon_grid(cfg: dict, f) -> SpectralGrid:
@@ -120,7 +131,6 @@ def run_slice_check(cfg: dict, seed: int, art: str,
     rng = np.random.default_rng(seed)
     xi_max = cfg["slice.xi_max"]
     rows = []
-    worst = 0.0
     for _ in range(cfg["slice.count"]):
         ang = rng.uniform(0.0, 2.0 * np.pi)
         omega = np.array([np.cos(ang), np.sin(ang)])
@@ -130,9 +140,13 @@ def run_slice_check(cfg: dict, seed: int, art: str,
         val = slice_from_sinogram(f, omega, xi, body,
                                   n_launch=cfg["slice.n_launch"],
                                   n_s=cfg["slice.n_s"])
+        if not np.isfinite([ref, val]).all():
+            raise IncompatibleData(
+                f"grid.pad = {cfg['grid.pad']!r} and grid.points = "
+                f"{cfg['grid.points']!r} give the lattice reference "
+                f"{complex(ref)!r} and slice value {complex(val)!r}")
         err = abs(val - ref)
         rel = err / (1.0 + abs(ref))
-        worst = max(worst, rel)
         rows.append([float(omega[0]), float(omega[1]), float(xi[0]),
                      float(xi[1]), tau, float(ref.real), float(ref.imag),
                      float(val.real), float(val.imag), float(err),
@@ -143,7 +157,8 @@ def run_slice_check(cfg: dict, seed: int, art: str,
                 "im_grid", "re_slice", "im_slice", "abs_err", "rel_err"],
                rows)
     man.stage("write")
-    print(f"max relative slice-identity error = {float(worst)!r}")
+    worst = max(row[-1] for row in rows)
+    print(f"max relative slice-identity error = {worst!r}")
     return worst
 
 
@@ -242,6 +257,7 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     """The conformal_stability_experiment result."""
     from ..wavesim import conformal_stability_experiment
 
+    _check_bump_support(cfg)
     grid = _wave_grid(cfg["grid.nx"], cfg["grid.k"], cfg["grid.T"])
     man.stage("setup")
     out = conformal_stability_experiment(
@@ -283,6 +299,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     """The relative identity gap on each grid size."""
     from ..wavesim import boundary_probes, key_identity_check, l2_boundary_norm
 
+    _check_bump_support(cfg)
     T, cfl = cfg["grid.T"], cfg["grid.cfl"]
     c = bump_factor(cfg["bump.amplitude"], cfg["bump.center"],
                     cfg["bump.width"], T=T)

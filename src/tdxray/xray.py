@@ -130,7 +130,7 @@ def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
             raise
 
     values, gaps = zip(*parallel_map(one, enumerate(paths)))
-    taus = np.array([path.exit_time for path in paths])
+    taus = np.array([path.times[-1] for path in paths])
     return Sinogram.from_values(rays, values, taus, gaps)
 
 

@@ -141,7 +141,7 @@ class TestGeodesicTrace:
         path = geodesic_trace(MetricSpec(), unit_disk, ray, dt=1e-3)
         chord = ray.x[None, :] + path.times[:, None] * ray.omega[None, :]
         assert np.max(np.abs(path.points - chord)) < 1e-8
-        assert path.exit_time == pytest.approx(2.0, abs=1e-10)
+        assert path.times[-1] == pytest.approx(2.0, abs=1e-10)
 
     def test_conformal_reduces_to_straight(self, unit_disk):
         metric = MetricSpec("conformal", constant_factor(1.0))
@@ -163,9 +163,9 @@ class TestGeodesicTrace:
         ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
         coarse = geodesic_trace(metric, unit_disk, ray, dt=2e-3)
         fine = geodesic_trace(metric, unit_disk, ray, dt=2e-4)
-        assert np.isfinite(coarse.exit_time)
+        assert np.isfinite(coarse.times[-1])
         assert np.all(unit_disk.phi(coarse.points[1:-1]) < 0.0)
-        assert abs(coarse.exit_time - fine.exit_time) < 1e-8
+        assert abs(coarse.times[-1] - fine.times[-1]) < 1e-8
 
     def test_unit_speed_in_ray_metric(self, unit_disk):
         c = bump_factor(0.1, (0.0, 0.0), 0.8)
@@ -211,7 +211,37 @@ def ray_at(body, theta, tilt):
                     + np.sin(tilt) * np.array([-nu[1], nu[0]]))
 
 
+class ReentrantBody:
+    """A duck-typed body: the line x2 = 0 lies inside for x1 < 0.3 and
+    again for 0.5 < x1 < 0.7, the line x2 = 1 for x1 < 1.5."""
+
+    diameter = 2.0
+
+    def phi(self, x):
+        x1 = x[..., 0]
+        return np.where(x[..., 1] < 0.5,
+                        (x1 - 0.3) * (x1 - 0.5) * (x1 - 0.7), x1 - 1.5)
+
+
 class TestTraceBundle:
+    def test_row_stops_at_its_first_crossing(self):
+        # the short row leaves at x1 = 0.3, comes back in at 0.5 and
+        # leaves again at 0.7 while the long row is still inside; its
+        # nodes must end at its first crossing, as when marched alone
+        c, body = constant_factor(1.0), ReentrantBody()
+        state = {"x": np.array([[0.0, 0.0], [0.0, 1.0]]),
+                 "p": np.array([[-1.0, 0.0], [-1.0, 0.0]])}
+        family = march_to_exit(c, body, 0.0, state, 0.013)
+        for i, (times, nodes, step) in enumerate(family):
+            [(times_1, nodes_1, step_1)] = march_to_exit(
+                c, body, 0.0, {key: v[i:i + 1] for key, v in state.items()},
+                0.013)
+            assert np.array_equal(times, times_1) and step == step_1
+            for key in state:
+                assert np.array_equal(nodes[key], nodes_1[key])
+        assert [times[-1] for times, *_ in family] == pytest.approx(
+            [0.3, 1.5], abs=1e-9)
+
     @given(angles=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
                                      st.floats(-1.3, 1.3)),
                            min_size=1, max_size=12),
@@ -232,7 +262,7 @@ class TestTraceBundle:
             alone = geodesic_trace(metric, unit_disk, ray, dt=1.5e-2)
             assert np.array_equal(path.times, alone.times)
             assert np.array_equal(path.points, alone.points)
-            assert path.exit_time == alone.exit_time
+            assert path.times[-1] == alone.times[-1]
 
     @pytest.mark.parametrize("long_first", [False, True])
     def test_no_exit_names_rays_inside(self, unit_disk, monkeypatch,

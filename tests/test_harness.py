@@ -418,6 +418,17 @@ class TestRunner:
         ("beam", {"beam.t0": 1e300}),
         ("beam", {"beam.dt": 1e-300}),
         ("forward", {**SMALL["forward"], "xray.dt": 1e-300}),
+        # a lattice padded past overflow: NaN in every row's reference and
+        # errors, yet the worst error printed 0.0
+        ("slice-check", {"grid.pad": 1e300, "grid.points": 32,
+                         "slice.count": 3}),
+        # bumps that reach the unit square's boundary, where c must be 1:
+        # each exited 0, the identity gaps falling by 1.35 and 1.08 a
+        # refinement, against the ~4 of second order
+        ("dtn", {"grid.nx": 33, "bump.width": 0.5}),
+        ("dtn", {"grid.nx": 33, "bump.width": 2.0}),
+        ("identity-check", {"grid.sizes": [17, 33], "bump.width": 0.5}),
+        ("identity-check", {"bump.center": [0.1, 0.5]}),
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2

@@ -23,8 +23,7 @@ def diameter_path(unit_disk, n=801):
     ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
     return GeodesicPath(np.linspace(0, 2, n),
                         ray.x[None, :]
-                        + np.linspace(0, 2, n)[:, None] * ray.omega[None, :],
-                        2.0)
+                        + np.linspace(0, 2, n)[:, None] * ray.omega[None, :])
 
 
 class TestSimpson:
