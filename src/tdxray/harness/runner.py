@@ -63,15 +63,17 @@ def _check_bump_support(cfg: dict) -> None:
                            f"{[cx, cy]!r}")
 
 
-def _recon_grid(cfg: dict, f) -> SpectralGrid:
-    """The reconstruction lattice, whose grid.extent must cover the
-    field's support."""
-    extent = cfg["grid.extent"]
+def _lattice(cfg: dict, f, key: str) -> SpectralGrid:
+    """The lattice over f's support whose box is sized by key, grid.extent
+    (which must cover the support) or grid.pad; a box whose squared
+    distances or cell volume overflow is rejected before any sampling."""
+    value, n_points = cfg[key], cfg["grid.points"]
     try:
-        return SpectralGrid.for_field(f, n_points=cfg["grid.points"],
-                                      extent=extent)
+        if key == "grid.extent":
+            return SpectralGrid.for_field(f, n_points, extent=value)
+        return SpectralGrid.for_field(f, n_points, pad=value)
     except ValueError as exc:
-        raise ConfigInvalid(f"grid.extent = {extent!r}: {exc}") from exc
+        raise ConfigInvalid(f"{key} = {value!r}: {exc}") from exc
 
 
 def _write_csv(path, header, rows):
@@ -124,8 +126,7 @@ def run_slice_check(cfg: dict, seed: int, art: str,
     """The worst relative slice-identity error over the probes."""
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    grid = SpectralGrid.for_field(f, n_points=cfg["grid.points"],
-                                  pad=cfg["grid.pad"])
+    grid = _lattice(cfg, f, "grid.pad")
     samples = grid.sample(f)
     man.stage("sample")
     rng = np.random.default_rng(seed)
@@ -165,7 +166,7 @@ def run_slice_check(cfg: dict, seed: int, art: str,
 def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    grid = _recon_grid(cfg, f)
+    grid = _lattice(cfg, f, "grid.extent")
     if "recon.R" in cfg:
         # the rule's inputs would change nothing once R is given
         if "recon.delta" in cfg or "recon.epsilon" in cfg:
@@ -198,7 +199,7 @@ def run_stability_curve(cfg: dict, seed: int, art: str,
                         man: RunManifest) -> StabilityCurve:
     f = build_field(cfg)
     body = build_body(cfg, f.dim)
-    grid = _recon_grid(cfg, f)
+    grid = _lattice(cfg, f, "grid.extent")
     man.stage("setup")
     curve = stability_curve(
         f, body, cfg["noise.levels"], cfg["recon.epsilon"], seed, grid,

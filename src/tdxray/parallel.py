@@ -4,6 +4,11 @@ TDXRAY_THREADS caps the worker count (default 1, sequential); any value
 other than a positive integer raises ConfigInvalid.  Results are
 collected by input index, so the output order, and any reduction computed
 from it, is independent of scheduling and thread count.
+
+The one caller is wavesim.dtn_norm_diff, whose probes are numpy-bound
+wave solves that gain from a second thread.  The chord-slice fill and
+the sinogram's path quadratures run in plain loops: their items are
+small and hold the GIL, so threads only added switching.
 """
 
 from __future__ import annotations

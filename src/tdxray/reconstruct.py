@@ -26,7 +26,6 @@ from .errors import (ConfigInvalid, FitUnderdetermined, IncompatibleData,
                      InfeasibleSandwich, RTooLargeForGrid)
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
-from .parallel import parallel_map
 from .spectral import SpectralGrid, slice_from_sinogram, visible_direction
 
 
@@ -99,6 +98,13 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     exists for xi = 0).  Values are Hermitian-symmetrised: only one point
     per mirror pair is integrated, the other is its conjugate, as for real
     data.
+
+    omega depends on the point only through tau/|xi| and xi/|xi|, so the
+    points of one line through the origin share a chord family.  The
+    points are grouped by the exact bits of their omega, in the C order of
+    each group's first point, and each group is one slice_from_sinogram
+    call over all its xi: one ray-data grid per direction, and the same
+    values as one call per point, bit for bit.
     """
     mesh = grid.frequency_mesh()
     available = grid.visible_mask & (grid.radius_mesh <= R_max)
@@ -110,22 +116,25 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     partner[grid.core] = grid.mirrored(index)
     paired = available & available.ravel()[partner] & (partner != index)
     rep = available & ~(paired & (partner < index))
-    reps = np.argwhere(rep)
     has_mirror = paired[rep]
     mirrors = partner[rep][has_mirror]
     del index, partner, paired
 
-    def one_slice(idx):
-        tau = float(mesh[0][idx])
-        xi = np.array([float(mesh[a + 1][idx]) for a in range(grid.dim)])
-        if np.all(xi == 0.0):
-            return grid.point_transform(samples, [tau], [xi])[0]
-        omega = visible_direction(tau, xi)
-        return slice_from_sinogram(f, omega, xi, body,
-                                   n_launch=n_launch, n_s=n_s)
+    taus = mesh[0][rep]
+    xis = np.stack([m[rep] for m in mesh[1:]], axis=-1)
+    results = np.empty(taus.shape, dtype=complex)
+    origin = np.all(xis == 0.0, axis=-1)
+    results[origin] = grid.point_transform(samples, taus[origin],
+                                           xis[origin])
+    chords = np.flatnonzero(~origin)
+    omegas = visible_direction(taus[chords], xis[chords])
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for i, omega in zip(chords, omegas):
+        groups.setdefault(omega.tobytes(), (omega, []))[1].append(i)
+    for omega, members in groups.values():
+        results[members] = slice_from_sinogram(f, omega, xis[members], body,
+                                               n_launch=n_launch, n_s=n_s)
 
-    results = np.array(parallel_map(one_slice, map(tuple, reps)),
-                       dtype=complex)
     values = np.zeros(available.shape, dtype=complex)
     values[rep] = results
     values.flat[mirrors] = np.conj(results[has_mirror])

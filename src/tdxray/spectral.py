@@ -145,23 +145,32 @@ class SpectralGrid:
         With ``extent`` unset the box is the support padded by ``pad`` per
         side.  An explicit ``extent`` centers a box of that total length on
         the support (heavy zero padding refines the frequency lattice;
-        the delta-sweep experiments need that resolution).
+        the delta-sweep experiments need that resolution).  A box whose
+        squared diagonal or cell volume overflows raises ValueError before
+        any sampling, as its points' squared distances from the support or
+        the transform's cell volume would.
         """
         (t_lo, t_hi), x_lo, x_hi = f.support_box
         lo = np.array([t_lo, *x_lo], dtype=float)
         hi = np.array([t_hi, *x_hi], dtype=float)
-        if extent is None:
-            margin = pad * (hi - lo)
-            lo, hi = lo - margin, hi + margin
-        else:
-            span = float(np.max(hi - lo))
-            if extent < span:
-                raise ValueError(
-                    f"extent {extent} smaller than the field support span "
-                    f"{span:.3g}: samples would truncate the field")
-            mid = 0.5 * (lo + hi)
-            lo, hi = mid - extent / 2, mid + extent / 2
-        return cls(origin=lo, spacing=(hi - lo) / n_points, n=n_points)
+        with np.errstate(over="ignore"):
+            if extent is None:
+                margin = pad * (hi - lo)
+                lo, hi = lo - margin, hi + margin
+            else:
+                span = float(np.max(hi - lo))
+                if extent < span:
+                    raise ValueError(
+                        f"extent {extent} smaller than the field support "
+                        f"span {span:.3g}: samples would truncate the field")
+                mid = 0.5 * (lo + hi)
+                lo, hi = mid - extent / 2, mid + extent / 2
+            spacing = (hi - lo) / n_points
+            reach, cell = np.sum(np.square(hi - lo)), np.prod(spacing)
+        if not np.isfinite([reach, cell]).all():
+            raise ValueError(f"the lattice box overflows: squared "
+                             f"diagonal {reach}, cell volume {cell}")
+        return cls(origin=lo, spacing=spacing, n=n_points)
 
     @property
     def dim(self) -> int:
@@ -284,7 +293,7 @@ def check_coverage(f: SpaceTimeField, body: ConvexBody) -> None:
 
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                         n_launch: int, n_s: int,
-                        use_separable: bool = True) -> complex:
+                        use_separable: bool = True) -> complex | np.ndarray:
     """Spatial Fourier transform of the ray data in direction omega at xi.
 
     Evaluates F_{x->xi}(If)(xi, omega) by quadrature organised along the
@@ -294,6 +303,13 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     sum of q.  Equals f^(-omega . xi, xi); the identity is exercised by
     comparing against the tensor-grid transform, which organises the same
     integral along coordinate axes instead.
+
+    xi of shape (n,) gives a complex; xi of shape (K, n) gives the (K,)
+    array of the values at its rows.  The launch frame, the ray data q
+    and its checks depend on omega alone, so they are built once per
+    call; each row then takes its own Fourier sum of q, with the
+    operations of a one-row call, so every value equals that call's bit
+    for bit.
 
     n_launch sets the interval count across the support padded by
     LAUNCH_PAD (perpendicular axes, whose end columns lie outside the
@@ -311,7 +327,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     """
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
-    xi = np.asarray(xi, dtype=float)
+    xis = np.asarray(xi, dtype=float)
     check_coverage(f, body)
 
     (t_lo, t_hi), x_lo, x_hi = f.support_box
@@ -333,12 +349,12 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     v_axes = [np.arange(n_launch + 1) * spacing - (h + perp_pad)
               for h in h_perp]
 
-    a = float(np.dot(omega, xi))
     if use_separable and f.separable is not None:
         # f = g(t) H(x) with the s-grid on the launch spacing, so with
         # m = u + s the ray sum is the correlation q_j = spacing
         # sum_k g_k H_{j+k}, and by the correlation theorem its u-Fourier
-        # sum is spacing (sum_k g_k e^{i s_k a}) (sum_l H_l e^{-i m_l a}).
+        # sum at a = omega . xi is spacing (sum_k g_k e^{i s_k a})
+        # (sum_l H_l e^{-i m_l a}).
         # That is exact when H vanishes on the m-rows outside
         # [n_s_conv - 1, n_u - 1], where the correlation is cut off.  H is
         # zero for |m| > h_par, so only that window is evaluated, with
@@ -360,9 +376,9 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                 f"{f.name}: the separable factor H is nonzero beyond the "
                 f"support box along omega = {omega}")
         along, q = along[1:-1], Hv[1:-1]
-        weight = spacing * np.sum(g(s_conv) * np.exp(1j * s_conv * a))
+        g_conv = g(s_conv)
     else:
-        along, weight = u_lo + spacing * np.arange(n_u), 1.0
+        along, g_conv = u_lo + spacing * np.arange(n_u), None
         s_grid = np.linspace(t_lo, t_hi, n_s)
         mesh = np.meshgrid(along, *v_axes, indexing="ij")
         base = (center + mesh[0][..., None] * omega
@@ -381,12 +397,20 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
                 f"across omega = {omega}")
     q = q[(slice(None),) + (slice(-1),) * len(perp)]
     v_axes = [v[:-1] for v in v_axes]
-
-    # Fourier sum: X . xi = center.xi + along a + sum v_k (perp_k.xi)
-    ph_u = np.exp(-1j * along * a)
-    ph_v = [np.exp(-1j * v_axes[k] * float(np.dot(perp[k], xi)))
-            for k in range(len(perp))]
-    val = _phase_sum(q, [ph_u, *ph_v], _AXIS_LABELS[:f.dim])
     cell = spacing ** (1 + len(perp))
-    return complex(weight * val * cell
-                   * np.exp(-1j * float(np.dot(center, xi))))
+
+    # Fourier sum per row: X . xi = center.xi + along a + sum v_k (perp_k.xi)
+    rows = np.atleast_2d(xis)
+    out = np.empty(len(rows), dtype=complex)
+    for k, row in enumerate(rows):
+        a = float(np.dot(omega, row))
+        weight = 1.0
+        if g_conv is not None:
+            weight = spacing * np.sum(g_conv * np.exp(1j * s_conv * a))
+        ph_u = np.exp(-1j * along * a)
+        ph_v = [np.exp(-1j * v_axes[j] * float(np.dot(perp[j], row)))
+                for j in range(len(perp))]
+        val = _phase_sum(q, [ph_u, *ph_v], _AXIS_LABELS[:f.dim])
+        out[k] = complex(weight * val * cell
+                         * np.exp(-1j * float(np.dot(center, row))))
+    return complex(out[0]) if xis.ndim == 1 else out

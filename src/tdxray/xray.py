@@ -16,7 +16,6 @@ from .errors import QuadratureNotConverged
 from .fields import SpaceTimeField
 from .geometry import (BoundaryRay, ConvexBody, GeodesicPath, MetricSpec,
                        trace_bundle)
-from .parallel import parallel_map
 
 QUAD_TOL = 1e-9
 
@@ -116,20 +115,19 @@ def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
 
     The family is traced once by :func:`trace_bundle` (exact chords for a
     Euclidean metric, one march for a conformal one) and the paths are
-    integrated through ``parallel_map``.  An error raised for one ray names
-    its index; NoExit names every ray still inside.
+    integrated one by one.  An error raised for one ray names its index;
+    NoExit names every ray still inside.
     """
     paths = trace_bundle(metric, body, rays, dt)
-
-    def one(pair):
-        i, path = pair
+    values, gaps = [], []
+    for i, path in enumerate(paths):
         try:
-            return xray_single(f, path)
+            value, gap = xray_single(f, path)
         except Exception as exc:
             exc.args = (f"ray index {i}: {exc}",)
             raise
-
-    values, gaps = zip(*parallel_map(one, enumerate(paths)))
+        values.append(value)
+        gaps.append(gap)
     taus = np.array([path.times[-1] for path in paths])
     return Sinogram.from_values(rays, values, taus, gaps)
 

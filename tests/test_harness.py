@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +42,16 @@ SMALL = {
             "family.scales": [0.02, 0.04]},
     "identity-check": {"grid.sizes": [9], "grid.T": 1.0},
 }
+
+# lattice boxes whose squared diagonal (pad 1e300, extent 1e300) or cell
+# volume (pad 1e152) overflows
+LATTICE_OVERFLOW = [
+    ("slice-check", {"grid.pad": 1e300, "grid.points": 32,
+                     "slice.count": 3}),
+    ("slice-check", {"grid.pad": 1e152, "grid.points": 32,
+                     "slice.count": 3}),
+    ("stability-curve", {**SMALL["stability-curve"], "grid.extent": 1e300}),
+]
 
 
 class ReadLog(dict):
@@ -429,6 +440,11 @@ class TestRunner:
         ("dtn", {"grid.nx": 33, "bump.width": 2.0}),
         ("identity-check", {"grid.sizes": [17, 33], "bump.width": 0.5}),
         ("identity-check", {"bump.center": [0.1, 0.5]}),
+        # lattice boxes whose cell volume or squared distances overflow
+        # (grid.pad 1e300 is above): numpy warned of overflow on stderr
+        # while sampling, before the probe check or the cut radius
+        # rejected them
+        *LATTICE_OVERFLOW[1:],
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -438,6 +454,25 @@ class TestRunner:
         assert issubclass(getattr(errors, error_type), errors.TdxrayError)
         if (name, cfg) in self.NOT_IN_SCHEMA:
             assert error_type == "ConfigInvalid"
+
+    @pytest.mark.parametrize("name, cfg", LATTICE_OVERFLOW)
+    def test_lattice_overflow_rejected_before_sampling(self, tmp_path,
+                                                       monkeypatch, name,
+                                                       cfg):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("the lattice sampled a field")
+
+        monkeypatch.setattr(SpectralGrid, "sample", no_sample)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        first, message = (art / "error.txt").read_text().splitlines()[:2]
+        key = "grid.pad" if "grid.pad" in cfg else "grid.extent"
+        assert first == "error_type = ConfigInvalid"
+        assert message.startswith(f"message = {key} = {cfg[key]!r}")
 
     @pytest.mark.parametrize("name, key, top, above", [
         ("forward", "noise.level", NOISE_TOP,

@@ -14,7 +14,8 @@ from tdxray.reconstruct import (SpectralSource, choose_R,
                                 lattice_radius_limit, parseval_split,
                                 reconstruction_errors, stability_curve,
                                 truncated_inversion, visible_slice_source)
-from tdxray.spectral import SpectralGrid, visible_direction
+from tdxray.spectral import (SpectralGrid, slice_from_sinogram,
+                             visible_direction)
 
 
 @pytest.fixture(scope="module")
@@ -182,9 +183,10 @@ class TestSliceSource:
         def value(omega, xi):
             return complex(xi[0] + 2.0 * xi[1], omega[0] - 3.0 * omega[1])
 
-        def stub(f, omega, xi, body, **kwargs):
-            calls.append(xi)
-            return value(omega, xi)
+        def stub(f, omega, xis, body, **kwargs):
+            # one call per chord direction, one value per xi row
+            calls.extend(xis)
+            return np.array([value(omega, xi) for xi in xis])
 
         with mock.patch.object(reconstruct, "slice_from_sinogram", stub):
             src = visible_slice_source(f, ball(4.0), grid, grid.sample(f),
@@ -213,6 +215,35 @@ class TestSliceSource:
             for other in rest:
                 assert src.values[other] == np.conj(src.values[first])
         assert len(calls) == sliced
+
+    def test_grouped_fill_equals_per_point_slices(self):
+        # the fill makes one slice call per chord direction over all the
+        # points that share it; the oracle is one call per representative
+        # (the first of its mirror pair in C order), as the fill made
+        # before, and the two tables must agree bit for bit
+        f, body = default_recon_field(), ball(4.0)
+        grid = SpectralGrid.for_field(f, n_points=16, extent=14.0)
+        samples = grid.sample(f)
+        R_max, kwargs = 3.2, dict(n_launch=48, n_s=48)
+        src = visible_slice_source(f, body, grid, samples, R_max, **kwargs)
+
+        mesh = grid.frequency_mesh()
+        N = np.array(src.available.shape)
+        expected = np.zeros(src.available.shape, dtype=complex)
+        for idx in map(tuple, np.argwhere(src.available)):
+            mirror = tuple(N - idx)
+            if min(idx) > 0 and mirror < idx and src.available[mirror]:
+                expected[idx] = np.conj(expected[mirror])
+                continue
+            tau = float(mesh[0][idx])
+            xi = np.array([float(m[idx]) for m in mesh[1:]])
+            if np.all(xi == 0.0):
+                expected[idx] = grid.point_transform(samples, [tau], [xi])[0]
+            else:
+                expected[idx] = slice_from_sinogram(
+                    f, visible_direction(tau, xi), xi, body, **kwargs)
+        assert np.count_nonzero(src.available) > 100
+        assert np.array_equal(src.values, expected)
 
 
 class TestHermitianNoise:

@@ -159,6 +159,25 @@ class TestRegions:
         assert abs(float(omega @ xi) + tau) <= 1e-12 * max(1.0, norm)
         assert abs(np.linalg.norm(omega) - 1.0) <= 1e-12
 
+    @given(n=st.integers(2, 9), dim=st.integers(2, 3),
+           spacing=st.lists(st.floats(0.05, 4.0), min_size=4, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_direction_equals_pointwise(self, n, dim, spacing):
+        # the slice fill takes every visible point's omega in one batched
+        # call and groups points by its bits, so a batch row must be the
+        # one-point call bit for bit, on lattices of either parity
+        axes = [2 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d))
+                for d in spacing[:dim + 1]]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        taus = mesh[0].ravel()
+        xis = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
+        keep = is_visible(taus, xis) & np.any(xis != 0.0, axis=-1)
+        taus, xis = taus[keep], xis[keep]
+        batched = visible_direction(taus, xis)
+        assert batched.shape == xis.shape
+        for tau, xi, omega in zip(taus, xis, batched):
+            assert np.array_equal(omega, visible_direction(float(tau), xi))
+
     def test_hidden_bound(self):
         assert hidden_bound(2.0, 0.0, 3.0) == 0.0
         r = hidden_bound(4.0, 1e-3, 1.0) / hidden_bound(2.0, 1e-3, 1.0)
@@ -329,6 +348,27 @@ class TestSliceEngine:
             slice_from_sinogram(clipped, (1.0, 0.0), (1.7, -2.2), unit_disk,
                                 n_launch=160, n_s=160,
                                 use_separable=use_separable)
+
+    @pytest.mark.parametrize("use_separable", [True, False])
+    def test_rows_equal_one_xi_calls(self, unit_disk, slice_field,
+                                     use_separable):
+        # one call over a stack of xi builds q once and sums it per row;
+        # each row must be the one-xi call bit for bit, on the correlation
+        # path and on its tensor oracle
+        omega = (0.6, -0.8)
+        xis = np.array([[1.7, -2.2], [0.0, 0.0], [-3.1, 0.4], [0.85, -1.1],
+                        [5.0, 5.0]])
+        kwargs = dict(n_launch=48, n_s=48, use_separable=use_separable)
+        batched = slice_from_sinogram(slice_field, omega, xis, unit_disk,
+                                      **kwargs)
+        assert batched.shape == (len(xis),) and batched.dtype == complex
+        single = [slice_from_sinogram(slice_field, omega, xi, unit_disk,
+                                      **kwargs) for xi in xis]
+        assert all(type(v) is complex for v in single)
+        assert np.array_equal(batched, single)
+        one_row = slice_from_sinogram(slice_field, omega, xis[:1],
+                                      unit_disk, **kwargs)
+        assert np.array_equal(one_row, single[:1])
 
     def test_coverage_sampled_once_per_field(self, unit_disk):
         calls = []
