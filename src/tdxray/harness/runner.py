@@ -40,10 +40,23 @@ def build_field(cfg: dict):
     return FIELD_PRESETS[cfg.get("field.preset", "slice-default")]()
 
 
-def _wave_grid(nx: int, k: float, T: float):
-    """A wave grid whose grid.T spans the 2 steps the leapfrog needs."""
+# values a wave grid may hold over its time levels, nt nx^2: 18 times
+# identity-check's largest default grid, 321 levels of 129^2 nodes
+WAVE_VALUES = 10**8
+
+
+def _wave_grid(nx: int, k: float, T: float, named: str):
+    """A wave grid whose grid.T spans the 2 steps the leapfrog needs, and
+    whose time levels hold at most WAVE_VALUES values, checked before any
+    allocation; named gives the config values that set nx, k and T."""
     from ..wavesim import WaveGrid
 
+    levels = T / k + 1
+    # nx^2 first, so that a huge nx is never converted to a float
+    if nx**2 > WAVE_VALUES or levels * nx**2 > WAVE_VALUES:
+        raise ConfigInvalid(f"{named} give {levels:.3g} time levels of "
+                            f"nx^2 nodes each: more than the "
+                            f"{WAVE_VALUES:g} values a wave grid may hold")
     grid = WaveGrid(nx=nx, k=k, T=T)
     if grid.nt < 3:
         raise ConfigInvalid(f"grid.T = {T!r} spans {grid.nt - 1} steps of "
@@ -259,7 +272,9 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     from ..wavesim import conformal_stability_experiment
 
     _check_bump_support(cfg)
-    grid = _wave_grid(cfg["grid.nx"], cfg["grid.k"], cfg["grid.T"])
+    nx, k, T = cfg["grid.nx"], cfg["grid.k"], cfg["grid.T"]
+    grid = _wave_grid(nx, k, T, f"grid.nx = {nx!r}, grid.k = {k!r} and "
+                      f"grid.T = {T!r}")
     man.stage("setup")
     out = conformal_stability_experiment(
         cfg["family.scales"], grid, probe_count=cfg["probes.count"],
@@ -307,10 +322,14 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     # the schema bounds probe.first and probe.second by these four
     probes = boundary_probes(4, T)
     f1, f2 = probes[cfg["probe.first"]], probes[cfg["probe.second"]]
+    # every size is checked before the first solve
+    grids = [_wave_grid(nx, cfl / (nx - 1), T, f"grid.sizes entry {nx!r}, "
+                        f"grid.cfl = {cfl!r} and grid.T = {T!r}")
+             for nx in cfg["grid.sizes"]]
     man.stage("setup")
     rows = []
-    for nx in cfg["grid.sizes"]:
-        grid = _wave_grid(nx, cfl / (nx - 1), T)
+    for grid in grids:
+        nx = grid.nx
         res = key_identity_check(c, grid, f1, f2)
         lhs, rhs, gap = res["lhs"], res["rhs"], res["relative_gap"]
         if not (np.sign(lhs) * np.sign(rhs) > 0.0 and gap < 1.0):

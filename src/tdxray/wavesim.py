@@ -22,9 +22,12 @@ One leapfrog march serves every caller.  It advances several factors at
 once on a leading factor axis and holds three time levels; each caller
 records what it needs from a level: every node (solve_dirichlet) or the
 DtN stencil rows alone (dtn_traces).  It starts from rest with no source
-term; the energy and source checks run on the tests' unbatched scheme,
-which it matches bit for bit.  The probed DtN norm marches the reference
-factor and the whole family together, one march per probe.
+term, and the levels before the first nonzero Dirichlet value are exactly
+0, so it starts stepping at the last of these silent levels; the energy
+and source checks run on the tests' unbatched scheme, which it matches
+bit for bit.  The probed DtN norm samples every factor once per run, on
+the mesh and on the boundary path, and marches the reference factor and
+the whole family together, one march per probe.
 """
 
 from __future__ import annotations
@@ -143,13 +146,16 @@ def sample_factor(c: ConformalFactor, grid: WaveGrid,
                   points: np.ndarray) -> np.ndarray:
     """c at every time level on fixed points (..., 2): shape (nt, ...).
 
-    A time-independent factor is evaluated once and broadcast (read-only
-    view); a time-dependent one is evaluated one time level at a time.
+    A time-independent factor is evaluated once and broadcast; a
+    time-dependent one is evaluated one time level at a time.  Either way
+    the sample is read-only, so one sample can serve every probe thread.
     """
     shape = points.shape[:-1]
     if not c.time_dependent:
         return np.broadcast_to(c(np.zeros(shape), points), (grid.nt,) + shape)
-    return np.stack([c(np.full(shape, t), points) for t in grid.times])
+    levels = np.stack([c(np.full(shape, t), points) for t in grid.times])
+    levels.flags.writeable = False
+    return levels
 
 
 def _mesh_levels(factors: list[ConformalFactor], grid: WaveGrid):
@@ -170,21 +176,24 @@ def _mesh_levels(factors: list[ConformalFactor], grid: WaveGrid):
     return (lambda m: np.stack([s[m] for s in samples])), margins
 
 
-def _march(factors: list[ConformalFactor], grid: WaveGrid,
-           bvals: np.ndarray, record: Callable) -> list[float]:
+def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
+           bvals: np.ndarray, record: Callable) -> None:
     """Leapfrog for c u_tt = Lap u from zero initial data with Dirichlet
     values bvals (nt, n_boundary), one solution per factor on a leading
-    axis, all marched together in three rotating level buffers.
+    axis, all marched together in three rotating level buffers; c_at(m)
+    is every factor's c on the mesh at time level m, (F, nx, nx).
 
     record(m, u) receives time level m as an (F, nx, nx) buffer that later
-    steps overwrite.  The first step uses the Taylor expansion
-    u^1 = u^0 + (k^2/2) Lap u^0 / c.  Unstable is raised at the first level
-    past 1e8 (1 + max|bvals|), NaN and inf included.  Returns each
-    factor's CFL margin.
+    steps overwrite.  Every level before first, the first level with a
+    nonzero Dirichlet value, is exactly 0.  From first >= 2 these levels
+    are recorded as the zero buffer and the march steps from level
+    first - 1, which gives the full march's values up to signs of zero;
+    otherwise the first step is the Taylor expansion
+    u^1 = u^0 + (k^2/2) Lap u^0 / c.  Unstable is raised at the first
+    level past 1e8 (1 + max|bvals|), NaN and inf included.
     """
-    c_at, margins = _mesh_levels(factors, grid)
     nt, nx, h, k = grid.nt, grid.nx, grid.h, grid.k
-    F, size = len(factors), grid.nx**2
+    F, size = len(c_at(0)), grid.nx**2
     edge = grid.stencil[0]
     # levels are flat per factor, so the five-point stencil reads shifted
     # contiguous runs; the run span holds every interior node and the
@@ -207,15 +216,21 @@ def _march(factors: list[ConformalFactor], grid: WaveGrid,
         np.divide(acc, c_at(m).reshape(F, size)[span], out=acc)
         return acc
 
-    prev[:, edge] = bvals[0]
-    record(0, prev.reshape(F, nx, nx))
-    cur[:] = prev
-    np.add(cur[span], accel(prev, 0, 0.5 * k**2), out=cur[span])
-    cur[:, edge] = bvals[1]
-    record(1, cur.reshape(F, nx, nx))
+    live = np.any(bvals != 0, axis=1)
+    first = int(np.argmax(live)) if live.any() else nt
+    if first >= 2:
+        for m in range(first):
+            record(m, cur.reshape(F, nx, nx))
+    else:
+        prev[:, edge] = bvals[0]
+        record(0, prev.reshape(F, nx, nx))
+        cur[:] = prev
+        np.add(cur[span], accel(prev, 0, 0.5 * k**2), out=cur[span])
+        cur[:, edge] = bvals[1]
+        record(1, cur.reshape(F, nx, nx))
 
     bound = 1e8 * (1.0 + np.max(np.abs(bvals)))
-    for m in range(1, nt - 1):
+    for m in range(max(first - 1, 1), nt - 1):
         a = accel(cur, m, k**2)
         np.multiply(cur[span], 2.0, out=nxt[span])
         np.subtract(nxt[span], prev[span], out=nxt[span])
@@ -227,7 +242,6 @@ def _march(factors: list[ConformalFactor], grid: WaveGrid,
             raise Unstable(f"solution blew up at step {m + 1}")
         record(m + 1, nxt.reshape(F, nx, nx))
         prev, cur, nxt = cur, nxt, prev
-    return margins
 
 
 def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
@@ -239,7 +253,7 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
     def keep(m, level):
         u[m] = level[0]
 
-    _march([c], grid, data.sample(grid), keep)
+    _march(_mesh_levels([c], grid)[0], grid, data.sample(grid), keep)
     return WaveSolution(grid, u)
 
 
@@ -283,13 +297,38 @@ def _conormal(grid: WaveGrid, u: np.ndarray) -> np.ndarray:
              - rows[..., 2, :]) / (2 * grid.h)
 
 
-def _scale_trace(c: ConformalFactor, grid: WaveGrid,
+def _edge_levels(factors: list[ConformalFactor],
+                 grid: WaveGrid) -> list[np.ndarray]:
+    """c of every factor at every time level on the boundary path, each
+    (nt, n_boundary)."""
+    points = grid.mesh()[grid.bI, grid.bJ]
+    return [sample_factor(c, grid, points) for c in factors]
+
+
+def _scale_trace(c_edge: np.ndarray, grid: WaveGrid,
                  dn: np.ndarray) -> np.ndarray:
     """The conormal trace c du/dnu from du/dnu (nt, n_boundary), in place:
-    scaled by c at every time level on the boundary path, corners NaN."""
-    np.multiply(sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ]), dn,
-                out=dn)
+    scaled by c_edge, c at every time level on the boundary path, corners
+    NaN."""
+    np.multiply(c_edge, dn, out=dn)
     dn[:, grid.corner] = np.nan
+    return dn
+
+
+def _traces(c_at: Callable, c_edge: list[np.ndarray], grid: WaveGrid,
+            bvals: np.ndarray) -> np.ndarray:
+    """Conormal traces (F, nt, n_boundary) of the factors sampled as c_at
+    on the mesh and c_edge on the boundary path, with Dirichlet values
+    bvals; only the stencil rows of each level are recorded, so three
+    time levels are held."""
+    dn = np.empty((len(c_edge), grid.nt, grid.bI.size))
+
+    def keep(m, level):
+        dn[:, m] = _conormal(grid, level)
+
+    _march(c_at, grid, bvals, keep)
+    for c, trace in zip(c_edge, dn):
+        _scale_trace(c, grid, trace)
     return dn
 
 
@@ -297,20 +336,9 @@ def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
                bvals: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Conormal traces c du/dnu (corners NaN) of every factor's solution
     with Dirichlet values bvals (nt, n_boundary): (F, nt, n_boundary),
-    and each factor's CFL margin.
-
-    The factors are marched together; only the stencil rows of each level
-    are recorded, so three time levels are held.
-    """
-    dn = np.empty((len(factors), grid.nt, grid.bI.size))
-
-    def keep(m, level):
-        dn[:, m] = _conormal(grid, level)
-
-    margins = _march(factors, grid, bvals, keep)
-    for c, trace in zip(factors, dn):
-        _scale_trace(c, grid, trace)
-    return dn, margins
+    and each factor's CFL margin.  The factors are marched together."""
+    c_at, margins = _mesh_levels(factors, grid)
+    return _traces(c_at, _edge_levels(factors, grid), grid, bvals), margins
 
 
 def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
@@ -319,7 +347,8 @@ def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
     the stored solution sol when given."""
     if sol is None:
         return dtn_traces([c], grid, data.sample(grid))[0][0]
-    return _scale_trace(c, grid, _conormal(grid, sol.u))
+    return _scale_trace(_edge_levels([c], grid)[0], grid,
+                        _conormal(grid, sol.u))
 
 
 def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
@@ -327,14 +356,18 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
     """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_c1 - Lam_c, one
     per c in family, with the per-probe ratios and the CFL margin of c.
 
-    Each probe marches c1 and the whole family together; probes run
-    through parallel_map.  Each probe must vanish to first order at t = 0
+    Every factor is sampled once per run, on the mesh and on the boundary
+    path (CFLViolation past the limit), and the probes, run through
+    parallel_map, read those samples.  Each probe marches c1 and the whole
+    family together.  Each probe must vanish to first order at t = 0
     (zero-initial-data compatibility) and have a nonzero H^1 norm on the
     grid; violations raise IncompatibleData.
     """
     if not probes:
         raise ValueError("need at least one probe")
     factors = [c1, *family]
+    c_at, margins = _mesh_levels(factors, grid)
+    c_edge = _edge_levels(factors, grid)
 
     def probe_ratios(probe):
         bvals = probe.sample(grid)
@@ -348,16 +381,16 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
             raise IncompatibleData(
                 f"boundary input {probe.name} samples to 0 on this grid "
                 f"(T = {grid.T:.3g}), so its H^1 norm is 0")
-        lam, margins = dtn_traces(factors, grid, bvals)
+        lam = _traces(c_at, c_edge, grid, bvals)
         return [l2_boundary_norm(grid, np.nan_to_num(lam[0] - trace),
                                  grid.corner) / den
-                for trace in lam[1:]], margins[1:]
+                for trace in lam[1:]]
 
-    ratios, margins = zip(*parallel_map(probe_ratios, probes))
+    ratios = parallel_map(probe_ratios, probes)
     # per-probe rows, transposed to one row per family member
     return [{"norm_lower_bound": max(r), "ratios": list(r),
              "cfl_margin": margin}
-            for r, margin in zip(zip(*ratios), margins[0])]
+            for r, margin in zip(zip(*ratios), margins[1:])]
 
 
 # ---------------------------------------------------------------- identity

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdxray import beams, errors, geometry, reconstruct
+from tdxray import beams, errors, geometry, reconstruct, wavesim
 from tdxray.cli import main
 from tdxray.conformal import bump_factor
 from tdxray.errors import ConfigInvalid
@@ -51,6 +51,18 @@ LATTICE_OVERFLOW = [
     ("slice-check", {"grid.pad": 1e152, "grid.points": 32,
                      "slice.count": 3}),
     ("stability-curve", {**SMALL["stability-curve"], "grid.extent": 1e300}),
+]
+
+# wave grids too large to allocate, each with the key that makes them so:
+# each escaped run() as numpy's ValueError (a dimension past the maximum)
+# or as a MemoryError for terabytes (grid.k 1e-9, grid.nx 10**6)
+WAVE_OVERFLOW = [
+    ("dtn", "grid.k", 1e-300),
+    ("dtn", "grid.T", 1e300),
+    ("dtn", "grid.k", 1e-9),
+    ("dtn", "grid.nx", 10**6),
+    ("identity-check", "grid.cfl", 1e-300),
+    ("identity-check", "grid.T", 1e300),
 ]
 
 
@@ -445,6 +457,7 @@ class TestRunner:
         # while sampling, before the probe check or the cut radius
         # rejected them
         *LATTICE_OVERFLOW[1:],
+        *[(name, {key: value}) for name, key, value in WAVE_OVERFLOW],
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -473,6 +486,33 @@ class TestRunner:
         key = "grid.pad" if "grid.pad" in cfg else "grid.extent"
         assert first == "error_type = ConfigInvalid"
         assert message.startswith(f"message = {key} = {cfg[key]!r}")
+
+    @pytest.mark.parametrize("name, key, value", WAVE_OVERFLOW)
+    def test_wave_grid_bounded_before_allocation(self, tmp_path, monkeypatch,
+                                                 name, key, value):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a wave grid was built")
+
+        monkeypatch.setattr(wavesim, "WaveGrid", no_grid)
+        cfg = {key: value}
+        assert run(name, cfg, str(tmp_path), seed=0) == 2
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        first, message = (art / "error.txt").read_text().splitlines()[:2]
+        assert first == "error_type = ConfigInvalid"
+        assert f"{key} = {value!r}" in message
+
+    def test_identity_sizes_checked_before_first_solve(self, tmp_path,
+                                                        monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an identity check ran")
+
+        monkeypatch.setattr(wavesim, "key_identity_check", no_solve)
+        cfg = {"grid.sizes": [17, 10**5]}
+        assert run("identity-check", cfg, str(tmp_path), seed=0) == 2
+        art = tmp_path / f"identity-check-{config_hash(cfg, 0)[:12]}"
+        first, message = (art / "error.txt").read_text().splitlines()[:2]
+        assert first == "error_type = ConfigInvalid"
+        assert "grid.sizes entry 100000" in message
 
     @pytest.mark.parametrize("name, key, top, above", [
         ("forward", "noise.level", NOISE_TOP,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,112 @@ class TestMarch:
                           boundary_probes(2, 2.0))
 
 
+def stepped_data(grid, first):
+    """Dirichlet data that is 0 before time level first and nonzero on
+    every path node from it on; 0 throughout when first is None."""
+    t0 = np.inf if first is None else grid.times[first] - 0.5 * grid.k
+
+    def f(t, s):
+        return np.where(t >= t0, (1.0 + t) * (1.5 + np.cos(np.pi * s / 2)),
+                        0.0)
+
+    return BoundaryData(f, f"from{first}")
+
+
+class TestSilentStart:
+    @pytest.mark.parametrize("first", [0, 1, 2, 13, 27, None])
+    def test_march_equals_reference(self, first):
+        # the march skips the levels before the first nonzero Dirichlet
+        # value; every level it records must still equal the unbatched
+        # scheme's, which marches all of them
+        grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
+        assert grid.nt == 28
+        data = stepped_data(grid, first)
+        bvals = data.sample(grid)
+        live = np.flatnonzero(np.any(bvals != 0, axis=1))
+        assert (int(live[0]) if live.size else None) == first
+        factors = [constant_factor(1.0, T=1.0),
+                   bump_factor(0.05, (0.55, 0.42), 0.3, T=1.0,
+                               t_center=0.5, t_width=0.6)]
+        traces, _ = dtn_traces(factors, grid, bvals)
+        for c, trace in zip(factors, traces):
+            ref = leapfrog_reference(c, grid, data)
+            assert np.array_equal(solve_dirichlet(c, grid, data).u, ref)
+            assert np.array_equal(
+                trace, dtn_apply(c, grid, data, sol=WaveSolution(grid, ref)),
+                equal_nan=True)
+
+    def test_blow_up_names_the_full_march_step(self, monkeypatch):
+        # past the CFL limit the skipped silent levels stay 0, so Unstable
+        # names the first level of the full march past the bound
+        grid = WaveGrid(nx=33, k=1.2 / 32, T=2.0)
+        monkeypatch.setattr(WaveGrid, "check_cfl",
+                            lambda self, c_max: None)
+        c = constant_factor(1.0, T=2.0)
+        data = stepped_data(grid, 20)
+        bvals = data.sample(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = leapfrog_reference(c, grid, data)
+        bound = 1e8 * (1.0 + np.max(np.abs(bvals)))
+        step = next(m for m in range(grid.nt)
+                    if not np.max(np.abs(ref[m])) <= bound)
+        assert 20 < step < grid.nt - 1
+        message = rf"^solution blew up at step {step}$"
+        with pytest.raises(Unstable, match=message):
+            solve_dirichlet(c, grid, data)
+        with pytest.raises(Unstable, match=message):
+            dtn_traces([c, bump_factor(0.04, (0.55, 0.42), 0.3, T=2.0)],
+                       grid, bvals)
+
+
+class TestSampleOnce:
+    def test_samples_do_not_grow_with_probes(self, monkeypatch):
+        calls, sample = [], wavesim.sample_factor
+
+        def counted(c, *args):
+            calls.append(c.name)
+            return sample(c, *args)
+
+        monkeypatch.setattr(wavesim, "sample_factor", counted)
+        grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
+        family = [bump_factor(s, (0.55, 0.42), 0.3, T=1.0, t_center=0.5,
+                              t_width=0.6) for s in (0.02, 0.04)]
+        counts = []
+        for count in (1, 4):
+            calls.clear()
+            dtn_norm_diff(constant_factor(1.0, T=1.0), family, grid,
+                          boundary_probes(count, 1.0))
+            counts.append(len(calls))
+        # each factor on the mesh and on the boundary path, once a run
+        assert counts == [6, 6]
+
+    def test_timed_family_equals_per_probe_traces(self, monkeypatch):
+        # the probe threads, more of them than cores and switching often,
+        # share one sample of each factor; each ratio must equal the one
+        # from a march that samples the factors afresh
+        monkeypatch.setenv("TDXRAY_THREADS", "4")
+        grid = WaveGrid(nx=25, k=0.6 / 24, T=2.0)
+        c1 = constant_factor(1.0, T=2.0)
+        family = [bump_factor(s, (0.55, 0.42), 0.3, t_center=1.0,
+                              t_width=0.9, T=2.0) for s in (0.02, 0.08)]
+        probes = boundary_probes(4, 2.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = dtn_norm_diff(c1, family, grid, probes)
+        finally:
+            sys.setswitchinterval(interval)
+        for i, probe in enumerate(probes):
+            bvals = probe.sample(grid)
+            lam, margins = dtn_traces([c1, *family], grid, bvals)
+            den = h1_boundary_norm(grid, bvals)
+            for row, trace, margin in zip(rows, lam[1:], margins[1:]):
+                ratio = l2_boundary_norm(grid, np.nan_to_num(lam[0] - trace),
+                                         grid.corner) / den
+                assert row["ratios"][i] == ratio
+                assert row["cfl_margin"] == margin
+
+
 class TestTrapz:
     @given(nt=st.integers(3, 40), trailing=st.lists(st.integers(1, 6),
                                                     min_size=1, max_size=3),
@@ -512,12 +620,19 @@ class TestStabilityExperiment:
 
     def test_one_march_per_probe(self, monkeypatch):
         # the reference and the whole family share each probe's march
-        marches, march = [], wavesim._march
+        marches, names = [], {}
+        march, levels = wavesim._march, wavesim._mesh_levels
 
-        def counted(factors, *args, **kwargs):
-            marches.append([c.name for c in factors])
-            return march(factors, *args, **kwargs)
+        def named(factors, grid):
+            c_at, margins = levels(factors, grid)
+            names[c_at] = [c.name for c in factors]
+            return c_at, margins
 
+        def counted(c_at, *args, **kwargs):
+            marches.append(names[c_at])
+            return march(c_at, *args, **kwargs)
+
+        monkeypatch.setattr(wavesim, "_mesh_levels", named)
         monkeypatch.setattr(wavesim, "_march", counted)
         grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
         conformal_stability_experiment([0.02, 0.04], grid, 2, (0.55, 0.42),
