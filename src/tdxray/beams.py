@@ -24,7 +24,6 @@ part is c |xi|^2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -35,6 +34,7 @@ from .conformal import ConformalFactor
 from .errors import CausticDetected, QuadratureNotConverged, StencilUnderResolved
 from .geometry import (BoundaryRay, ConvexBody, hamiltonian_jet,
                        march_to_exit, rk4_step)
+from .table import write_table
 
 
 # the concentration lemma's cutoff scale in (0, 1), cutoff exponent > 1
@@ -161,18 +161,10 @@ class BeamCurve:
         header = (["t"] + [f"xtilde{i+1}" for i in range(n)]
                   + [f"omega{i+1}" for i in range(n)]
                   + ["a0_re", "a0_im", "min_eig_ImM", "detY_re", "detY_im"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for k, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(v)) for v in self.xtilde[k]]
-                row += [repr(float(v)) for v in self.omega[k]]
-                row += [repr(float(self.a0[k].real)),
-                        repr(float(self.a0[k].imag)),
-                        repr(float(eig[k])), repr(float(det[k].real)),
-                        repr(float(det[k].imag))]
-                w.writerow(row)
+        write_table(path, header,
+                    ([t, *self.xtilde[k], *self.omega[k], self.a0[k].real,
+                      self.a0[k].imag, eig[k], det[k].real, det[k].imag]
+                     for k, t in enumerate(self.times)))
 
 
 def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,

@@ -17,7 +17,6 @@ raised when no R > 1 exists.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (ConfigInvalid, FitUnderdetermined, IncompatibleData,
 from .fields import SpaceTimeField
 from .geometry import ConvexBody
 from .spectral import SpectralGrid, slice_from_sinogram, visible_direction
+from .table import write_table
 
 
 # ---------------------------------------------------------------- R rule
@@ -271,14 +271,10 @@ class StabilityCurve:
                 "n_rows": len(feas)}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["delta", "R", "l2_error", "c0_error", "envelope",
-                        "feasible"])
-            for r in self.rows:
-                w.writerow([repr(r.delta), repr(r.R), repr(r.l2_error),
-                            repr(r.c0_error), repr(r.envelope),
-                            int(r.feasible)])
+        write_table(path, ["delta", "R", "l2_error", "c0_error", "envelope",
+                           "feasible"],
+                    ([r.delta, r.R, r.l2_error, r.c0_error, r.envelope,
+                      int(r.feasible)] for r in self.rows))
 
 
 def noise_transfer_volume(f: SpaceTimeField) -> float:

@@ -186,9 +186,9 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
     record(m, u) receives time level m as an (F, nx, nx) buffer that later
     steps overwrite.  Every level before first, the first level with a
     nonzero Dirichlet value, is exactly 0.  From first >= 2 these levels
-    are recorded as the zero buffer and the march steps from level
-    first - 1, which gives the full march's values up to signs of zero;
-    otherwise the first step is the Taylor expansion
+    are not recorded, so a caller's store of them starts at 0, and the
+    march steps from level first - 1, which gives the full march's values
+    up to signs of zero; otherwise the first step is the Taylor expansion
     u^1 = u^0 + (k^2/2) Lap u^0 / c.  Unstable is raised at the first
     level past 1e8 (1 + max|bvals|), NaN and inf included.
     """
@@ -218,10 +218,7 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
 
     live = np.any(bvals != 0, axis=1)
     first = int(np.argmax(live)) if live.any() else nt
-    if first >= 2:
-        for m in range(first):
-            record(m, cur.reshape(F, nx, nx))
-    else:
+    if first < 2:
         prev[:, edge] = bvals[0]
         record(0, prev.reshape(F, nx, nx))
         cur[:] = prev
@@ -248,7 +245,7 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
                     data: BoundaryData) -> WaveSolution:
     """Leapfrog solution of c u_tt = Lap u from zero initial data with
     Dirichlet data, every time level stored."""
-    u = np.empty((grid.nt, grid.nx, grid.nx))
+    u = np.zeros((grid.nt, grid.nx, grid.nx))
 
     def keep(m, level):
         u[m] = level[0]
@@ -321,7 +318,7 @@ def _traces(c_at: Callable, c_edge: list[np.ndarray], grid: WaveGrid,
     on the mesh and c_edge on the boundary path, with Dirichlet values
     bvals; only the stencil rows of each level are recorded, so three
     time levels are held."""
-    dn = np.empty((len(c_edge), grid.nt, grid.bI.size))
+    dn = np.zeros((len(c_edge), grid.nt, grid.bI.size))
 
     def keep(m, level):
         dn[:, m] = _conormal(grid, level)

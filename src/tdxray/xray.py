@@ -7,7 +7,6 @@ values over a boundary-ray family together with their sup-norm delta.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +15,7 @@ from .errors import QuadratureNotConverged
 from .fields import SpaceTimeField
 from .geometry import (BoundaryRay, ConvexBody, GeodesicPath, MetricSpec,
                        trace_bundle)
+from .table import write_table
 
 QUAD_TOL = 1e-9
 
@@ -36,16 +36,12 @@ class Sinogram:
                    max(gaps, default=0.0))
 
     def write_csv(self, path) -> None:
-        n = self.rays[0].x.size if self.rays else 2
+        n = self.rays[0].x.size
         header = ([f"x{i+1}" for i in range(n)]
                   + [f"omega{i+1}" for i in range(n)] + ["tau", "value"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for ray, tau, val in zip(self.rays, self.taus, self.values):
-                w.writerow([repr(float(v)) for v in ray.x]
-                           + [repr(float(v)) for v in ray.omega]
-                           + [repr(float(tau)), repr(float(val))])
+        write_table(path, header,
+                    ([*ray.x, *ray.omega, tau, val] for ray, tau, val
+                     in zip(self.rays, self.taus, self.values)))
 
 
 def _ratio(num, den):

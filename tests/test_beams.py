@@ -255,6 +255,13 @@ class TestBuildBeam:
         assert lines[0] == ("t,xtilde1,xtilde2,omega1,omega2,a0_re,a0_im,"
                             "min_eig_ImM,detY_re,detY_im")
         assert len(lines) == 1 + len(beam.times)
+        # every cell reads back to the beam's double, in header order
+        cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        det = np.linalg.det(beam.Y)
+        want = np.column_stack([beam.times, beam.xtilde, beam.omega,
+                                beam.a0.real, beam.a0.imag,
+                                beam.min_eig_imag_M(), det.real, det.imag])
+        assert np.array_equal(cells, want, equal_nan=True)
 
     def test_csv_diagnostics_match_node_loop(self, curved_beam, tmp_path):
         # the stacked det Y and min eig Im M must write the bytes that one

@@ -7,6 +7,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from tdxray.harness import acceptance as acc
 from tdxray.harness.config import (SCHEMAS, canonical_text, config_hash,
                                    parse_config_text, parse_value, validate)
 from tdxray.harness.manifest import RunManifest
-from tdxray.harness.runner import PIPELINES, run
+from tdxray.harness.runner import PIPELINES, _write_csv, run
 from tdxray.parallel import thread_count
 from tdxray.spectral import SpectralGrid, slice_from_sinogram
 from tdxray.wavesim import WaveGrid
@@ -275,6 +276,14 @@ class TestRunner:
         noise_sup = float(values["noise_sup"])
         assert 0.0 < noise_sup <= level
         assert max(map(abs, added)) == pytest.approx(noise_sup, rel=1e-9)
+
+    def test_csv_cell_rule(self, tmp_path):
+        # a float cell, numpy's included, is the shortest text that reads
+        # back to its double, never a numpy repr; any other cell is its str
+        path = tmp_path / "cells.csv"
+        _write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                   [[np.float64(0.5), 0.1, 3, math.nan, -0.0, math.inf]])
+        assert path.read_bytes() == b"a,b,c,d,e,f\n0.5,0.1,3,nan,-0.0,inf\n"
 
     def test_seed_key_rejected(self, tmp_path):
         # the seed is run()'s argument; as a key it would change the
@@ -852,6 +861,9 @@ class TestBenchmarkHooks:
         metrics = tracer.layer_metrics(rec.spans)
         assert metrics["beams.build_s"] > 0
         assert metrics["beams.fd_points"] > 0
+        # each table is counted by the one write span that wrote it
+        assert metrics["harness.csv_bytes"] == sum(
+            p.stat().st_size for p in tmp_path.rglob("*.csv"))
 
     @staticmethod
     def check_run(workload, variant, size, tmp_path, monkeypatch):

@@ -295,3 +295,8 @@ class TestStabilityCurve:
         lines = p.read_text().splitlines()
         assert lines[0] == "delta,R,l2_error,c0_error,envelope,feasible"
         assert len(lines) == 3
+        # every cell reads back to the row's double, in header order
+        cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        want = [[r.delta, r.R, r.l2_error, r.c0_error, r.envelope,
+                 r.feasible] for r in curve.rows]
+        assert np.array_equal(cells, want, equal_nan=True)

@@ -206,3 +206,9 @@ class TestPerturb:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,omega1,omega2,tau,value"
         assert len(lines) == 1 + len(rays)
+        # every cell reads back to the sinogram's double, in header order
+        cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        want = np.column_stack([[r.x for r in sino.rays],
+                                [r.omega for r in sino.rays], sino.taus,
+                                sino.values])
+        assert np.array_equal(cells, want, equal_nan=True)
