@@ -10,8 +10,10 @@ the convention under which the boundary identity
     int (Lam_g - Lam_cg) f1 conj(f2) = int rho1 du1 du2
                                        - int rho2 <grad u1, grad u2>
 
-holds exactly (time-independent c) with rho1 = c^{n/2} - 1 and
-rho2 = c^{n/2-1} - 1.  At n = 2 the gradient term drops out since rho2 = 0.
+holds exactly for time-independent c, with rho1 = c^{n/2} - 1 and
+rho2 = c^{n/2-1} - 1; at n = 2 the gradient term drops out (rho2 = 0).
+A time-dependent c is marched as c(t_m, x) u_tt = Lap u, Lap u divided by
+c at time level m; neither the identity nor c_dist's one-level sum applies.
 
 Grid: vertex-centred lattice on [0,1]^2 including the boundary; leapfrog in
 time; one-sided second-order normal derivative for the DtN trace.  Corner
@@ -25,9 +27,7 @@ DtN stencil rows alone (dtn_traces).  It starts from rest with no source
 term, and the levels before the first nonzero Dirichlet value are exactly
 0, so it starts stepping at the last of these silent levels; the energy
 and source checks run on the tests' unbatched scheme, which it matches
-bit for bit.  The probed DtN norm samples every factor once per run, on
-the mesh and on the boundary path, and marches the reference factor and
-the whole family together, one march per probe.
+bit for bit.
 """
 
 from __future__ import annotations
@@ -449,14 +449,14 @@ def conformal_stability_experiment(scales, grid: WaveGrid, probe_count: int,
     T = grid.T
     family = [bump_factor(s, bump_center, bump_width, T=T, name=f"bump{s:g}")
               for s in scales]
-    mesh = grid.mesh()
 
     def c_dist(cs):
-        # one (nt, nx, nx) array, squared and weighted in place, and none
-        # held through the marches
-        vals = 1.0 - sample_factor(cs, grid, mesh)
-        np.square(vals, out=vals)
-        return float(np.sqrt(_trapz(grid, vals, grid.h**2)))
+        # _trapz of nt equal levels: its half-weighted ends make one level
+        if cs.time_dependent:
+            raise ValueError("c_dist requires time-independent c")
+        sq = 1.0 - sample_factor(cs, grid, grid.mesh())[0]
+        np.square(sq, out=sq)
+        return float(np.sqrt(np.sum(sq) * (grid.nt - 1) * grid.k * grid.h**2))
 
     dists = [c_dist(cs) for cs in family]
     probes = boundary_probes(probe_count, T)

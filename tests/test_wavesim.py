@@ -1,9 +1,11 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import dblquad
 
 from tdxray import wavesim
 from tdxray.conformal import bump_factor, constant_factor
@@ -650,6 +652,78 @@ class TestStabilityExperiment:
         na = a["rows"][0]["dtn_norm"]
         nb = b["rows"][0]["dtn_norm"]
         assert abs(nb - na) <= 0.1 * na
+
+
+# the dtn pipeline's default family
+SCALES, CENTER, WIDTH = (0.01, 0.02, 0.04, 0.08), (0.55, 0.42), 0.3
+
+
+def stacked_c_dist(s, grid):
+    """|1 - c_s|_L2 from the whole (nt, nx, nx) stack of time levels through
+    _trapz: the oracle for the experiment's one-level sum."""
+    c = bump_factor(s, CENTER, WIDTH, T=grid.T)
+    vals = (1.0 - sample_factor(c, grid, grid.mesh())) ** 2
+    return float(np.sqrt(wavesim._trapz(grid, vals, grid.h**2)))
+
+
+@pytest.fixture(scope="module")
+def default_family():
+    """The experiment on the dtn defaults' grid and family with one probe,
+    and the peak of the allocations it traced."""
+    grid = WaveGrid(nx=97, k=0.6 / 96, T=2.0)
+    tracemalloc.start()
+    try:
+        out = conformal_stability_experiment(SCALES, grid, 1, CENTER, WIDTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return grid, [r["c_dist_l2"] for r in out["rows"]], peak
+
+
+class TestCDist:
+    def test_equals_stacked_trapz_at_defaults(self, default_family):
+        grid, dists, _ = default_family
+        assert dists == [stacked_c_dist(s, grid) for s in SCALES]
+
+    def test_within_4ulp_of_stacked_trapz_at_nx33(self):
+        # the sum order differs from the stack's: 1 ulp at scale 0.02
+        grid = WaveGrid(nx=33, k=0.6 / 32, T=2.0)
+        out = conformal_stability_experiment([0.02, 0.04], grid, 1, CENTER,
+                                             WIDTH)
+        for s, row in zip((0.02, 0.04), out["rows"]):
+            ref = stacked_c_dist(s, grid)
+            assert abs(row["c_dist_l2"] - ref) <= 4 * np.spacing(ref)
+
+    def test_peak_below_one_stack(self, default_family):
+        # one (nt, nx, nx) float64 array is 24.2 MB here, 2.6 times the
+        # experiment's traced peak
+        grid, _, peak = default_family
+        assert peak < grid.nt * grid.nx**2 * 8
+
+    def test_matches_quadrature_of_bump(self, default_family):
+        # c_s = 1 + s B, so |1 - c_s|_L2 / s = sqrt(T) |B|_L2; polar
+        # quadrature about the centre over the bump's support
+        grid, dists, _ = default_family
+
+        def integrand(r, theta):
+            return bump_profile(r * r / WIDTH**2) ** 2 * r
+
+        b2, _ = dblquad(integrand, 0.0, 2.0 * np.pi, 0.0, WIDTH, epsabs=0.0,
+                        epsrel=1e-13)
+        ref = np.sqrt(grid.T * b2)
+        ratios = [d / s for d, s in zip(dists, SCALES)]
+        for ratio in ratios:
+            assert abs(ratio / ref - 1.0) < 1e-9
+        assert max(ratios) - min(ratios) <= 4 * np.spacing(ref)
+
+    def test_time_dependent_factor_rejected(self, monkeypatch):
+        def timed(*args, **kwargs):
+            return bump_factor(*args, t_center=0.5, t_width=0.6, **kwargs)
+
+        monkeypatch.setattr(wavesim, "bump_factor", timed)
+        grid = WaveGrid(nx=17, k=0.6 / 16, T=1.0)
+        with pytest.raises(ValueError, match="time-independent"):
+            conformal_stability_experiment([0.02], grid, 1, CENTER, WIDTH)
 
 
 class TestEnergyReport:
