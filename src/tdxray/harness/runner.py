@@ -281,6 +281,8 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
         raise IncompatibleData(f"grid.T = {grid.T!r}: every probed DtN "
                                "norm is at roundoff")
     man.stage("experiment")
+    # the march and the time integrals end here, not at grid.T
+    man.diagnostics.append(("grid", {"t_end": grid.t_end}))
     for i, r in enumerate(out["rows"]):
         norm = r["dtn_norm"]
         man.diagnostics.append((f"row{i}", {
@@ -348,6 +350,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
                 f"probes' norm product {norms:.3g} at nx = {nx}")
         # gap is returned and printed, a Python float
         rows.append([nx, lhs, rhs, float(gap)])
+        man.diagnostics.append((f"grid{nx}", {"t_end": grid.t_end}))
         man.stage(f"grid{nx}")
     _write_csv(os.path.join(art, "identity_check.csv"),
                ["nx", "lhs", "rhs", "relative_gap"], rows)

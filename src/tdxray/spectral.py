@@ -33,14 +33,20 @@ def is_visible(tau, xi) -> np.ndarray:
     """Visible iff |tau| <= |xi| (ties visible).
 
     |xi| is evaluated with max-scaling so the comparison stays exact even
-    where naive squaring would underflow.
+    where naive squaring would underflow.  The scale and the scaled sum
+    run axis by axis, in axis order: the same bits as np.max and np.sum
+    over the last axis, without the cost of a reduction over a short axis.
     """
     tau = np.asarray(tau, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    scale = np.max(np.abs(xi), axis=-1)
+    scale = np.abs(xi[..., 0])
+    for a in range(1, xi.shape[-1]):
+        scale = np.maximum(scale, np.abs(xi[..., a]))
     safe = np.where(scale > 0.0, scale, 1.0)
-    norm = safe * np.sqrt(np.sum((xi / safe[..., None]) ** 2, axis=-1))
-    return np.abs(tau) <= norm
+    total = (xi[..., 0] / safe) ** 2
+    for a in range(1, xi.shape[-1]):
+        total = total + (xi[..., a] / safe) ** 2
+    return np.abs(tau) <= safe * np.sqrt(total)
 
 
 def visible_direction(tau, xi) -> np.ndarray:
@@ -228,12 +234,16 @@ class SpectralGrid:
     # --- transforms ----------------------------------------------------
 
     def sample(self, f: SpaceTimeField) -> np.ndarray:
-        shape = (self.n,) * self.dim
+        """f on the lattice, (n,) * (dim + 1), in one evaluator call: the
+        t axis, shaped (n, 1, ..., 1), broadcasts against the x mesh.
+        ValueError when the evaluator does not broadcast them."""
         axes = [self.axis(a) for a in range(1, self.dim + 1)]
         xmesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        out = np.empty((self.n,) + shape)
-        for j, t in enumerate(self.axis(0)):
-            out[j] = f(np.full(shape, t), xmesh)
+        t = self.axis(0).reshape((self.n,) + (1,) * self.dim)
+        out = np.asarray(f(t, xmesh), dtype=float)
+        if out.shape != (self.n,) * (self.dim + 1):
+            raise ValueError(f"{f.name}: evaluator gave shape {out.shape} "
+                             f"for t {t.shape} against x {xmesh.shape}")
         return out
 
     @cached_property

@@ -45,6 +45,10 @@ from .parallel import parallel_map
 
 @dataclass
 class WaveGrid:
+    """Vertex-centred nx x nx mesh on [0, 1]^2 and nt = round(T/k) + 1 time
+    levels k apart.  Marches and time integrals end at t_end = (nt - 1) k,
+    which is T only when T/k is an integer."""
+
     nx: int                  # nodes per axis, boundary included
     k: float                 # time step
     T: float
@@ -74,6 +78,11 @@ class WaveGrid:
             raise CFLViolation(
                 f"k = {self.k:.3e} exceeds h/sqrt(n max c) = {limit:.3e}")
         return float(self.k / limit)
+
+    @property
+    def t_end(self) -> float:
+        """The last time level, (nt - 1) k."""
+        return (self.nt - 1) * self.k
 
     @property
     def times(self) -> np.ndarray:
@@ -136,10 +145,6 @@ def boundary_probes(count: int, T: float) -> list[BoundaryData]:
 class WaveSolution:
     grid: WaveGrid
     u: np.ndarray            # (nt, nx, nx)
-
-    def dt_interior(self) -> np.ndarray:
-        """Centred time derivative on interior time levels (nt-2, nx, nx)."""
-        return (self.u[2:] - self.u[:-2]) / (2.0 * self.grid.k)
 
 
 def sample_factor(c: ConformalFactor, grid: WaveGrid,
@@ -423,14 +428,17 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     diff = np.nan_to_num(lam_g - lam_cg)[:, ~corner]
     lhs = _trapz(grid, diff * f2_vals[:, ~corner], grid.h)
 
-    c_grid = sample_factor(c, grid, grid.mesh())
-    du1 = sol1.dt_interior()
-    # u2(t) = u2_rev(T - t), so its centred time derivative is the
-    # reversed one of u2_rev with the sign flipped
-    du2 = -sol2_rev.dt_interior()[::-1]
     # on the square (n = 2) rho1 = c^(n/2) - 1 is c - 1, and the gradient
-    # pairing's weight rho2 = c^(n/2 - 1) - 1 is 0
-    pairing = np.sum((c_grid[1:-1] - 1.0) * du1 * du2, axis=(1, 2))
+    # pairing's weight rho2 = c^(n/2 - 1) - 1 is 0; c is one level
+    rho1 = sample_factor(c, grid, grid.mesh())[0] - 1.0
+    u1, u2_rev, nt, k2 = sol1.u, sol2_rev.u, grid.nt, 2.0 * grid.k
+    pairing = np.empty(nt - 2)
+    for m in range(1, nt - 1):
+        # centred time derivatives at level m; u2(t) = u2_rev(T - t), so
+        # its derivative is u2_rev's at level nt - 1 - m, sign flipped
+        du1 = (u1[m + 1] - u1[m - 1]) / k2
+        du2 = -((u2_rev[nt - m] - u2_rev[nt - m - 2]) / k2)
+        pairing[m - 1] = np.sum(rho1 * du1 * du2)
     rhs = _trapz(grid, pairing, grid.h**2)
     gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return {"lhs": lhs, "rhs": rhs, "relative_gap": gap}

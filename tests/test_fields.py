@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdxray.fields import (RECON_T, BumpSpec, bump_field, bump_profile,
-                           default_recon_field, default_slice_field,
+from tdxray.fields import (RECON_T, BumpSpec, bump_field, bump_jet,
+                           bump_profile, default_recon_field,
+                           default_slice_field,
                            heldout_fields, single_bump, squared_distance,
                            tail_field)
 from tdxray.geometry import perp_frame
@@ -116,7 +117,51 @@ class TestBumpFrame:
             specs, name="bump").separable[1](*frame))
 
 
+def masked_profile(u):
+    """B by gather and scatter: exp(1 - 1/(1 - u)) on the points with
+    u < 1, zeros elsewhere; the oracle for the in-place profile."""
+    u = np.asarray(u, dtype=float)
+    inside = u < 1.0
+    full = np.zeros_like(u)
+    full[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside]))
+    return full
+
+
+# u in and near [0, 1), just below 1 by a few ulp, at or past 1, negative,
+# and NaN and +-inf
+PROFILE_U = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.integers(1, 64).map(lambda j: 1.0 - j * 2.0**-53),
+    st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.inf,
+                     -np.inf, np.nan, 1e300, -1e300, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
 class TestBumpProfile:
+    @given(values=st.lists(PROFILE_U, min_size=1, max_size=120),
+           layout=st.sampled_from(["flat", "0-d", "strided", "3-d",
+                                   "3-d transposed"]))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_the_masked_form(self, values, layout):
+        u = np.array(values)
+        if layout == "0-d":
+            u = u[0, ...]
+        elif layout == "strided":
+            u = u[::2]
+        elif layout.startswith("3-d"):
+            u = np.resize(u, (3, 4, 5))
+            if layout == "3-d transposed":
+                u = u.transpose(2, 0, 1)
+        before = u.copy()
+        got = bump_profile(u)
+        want = masked_profile(u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64),
+                              bump_jet(u, 0)[0].view(np.int64))
+        # the profile works on a fresh array, not on its input
+        assert np.array_equal(u.view(np.int64), before.view(np.int64))
+
     def test_normalisation_and_support(self):
         assert bump_profile(np.array([0.0]))[0] == 1.0
         assert bump_profile(np.array([1.0]))[0] == 0.0

@@ -633,6 +633,9 @@ class TestRunner:
         art = tmp_path / f"dtn-{config_hash(cfg, 0)[:12]}"
         rows = manifest_sections(art / "manifest.txt")["diagnostics"]
         lines = (art / "dtn_curve.csv").read_text().splitlines()[1:]
+        # 53 steps of 0.6/16 end at 1.9875 (in floats), short of grid.T 2
+        t_end = WaveGrid(17, 0.6 / 16, 2.0).t_end
+        assert rows.pop("grid") == f"t_end={t_end!r}"
         assert list(rows) == [f"row{i}" for i in range(len(lines))]
         for line, entry in zip(lines, rows.values()):
             scale, c_dist, norm, _ = (float(v) for v in line.split(","))
@@ -654,6 +657,9 @@ class TestRunner:
         lines = (art / "identity_check.csv").read_text().splitlines()
         assert lines[0] == "nx,lhs,rhs,relative_gap"
         assert len(lines) == 3
+        rows = manifest_sections(art / "manifest.txt")["diagnostics"]
+        grids = [WaveGrid(nx, 0.6 / (nx - 1), 1.5) for nx in (17, 33)]
+        assert rows == {f"grid{g.nx}": f"t_end={g.t_end!r}" for g in grids}
 
     @given(nx=st.sampled_from([3, 5, 9, 17]), T=st.floats(0.3, 2.0))
     # both pairings are negative roundoff, 3.5e-54 against 6.6e-35, so the

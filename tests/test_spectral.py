@@ -13,6 +13,7 @@ from tdxray.fields import (BumpSpec, SpaceTimeField, bump_field,
                            default_recon_field, default_slice_field,
                            symmetric_field)
 from tdxray.geometry import ball, perp_frame
+from tdxray.harness.config import FIELD_PRESETS
 from tdxray.spectral import (LAUNCH_PAD, SpectralGrid, hidden_bound,
                              is_visible, slice_from_sinogram,
                              visible_direction)
@@ -29,6 +30,29 @@ def separable_gaussian():
 
     return SpaceTimeField(ev, (0.0, 2.0), np.array([-0.9, -0.9]),
                           np.array([0.9, 0.9]), 2, "gaussian", None)
+
+
+def sampled_level_by_level(grid, f):
+    """f on the lattice with one evaluator call per time level, t filled
+    to the x mesh's shape: the oracle for the one-call sample."""
+    shape = (grid.n,) * grid.dim
+    axes = [grid.axis(a) for a in range(1, grid.dim + 1)]
+    xmesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    out = np.empty((grid.n,) + shape)
+    for j, t in enumerate(grid.axis(0)):
+        out[j] = f(np.full(shape, t), xmesh)
+    return out
+
+
+def reduced_visible(tau, xi):
+    """is_visible with the max-scale and the scaled sum as np.max and
+    np.sum over the last axis: the oracle for the axis-by-axis form."""
+    tau = np.asarray(tau, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    scale = np.max(np.abs(xi), axis=-1)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    norm = safe * np.sqrt(np.sum((xi / safe[..., None]) ** 2, axis=-1))
+    return np.abs(tau) <= norm
 
 
 def aliasing_gap(f, grid, seed=7):
@@ -158,6 +182,25 @@ class TestRegions:
         omega = visible_direction(tau, xi)
         assert abs(float(omega @ xi) + tau) <= 1e-12 * max(1.0, norm)
         assert abs(np.linalg.norm(omega) - 1.0) <= 1e-12
+
+    @given(n=st.integers(2, 17), dim=st.integers(2, 3),
+           spacing=st.lists(st.floats(0.05, 4.0), min_size=4, max_size=4),
+           tied=st.booleans(), log_scale=st.integers(-250, 250))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_of_the_reduction(self, n, dim, spacing, tied, log_scale):
+        # centred lattices of either parity; with one spacing on every
+        # axis the lattice holds ties |tau| = |xi|, which are visible
+        if tied:
+            spacing = [spacing[0]] * 4
+        axes = [2 * np.pi * 10.0**log_scale
+                * np.fft.fftshift(np.fft.fftfreq(n, d))
+                for d in spacing[:dim + 1]]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        xi = np.stack(mesh[1:], axis=-1)
+        got = is_visible(mesh[0], xi)
+        assert np.array_equal(got, reduced_visible(mesh[0], xi))
+        if tied:
+            assert got[(0, 0) + (n // 2,) * (dim - 1)]
 
     @given(n=st.integers(2, 9), dim=st.integers(2, 3),
            spacing=st.lists(st.floats(0.05, 4.0), min_size=4, max_size=4))
@@ -387,6 +430,54 @@ class TestSliceEngine:
             slice_from_sinogram(f, (1.0, 0.0), (1.0, 0.0), ball(0.5),
                                 n_launch=32, n_s=160)
         assert len(calls) == 5
+
+
+class TestSample:
+    @pytest.mark.parametrize("name", [*FIELD_PRESETS, "bump3d", "gaussian",
+                                      "lincomb", "shifted"])
+    def test_equals_level_by_level(self, name, linear_combination, shifted):
+        if name in FIELD_PRESETS:
+            f = FIELD_PRESETS[name]()
+        elif name == "bump3d":
+            f = bump_field([BumpSpec(1.0, 1.0, 0.8, (0.05, -0.1, 0.0), 0.5),
+                            BumpSpec(-0.4, 1.2, 0.5, (0.2, 0.1, -0.3), 0.3)],
+                           name="bump3d")
+        elif name == "gaussian":
+            f = separable_gaussian()
+        elif name == "lincomb":
+            f = linear_combination([default_slice_field(), symmetric_field()],
+                                   [0.7, -1.3])
+        else:
+            f = shifted(default_slice_field(), 0.25)
+        # the recon field on the stability sweep's own lattice
+        grid = (SpectralGrid.for_field(f, 64, extent=14.0)
+                if name == "recon-default"
+                else SpectralGrid.for_field(f, 16 if f.dim == 3 else 24))
+        got = grid.sample(f)
+        want = sampled_level_by_level(grid, f)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_evaluator_call_per_lattice(self):
+        calls = []
+        base = default_recon_field()
+
+        def counted(t, x):
+            calls.append((np.shape(t), np.shape(x)))
+            return base(t, x)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        grid = SpectralGrid.for_field(f, n_points=16, extent=14.0)
+        grid.sample(f)
+        assert calls == [((16, 1, 1), (16, 16, 2))]
+
+    def test_evaluator_ignoring_t_rejected(self):
+        f = SpaceTimeField(lambda t, x: np.zeros(np.shape(x)[:-1]),
+                           (0.0, 2.0), np.array([-1.0, -1.0]),
+                           np.array([1.0, 1.0]), 2, "static", None)
+        grid = SpectralGrid.for_field(f, n_points=8)
+        with pytest.raises(ValueError, match="static: evaluator gave"):
+            grid.sample(f)
 
 
 class TestFrequencyPoint:

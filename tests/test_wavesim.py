@@ -170,6 +170,15 @@ def c_unit():
     return constant_factor(1.0, T=2.5)
 
 
+class TestWaveGrid:
+    @pytest.mark.parametrize("nx, t_end", [(33, 2.00625), (65, 1.996875)])
+    def test_end_time_is_the_last_level(self, nx, t_end):
+        # T/k is not an integer on these grids, so the march ends off T
+        grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=2.0)
+        assert grid.t_end == t_end
+        assert grid.times[-1] == grid.t_end
+
+
 class TestSolver:
     def test_cfl_guard(self, c_unit):
         grid = WaveGrid(nx=33, k=0.9 / 32, T=1.0)
@@ -584,7 +593,53 @@ class TestRho:
         assert out["rho1"]["ok"] and out["rho2"]["ok"]
 
 
+def stacked_identity(c, grid, f1, f2):
+    """key_identity_check with the interior pairing taken over (nt - 2, nx,
+    nx) stacks of centred time derivatives: the oracle for its
+    level-by-level sum."""
+    g = constant_factor(1.0, dim=c.dim, T=c.T)
+    sol1 = solve_dirichlet(g, grid, f1)
+    lam_g = dtn_apply(g, grid, f1, sol=sol1)
+    lam_cg = dtn_apply(c, grid, f1)
+    sol2_rev = solve_dirichlet(c, grid, BoundaryData(
+        lambda t, s: f2.func(grid.T - np.asarray(t, dtype=float), s), "rev"))
+    diff = np.nan_to_num(lam_g - lam_cg)[:, ~grid.corner]
+    lhs = wavesim._trapz(grid, diff * f2.sample(grid)[:, ~grid.corner],
+                         grid.h)
+    c_grid = sample_factor(c, grid, grid.mesh())
+    du1 = (sol1.u[2:] - sol1.u[:-2]) / (2.0 * grid.k)
+    du2 = -((sol2_rev.u[2:] - sol2_rev.u[:-2]) / (2.0 * grid.k))[::-1]
+    pairing = np.sum((c_grid[1:-1] - 1.0) * du1 * du2, axis=(1, 2))
+    rhs = wavesim._trapz(grid, pairing, grid.h**2)
+    gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+    return {"lhs": lhs, "rhs": rhs, "relative_gap": gap}
+
+
 class TestKeyIdentity:
+    @pytest.mark.parametrize("nx", [33, 65])
+    @pytest.mark.parametrize("first, second", [(0, 2), (2, 0), (1, 3)])
+    def test_equals_stacked_pairing(self, nx, first, second):
+        grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.5)
+        c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
+        probes = boundary_probes(4, 1.5)
+        args = (c, grid, probes[first], probes[second])
+        assert key_identity_check(*args) == stacked_identity(*args)
+
+    def test_peak_below_three_stacks(self):
+        # the two stored solutions are two (nt, nx, nx) stacks (5.4 MB
+        # each here); the pairing adds levels, not stacks: 2.5 stacks
+        # measured, against 5.2 for the stacked pairing
+        grid = WaveGrid(nx=65, k=0.6 / 64, T=1.5)
+        c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
+        probes = boundary_probes(4, 1.5)
+        tracemalloc.start()
+        try:
+            key_identity_check(c, grid, probes[0], probes[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid.nt * grid.nx**2 * 8
+
     def test_trivial_for_unit_factor(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
         c = constant_factor(1.0, T=1.5)
