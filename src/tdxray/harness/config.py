@@ -208,7 +208,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "bump.center": Key([0.55, 0.42], length=PAIR),
         "bump.width": positive(0.3)},
     "identity-check": {
-        "grid.sizes": Key([33, 65, 129], int, WAVE_NODES, length=LIST),
+        "grid.sizes": Key([33, 65, 129], int, WAVE_NODES, length=LIST,
+                          distinct=True),
         "grid.cfl": positive(0.6), "grid.T": positive(1.5),
         "bump.amplitude": Key(0.05),
         "bump.center": Key([0.55, 0.42], length=PAIR),

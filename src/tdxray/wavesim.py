@@ -22,12 +22,12 @@ outward normal exists there).
 
 One leapfrog march serves every caller.  It advances several factors at
 once on a leading factor axis and holds three time levels; each caller
-records what it needs from a level: every node (solve_dirichlet) or the
-DtN stencil rows alone (dtn_traces).  It starts from rest with no source
-term, and the levels before the first nonzero Dirichlet value are exactly
-0, so it starts stepping at the last of these silent levels; the energy
-and source checks run on the tests' unbatched scheme, which it matches
-bit for bit.
+records what it needs from a level: every node (solve_dirichlet), the DtN
+stencil rows (dtn_traces), or those and g's level paired with a stored
+solve (key_identity_check).  It starts from rest with no source term, and
+the levels before the first nonzero Dirichlet value are exactly 0, so it
+starts stepping at the last of these silent levels; the energy and source
+checks run on the tests' unbatched scheme, which it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -343,14 +343,10 @@ def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
     return _traces(c_at, _edge_levels(factors, grid), grid, bvals), margins
 
 
-def dtn_apply(c: ConformalFactor, grid: WaveGrid, data: BoundaryData,
-              sol: WaveSolution | None = None) -> np.ndarray:
-    """Conormal trace c * du/dnu on the boundary path (corners NaN), from
-    the stored solution sol when given."""
-    if sol is None:
-        return dtn_traces([c], grid, data.sample(grid))[0][0]
-    return _scale_trace(_edge_levels([c], grid)[0], grid,
-                        _conormal(grid, sol.u))
+def dtn_apply(c: ConformalFactor, grid: WaveGrid,
+              data: BoundaryData) -> np.ndarray:
+    """Conormal trace c * du/dnu on the boundary path (corners NaN)."""
+    return dtn_traces([c], grid, data.sample(grid))[0][0]
 
 
 def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
@@ -403,42 +399,45 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     """Boundary pairing of (Lam_g - Lam_cg) f1 with f2 against the interior
     rho-weighted energy pairing.
 
-    u1 solves the c = 1 problem forward with data f1; u2 solves the
-    conformal problem backward (zero state at t = T) with data f2, realised
-    by time reversal of the scheme.  Exact in the continuum for
-    time-independent c; the discrete gap shrinks at second order.
+    u2 solves the conformal problem backward (zero state at t = T) with
+    data f2 by time reversal of the scheme, every level stored; one march
+    of g = 1 and c with data f1 records both DtN traces and pairs u1, g's
+    solution, with u2 level by level, holding u1's last two levels.  Exact
+    in the continuum for time-independent c; the discrete gap shrinks at
+    second order.
     """
     if c.time_dependent:
         raise ValueError("identity check requires time-independent c")
     g = constant_factor(1.0, dim=c.dim, T=c.T)
-    sol1 = solve_dirichlet(g, grid, f1)
-    lam_g = dtn_apply(g, grid, f1, sol=sol1)
-    lam_cg = dtn_apply(c, grid, f1)
-
-    # backward conformal solve via time reversal
-    T = grid.T
-
-    def rev_func(t, s):
-        return f2.func(T - np.asarray(t, dtype=float), s)
-
-    sol2_rev = solve_dirichlet(c, grid, BoundaryData(rev_func, "rev"))
-
-    corner = grid.corner
-    f2_vals = f2.sample(grid)
-    diff = np.nan_to_num(lam_g - lam_cg)[:, ~corner]
-    lhs = _trapz(grid, diff * f2_vals[:, ~corner], grid.h)
+    c_at = _mesh_levels([g, c], grid)[0]
+    rev = BoundaryData(lambda t, s: f2.func(grid.T - np.asarray(t, float), s),
+                       "rev")
+    u2_rev = solve_dirichlet(c, grid, rev).u
+    f1_vals, f2_vals = f1.sample(grid), f2.sample(grid)
 
     # on the square (n = 2) rho1 = c^(n/2) - 1 is c - 1, and the gradient
     # pairing's weight rho2 = c^(n/2 - 1) - 1 is 0; c is one level
-    rho1 = sample_factor(c, grid, grid.mesh())[0] - 1.0
-    u1, u2_rev, nt, k2 = sol1.u, sol2_rev.u, grid.nt, 2.0 * grid.k
-    pairing = np.empty(nt - 2)
-    for m in range(1, nt - 1):
-        # centred time derivatives at level m; u2(t) = u2_rev(T - t), so
-        # its derivative is u2_rev's at level nt - 1 - m, sign flipped
-        du1 = (u1[m + 1] - u1[m - 1]) / k2
-        du2 = -((u2_rev[nt - m] - u2_rev[nt - m - 2]) / k2)
-        pairing[m - 1] = np.sum(rho1 * du1 * du2)
+    rho1 = c_at(0)[1] - 1.0
+    nt, k2 = grid.nt, 2.0 * grid.k
+    dn = np.zeros((2, nt, grid.bI.size))
+    u1 = np.zeros((2, grid.nx, grid.nx))    # levels m - 2, m - 1 at m
+    pairing = np.zeros(nt - 2)
+
+    def keep(m, level):
+        dn[:, m] = _conormal(grid, level)
+        if m >= 2:
+            # centred time derivatives at level m - 1; u2(t) = u2_rev(T -
+            # t), so u2's is u2_rev's at level nt - m, sign flipped
+            du1 = (level[0] - u1[m % 2]) / k2
+            du2 = -((u2_rev[nt - m + 1] - u2_rev[nt - m - 1]) / k2)
+            pairing[m - 2] = np.sum(rho1 * du1 * du2)
+        u1[m % 2] = level[0]
+
+    _march(c_at, grid, f1_vals, keep)
+    lam_g, lam_cg = (_scale_trace(edge, grid, trace) for edge, trace
+                     in zip(_edge_levels([g, c], grid), dn))
+    diff = np.nan_to_num(lam_g - lam_cg)[:, ~grid.corner]
+    lhs = _trapz(grid, diff * f2_vals[:, ~grid.corner], grid.h)
     rhs = _trapz(grid, pairing, grid.h**2)
     gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return {"lhs": lhs, "rhs": rhs, "relative_gap": gap}

@@ -1,8 +1,23 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tdxray.fields import SpaceTimeField, default_slice_field
 from tdxray.geometry import ball
+
+
+def load_perfbench(name: str, monkeypatch):
+    """A module of the benchmark, loaded read-only: no bytecode is written
+    next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

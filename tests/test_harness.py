@@ -1,4 +1,4 @@
-import importlib.util
+import importlib
 import math
 import os
 import sys
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_perfbench
 from tdxray import beams, errors, geometry, reconstruct, wavesim
 from tdxray.cli import main
 from tdxray.conformal import bump_factor
@@ -336,6 +337,9 @@ class TestRunner:
         ("identity-check", {"grid.sizes": []}),
         ("beam", {"beam.lambdas": [16, 16, 16, 16]}),
     ]
+    # not in the schema either; listed after every other rejected input,
+    # so that the parameter ids of those keep their indices
+    REPEATED_SIZES = ("identity-check", {"grid.sizes": [17, 17]})
     BODY_3D = {"body.dim": 3}
     ELLIPSOID = {"body.semiaxes": [2.0, 1.0, 1.0]}
 
@@ -467,6 +471,9 @@ class TestRunner:
         # rejected them
         *LATTICE_OVERFLOW[1:],
         *[(name, {key: value}) for name, key, value in WAVE_OVERFLOW],
+        # repeated sizes: two identical rows and manifest entries, and a
+        # convergence ratio of 1.0
+        REPEATED_SIZES,
     ])
     def test_rejected_input_recorded(self, tmp_path, name, cfg):
         assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
@@ -474,7 +481,7 @@ class TestRunner:
         first = (art / "error.txt").read_text().splitlines()[0]
         error_type = first.removeprefix("error_type = ")
         assert issubclass(getattr(errors, error_type), errors.TdxrayError)
-        if (name, cfg) in self.NOT_IN_SCHEMA:
+        if (name, cfg) in [*self.NOT_IN_SCHEMA, self.REPEATED_SIZES]:
             assert error_type == "ConfigInvalid"
 
     @pytest.mark.parametrize("name, cfg", LATTICE_OVERFLOW)
@@ -815,17 +822,6 @@ class TestThreads:
         monkeypatch.setenv("TDXRAY_THREADS", "2")
         assert acc.criterion_12(acc.AcceptanceContext()).passed
         assert os.environ["TDXRAY_THREADS"] == "2"
-
-
-def load_perfbench(name: str, monkeypatch):
-    """A module of the benchmark, loaded read-only: no bytecode is written
-    next to it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestBenchmarkHooks:

@@ -71,6 +71,14 @@ def leapfrog_reference(c, grid, data=None, u0=None, v0=None, source=None):
     return u
 
 
+def stored_trace(c, grid, u):
+    """The conormal trace c du/dnu (corners NaN) of the stored levels u
+    (nt, nx, nx), taken at once: the oracle for the march's level-by-level
+    trace."""
+    return wavesim._scale_trace(wavesim._edge_levels([c], grid)[0], grid,
+                                wavesim._conormal(grid, u))
+
+
 def discrete_energy(sol, c):
     """Leapfrog energy at half time steps (kinetic + cross-gradient form)."""
     g, u = sol.grid, sol.u
@@ -303,7 +311,7 @@ class TestMarch:
         for c, trace, margin in zip(family, traces, margins):
             sol = solve_dirichlet(c, grid, data)
             assert np.array_equal(sol.u, leapfrog_reference(c, grid, data))
-            assert np.array_equal(trace, dtn_apply(c, grid, data, sol=sol),
+            assert np.array_equal(trace, stored_trace(c, grid, sol.u),
                                   equal_nan=True)
             c_max = np.max(sample_factor(c, grid, grid.mesh()))
             assert margin == grid.k / (grid.h / np.sqrt(2 * c_max))
@@ -349,9 +357,8 @@ class TestSilentStart:
         for c, trace in zip(factors, traces):
             ref = leapfrog_reference(c, grid, data)
             assert np.array_equal(solve_dirichlet(c, grid, data).u, ref)
-            assert np.array_equal(
-                trace, dtn_apply(c, grid, data, sol=WaveSolution(grid, ref)),
-                equal_nan=True)
+            assert np.array_equal(trace, stored_trace(c, grid, ref),
+                                  equal_nan=True)
 
     def test_blow_up_names_the_full_march_step(self, monkeypatch):
         # past the CFL limit the skipped silent levels stay 0, so Unstable
@@ -486,7 +493,7 @@ class TestDtN:
         qx, qy = 0.3 + x - 0.4 * y, -0.7 - 0.4 * x + 1.6 * y
         gt = np.sin(3.0 * grid.times) + grid.times
         u = gt[:, None, None] * q
-        lam = dtn_apply(c, grid, None, sol=WaveSolution(grid, u))
+        lam = stored_trace(c, grid, u)
 
         I, J = grid.bI, grid.bJ
         n = grid.nx - 1
@@ -594,12 +601,13 @@ class TestRho:
 
 
 def stacked_identity(c, grid, f1, f2):
-    """key_identity_check with the interior pairing taken over (nt - 2, nx,
-    nx) stacks of centred time derivatives: the oracle for its
-    level-by-level sum."""
+    """key_identity_check from three solves, with u1 and u2 stored whole
+    and the interior pairing taken over (nt - 2, nx, nx) stacks of centred
+    time derivatives: the oracle for its one forward march of g and c and
+    its level-by-level sum."""
     g = constant_factor(1.0, dim=c.dim, T=c.T)
     sol1 = solve_dirichlet(g, grid, f1)
-    lam_g = dtn_apply(g, grid, f1, sol=sol1)
+    lam_g = stored_trace(g, grid, sol1.u)
     lam_cg = dtn_apply(c, grid, f1)
     sol2_rev = solve_dirichlet(c, grid, BoundaryData(
         lambda t, s: f2.func(grid.T - np.asarray(t, dtype=float), s), "rev"))
@@ -617,18 +625,55 @@ def stacked_identity(c, grid, f1, f2):
 
 class TestKeyIdentity:
     @pytest.mark.parametrize("nx", [33, 65])
-    @pytest.mark.parametrize("first, second", [(0, 2), (2, 0), (1, 3)])
+    @pytest.mark.parametrize("first, second", [
+        (0, 2), (2, 0), (1, 3),
+        # f1 stepped from level 0 or 1: the march records u1 from its
+        # Taylor start; from level 13: it skips the silent levels before
+        ("from0", 2), ("from1", 0), ("from13", 3)])
     def test_equals_stacked_pairing(self, nx, first, second):
         grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.5)
         c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
         probes = boundary_probes(4, 1.5)
-        args = (c, grid, probes[first], probes[second])
+        f1 = (stepped_data(grid, int(first[4:])) if isinstance(first, str)
+              else probes[first])
+        args = (c, grid, f1, probes[second])
         assert key_identity_check(*args) == stacked_identity(*args)
 
+    def test_two_marches(self, monkeypatch):
+        # the backward solve marches c alone; one forward march of g and c
+        # gives both traces and u1
+        factors, march = [], wavesim._march
+
+        def counted(c_at, *args, **kwargs):
+            factors.append(len(c_at(0)))
+            return march(c_at, *args, **kwargs)
+
+        monkeypatch.setattr(wavesim, "_march", counted)
+        grid = WaveGrid(nx=17, k=0.6 / 16, T=1.5)
+        c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
+        probes = boundary_probes(4, 1.5)
+        key_identity_check(c, grid, probes[0], probes[2])
+        assert sorted(factors) == [1, 2]
+
+    def test_peak_below_two_stacks(self):
+        # u2 is the one stored (nt, nx, nx) stack (5.4 MB here); u1 is held
+        # two levels at a time: 1.45 stacks measured, against 2.49 with u1
+        # stored too
+        grid = WaveGrid(nx=65, k=0.6 / 64, T=1.5)
+        c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
+        probes = boundary_probes(4, 1.5)
+        tracemalloc.start()
+        try:
+            key_identity_check(c, grid, probes[0], probes[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.nt * grid.nx**2 * 8
+
     def test_peak_below_three_stacks(self):
-        # the two stored solutions are two (nt, nx, nx) stacks (5.4 MB
-        # each here); the pairing adds levels, not stacks: 2.5 stacks
-        # measured, against 5.2 for the stacked pairing
+        # the pairing adds levels, not stacks: 5.2 stacks (5.4 MB each
+        # here) for the stacked pairing, 2.5 with both solutions stored
+        # and summed level by level
         grid = WaveGrid(nx=65, k=0.6 / 64, T=1.5)
         c = bump_factor(0.05, (0.55, 0.42), 0.27, T=1.5)
         probes = boundary_probes(4, 1.5)
