@@ -162,9 +162,9 @@ def criterion_02(ctx: AcceptanceContext):
 def criterion_03(ctx: AcceptanceContext):
     """Hidden-region envelope transfers from calibration to held-out bumps."""
     grid, entries = ctx.envelope
-    mesh = grid.frequency_mesh()
     hidden = ~grid.visible_mask
-    taus = np.abs(mesh[0][hidden])
+    tau = np.broadcast_to(grid.frequency_mesh()[0], grid.shape)
+    taus = np.abs(tau[hidden])
 
     def ratio(entry):
         vals = np.abs(entry["values"][hidden])

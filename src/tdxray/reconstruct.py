@@ -106,20 +106,23 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     call over all its xi: one ray-data grid per direction, and the same
     values as one call per point, bit for bit.
     """
-    mesh = grid.frequency_mesh()
     available = grid.visible_mask & (grid.radius_mesh <= R_max)
 
     # one representative per Hermitian mirror pair, the first of the two
-    # in C order; a point off the core or equal to its mirror stands alone
+    # in C order; a point off the core or equal to its mirror stands
+    # alone.  On the core the mirror of flat index i is 2c - i, with c the
+    # flat index of k = 0, so the first of a pair is the one before c.
     index = np.arange(available.size).reshape(available.shape)
-    partner = index.copy()
-    partner[grid.core] = grid.mirrored(index)
-    paired = available & available.ravel()[partner] & (partner != index)
-    rep = available & ~(paired & (partner < index))
+    centre = index[(grid.n // 2,) * index.ndim]
+    mirror_available = np.zeros_like(available)
+    mirror_available[grid.core] = grid.mirrored(available)
+    paired = available & mirror_available & (index != centre)
+    rep = available & ~(paired & (index > centre))
     has_mirror = paired[rep]
-    mirrors = partner[rep][has_mirror]
-    del index, partner, paired
+    mirrors = 2 * centre - index[rep][has_mirror]
+    del index, mirror_available, paired
 
+    mesh = np.broadcast_arrays(*grid.frequency_mesh())
     taus = mesh[0][rep]
     xis = np.stack([m[rep] for m in mesh[1:]], axis=-1)
     results = np.empty(taus.shape, dtype=complex)
@@ -145,17 +148,23 @@ def hermitian_noise(grid: SpectralGrid, mask: np.ndarray, amplitude: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Complex uniform noise on the masked lattice with eta(-k) = conj(eta(k)).
 
-    Components are uniform in [-amplitude, amplitude]; symmetrisation
-    averages mirror pairs, preserving the amplitude bound.
+    Components are uniform in [-amplitude, amplitude], the real parts
+    drawn before the imaginary ones; symmetrisation averages mirror
+    pairs, preserving the amplitude bound.  eta is built in one complex
+    buffer, which the caller owns: the average goes through one
+    core-sized temporary, as the mirror half must be read before the core
+    is overwritten.
     """
-    shape = mask.shape
-    eta = (rng.uniform(-amplitude, amplitude, shape)
-           + 1j * rng.uniform(-amplitude, amplitude, shape))
+    eta = np.empty(mask.shape, dtype=complex)
+    eta.real = rng.uniform(-amplitude, amplitude, mask.shape)
+    eta.imag = rng.uniform(-amplitude, amplitude, mask.shape)
     eta[~mask] = 0.0
-    sym = eta.copy()
-    sym[grid.core] = 0.5 * (eta[grid.core] + np.conj(grid.mirrored(eta)))
-    sym[~mask] = 0.0
-    return sym
+    mean = np.conj(grid.mirrored(eta))
+    np.add(eta[grid.core], mean, out=mean)
+    mean *= 0.5
+    eta[grid.core] = mean
+    eta[~mask] = 0.0
+    return eta
 
 
 # ---------------------------------------------------------------- inversion
@@ -296,7 +305,9 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     Hermitian complex uniform noise of amplitude delta * V, where V is the
     worst-case launch-area factor transferring per-ray sup noise into a
     slice value.  The envelope constant is calibrated on the first
-    feasible row.
+    feasible row.  One noisy lattice is held at a time: a row's noise
+    buffer becomes its noisy values, and is released with the row's
+    reconstruction before the next row draws.
     """
     noise_levels = list(noise_levels)
     if any(noise_levels[i] < noise_levels[i + 1]
@@ -332,25 +343,25 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     rows = []
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
         if level == 0.0:
-            R = 0.98 * R_limit
-            rec, diag = truncated_inversion(
-                SpectralSource.from_samples(grid, truth), R)
-            l2, c0 = reconstruction_errors(grid, truth, rec)
-            rows.append(StabilityRow(0.0, R, l2, c0, float("nan"), True, False,
-                                     **diag))
-            continue
-        if cut is None:
+            R, conflict = 0.98 * R_limit, False
+            data = SpectralSource.from_samples(grid, truth)
+        elif cut is None:
             rows.append(StabilityRow(delta_hat, float("nan"), float("nan"),
                                      float("nan"), float("nan"), False,
                                      False, 0, float("nan")))
             continue
-        noise = hermitian_noise(grid, kept_modes(source, cut.R),
-                                delta_hat * V, rng)
-        noisy = SpectralSource(grid, source.values + noise, source.available)
-        rec, diag = truncated_inversion(noisy, cut.R)
+        else:
+            # the row's noise buffer becomes its noisy values
+            R, conflict = cut.R, cut.conflict
+            data = SpectralSource(grid, hermitian_noise(
+                grid, kept_modes(source, R), delta_hat * V, rng),
+                source.available)
+            np.add(source.values, data.values, out=data.values)
+        rec, diag = truncated_inversion(data, R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
-        rows.append(StabilityRow(delta_hat, cut.R, l2, c0, float("nan"),
-                                 True, cut.conflict, **diag))
+        rows.append(StabilityRow(delta_hat, R, l2, c0, float("nan"), True,
+                                 conflict, **diag))
+        del data, rec
 
     feas = [r for r in rows if r.feasible and r.delta > 0]
     envelope_C = float("nan")

@@ -127,9 +127,13 @@ class SpectralGrid:
 
     The dim + 1 axes, t first, start at origin, step by spacing and hold
     n points each.  Frozen, because the radius mesh, the visible mask and
-    the corner phase are computed once per grid and shared read-only.
-    Grids compare and hash by identity, as the array fields have no
-    single truth value.
+    the cell phase (the cell volume times exp(-i origin . k), the factor
+    that turns the DFT into the trapezoid rule) are computed once per grid
+    from the open frequency mesh and shared read-only.  forward scales
+    the FFT's own output in place before shifting it; inverse divides and
+    transforms in place in its one shifted copy of the values.  Grids
+    compare and hash by identity, as the array fields have no single
+    truth value.
     """
 
     origin: np.ndarray
@@ -203,9 +207,16 @@ class SpectralGrid:
         """Frequency spacing per axis, tau first."""
         return 2 * np.pi / (self.n * self.spacing)
 
+    @property
+    def shape(self) -> tuple:
+        """Shape of the sample grid and of the frequency lattice."""
+        return (self.n,) * (self.dim + 1)
+
     def frequency_mesh(self):
+        """The open frequency mesh: axis a's frequencies along axis a,
+        length 1 on every other axis, so they broadcast to the lattice."""
         return np.meshgrid(*(self.freqs(a) for a in range(self.dim + 1)),
-                           indexing="ij")
+                           indexing="ij", sparse=True)
 
     @property
     def core(self) -> tuple:
@@ -223,13 +234,14 @@ class SpectralGrid:
 
     @cached_property
     def radius_mesh(self) -> np.ndarray:
-        mesh = self.frequency_mesh()
-        return _read_only(np.sqrt(sum(m * m for m in mesh)))
+        r = sum(m * m for m in self.frequency_mesh())
+        return _read_only(np.sqrt(r, out=r))
 
     @cached_property
     def visible_mask(self) -> np.ndarray:
-        mesh = self.frequency_mesh()
-        return _read_only(is_visible(mesh[0], np.stack(mesh[1:], axis=-1)))
+        tau, *xi = self.frequency_mesh()
+        return _read_only(is_visible(
+            tau, np.stack(np.broadcast_arrays(*xi), axis=-1)))
 
     # --- transforms ----------------------------------------------------
 
@@ -241,29 +253,46 @@ class SpectralGrid:
         xmesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         t = self.axis(0).reshape((self.n,) + (1,) * self.dim)
         out = np.asarray(f(t, xmesh), dtype=float)
-        if out.shape != (self.n,) * (self.dim + 1):
+        if out.shape != self.shape:
             raise ValueError(f"{f.name}: evaluator gave shape {out.shape} "
                              f"for t {t.shape} against x {xmesh.shape}")
         return out
 
+    def _check_lattice(self, a: np.ndarray, what: str) -> None:
+        """ValueError unless a has the lattice's shape: numpy would
+        broadcast a lower-dimensional array into a plausible answer."""
+        if np.shape(a) != self.shape:
+            raise ValueError(f"{what} of shape {np.shape(a)}: the lattice "
+                             f"is {self.shape}")
+
     @cached_property
-    def _corner_phase(self) -> np.ndarray:
-        """exp(-i origin . (tau, xi)) on the centered lattice."""
-        mesh = self.frequency_mesh()
+    def _cell_phase(self) -> np.ndarray:
+        """cell_volume * exp(-i origin . (tau, xi)) in the FFT's unshifted
+        order: the factor of the trapezoid rule over the DFT."""
+        mesh = [np.fft.ifftshift(m) for m in self.frequency_mesh()]
         phase = self.origin[0] * mesh[0]
         for o, m in zip(self.origin[1:], mesh[1:]):
             phase = phase + o * m
-        return _read_only(np.exp(-1j * phase))
+        phase = -1j * phase
+        np.exp(phase, out=phase)
+        phase *= self.cell_volume
+        return _read_only(phase)
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Trapezoid-rule transform on the centered frequency lattice."""
-        spec = np.fft.fftshift(np.fft.fftn(samples))
-        return self.cell_volume * self._corner_phase * spec
+        self._check_lattice(samples, "samples")
+        spec = np.fft.fftn(samples)
+        np.multiply(self._cell_phase, spec, out=spec)
+        return np.fft.fftshift(spec)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward` back onto the sample grid."""
-        spec = values / (self.cell_volume * self._corner_phase)
-        return np.fft.ifftn(np.fft.ifftshift(spec))
+        self._check_lattice(values, "values")
+        # a grid's first call builds the phase before the buffer exists
+        phase = self._cell_phase
+        spec = np.fft.ifftshift(np.asarray(values, dtype=complex))
+        np.divide(spec, phase, out=spec)
+        return np.fft.ifftn(spec, out=spec)
 
     def point_transform(self, samples: np.ndarray, taus, xis) -> np.ndarray:
         """Direct trapezoid sum at arbitrary (tau, xi) points.

@@ -20,6 +20,39 @@ def load_perfbench(name: str, monkeypatch):
     return module
 
 
+def bits(a) -> np.ndarray:
+    """The bits of a float or complex array, as int64."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def dense_frequency_mesh(grid):
+    """The centered frequency mesh, one dense lattice per axis."""
+    return np.meshgrid(*(grid.freqs(a) for a in range(grid.dim + 1)),
+                       indexing="ij")
+
+
+def corner_phase(grid) -> np.ndarray:
+    """exp(-i origin . (tau, xi)) on the dense centered mesh: the oracle
+    for the grid's cached cell phase."""
+    mesh = dense_frequency_mesh(grid)
+    phase = grid.origin[0] * mesh[0]
+    for o, m in zip(grid.origin[1:], mesh[1:]):
+        phase = phase + o * m
+    return np.exp(-1j * phase)
+
+
+def oracle_forward(grid, samples) -> np.ndarray:
+    """The lattice transform as three lattice products."""
+    spec = np.fft.fftshift(np.fft.fftn(samples))
+    return grid.cell_volume * corner_phase(grid) * spec
+
+
+def oracle_inverse(grid, values) -> np.ndarray:
+    """The inverse as a product, a quotient and a shifted copy."""
+    spec = values / (grid.cell_volume * corner_phase(grid))
+    return np.fft.ifftn(np.fft.ifftshift(spec))
+
+
 @pytest.fixture(scope="session")
 def unit_disk():
     return ball()

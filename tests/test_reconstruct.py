@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits, oracle_inverse
 from tdxray import reconstruct
 from tdxray.errors import InfeasibleSandwich, RTooLargeForGrid
 from tdxray.fields import default_recon_field, single_bump
@@ -16,6 +18,18 @@ from tdxray.reconstruct import (SpectralSource, choose_R,
                                 truncated_inversion, visible_slice_source)
 from tdxray.spectral import (SpectralGrid, slice_from_sinogram,
                              visible_direction)
+
+
+def oracle_noise(grid, mask, amplitude, rng):
+    """hermitian_noise as a + 1j*b, symmetrised from a copy."""
+    shape = mask.shape
+    eta = (rng.uniform(-amplitude, amplitude, shape)
+           + 1j * rng.uniform(-amplitude, amplitude, shape))
+    eta[~mask] = 0.0
+    sym = eta.copy()
+    sym[grid.core] = 0.5 * (eta[grid.core] + np.conj(grid.mirrored(eta)))
+    sym[~mask] = 0.0
+    return sym
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +211,7 @@ class TestSliceSource:
         # mirror classes by the even-lattice rule -k at index N - j, with
         # the j = 0 rows unpaired; each class is filled by one slice of
         # its first member in C order, except at xi = 0 (no direction)
-        mesh = grid.frequency_mesh()
+        mesh = np.broadcast_arrays(*grid.frequency_mesh())
         N = np.array(pick.shape)
         classes = set()
         for idx in map(tuple, np.argwhere(pick)):
@@ -227,7 +241,7 @@ class TestSliceSource:
         R_max, kwargs = 3.2, dict(n_launch=48, n_s=48)
         src = visible_slice_source(f, body, grid, samples, R_max, **kwargs)
 
-        mesh = grid.frequency_mesh()
+        mesh = np.broadcast_arrays(*grid.frequency_mesh())
         N = np.array(src.available.shape)
         expected = np.zeros(src.available.shape, dtype=complex)
         for idx in map(tuple, np.argwhere(src.available)):
@@ -258,8 +272,92 @@ class TestHermitianNoise:
         assert np.max(np.abs(eta.imag)) <= 1e-3
         assert np.all(eta[~mask] == 0.0)
 
+    @staticmethod
+    def check_bits(grid, mask, amplitude, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        eta = hermitian_noise(grid, mask, amplitude, rng)
+        assert np.array_equal(bits(eta),
+                              bits(oracle_noise(grid, mask, amplitude, twin)))
+        # the same draws, so the sweep's next row sees the same stream
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @given(half=st.integers(1, 8), dim=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1), fill=st.floats(0.0, 1.0),
+           amplitude=st.floats(1e-12, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_on_small_lattices(self, half, dim, seed, fill, amplitude):
+        grid = SpectralGrid(np.zeros(dim + 1), np.full(dim + 1, 0.3),
+                            2 * half)
+        mask = np.random.default_rng(seed + 1).random(grid.shape) < fill
+        self.check_bits(grid, mask, amplitude, seed)
+
+    def test_bits_on_the_recon_default_lattice(self):
+        f = default_recon_field()
+        grid = SpectralGrid.for_field(f, n_points=64, extent=14.0)
+        mask = grid.visible_mask & (grid.radius_mesh < 2.2)
+        self.check_bits(grid, mask, 3.7e-4, 2901)
+
+
+# the tiny stability-curve config of the benchmark: 32^3, three levels
+TINY_LEVELS = [1e-2, 1e-3, 1e-4]
+TINY_SLICES = dict(n_launch=48, n_s=48)
+
+
+def tiny_sweep(seed, grid=None):
+    f = default_recon_field()
+    if grid is None:
+        grid = SpectralGrid.for_field(f, n_points=32, extent=14.0)
+    return grid, stability_curve(f, ball(4.0), TINY_LEVELS, 0.5, seed, grid,
+                                 **TINY_SLICES)
+
+
+def traced(run):
+    """run()'s result and the tracemalloc peak of the allocations it
+    made."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def traced_tiny_sweeps():
+    """The tiny sweep traced twice: on a fresh grid, which builds its
+    cached lattices, then again on that grid.  One untraced run on
+    another grid before them keeps first-call set-up elsewhere in the
+    process out of both peaks."""
+    tiny_sweep(1)
+    (grid, curve), fresh = traced(lambda: tiny_sweep(0))
+    _, warm = traced(lambda: tiny_sweep(0, grid))
+    return grid, curve, fresh, warm
+
 
 class TestStabilityCurve:
+    # peaks in complex lattice arrays (32^3, 512 KiB each)
+    def test_peak_on_a_fresh_grid(self, traced_tiny_sweeps):
+        # 11.2 at the parent, 6.3 with the inverse in place and the
+        # cell phase built from the open mesh
+        grid, _, fresh, _ = traced_tiny_sweeps
+        assert fresh < 8 * grid.n ** 3 * 16
+
+    def test_peak_on_a_warm_grid(self, traced_tiny_sweeps):
+        # 9.7 at the parent; 4.7 with one noisy lattice at a time, and
+        # 5.8 if a row's noisy values and reconstruction outlive it
+        grid, _, _, warm = traced_tiny_sweeps
+        assert warm < 5.5 * grid.n ** 3 * 16
+
+    def test_rows_equal_the_oracle_sweep(self, traced_tiny_sweeps):
+        # the sweep with the three-product inverse and the a + 1j*b noise
+        _, curve, _, _ = traced_tiny_sweeps
+        with mock.patch.object(reconstruct, "hermitian_noise", oracle_noise), \
+                mock.patch.object(SpectralGrid, "inverse", oracle_inverse):
+            _, oracle = tiny_sweep(0)
+        assert [r.feasible for r in curve.rows] == [False, True, True]
+        for row, want in zip(curve.rows, oracle.rows):
+            assert repr(row) == repr(want)
+
     def test_noise_free_baseline(self, recon_setup):
         f, body, grid, oracle = recon_setup
         curve = stability_curve(f, body, [0.0], 0.5, 7, grid,

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import (bits, dense_frequency_mesh, oracle_forward,
+                      oracle_inverse)
 from tdxray import spectral
 from tdxray.errors import (CoverageError, NotVisible, OddLattice,
                            SupportTruncated, ZeroXi)
@@ -140,6 +142,51 @@ class TestFourierFull:
         val = grid.point_transform(samples, [grid.freqs(0)[i]],
                                    [[grid.freqs(1)[j], grid.freqs(2)[k]]])[0]
         assert abs(val - lattice[i, j, k]) < 1e-10
+
+
+def random_lattice(half, dim, seed):
+    """A grid of 2 * half points per axis at a drawn origin and spacing,
+    real samples and complex values on it."""
+    rng = np.random.default_rng(seed)
+    grid = SpectralGrid(rng.uniform(-4.0, 4.0, dim + 1),
+                        rng.uniform(0.05, 0.6, dim + 1), 2 * half)
+    samples = rng.standard_normal(grid.shape)
+    values = (rng.standard_normal(grid.shape)
+              + 1j * rng.standard_normal(grid.shape))
+    return grid, samples, values
+
+
+class TestLatticeBits:
+    """The cached cell phase, the in-place transforms and the open-mesh
+    lattices give the bits of the dense-mesh, three-product forms."""
+
+    @staticmethod
+    def check(grid, samples, values):
+        kept = values.copy()
+        assert np.array_equal(bits(grid.forward(samples)),
+                              bits(oracle_forward(grid, samples)))
+        assert np.array_equal(bits(grid.inverse(values)),
+                              bits(oracle_inverse(grid, values)))
+        assert np.array_equal(bits(values), bits(kept))
+        mesh = dense_frequency_mesh(grid)
+        assert np.array_equal(bits(grid.radius_mesh),
+                              bits(np.sqrt(sum(m * m for m in mesh))))
+        assert np.array_equal(grid.visible_mask, is_visible(
+            mesh[0], np.stack(mesh[1:], axis=-1)))
+
+    @given(half=st.integers(1, 8), dim=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_lattices(self, half, dim, seed):
+        self.check(*random_lattice(half, dim, seed))
+
+    def test_recon_default_lattice(self):
+        # the 64^3 lattice of the stability-curve defaults, with the
+        # field's own transform as the values
+        f = default_recon_field()
+        grid = SpectralGrid.for_field(f, n_points=64, extent=14.0)
+        samples = grid.sample(f)
+        self.check(grid, samples, oracle_forward(grid, samples))
 
 
 class TestRegions:
@@ -510,16 +557,26 @@ class TestGridGuards:
     def test_mirror_is_negated_frequency(self, n, dim):
         grid = SpectralGrid(np.zeros(dim + 1), np.array([0.3] + [0.2] * dim),
                             n)
-        for axis in grid.frequency_mesh():
+        for axis in np.broadcast_arrays(*grid.frequency_mesh()):
             assert np.array_equal(grid.mirrored(axis), -axis[grid.core])
 
     def test_lattice_arrays_built_once_and_read_only(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
-        for name in ("radius_mesh", "visible_mask", "_corner_phase"):
+        for name in ("radius_mesh", "visible_mask", "_cell_phase"):
             first = getattr(grid, name)
             assert getattr(grid, name) is first, name
             with pytest.raises(ValueError):
                 first[(0,) * first.ndim] = first[(1,) * first.ndim]
+
+    # at the parent these broadcast into plausible answers: (8, 8) and
+    # (1, 8, 8) gave (8, 8, 8) transforms, (8,) * 4 a 4-D one
+    @pytest.mark.parametrize("method, shape", [
+        ("forward", (8, 8)), ("forward", (1, 8, 8)), ("forward", (8,) * 4),
+        ("inverse", (8,)), ("inverse", (8, 8)), ("inverse", (8, 1, 8))])
+    def test_transforms_reject_other_shapes(self, method, shape):
+        grid = SpectralGrid(np.zeros(3), np.array([0.3, 0.2, 0.2]), 8)
+        with pytest.raises(ValueError, match=r"the lattice is \(8, 8, 8\)"):
+            getattr(grid, method)(np.ones(shape))
 
     def test_grids_compare_and_hash_by_identity(self, slice_field):
         # the generated == compared the array fields, which raised numpy's
@@ -537,7 +594,7 @@ class TestGridGuards:
     def test_mask_agrees_with_pointwise_classification(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
         visible = grid.visible_mask
-        mesh = grid.frequency_mesh()
+        mesh = np.broadcast_arrays(*grid.frequency_mesh())
         it = np.nditer(mesh[0], flags=["multi_index"])
         for tau in it:
             idx = it.multi_index
