@@ -392,18 +392,12 @@ def cutoff_build(beam: BeamCurve):
     nodes_x = np.concatenate([beam.xtilde[::stride], beam.xtilde[-1:]])
 
     def smoothstep(w):
-        w = np.clip(w, 0.0, 1.0)
-        out = np.empty_like(w)
-        lo = w <= 0.0
-        hi = w >= 1.0
-        mid = ~(lo | hi)
-        out[lo] = 1.0
-        out[hi] = 0.0
-        wm = w[mid]
-        sa = np.exp(-1.0 / (1.0 - wm))
-        sb = np.exp(-1.0 / wm)
-        out[mid] = sa / (sa + sb)
-        return out
+        # + 0.0 turns -0.0 into +0.0, so that w = 0 gives 1, not 0
+        w = np.clip(w, 0.0, 1.0) + 0.0
+        with np.errstate(divide="ignore"):
+            sa = np.exp(-1.0 / (1.0 - w))
+            sb = np.exp(-1.0 / w)
+        return sa / (sa + sb)
 
     def chi(s, y):
         s = np.asarray(s, dtype=float)

@@ -108,19 +108,16 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     """
     available = grid.visible_mask & (grid.radius_mesh <= R_max)
 
-    # one representative per Hermitian mirror pair, the first of the two
-    # in C order; a point off the core or equal to its mirror stands
-    # alone.  On the core the mirror of flat index i is 2c - i, with c the
-    # flat index of k = 0, so the first of a pair is the one before c.
-    index = np.arange(available.size).reshape(available.shape)
-    centre = index[(grid.n // 2,) * index.ndim]
-    mirror_available = np.zeros_like(available)
-    mirror_available[grid.core] = grid.mirrored(available)
-    paired = available & mirror_available & (index != centre)
-    rep = available & ~(paired & (index > centre))
-    has_mirror = paired[rep]
-    mirrors = 2 * centre - index[rep][has_mirror]
-    del index, mirror_available, paired
+    # one representative per Hermitian mirror pair (SpectralGrid.mirrored),
+    # the first of the two in C order, which lies before k = 0; a point
+    # off the core or equal to its mirror stands alone, and the second of
+    # a pair takes the conjugate of its first
+    second = np.zeros_like(available)
+    second[grid.core] = available[grid.core] & grid.mirrored(available)
+    k0 = np.ravel_multi_index((grid.n // 2,) * available.ndim,
+                              available.shape)
+    second.reshape(-1)[:k0 + 1] = False
+    rep = available & ~second
 
     mesh = np.broadcast_arrays(*grid.frequency_mesh())
     taus = mesh[0][rep]
@@ -140,7 +137,8 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
 
     values = np.zeros(available.shape, dtype=complex)
     values[rep] = results
-    values.flat[mirrors] = np.conj(results[has_mirror])
+    late = second[grid.core]
+    values[grid.core][late] = np.conj(grid.mirrored(values)[late])
     return SpectralSource(grid, values, available)
 
 
@@ -222,8 +220,9 @@ def reconstruction_errors(grid: SpectralGrid, truth: np.ndarray,
     norm = grid.discrete_l2(truth)
     if norm == 0.0:
         raise IncompatibleData("the field samples to 0 on the lattice")
-    l2 = grid.discrete_l2(rec - truth) / norm
-    c0 = float(np.max(np.abs(rec - truth)) / np.max(np.abs(truth)))
+    diff = rec - truth
+    l2 = grid.discrete_l2(diff) / norm
+    c0 = float(np.max(np.abs(diff)) / np.max(np.abs(truth)))
     return float(l2), c0
 
 

@@ -311,7 +311,8 @@ class SpectralGrid:
         return self.cell_volume * out
 
     def discrete_l2(self, samples: np.ndarray) -> float:
-        return float(np.sqrt(self.cell_volume * np.sum(np.abs(samples) ** 2)))
+        """Trapezoid L2 norm of real samples on the sample grid."""
+        return float(np.sqrt(self.cell_volume * np.sum(np.square(samples))))
 
 
 # ---------------------------------------------------------------- slices
@@ -331,8 +332,7 @@ def check_coverage(f: SpaceTimeField, body: ConvexBody) -> None:
 
 
 def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
-                        n_launch: int, n_s: int,
-                        use_separable: bool = True) -> complex | np.ndarray:
+                        n_launch: int, n_s: int) -> complex | np.ndarray:
     """Spatial Fourier transform of the ray data in direction omega at xi.
 
     Evaluates F_{x->xi}(If)(xi, omega) by quadrature organised along the
@@ -359,10 +359,10 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     H on its support, which is much cheaper.  That path hands H the launch
     frame (center, omega, perp, the 1-D along rows and v-axes) and builds
     no point mesh; the tensor path meshes the launch points and evaluates
-    f on every chord sample.  Either path raises
-    SupportTruncated when the ray data do not vanish at the edges of the
-    support box, along the ray or across it.  Pass use_separable=False to
-    force the direct tensor evaluation.
+    f on every chord sample.  A field without a separable form takes the
+    tensor path, which stays the oracle of the correlation path.  Either
+    path raises SupportTruncated when the ray data do not vanish at the
+    edges of the support box, along the ray or across it.
     """
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
@@ -388,7 +388,7 @@ def slice_from_sinogram(f: SpaceTimeField, omega, xi, body: ConvexBody,
     v_axes = [np.arange(n_launch + 1) * spacing - (h + perp_pad)
               for h in h_perp]
 
-    if use_separable and f.separable is not None:
+    if f.separable is not None:
         # f = g(t) H(x) with the s-grid on the launch spacing, so with
         # m = u + s the ray sum is the correlation q_j = spacing
         # sum_k g_k H_{j+k}, and by the correlation theorem its u-Fourier

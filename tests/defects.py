@@ -3,7 +3,8 @@ one name in src/ for as long as it is entered.
 
 A gate that no plausible defect trips does not make its number
 trustworthy; tests/test_defects.py runs the criteria of the defect's
-module under each entry and asserts that some criterion fails.
+module under each entry and asserts that some criterion fails, and
+tests/defect_table.py prints the defect x criterion table of README.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 
+from tdxray import reconstruct
 from tdxray.spectral import SpectralGrid
 
 
@@ -36,3 +38,22 @@ def inverse_no_phase():
         return np.fft.ifftn(np.fft.ifftshift(values / self.cell_volume))
 
     return _inverse(inverse)
+
+
+def fill_conj():
+    """The visible-slice fill given the conjugate of every chord slice, as
+    if the slice phase had the wrong sign."""
+    slice_from_sinogram = reconstruct.slice_from_sinogram
+
+    def conjugated(*args, **kwargs):
+        return np.conj(slice_from_sinogram(*args, **kwargs))
+
+    return mock.patch.object(reconstruct, "slice_from_sinogram", conjugated)
+
+
+# each defect and the module whose acceptance criteria should catch it
+CATALOGUE = {
+    "inverse_no_shift": "reconstruct",
+    "inverse_no_phase": "reconstruct",
+    "fill_conj": "reconstruct",
+}

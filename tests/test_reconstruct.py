@@ -186,16 +186,26 @@ class TestSliceSource:
         assert not np.any(src.available & (r > 1.8))
 
 
-    @given(n=st.integers(4, 8).map(lambda k: 2 * k),
+    # (dim, n): the 2-D recon field's lattices, and 3-D lattices of one
+    # bump, whose four axes pair mirrors across every one of them
+    @given(case=st.one_of(
+               st.tuples(st.just(2), st.integers(4, 8).map(lambda k: 2 * k)),
+               st.tuples(st.just(3), st.sampled_from([8, 10, 12]))),
            R_max=st.floats(0.0, 4.0))
     @settings(max_examples=25, deadline=None)
-    def test_mirror_pair_fill(self, n, R_max):
-        f = default_recon_field()
-        grid = SpectralGrid.for_field(f, n_points=n, extent=14.0)
+    def test_mirror_pair_fill(self, case, R_max):
+        dim, n = case
+        if dim == 2:
+            f, body, extent = default_recon_field(), ball(4.0), 14.0
+        else:
+            f = single_bump(x_center=(0.05, -0.08, 0.03), name="bump3d")
+            body, extent = ball(1.0, 3), 5.0
+        grid = SpectralGrid.for_field(f, n_points=n, extent=extent)
         calls = []
 
         def value(omega, xi):
-            return complex(xi[0] + 2.0 * xi[1], omega[0] - 3.0 * omega[1])
+            return complex(np.dot(xi, (1.0, 2.0, 5.0)[:dim]),
+                           np.dot(omega, (1.0, -3.0, 7.0)[:dim]))
 
         def stub(f, omega, xis, body, **kwargs):
             # one call per chord direction, one value per xi row
@@ -203,7 +213,7 @@ class TestSliceSource:
             return np.array([value(omega, xi) for xi in xis])
 
         with mock.patch.object(reconstruct, "slice_from_sinogram", stub):
-            src = visible_slice_source(f, ball(4.0), grid, grid.sample(f),
+            src = visible_slice_source(f, body, grid, grid.sample(f),
                                        R_max, n_launch=200, n_s=160)
         pick = grid.visible_mask & (grid.radius_mesh <= R_max)
         assert np.array_equal(src.available, pick)

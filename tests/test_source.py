@@ -28,8 +28,6 @@ KEPT_PARAMETERS = {
     # perfbench/workloads.py builds MetricSpec("conformal", c)
     "MetricSpec.kind",
     "MetricSpec.c",
-    # the direct tensor evaluation is the oracle of the separable slice
-    "slice_from_sinogram.use_separable",
     # time-dependent factors are the paper's subject; the dtn pipeline is
     # to take them next
     "bump_factor.t_center",

@@ -34,6 +34,12 @@ def separable_gaussian():
                           np.array([0.9, 0.9]), 2, "gaussian", None)
 
 
+def tensor_only(f):
+    """f without its separable form: slice_from_sinogram then takes the
+    tensor path, the oracle of the correlation path."""
+    return dataclasses.replace(f, separable=None)
+
+
 def sampled_level_by_level(grid, f):
     """f on the lattice with one evaluator call per time level, t filled
     to the x mesh's shape: the oracle for the one-call sample."""
@@ -312,10 +318,10 @@ class TestSlices:
                                                 slice_field):
         omega = np.array([0.8, 0.6])
         xi = np.array([1.7, -2.2])
-        a = slice_from_sinogram(slice_field, omega, xi, unit_disk,
-                                n_launch=160, n_s=160, use_separable=False)
+        a = slice_from_sinogram(tensor_only(slice_field), omega, xi,
+                                unit_disk, n_launch=160, n_s=160)
         b = slice_from_sinogram(slice_field, omega, xi, unit_disk,
-                                n_launch=160, n_s=160, use_separable=True)
+                                n_launch=160, n_s=160)
         assert abs(a - b) < 1e-7
 
     def test_coverage_error(self, slice_field):
@@ -404,8 +410,8 @@ class TestSliceEngine:
                                   n_s=n_s)
         ref, l1 = correlation_reference(f, omega, xi, n_launch)
         assert abs(val - ref) <= 1e-12 * l1
-        oracle = slice_from_sinogram(f, omega, xi, body, n_launch=n_launch,
-                                     n_s=n_s, use_separable=False)
+        oracle = slice_from_sinogram(tensor_only(f), omega, xi, body,
+                                     n_launch=n_launch, n_s=n_s)
         assert abs(val - oracle) <= bar(oracle)
         # the oracle bars were set at the fixed sizes; the correlation
         # loop must agree at any size, down to those where an axis ending
@@ -422,33 +428,35 @@ class TestSliceEngine:
     # path; pad < 0: the exact correlation rows stop short of the box.
     # Each returned a truncated value before its check; the x2 cut was
     # off by 1.9% on both paths.
-    @pytest.mark.parametrize("clip, pad, use_separable", [
+    @pytest.mark.parametrize("clip, pad, separable", [
         pytest.param((0.2, 0.0), 0.06, True, id="0.2-0.06"),
         pytest.param((0.0, 0.0), -0.05, True, id="0.0--0.05"),
         pytest.param((0.0, 0.2), 0.06, True, id="across-separable"),
         pytest.param((0.0, 0.2), 0.06, False, id="across-tensor")])
     def test_understated_support_raised(self, unit_disk, slice_field,
-                                        monkeypatch, clip, pad,
-                                        use_separable):
+                                        monkeypatch, clip, pad, separable):
         monkeypatch.setattr(spectral, "LAUNCH_PAD", pad)
         clipped = dataclasses.replace(slice_field,
                                       x_lo=slice_field.x_lo + np.array(clip),
                                       x_hi=slice_field.x_hi - np.array(clip))
+        if not separable:
+            clipped = tensor_only(clipped)
         with pytest.raises(SupportTruncated):
             slice_from_sinogram(clipped, (1.0, 0.0), (1.7, -2.2), unit_disk,
-                                n_launch=160, n_s=160,
-                                use_separable=use_separable)
+                                n_launch=160, n_s=160)
 
-    @pytest.mark.parametrize("use_separable", [True, False])
+    @pytest.mark.parametrize("separable", [True, False])
     def test_rows_equal_one_xi_calls(self, unit_disk, slice_field,
-                                     use_separable):
+                                     separable):
         # one call over a stack of xi builds q once and sums it per row;
         # each row must be the one-xi call bit for bit, on the correlation
         # path and on its tensor oracle
         omega = (0.6, -0.8)
         xis = np.array([[1.7, -2.2], [0.0, 0.0], [-3.1, 0.4], [0.85, -1.1],
                         [5.0, 5.0]])
-        kwargs = dict(n_launch=48, n_s=48, use_separable=use_separable)
+        if not separable:
+            slice_field = tensor_only(slice_field)
+        kwargs = dict(n_launch=48, n_s=48)
         batched = slice_from_sinogram(slice_field, omega, xis, unit_disk,
                                       **kwargs)
         assert batched.shape == (len(xis),) and batched.dtype == complex
