@@ -26,8 +26,8 @@ from .. import beams
 from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
 from ..geometry import MetricSpec, ball, make_ray, sample_inward_bundle
-from ..reconstruct import (SpectralSource, choose_R, parseval_split,
-                           truncated_inversion)
+from ..reconstruct import (SpectralSource, choose_R, kept_modes,
+                           parseval_split, truncated_inversion)
 from ..spectral import (SpectralGrid, hidden_bound, is_visible,
                         visible_direction)
 from ..xray import sinogram
@@ -220,7 +220,7 @@ def criterion_06(ctx: AcceptanceContext):
     truth = grid.sample(f)
     source = SpectralSource.from_samples(grid, truth)
     R = choose_R(1e-9, 0.5, 2).R
-    rec, _ = truncated_inversion(source, R)
+    rec, _ = truncated_inversion(grid, *kept_modes(source, R), R)
     err2 = grid.discrete_l2(rec - truth) ** 2
     split = parseval_split(source, R)
     expect = split["hidden_in_ball"] + split["out_of_ball"]

@@ -15,8 +15,9 @@ from ..errors import ConfigInvalid, IncompatibleData, Inadmissible, TdxrayError
 from ..geometry import (MetricSpec, ball, ellipsoid, exit_budget, make_ray,
                         sample_inward_bundle)
 from ..reconstruct import (StabilityCurve, check_cut_radius, choose_R,
-                           reconstruction_errors, stability_curve,
-                           truncated_inversion, visible_slice_source)
+                           kept_modes, reconstruction_errors,
+                           stability_curve, truncated_inversion,
+                           visible_slice_source)
 from ..spectral import SpectralGrid, check_coverage, slice_from_sinogram
 from ..table import write_table
 from ..xray import perturb_sinogram, sinogram
@@ -194,7 +195,7 @@ def run_reconstruct(cfg: dict, seed: int, art: str, man: RunManifest) -> None:
                                   n_launch=cfg["slice.n_launch"],
                                   n_s=cfg["slice.n_s"])
     man.stage("slices")
-    rec, diag = truncated_inversion(source, R)
+    rec, diag = truncated_inversion(grid, *kept_modes(source, R), R)
     l2, c0 = reconstruction_errors(grid, samples, rec)
     man.stage("invert")
     _write_csv(os.path.join(art, "recon_metrics.csv"),

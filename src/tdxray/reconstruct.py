@@ -142,26 +142,38 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     return SpectralSource(grid, values, available)
 
 
-def hermitian_noise(grid: SpectralGrid, mask: np.ndarray, amplitude: float,
+def hermitian_noise(grid: SpectralGrid, index: np.ndarray, amplitude: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Complex uniform noise on the masked lattice with eta(-k) = conj(eta(k)).
+    """Complex uniform noise at the kept modes (flat C-order indices of the
+    centered lattice) with eta(-k) = conj(eta(k)), as an array over index.
 
-    Components are uniform in [-amplitude, amplitude], the real parts
-    drawn before the imaginary ones; symmetrisation averages mirror
-    pairs, preserving the amplitude bound.  eta is built in one complex
-    buffer, which the caller owns: the average goes through one
-    core-sized temporary, as the mirror half must be read before the core
-    is overwritten.
+    Components are uniform in [-amplitude, amplitude], drawn over the
+    whole lattice, the real parts before the imaginary ones, one lattice
+    of draws at a time.  Symmetrisation averages mirror pairs
+    (SpectralGrid.core and mirrored), preserving the amplitude bound: a
+    kept core point takes the mean of its draw and the conjugate of its
+    mirror's, which counts as zero where the mirror is not kept; a kept
+    point off the core keeps its draw.
     """
-    eta = np.empty(mask.shape, dtype=complex)
-    eta.real = rng.uniform(-amplitude, amplitude, mask.shape)
-    eta.imag = rng.uniform(-amplitude, amplitude, mask.shape)
-    eta[~mask] = 0.0
-    mean = np.conj(grid.mirrored(eta))
-    np.add(eta[grid.core], mean, out=mean)
+    at = np.unravel_index(index, grid.shape)
+    core = np.logical_and.reduce([j > 0 for j in at])
+    # the kept core points, indexed into arrays of the core's shape
+    in_core = tuple(j[core] - 1 for j in at)
+    kept = np.zeros(grid.shape, dtype=bool)
+    kept.reshape(-1)[index] = True
+    paired = grid.mirrored(kept)[in_core]
+    eta = np.empty(index.shape, dtype=complex)
+    mirror = np.zeros(paired.shape, dtype=complex)
+    for part, mirror_part in ((eta.real, mirror.real),
+                              (eta.imag, mirror.imag)):
+        draw = rng.uniform(-amplitude, amplitude, grid.shape)
+        part[:] = draw.reshape(-1)[index]
+        mirror_part[paired] = grid.mirrored(draw)[in_core][paired]
+        del draw
+    mean = np.conj(mirror)
+    np.add(eta[core], mean, out=mean)
     mean *= 0.5
-    eta[grid.core] = mean
-    eta[~mask] = 0.0
+    eta[core] = mean
     return eta
 
 
@@ -184,34 +196,40 @@ def check_cut_radius(grid: SpectralGrid, R: float) -> None:
             f"{lattice_radius_limit(grid):.2f}")
 
 
-def kept_modes(source: SpectralSource, R: float) -> np.ndarray:
-    """The lattice points the inversion keeps: inside B_R, visible and
-    data-backed."""
+def kept_modes(source: SpectralSource,
+               R: float) -> tuple[np.ndarray, np.ndarray]:
+    """The modes the inversion keeps at cut radius R, the lattice points
+    inside B_R, visible and data-backed: their flat indices in the C
+    order of the centered lattice, and the source's values there."""
     grid = source.grid
-    return (grid.radius_mesh < R) & grid.visible_mask & source.available
+    index = np.flatnonzero((grid.radius_mesh < R) & grid.visible_mask
+                           & source.available)
+    return index, source.values.reshape(-1)[index]
 
 
-def truncated_inversion(source: SpectralSource, R: float):
-    """Invert the kept modes inside the cut radius R back onto the sample
-    grid.
+def truncated_inversion(grid: SpectralGrid, index: np.ndarray,
+                        values: np.ndarray, R: float):
+    """Invert the kept modes of the cut radius R (kept_modes: flat indices
+    and values) back onto the sample grid.
 
-    Returns (real reconstruction samples, diagnostics dict).  Hidden
-    lattice points contribute zero; the imaginary residual of the inverse
+    Returns (real reconstruction samples, diagnostics dict); the inverse
+    transform's complex buffer is released on return.  Every other
+    lattice point contributes zero; the imaginary residual of the inverse
     transform is reported and should be at roundoff level for noise-free
     Hermitian data.  R must exceed 1 (InfeasibleSandwich) and fit the
     lattice (RTooLargeForGrid).
     """
-    grid = source.grid
     check_cut_radius(grid, R)
-    mask = kept_modes(source, R)
-    rec = grid.inverse(np.where(mask, source.values, 0.0))
+    rec = grid.inverse(index, values)
     field_norm = grid.discrete_l2(rec.real)
     diag = {
-        "n_modes": int(mask.sum()),
+        "n_modes": int(index.size),
         "imag_residual": (grid.discrete_l2(rec.imag)
                           / (field_norm + 1e-300)),
     }
-    return rec.real, diag
+    # a copy of the real part, so the complex buffer is released here and
+    # not held through the caller's error norms
+    return rec.real.copy(), diag
 
 
 def reconstruction_errors(grid: SpectralGrid, truth: np.ndarray,
@@ -304,9 +322,12 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     Hermitian complex uniform noise of amplitude delta * V, where V is the
     worst-case launch-area factor transferring per-ray sup noise into a
     slice value.  The envelope constant is calibrated on the first
-    feasible row.  One noisy lattice is held at a time: a row's noise
-    buffer becomes its noisy values, and is released with the row's
-    reconstruction before the next row draws.
+    feasible row.  The slice fill is kept as its modes inside the largest
+    cut, flat indices and values; each row takes those inside its own
+    cut, adds its noise at them, and holds one complex lattice, the
+    inverse transform's buffer, which is released with the row's
+    reconstruction before the next row draws.  A noise-free row inverts
+    the tensor-grid transform of the samples.
     """
     noise_levels = list(noise_levels)
     if any(noise_levels[i] < noise_levels[i + 1]
@@ -332,35 +353,38 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
         except InfeasibleSandwich:
             cuts.append(None)
 
-    # with no feasible cut, no row reads the slice fill
+    # with no feasible cut, no row reads the slice fill; every row's cut
+    # keeps a subset of the modes of the largest
     R_need = max([c.R for c in cuts if c is not None], default=0.0)
     if R_need > 0.0:
         check_cut_radius(grid, R_need)
-        source = visible_slice_source(f, body, grid, truth, R_need,
-                                      n_launch=n_launch, n_s=n_s)
+        fill_index, fill_values = kept_modes(visible_slice_source(
+            f, body, grid, truth, R_need, n_launch=n_launch, n_s=n_s),
+            R_need)
+        fill_radius = grid.radius_mesh.reshape(-1)[fill_index]
 
     rows = []
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
         if level == 0.0:
             R, conflict = 0.98 * R_limit, False
-            data = SpectralSource.from_samples(grid, truth)
+            index, values = kept_modes(
+                SpectralSource.from_samples(grid, truth), R)
         elif cut is None:
             rows.append(StabilityRow(delta_hat, float("nan"), float("nan"),
                                      float("nan"), float("nan"), False,
                                      False, 0, float("nan")))
             continue
         else:
-            # the row's noise buffer becomes its noisy values
             R, conflict = cut.R, cut.conflict
-            data = SpectralSource(grid, hermitian_noise(
-                grid, kept_modes(source, R), delta_hat * V, rng),
-                source.available)
-            np.add(source.values, data.values, out=data.values)
-        rec, diag = truncated_inversion(data, R)
+            keep = fill_radius < R
+            index = fill_index[keep]
+            values = fill_values[keep] + hermitian_noise(
+                grid, index, delta_hat * V, rng)
+        rec, diag = truncated_inversion(grid, index, values, R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
         rows.append(StabilityRow(delta_hat, R, l2, c0, float("nan"), True,
                                  conflict, **diag))
-        del data, rec
+        del rec
 
     feas = [r for r in rows if r.feasible and r.delta > 0]
     envelope_C = float("nan")

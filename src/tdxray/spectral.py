@@ -130,10 +130,11 @@ class SpectralGrid:
     the cell phase (the cell volume times exp(-i origin . k), the factor
     that turns the DFT into the trapezoid rule) are computed once per grid
     from the open frequency mesh and shared read-only.  forward scales
-    the FFT's own output in place before shifting it; inverse divides and
-    transforms in place in its one shifted copy of the values.  Grids
-    compare and hash by identity, as the array fields have no single
-    truth value.
+    the FFT's own output in place before shifting it; inverse takes the
+    kept modes (flat C-order indices of the centered lattice and their
+    values), scatters them into the FFT's order in one zeroed buffer,
+    and divides and transforms in place there.  Grids compare and hash
+    by identity, as the array fields have no single truth value.
     """
 
     origin: np.ndarray
@@ -258,13 +259,6 @@ class SpectralGrid:
                              f"for t {t.shape} against x {xmesh.shape}")
         return out
 
-    def _check_lattice(self, a: np.ndarray, what: str) -> None:
-        """ValueError unless a has the lattice's shape: numpy would
-        broadcast a lower-dimensional array into a plausible answer."""
-        if np.shape(a) != self.shape:
-            raise ValueError(f"{what} of shape {np.shape(a)}: the lattice "
-                             f"is {self.shape}")
-
     @cached_property
     def _cell_phase(self) -> np.ndarray:
         """cell_volume * exp(-i origin . (tau, xi)) in the FFT's unshifted
@@ -279,18 +273,38 @@ class SpectralGrid:
         return _read_only(phase)
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
-        """Trapezoid-rule transform on the centered frequency lattice."""
-        self._check_lattice(samples, "samples")
+        """Trapezoid-rule transform on the centered frequency lattice.
+
+        ValueError unless samples has the lattice's shape: numpy would
+        broadcast a lower-dimensional array into a plausible answer.
+        """
+        if np.shape(samples) != self.shape:
+            raise ValueError(f"samples of shape {np.shape(samples)}: the "
+                             f"lattice is {self.shape}")
         spec = np.fft.fftn(samples)
         np.multiply(self._cell_phase, spec, out=spec)
         return np.fft.fftshift(spec)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Exact inverse of :meth:`forward` back onto the sample grid."""
-        self._check_lattice(values, "values")
+    def inverse(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Exact inverse of :meth:`forward` back onto the sample grid, from
+        the kept modes: flat indices of the centered lattice in C order
+        and the values there, every other point zero.
+
+        The values are scattered into one zeroed buffer at their FFT-order
+        positions, so the scatter does the shift; the buffer is divided
+        by the cell phase and transformed in place.  ValueError unless
+        index and values are one 1-D pair, or when an index is off the
+        lattice.
+        """
+        if np.ndim(index) != 1 or np.shape(values) != np.shape(index):
+            raise ValueError(f"modes: index of shape {np.shape(index)} and "
+                             f"values of shape {np.shape(values)} are not "
+                             f"one 1-D pair")
+        at = np.unravel_index(index, self.shape)
         # a grid's first call builds the phase before the buffer exists
         phase = self._cell_phase
-        spec = np.fft.ifftshift(np.asarray(values, dtype=complex))
+        spec = np.zeros(self.shape, dtype=complex)
+        spec[tuple((j + self.n // 2) % self.n for j in at)] = values
         np.divide(spec, phase, out=spec)
         return np.fft.ifftn(spec, out=spec)
 

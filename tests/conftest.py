@@ -48,9 +48,16 @@ def oracle_forward(grid, samples) -> np.ndarray:
 
 
 def oracle_inverse(grid, values) -> np.ndarray:
-    """The inverse as a product, a quotient and a shifted copy."""
+    """The inverse of a dense centered lattice of values, as a product, a
+    quotient and a shifted copy."""
     spec = values / (grid.cell_volume * corner_phase(grid))
     return np.fft.ifftn(np.fft.ifftshift(spec))
+
+
+def every_mode(values) -> tuple:
+    """A dense centered lattice of values as the kept modes that
+    SpectralGrid.inverse takes: every flat index, and the values."""
+    return np.arange(values.size), values.reshape(-1)
 
 
 @pytest.fixture(scope="session")

@@ -23,10 +23,13 @@ def _inverse(inverse):
 
 
 def inverse_no_shift():
-    """SpectralGrid.inverse without the ifftshift: the centered lattice is
-    transformed as if k = 0 sat at index 0."""
-    def inverse(self, values):
-        return np.fft.ifftn(values / np.fft.fftshift(self._cell_phase))
+    """SpectralGrid.inverse scattering the kept modes at their centered
+    positions, not their FFT-order ones: the lattice is transformed as if
+    k = 0 sat at index 0."""
+    def inverse(self, index, values):
+        spec = np.zeros(self.shape, dtype=complex)
+        spec.reshape(-1)[index] = values
+        return np.fft.ifftn(spec / np.fft.fftshift(self._cell_phase))
 
     return _inverse(inverse)
 
@@ -34,8 +37,11 @@ def inverse_no_shift():
 def inverse_no_phase():
     """SpectralGrid.inverse dividing by the cell volume only, without the
     corner phase exp(-i origin . k)."""
-    def inverse(self, values):
-        return np.fft.ifftn(np.fft.ifftshift(values / self.cell_volume))
+    def inverse(self, index, values):
+        at = np.unravel_index(index, self.shape)
+        spec = np.zeros(self.shape, dtype=complex)
+        spec[tuple((j + self.n // 2) % self.n for j in at)] = values
+        return np.fft.ifftn(spec / self.cell_volume)
 
     return _inverse(inverse)
 
@@ -51,9 +57,19 @@ def fill_conj():
     return mock.patch.object(reconstruct, "slice_from_sinogram", conjugated)
 
 
+def noise_x0():
+    """hermitian_noise returning zeros: the stability sweep's rows invert
+    the slice fill with no data noise."""
+    def zeros(grid, index, amplitude, rng):
+        return np.zeros(index.shape, dtype=complex)
+
+    return mock.patch.object(reconstruct, "hermitian_noise", zeros)
+
+
 # each defect and the module whose acceptance criteria should catch it
 CATALOGUE = {
     "inverse_no_shift": "reconstruct",
     "inverse_no_phase": "reconstruct",
     "fill_conj": "reconstruct",
+    "noise_x0": "reconstruct",
 }

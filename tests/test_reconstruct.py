@@ -13,7 +13,8 @@ from tdxray.fields import default_recon_field, single_bump
 from tdxray.geometry import ball
 from tdxray.reconstruct import (SpectralSource, choose_R,
                                 feasibility_threshold, hermitian_noise,
-                                lattice_radius_limit, parseval_split,
+                                kept_modes, lattice_radius_limit,
+                                noise_transfer_volume, parseval_split,
                                 reconstruction_errors, stability_curve,
                                 truncated_inversion, visible_slice_source)
 from tdxray.spectral import (SpectralGrid, slice_from_sinogram,
@@ -21,7 +22,8 @@ from tdxray.spectral import (SpectralGrid, slice_from_sinogram,
 
 
 def oracle_noise(grid, mask, amplitude, rng):
-    """hermitian_noise as a + 1j*b, symmetrised from a copy."""
+    """hermitian_noise as a dense lattice, a + 1j*b, masked and
+    symmetrised from a copy."""
     shape = mask.shape
     eta = (rng.uniform(-amplitude, amplitude, shape)
            + 1j * rng.uniform(-amplitude, amplitude, shape))
@@ -39,6 +41,11 @@ def recon_setup():
     body = ball(4.0)
     grid = SpectralGrid.for_field(f, n_points=32, extent=14.0)
     return f, body, grid, SpectralSource.from_samples(grid, grid.sample(f))
+
+
+def invert(source, R):
+    """truncated_inversion of the source's kept modes at R."""
+    return truncated_inversion(source.grid, *kept_modes(source, R), R)
 
 
 class TestChooseR:
@@ -96,7 +103,7 @@ class TestTailBound:
         source = recon_setup[3]
         for R in (0.5, 1.0):
             with pytest.raises(InfeasibleSandwich):
-                truncated_inversion(source, R)
+                invert(source, R)
 
     def test_measured_tails_dominated(self):
         from tdxray.fields import tail_field
@@ -118,14 +125,15 @@ class TestInversion:
         _, _, grid, oracle = recon_setup
         src = SpectralSource(grid, np.zeros_like(oracle.values),
                              oracle.available)
-        rec, diag = truncated_inversion(src, 3.0)
+        rec, diag = invert(src, 3.0)
         assert np.all(rec == 0.0)
 
     def test_oracle_full_band_recovery(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=96, pad=0.35)
         samples = grid.sample(slice_field)
         in_ball = grid.radius_mesh < 0.99 * lattice_radius_limit(grid)
-        rec = grid.inverse(np.where(in_ball, grid.forward(samples), 0.0))
+        index = np.flatnonzero(in_ball)
+        rec = grid.inverse(index, grid.forward(samples).reshape(-1)[index])
         l2, _ = reconstruction_errors(grid, samples, rec.real)
         assert l2 < 1e-3
         assert grid.discrete_l2(rec.imag) / grid.discrete_l2(rec.real) < 1e-8
@@ -134,7 +142,7 @@ class TestInversion:
         f, _, grid, oracle = recon_setup
         truth = grid.sample(f)
         for R in (2.0, 3.0, 4.0):
-            rec, _ = truncated_inversion(oracle, R)
+            rec, _ = invert(oracle, R)
             err2 = grid.discrete_l2(rec - truth) ** 2
             split = parseval_split(oracle, R)
             expect = split["hidden_in_ball"] + split["out_of_ball"]
@@ -142,7 +150,7 @@ class TestInversion:
 
     def test_r_too_large(self, recon_setup):
         with pytest.raises(RTooLargeForGrid):
-            truncated_inversion(recon_setup[3], 100.0)
+            invert(recon_setup[3], 100.0)
 
     def test_linearity(self, linear_combination):
         f1 = single_bump(amplitude=1.0, t_center=1.0, x_center=(0.1, 0.0),
@@ -154,7 +162,7 @@ class TestInversion:
         recs = []
         for f in (f1, f2, combo):
             oracle = SpectralSource.from_samples(grid, grid.sample(f))
-            rec, _ = truncated_inversion(oracle, 3.0)
+            rec, _ = invert(oracle, 3.0)
             recs.append(rec)
         assert np.max(np.abs(2.0 * recs[0] - recs[1] - recs[2])) < 1e-10
 
@@ -274,8 +282,10 @@ class TestHermitianNoise:
     def test_symmetry_and_amplitude(self, recon_setup):
         _, _, grid, _ = recon_setup
         mask = grid.radius_mesh < 3.0
+        index = np.flatnonzero(mask)
         rng = np.random.default_rng(0)
-        eta = hermitian_noise(grid, mask, 1e-3, rng)
+        eta = np.zeros(grid.shape, dtype=complex)
+        eta.reshape(-1)[index] = hermitian_noise(grid, index, 1e-3, rng)
         assert np.max(np.abs(eta[grid.core]
                              - np.conj(grid.mirrored(eta)))) < 1e-18
         assert np.max(np.abs(eta.real)) <= 1e-3
@@ -284,10 +294,13 @@ class TestHermitianNoise:
 
     @staticmethod
     def check_bits(grid, mask, amplitude, seed):
+        # the masks need not be mirror-closed: a kept core point whose
+        # mirror is not kept takes half its own draw
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        eta = hermitian_noise(grid, mask, amplitude, rng)
-        assert np.array_equal(bits(eta),
-                              bits(oracle_noise(grid, mask, amplitude, twin)))
+        index = np.flatnonzero(mask)
+        eta = hermitian_noise(grid, index, amplitude, rng)
+        want = oracle_noise(grid, mask, amplitude, twin).reshape(-1)[index]
+        assert np.array_equal(bits(eta), bits(want))
         # the same draws, so the sweep's next row sees the same stream
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -311,6 +324,51 @@ class TestHermitianNoise:
 # the tiny stability-curve config of the benchmark: 32^3, three levels
 TINY_LEVELS = [1e-2, 1e-3, 1e-4]
 TINY_SLICES = dict(n_launch=48, n_s=48)
+
+
+def dense_rows(f, body, levels, epsilon, seed, grid, n_launch, n_s):
+    """(delta, R, n_modes, imag_residual, l2_error, c0_error) of each row
+    of stability_curve, None for an infeasible one, by the dense row
+    path: the fill is a lattice SpectralSource, a noisy row adds
+    oracle_noise's lattice to its values, and each row's kept mask is
+    applied by np.where and inverted by oracle_inverse."""
+    truth = grid.sample(f)
+    rng = np.random.default_rng(seed)
+    V = noise_transfer_volume(f)
+    deltas = [float(np.max(np.abs(rng.uniform(-level, level, 64))))
+              if level > 0.0 else 0.0 for level in levels]
+    radii = []
+    for delta in deltas:
+        try:
+            radii.append(choose_R(delta, epsilon, f.dim).R if delta > 0.0
+                         else 0.98 * lattice_radius_limit(grid))
+        except InfeasibleSandwich:
+            radii.append(None)
+    R_need = max([R for R, d in zip(radii, deltas) if R and d], default=0)
+    if R_need:
+        fill = visible_slice_source(f, body, grid, truth, R_need,
+                                    n_launch=n_launch, n_s=n_s)
+    rows = []
+    for delta, R in zip(deltas, radii):
+        if R is None:
+            rows.append(None)
+            continue
+        source = SpectralSource.from_samples(grid, truth) if delta == 0.0 \
+            else fill
+        mask = (grid.radius_mesh < R) & grid.visible_mask & source.available
+        values = source.values if delta == 0.0 else (
+            fill.values + oracle_noise(grid, mask, delta * V, rng))
+        rec = oracle_inverse(grid, np.where(mask, values, 0.0))
+        l2, c0 = reconstruction_errors(grid, truth, rec.real)
+        rows.append((delta, R, int(mask.sum()), grid.discrete_l2(rec.imag)
+                     / (grid.discrete_l2(rec.real) + 1e-300), l2, c0))
+    return rows
+
+
+def row_values(curve):
+    """The rows of a curve as dense_rows gives them."""
+    return [(r.delta, r.R, r.n_modes, r.imag_residual, r.l2_error,
+             r.c0_error) if r.feasible else None for r in curve.rows]
 
 
 def tiny_sweep(seed, grid=None):
@@ -347,33 +405,72 @@ def traced_tiny_sweeps():
 class TestStabilityCurve:
     # peaks in complex lattice arrays (32^3, 512 KiB each)
     def test_peak_on_a_fresh_grid(self, traced_tiny_sweeps):
-        # 11.2 at the parent, 6.3 with the inverse in place and the
-        # cell phase built from the open mesh
+        # 11.2 with dense rows and a dense inverse, 6.3 with the inverse
+        # in place and the cell phase built from the open mesh, 3.6 with
+        # the fill and the rows kept as their modes
         grid, _, fresh, _ = traced_tiny_sweeps
-        assert fresh < 8 * grid.n ** 3 * 16
+        assert fresh < 4.5 * grid.n ** 3 * 16
 
     def test_peak_on_a_warm_grid(self, traced_tiny_sweeps):
-        # 9.7 at the parent; 4.7 with one noisy lattice at a time, and
-        # 5.8 if a row's noisy values and reconstruction outlive it
+        # 9.7 with a dense noise buffer per row and its values and
+        # reconstruction outliving it, 4.7 with one noisy lattice at a
+        # time, 2.1 with the fill and the rows kept as their modes
         grid, _, _, warm = traced_tiny_sweeps
-        assert warm < 5.5 * grid.n ** 3 * 16
+        assert warm < 3 * grid.n ** 3 * 16
+
+    def test_row_holds_one_complex_lattice(self, traced_tiny_sweeps):
+        # from a row's noise draw to its error norms, a row adds one
+        # complex lattice (the inverse's buffer) and one float lattice (a
+        # draw, the real part, an error norm's square) to what the sweep
+        # holds: 3.0 float lattices, where the dense noise, its mirror
+        # temporary, the masked copy and the shifted copy made 6.0
+        grid = traced_tiny_sweeps[0]
+        starts, peaks = [], []
+        noise = reconstruct.hermitian_noise
+        errors = reconstruct.reconstruction_errors
+
+        def row_start(*args, **kwargs):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return noise(*args, **kwargs)
+
+        def row_end(*args, **kwargs):
+            out = errors(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        with mock.patch.object(reconstruct, "hermitian_noise", row_start), \
+                mock.patch.object(reconstruct, "reconstruction_errors",
+                                  row_end):
+            traced(lambda: tiny_sweep(0, grid))
+        added = [peak - start for start, peak in zip(starts, peaks)]
+        assert len(added) == 2
+        # with 8 KiB for the arrays over the row's few dozen kept modes
+        assert max(added) <= (16 + 8) * grid.n ** 3 + 8192
 
     def test_rows_equal_the_oracle_sweep(self, traced_tiny_sweeps):
-        # the sweep with the three-product inverse and the a + 1j*b noise
-        _, curve, _, _ = traced_tiny_sweeps
-        with mock.patch.object(reconstruct, "hermitian_noise", oracle_noise), \
-                mock.patch.object(SpectralGrid, "inverse", oracle_inverse):
-            _, oracle = tiny_sweep(0)
+        grid, curve, _, _ = traced_tiny_sweeps
         assert [r.feasible for r in curve.rows] == [False, True, True]
-        for row, want in zip(curve.rows, oracle.rows):
-            assert repr(row) == repr(want)
+        assert row_values(curve) == dense_rows(
+            default_recon_field(), ball(4.0), TINY_LEVELS, 0.5, 0, grid,
+            **TINY_SLICES)
+
+    def test_noise_free_row_equals_the_oracle_sweep(self, recon_setup):
+        # the 0.0 level inverts the samples' tensor-grid transform
+        f, body, grid, _ = recon_setup
+        levels = [1e-3, 1e-5, 0.0]
+        curve = stability_curve(f, body, levels, 0.5, 5, grid,
+                                **TINY_SLICES)
+        assert [r.feasible for r in curve.rows] == [True, True, True]
+        assert row_values(curve) == dense_rows(f, body, levels, 0.5, 5, grid,
+                                               **TINY_SLICES)
 
     def test_noise_free_baseline(self, recon_setup):
         f, body, grid, oracle = recon_setup
         curve = stability_curve(f, body, [0.0], 0.5, 7, grid,
                                 n_launch=200, n_s=160)
         row = curve.rows[0]
-        rec, _ = truncated_inversion(oracle, row.R)
+        rec, _ = invert(oracle, row.R)
         l2, _ = reconstruction_errors(grid, grid.sample(f), rec)
         assert row.l2_error == pytest.approx(l2, rel=1e-12)
 

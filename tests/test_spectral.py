@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import (bits, dense_frequency_mesh, oracle_forward,
-                      oracle_inverse)
+from conftest import (bits, dense_frequency_mesh, every_mode,
+                      oracle_forward, oracle_inverse)
 from tdxray import spectral
 from tdxray.errors import (CoverageError, NotVisible, OddLattice,
                            SupportTruncated, ZeroXi)
@@ -136,7 +136,7 @@ class TestFourierFull:
     def test_forward_inverse_roundtrip(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=32)
         samples = grid.sample(slice_field)
-        back = grid.inverse(grid.forward(samples))
+        back = grid.inverse(*every_mode(grid.forward(samples)))
         assert np.max(np.abs(back.real - samples)) < 1e-12
         assert np.max(np.abs(back.imag)) < 1e-12
 
@@ -163,16 +163,23 @@ def random_lattice(half, dim, seed):
 
 
 class TestLatticeBits:
-    """The cached cell phase, the in-place transforms and the open-mesh
-    lattices give the bits of the dense-mesh, three-product forms."""
+    """The cached cell phase, the in-place transforms, the inverse's
+    scatter of the kept modes and the open-mesh lattices give the bits
+    of the dense-mesh, three-product forms."""
 
     @staticmethod
     def check(grid, samples, values):
         kept = values.copy()
         assert np.array_equal(bits(grid.forward(samples)),
                               bits(oracle_forward(grid, samples)))
-        assert np.array_equal(bits(grid.inverse(values)),
+        assert np.array_equal(bits(grid.inverse(*every_mode(values))),
                               bits(oracle_inverse(grid, values)))
+        # a kept set drawn from the values' bits, zeros elsewhere
+        mask = (bits(values.real) & 1).astype(bool)
+        index = np.flatnonzero(mask)
+        assert np.array_equal(
+            bits(grid.inverse(index, values.reshape(-1)[index])),
+            bits(oracle_inverse(grid, np.where(mask, values, 0.0))))
         assert np.array_equal(bits(values), bits(kept))
         mesh = dense_frequency_mesh(grid)
         assert np.array_equal(bits(grid.radius_mesh),
@@ -576,15 +583,27 @@ class TestGridGuards:
             with pytest.raises(ValueError):
                 first[(0,) * first.ndim] = first[(1,) * first.ndim]
 
-    # at the parent these broadcast into plausible answers: (8, 8) and
-    # (1, 8, 8) gave (8, 8, 8) transforms, (8,) * 4 a 4-D one
+    # these would broadcast into plausible answers: (8, 8) and (1, 8, 8)
+    # into (8, 8, 8) transforms, (8,) * 4 into a 4-D one
     @pytest.mark.parametrize("method, shape", [
-        ("forward", (8, 8)), ("forward", (1, 8, 8)), ("forward", (8,) * 4),
-        ("inverse", (8,)), ("inverse", (8, 8)), ("inverse", (8, 1, 8))])
+        ("forward", (8, 8)), ("forward", (1, 8, 8)), ("forward", (8,) * 4)])
     def test_transforms_reject_other_shapes(self, method, shape):
         grid = SpectralGrid(np.zeros(3), np.array([0.3, 0.2, 0.2]), 8)
         with pytest.raises(ValueError, match=r"the lattice is \(8, 8, 8\)"):
             getattr(grid, method)(np.ones(shape))
+
+    # a scatter would broadcast one value over every index, and wrap a
+    # negative index round the lattice
+    @pytest.mark.parametrize("index, size, match", [
+        (np.arange(8), 1, "not one 1-D pair"),
+        (np.arange(8).reshape(2, 4), 8, "not one 1-D pair"),
+        (np.array([0, 512]), 2, "out of bounds"),
+        (np.array([-1]), 1, "out of bounds")],
+        ids=["values-short", "index-2d", "index-past-end", "index-negative"])
+    def test_inverse_rejects_modes_off_the_lattice(self, index, size, match):
+        grid = SpectralGrid(np.zeros(3), np.array([0.3, 0.2, 0.2]), 8)
+        with pytest.raises(ValueError, match=match):
+            grid.inverse(index, np.ones(size, dtype=complex))
 
     def test_grids_compare_and_hash_by_identity(self, slice_field):
         # the generated == compared the array fields, which raised numpy's
