@@ -224,7 +224,8 @@ def single_bump(amplitude=1.0, t_center=1.0, t_width=0.85,
 # ----------------------------------------------------------------------
 
 def default_slice_field() -> SpaceTimeField:
-    """Single smooth bump used by the slice-identity checks."""
+    """Single smooth bump used by the slice-identity checks and to fit
+    the hidden-region envelope constant."""
     return single_bump(name="slice-default")
 
 
@@ -263,17 +264,13 @@ def default_recon_field() -> SpaceTimeField:
     return bump_field(specs, name="recon-default")
 
 
-def calibration_field() -> SpaceTimeField:
-    """Bump used to fit the hidden-region envelope constant."""
-    return single_bump(name="hidden-calibration")
-
-
 def heldout_fields() -> list[SpaceTimeField]:
     """Two held-out bumps the fitted hidden envelope must dominate.
 
-    Both are no larger and no narrower than the calibration bump: the
-    envelope constant scales with the size of the field, so the transfer
-    test keeps the held-out family within the calibrated regime.
+    Both are no larger and no narrower than the calibration bump
+    (default_slice_field): the envelope constant scales with the size
+    of the field, so the transfer test keeps the held-out family within
+    the calibrated regime.
     """
     return [
         single_bump(amplitude=0.7, t_center=0.9, t_width=0.7,

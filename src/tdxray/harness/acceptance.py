@@ -92,9 +92,10 @@ class AcceptanceContext:
 
     @functools.cached_property
     def envelope(self):
-        """Calibration + held-out fields, shared lattice, data sup-norms."""
+        """Calibration (the slice-default bump) + held-out fields, shared
+        lattice, data sup-norms."""
         body = ball()
-        fields = [field_lib.calibration_field()] + field_lib.heldout_fields()
+        fields = [field_lib.default_slice_field()] + field_lib.heldout_fields()
         grid = SpectralGrid.for_field(fields[0], n_points=64, extent=8.0)
         entries = []
         for f in fields:

@@ -71,7 +71,6 @@ def _zero_field():
 FIELD_PRESETS = {
     "slice-default": field_lib.default_slice_field,
     "recon-default": field_lib.default_recon_field,
-    "hidden-calibration": field_lib.calibration_field,
     "symmetric": field_lib.symmetric_field,
     "tail": field_lib.tail_field,
     "zero": _zero_field,

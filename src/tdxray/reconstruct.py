@@ -67,10 +67,10 @@ def choose_R(delta: float, epsilon: float, n: int) -> RCut:
 
 @dataclass
 class SpectralSource:
-    """Lattice of frequency data feeding the inversion.
-
-    ``available`` marks the points whose values are data-backed; the
-    inversion treats everything else as zero.
+    """Frequency data feeding the inversion: ``available``, the dense bool
+    mask of the lattice points whose values are data-backed, and
+    ``values``, the values at those points only, in C order.  The
+    inversion treats every other point as zero.
     """
 
     grid: SpectralGrid
@@ -81,9 +81,9 @@ class SpectralSource:
     def from_samples(cls, grid: SpectralGrid,
                      samples: np.ndarray) -> "SpectralSource":
         """Oracle source: the tensor-grid transform of the lattice samples,
-        available everywhere."""
-        values = grid.forward(samples)
-        return cls(grid, values, np.ones(values.shape, dtype=bool))
+        flattened, available everywhere."""
+        return cls(grid, grid.forward(samples).reshape(-1),
+                   np.ones(grid.shape, dtype=bool))
 
 
 def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
@@ -95,9 +95,10 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     Each visible lattice point (tau, xi) with xi != 0 gets the chord slice
     in the direction omega(tau, xi) with omega . xi = -tau; the origin is
     the tensor-grid transform of f's lattice samples (no chord direction
-    exists for xi = 0).  Values are Hermitian-symmetrised: only one point
-    per mirror pair is integrated, the other is its conjugate, as for real
-    data.
+    exists for xi = 0).  Values are Hermitian-symmetrised: of each mirror
+    pair (SpectralGrid.mirror) only the first in C order is integrated,
+    and the later takes its conjugate, as for real data.  The source
+    holds the filled modes only, with no complex lattice.
 
     omega depends on the point only through tau/|xi| and xi/|xi|, so the
     points of one line through the origin share a chord family.  The
@@ -107,21 +108,13 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     values as one call per point, bit for bit.
     """
     available = grid.visible_mask & (grid.radius_mesh <= R_max)
+    index = np.flatnonzero(available)
+    _, pair = grid.mirror(index)
+    late = (pair >= 0) & (pair < np.arange(index.size))
 
-    # one representative per Hermitian mirror pair (SpectralGrid.mirrored),
-    # the first of the two in C order, which lies before k = 0; a point
-    # off the core or equal to its mirror stands alone, and the second of
-    # a pair takes the conjugate of its first
-    second = np.zeros_like(available)
-    second[grid.core] = available[grid.core] & grid.mirrored(available)
-    k0 = np.ravel_multi_index((grid.n // 2,) * available.ndim,
-                              available.shape)
-    second.reshape(-1)[:k0 + 1] = False
-    rep = available & ~second
-
-    mesh = np.broadcast_arrays(*grid.frequency_mesh())
-    taus = mesh[0][rep]
-    xis = np.stack([m[rep] for m in mesh[1:]], axis=-1)
+    at = np.unravel_index(index[~late], grid.shape)
+    taus, *xi = (grid.freqs(a)[j] for a, j in enumerate(at))
+    xis = np.stack(xi, axis=-1)
     results = np.empty(taus.shape, dtype=complex)
     origin = np.all(xis == 0.0, axis=-1)
     results[origin] = grid.point_transform(samples, taus[origin],
@@ -135,45 +128,36 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
         results[members] = slice_from_sinogram(f, omega, xis[members], body,
                                                n_launch=n_launch, n_s=n_s)
 
-    values = np.zeros(available.shape, dtype=complex)
-    values[rep] = results
-    late = second[grid.core]
-    values[grid.core][late] = np.conj(grid.mirrored(values)[late])
+    values = np.empty(index.shape, dtype=complex)
+    values[~late] = results
+    values[late] = np.conj(values[pair[late]])
     return SpectralSource(grid, values, available)
 
 
 def hermitian_noise(grid: SpectralGrid, index: np.ndarray, amplitude: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Complex uniform noise at the kept modes (flat C-order indices of the
-    centered lattice) with eta(-k) = conj(eta(k)), as an array over index.
+    centered lattice, increasing) with eta(-k) = conj(eta(k)), as an array
+    over index.
 
     Components are uniform in [-amplitude, amplitude], drawn over the
     whole lattice, the real parts before the imaginary ones, one lattice
     of draws at a time.  Symmetrisation averages mirror pairs
-    (SpectralGrid.core and mirrored), preserving the amplitude bound: a
-    kept core point takes the mean of its draw and the conjugate of its
-    mirror's, which counts as zero where the mirror is not kept; a kept
-    point off the core keeps its draw.
+    (SpectralGrid.mirror), preserving the amplitude bound: a kept point
+    whose mirror is on the lattice takes the mean of its draw and the
+    conjugate of its mirror's, which counts as zero where the mirror is
+    not kept; a kept point with no mirror keeps its draw.
     """
-    at = np.unravel_index(index, grid.shape)
-    core = np.logical_and.reduce([j > 0 for j in at])
-    # the kept core points, indexed into arrays of the core's shape
-    in_core = tuple(j[core] - 1 for j in at)
-    kept = np.zeros(grid.shape, dtype=bool)
-    kept.reshape(-1)[index] = True
-    paired = grid.mirrored(kept)[in_core]
     eta = np.empty(index.shape, dtype=complex)
-    mirror = np.zeros(paired.shape, dtype=complex)
-    for part, mirror_part in ((eta.real, mirror.real),
-                              (eta.imag, mirror.imag)):
+    for part in (eta.real, eta.imag):
         draw = rng.uniform(-amplitude, amplitude, grid.shape)
         part[:] = draw.reshape(-1)[index]
-        mirror_part[paired] = grid.mirrored(draw)[in_core][paired]
         del draw
-    mean = np.conj(mirror)
-    np.add(eta[core], mean, out=mean)
+    on, pair = grid.mirror(index)
+    mean = np.conj(np.where(pair >= 0, eta[pair], 0.0)[on])
+    np.add(eta[on], mean, out=mean)
     mean *= 0.5
-    eta[core] = mean
+    eta[on] = mean
     return eta
 
 
@@ -200,11 +184,11 @@ def kept_modes(source: SpectralSource,
                R: float) -> tuple[np.ndarray, np.ndarray]:
     """The modes the inversion keeps at cut radius R, the lattice points
     inside B_R, visible and data-backed: their flat indices in the C
-    order of the centered lattice, and the source's values there."""
+    order of the centered lattice, and the source's values there, picked
+    by the (radius < R) & visible mask over the available points."""
     grid = source.grid
-    index = np.flatnonzero((grid.radius_mesh < R) & grid.visible_mask
-                           & source.available)
-    return index, source.values.reshape(-1)[index]
+    keep = (grid.radius_mesh < R) & grid.visible_mask & source.available
+    return np.flatnonzero(keep), source.values[keep[source.available]]
 
 
 def truncated_inversion(grid: SpectralGrid, index: np.ndarray,
@@ -245,11 +229,13 @@ def reconstruction_errors(grid: SpectralGrid, truth: np.ndarray,
 
 
 def parseval_split(source: SpectralSource, R: float) -> dict:
-    """Three-way energy split of the lattice values at cut radius R."""
+    """Three-way energy split of the source's values at cut radius R;
+    the masks are read over the available points, and every other point
+    counts as zero."""
     grid = source.grid
     E2 = np.abs(source.values) ** 2
-    in_ball = grid.radius_mesh < R
-    vis = grid.visible_mask
+    in_ball = (grid.radius_mesh < R)[source.available]
+    vis = grid.visible_mask[source.available]
     w = np.prod(grid.dk) / (2 * np.pi) ** (grid.dim + 1)
     return {
         "kept": float(E2[in_ball & vis].sum() * w),
@@ -322,12 +308,12 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     Hermitian complex uniform noise of amplitude delta * V, where V is the
     worst-case launch-area factor transferring per-ray sup noise into a
     slice value.  The envelope constant is calibrated on the first
-    feasible row.  The slice fill is kept as its modes inside the largest
-    cut, flat indices and values; each row takes those inside its own
-    cut, adds its noise at them, and holds one complex lattice, the
-    inverse transform's buffer, which is released with the row's
-    reconstruction before the next row draws.  A noise-free row inverts
-    the tensor-grid transform of the samples.
+    feasible row.  The slice fill is one source, its modes inside the
+    largest cut; each row takes its kept_modes at its own cut, adds its
+    noise at them, and holds one complex lattice, the inverse transform's
+    buffer, which is released with the row's reconstruction before the
+    next row draws.  A noise-free row takes the kept_modes of the
+    tensor-grid transform of the samples.
     """
     noise_levels = list(noise_levels)
     if any(noise_levels[i] < noise_levels[i + 1]
@@ -358,10 +344,8 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     R_need = max([c.R for c in cuts if c is not None], default=0.0)
     if R_need > 0.0:
         check_cut_radius(grid, R_need)
-        fill_index, fill_values = kept_modes(visible_slice_source(
-            f, body, grid, truth, R_need, n_launch=n_launch, n_s=n_s),
-            R_need)
-        fill_radius = grid.radius_mesh.reshape(-1)[fill_index]
+        fill = visible_slice_source(f, body, grid, truth, R_need,
+                                    n_launch=n_launch, n_s=n_s)
 
     rows = []
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
@@ -376,10 +360,9 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
             continue
         else:
             R, conflict = cut.R, cut.conflict
-            keep = fill_radius < R
-            index = fill_index[keep]
-            values = fill_values[keep] + hermitian_noise(
-                grid, index, delta_hat * V, rng)
+            index, values = kept_modes(fill, R)
+            values = values + hermitian_noise(grid, index, delta_hat * V,
+                                              rng)
         rec, diag = truncated_inversion(grid, index, values, R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
         rows.append(StabilityRow(delta_hat, R, l2, c0, float("nan"), True,

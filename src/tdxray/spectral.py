@@ -219,19 +219,25 @@ class SpectralGrid:
         return np.meshgrid(*(self.freqs(a) for a in range(self.dim + 1)),
                            indexing="ij", sparse=True)
 
-    @property
-    def core(self) -> tuple:
-        """Index of the core lattice: index >= 1 on every axis.
+    def mirror(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Hermitian mirror pairs among index, flat C-order indices of
+        the centered lattice in increasing order.
 
         On the centered even lattice freq(j) = (j - N/2) dk, so -freq lives
-        at index N - j; the core holds every point whose mirror -k is on
-        the lattice, and the j = 0 row (most negative frequency) is outside.
+        at index N - j: a point's mirror -k is on the lattice when its
+        index is >= 1 on every axis, and the j = 0 rows (most negative
+        frequency) have none.  Returns whether each point's mirror is on
+        the lattice, and the mirror's position in index, -1 where it is
+        off the lattice or not in index.
         """
-        return (slice(1, None),) * (self.dim + 1)
-
-    def mirrored(self, a: np.ndarray) -> np.ndarray:
-        """a(-k) on the core lattice, for a lattice-shaped array a."""
-        return a[self.core][(slice(None, None, -1),) * (self.dim + 1)]
+        at = np.unravel_index(index, self.shape)
+        on = np.logical_and.reduce([j > 0 for j in at])
+        # j = 0 wraps to itself; those points are not on
+        flip = np.ravel_multi_index(tuple(self.n - j for j in at),
+                                    self.shape, mode="wrap")
+        pos = np.searchsorted(index, flip)
+        found = on & (np.take(index, pos, mode="clip") == flip)
+        return on, np.where(found, pos, -1)
 
     @cached_property
     def radius_mesh(self) -> np.ndarray:

@@ -54,6 +54,39 @@ def oracle_inverse(grid, values) -> np.ndarray:
     return np.fft.ifftn(np.fft.ifftshift(spec))
 
 
+def core(a) -> np.ndarray:
+    """a on the core lattice, index >= 1 on every axis: the points whose
+    mirror -k is on the centered even lattice."""
+    return a[(slice(1, None),) * a.ndim]
+
+
+def mirrored(a) -> np.ndarray:
+    """a(-k) on the core lattice, for a lattice-shaped array a: -k lives
+    at index N - j, so this is the core reversed along every axis.  The
+    reference for SpectralGrid.mirror."""
+    return core(a)[(slice(None, None, -1),) * a.ndim]
+
+
+def mirror_reference(shape, index) -> tuple:
+    """SpectralGrid.mirror by the dense reversal: whether each point of
+    index lies on the core, and its mirror's position in index, or -1."""
+    position = np.full(shape, -1)
+    position.reshape(-1)[index] = np.arange(len(index))
+    pair = np.full(shape, -1)
+    core(pair)[...] = mirrored(position)
+    on = np.zeros(shape, dtype=bool)
+    core(on)[...] = True
+    return on.reshape(-1)[index], pair.reshape(-1)[index]
+
+
+def dense(source) -> np.ndarray:
+    """A SpectralSource's values on the dense centered lattice, zero off
+    its available points."""
+    out = np.zeros(source.available.shape, dtype=complex)
+    out[source.available] = source.values
+    return out
+
+
 def every_mode(values) -> tuple:
     """A dense centered lattice of values as the kept modes that
     SpectralGrid.inverse takes: every flat index, and the values."""

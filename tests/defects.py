@@ -66,10 +66,21 @@ def noise_x0():
     return mock.patch.object(reconstruct, "hermitian_noise", zeros)
 
 
+def mirror_none():
+    """SpectralGrid.mirror reporting no pairs: the fill integrates both
+    points of every mirror pair, and the noise leaves every draw
+    unpaired, so a noisy row's data are not Hermitian."""
+    def mirror(self, index):
+        return np.zeros(index.shape, dtype=bool), np.full(index.shape, -1)
+
+    return mock.patch.object(SpectralGrid, "mirror", mirror)
+
+
 # each defect and the module whose acceptance criteria should catch it
 CATALOGUE = {
     "inverse_no_shift": "reconstruct",
     "inverse_no_phase": "reconstruct",
     "fill_conj": "reconstruct",
     "noise_x0": "reconstruct",
+    "mirror_none": "reconstruct",
 }

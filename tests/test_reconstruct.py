@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, oracle_inverse
+from conftest import bits, core, dense, mirrored, oracle_inverse
 from tdxray import reconstruct
 from tdxray.errors import InfeasibleSandwich, RTooLargeForGrid
 from tdxray.fields import default_recon_field, single_bump
@@ -29,7 +29,7 @@ def oracle_noise(grid, mask, amplitude, rng):
            + 1j * rng.uniform(-amplitude, amplitude, shape))
     eta[~mask] = 0.0
     sym = eta.copy()
-    sym[grid.core] = 0.5 * (eta[grid.core] + np.conj(grid.mirrored(eta)))
+    core(sym)[...] = 0.5 * (core(eta) + np.conj(mirrored(eta)))
     sym[~mask] = 0.0
     return sym
 
@@ -172,17 +172,18 @@ class TestSliceSource:
         f, body, grid, oracle = recon_setup
         src = visible_slice_source(f, body, grid, grid.sample(f), R_max=2.2,
                                    n_launch=160, n_s=128)
-        mask = src.available
-        assert mask.sum() > 10
-        diff = np.abs(src.values - oracle.values)[mask]
-        rel = diff / (1.0 + np.abs(oracle.values[mask]))
+        # the values of the available points only, in C order
+        assert src.values.shape == (np.count_nonzero(src.available),)
+        assert src.values.size > 10
+        want = dense(oracle)[src.available]
+        rel = np.abs(src.values - want) / (1.0 + np.abs(want))
         # lattice sampling error dominates this comparison; the slice side
         # integrates the continuum field
         assert np.max(rel) < 2e-2
         # Hermitian structure of the filled table
-        masked = np.where(mask, src.values, 0.0)
-        assert np.max(np.abs(masked[grid.core]
-                             - np.conj(grid.mirrored(masked)))) < 1e-12
+        masked = dense(src)
+        assert np.max(np.abs(core(masked)
+                             - np.conj(mirrored(masked)))) < 1e-12
 
     def test_available_only_visible_in_ball(self, recon_setup):
         f, body, grid, _ = recon_setup
@@ -192,6 +193,25 @@ class TestSliceSource:
         vis = grid.visible_mask
         assert not np.any(src.available & ~vis)
         assert not np.any(src.available & (r > 1.8))
+
+    def test_source_holds_its_modes_only(self):
+        # what the fill leaves behind at 32^3, against a complex lattice
+        # of 0.52 MB: 0.58 MB when it held its values as one, 0.06 MB as
+        # its modes; the grid's cached radius mesh and visible mask are
+        # the grid's, so they are built beforehand
+        f, body = default_recon_field(), ball(4.0)
+        grid = SpectralGrid.for_field(f, n_points=32, extent=14.0)
+        samples = grid.sample(f)
+        grid.radius_mesh, grid.visible_mask
+        tracemalloc.start()
+        try:
+            src = visible_slice_source(f, body, grid, samples, R_max=2.2,
+                                       n_launch=48, n_s=48)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert src.values.size > 100
+        assert held < grid.n ** 3 * 16 / 4
 
 
     # (dim, n): the 2-D recon field's lattices, and 3-D lattices of one
@@ -225,6 +245,7 @@ class TestSliceSource:
                                        R_max, n_launch=200, n_s=160)
         pick = grid.visible_mask & (grid.radius_mesh <= R_max)
         assert np.array_equal(src.available, pick)
+        values = dense(src)
 
         # mirror classes by the even-lattice rule -k at index N - j, with
         # the j = 0 rows unpaired; each class is filled by one slice of
@@ -243,9 +264,9 @@ class TestSliceSource:
             if np.any(xi != 0.0):
                 sliced += 1
                 omega = visible_direction(mesh[0][first], xi)
-                assert src.values[first] == value(omega, xi)
+                assert values[first] == value(omega, xi)
             for other in rest:
-                assert src.values[other] == np.conj(src.values[first])
+                assert values[other] == np.conj(values[first])
         assert len(calls) == sliced
 
     def test_grouped_fill_equals_per_point_slices(self):
@@ -275,7 +296,7 @@ class TestSliceSource:
                 expected[idx] = slice_from_sinogram(
                     f, visible_direction(tau, xi), xi, body, **kwargs)
         assert np.count_nonzero(src.available) > 100
-        assert np.array_equal(src.values, expected)
+        assert np.array_equal(dense(src), expected)
 
 
 class TestHermitianNoise:
@@ -286,8 +307,7 @@ class TestHermitianNoise:
         rng = np.random.default_rng(0)
         eta = np.zeros(grid.shape, dtype=complex)
         eta.reshape(-1)[index] = hermitian_noise(grid, index, 1e-3, rng)
-        assert np.max(np.abs(eta[grid.core]
-                             - np.conj(grid.mirrored(eta)))) < 1e-18
+        assert np.max(np.abs(core(eta) - np.conj(mirrored(eta)))) < 1e-18
         assert np.max(np.abs(eta.real)) <= 1e-3
         assert np.max(np.abs(eta.imag)) <= 1e-3
         assert np.all(eta[~mask] == 0.0)
@@ -329,9 +349,9 @@ TINY_SLICES = dict(n_launch=48, n_s=48)
 def dense_rows(f, body, levels, epsilon, seed, grid, n_launch, n_s):
     """(delta, R, n_modes, imag_residual, l2_error, c0_error) of each row
     of stability_curve, None for an infeasible one, by the dense row
-    path: the fill is a lattice SpectralSource, a noisy row adds
-    oracle_noise's lattice to its values, and each row's kept mask is
-    applied by np.where and inverted by oracle_inverse."""
+    path: the fill's values are spread on the lattice, a noisy row adds
+    oracle_noise's lattice to them, and each row's kept mask is applied
+    by np.where and inverted by oracle_inverse."""
     truth = grid.sample(f)
     rng = np.random.default_rng(seed)
     V = noise_transfer_volume(f)
@@ -356,8 +376,8 @@ def dense_rows(f, body, levels, epsilon, seed, grid, n_launch, n_s):
         source = SpectralSource.from_samples(grid, truth) if delta == 0.0 \
             else fill
         mask = (grid.radius_mesh < R) & grid.visible_mask & source.available
-        values = source.values if delta == 0.0 else (
-            fill.values + oracle_noise(grid, mask, delta * V, rng))
+        values = dense(source) if delta == 0.0 else (
+            dense(fill) + oracle_noise(grid, mask, delta * V, rng))
         rec = oracle_inverse(grid, np.where(mask, values, 0.0))
         l2, c0 = reconstruction_errors(grid, truth, rec.real)
         rows.append((delta, R, int(mask.sum()), grid.discrete_l2(rec.imag)

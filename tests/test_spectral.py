@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import (bits, dense_frequency_mesh, every_mode,
-                      oracle_forward, oracle_inverse)
+from conftest import (bits, core, dense_frequency_mesh, every_mode,
+                      mirror_reference, mirrored, oracle_forward,
+                      oracle_inverse)
 from tdxray import spectral
 from tdxray.errors import (CoverageError, NotVisible, OddLattice,
                            SupportTruncated, ZeroXi)
@@ -111,20 +112,18 @@ class TestFourierFull:
     def test_hermitian_residual(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=48)
         v = grid.forward(grid.sample(slice_field))
-        core = v[grid.core]
-        residual = np.max(np.abs(core - np.conj(grid.mirrored(v))))
-        assert residual / np.max(np.abs(core)) < 1e-10
+        residual = np.max(np.abs(core(v) - np.conj(mirrored(v))))
+        assert residual / np.max(np.abs(core(v))) < 1e-10
 
     def test_hermitian_pairs_on_lattice(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=32)
         v = grid.forward(grid.sample(slice_field))
-        assert np.max(np.abs(np.abs(v[grid.core])
-                             - np.abs(grid.mirrored(v)))) < 1e-12
+        assert np.max(np.abs(np.abs(core(v)) - np.abs(mirrored(v)))) < 1e-12
 
     def test_tau_reflection_for_symmetric_field(self):
         f = symmetric_field()
         grid = SpectralGrid.for_field(f, n_points=32)
-        mags = np.abs(grid.forward(grid.sample(f))[grid.core])
+        mags = np.abs(core(grid.forward(grid.sample(f))))
         assert np.max(np.abs(mags - mags[::-1])) < 1e-10
 
     def test_aliasing_guard(self, slice_field):
@@ -572,8 +571,32 @@ class TestGridGuards:
     def test_mirror_is_negated_frequency(self, n, dim):
         grid = SpectralGrid(np.zeros(dim + 1), np.array([0.3] + [0.2] * dim),
                             n)
-        for axis in np.broadcast_arrays(*grid.frequency_mesh()):
-            assert np.array_equal(grid.mirrored(axis), -axis[grid.core])
+        on, pair = grid.mirror(np.arange(n ** (dim + 1)))
+        # on the whole lattice every mirror on it is in the index
+        assert np.array_equal(pair >= 0, on)
+        for axis in dense_frequency_mesh(grid):
+            flat = axis.reshape(-1)
+            assert np.array_equal(flat[pair[on]], -flat[on])
+            assert np.array_equal(mirrored(axis), -core(axis))
+
+    # index sets: empty, the whole lattice, k = 0 alone or with a random
+    # subset, and random subsets of any density
+    @given(dim=st.integers(1, 3), n=st.integers(1, 6).map(lambda k: 2 * k),
+           kind=st.sampled_from(["empty", "full", "k0", "random"]),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_matches_the_reversal(self, dim, n, kind, fill, seed):
+        grid = SpectralGrid(np.zeros(dim + 1), np.full(dim + 1, 0.3), n)
+        keep = np.random.default_rng(seed).random(grid.shape) < fill
+        if kind == "k0":
+            keep[(n // 2,) * (dim + 1)] = True
+        elif kind != "random":
+            keep[...] = kind == "full"
+        index = np.flatnonzero(keep)
+        on, pair = grid.mirror(index)
+        want_on, want_pair = mirror_reference(grid.shape, index)
+        assert np.array_equal(on, want_on)
+        assert np.array_equal(pair, want_pair)
 
     def test_lattice_arrays_built_once_and_read_only(self, slice_field):
         grid = SpectralGrid.for_field(slice_field, n_points=12)
