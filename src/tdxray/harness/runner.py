@@ -340,7 +340,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
                 f"grid.T = {T!r}: the identity pairings lhs = {lhs:.3g} "
                 f"and rhs = {rhs:.3g} give no relative gap below 1 at "
                 f"nx = {nx}")
-        norms = np.prod([l2_boundary_norm(grid, f.sample(grid), grid.corner)
+        norms = np.prod([l2_boundary_norm(grid, f.sample(grid))
                          for f in (f1, f2)])
         if max(abs(lhs), abs(rhs)) < PAIRING_FLOOR * norms:
             # pairings this far below the probes' norms are roundoff, whose

@@ -17,17 +17,20 @@ c at time level m; neither the identity nor c_dist's one-level sum applies.
 
 Grid: vertex-centred lattice on [0,1]^2 including the boundary; leapfrog in
 time; one-sided second-order normal derivative for the DtN trace.  Corner
-nodes carry Dirichlet data but are excluded from DtN outputs (no single
-outward normal exists there).
+nodes carry Dirichlet data but no single outward normal: a trace holds NaN
+there, and every boundary sum of traces drops them.
 
 One leapfrog march serves every caller.  It advances several factors at
 once on a leading factor axis and holds three time levels; each caller
 records what it needs from a level: every node (solve_dirichlet), the DtN
 stencil rows (dtn_traces), or those and g's level paired with a stored
-solve (key_identity_check).  It starts from rest with no source term, and
-the levels before the first nonzero Dirichlet value are exactly 0, so it
-starts stepping at the last of these silent levels; the energy and source
-checks run on the tests' unbatched scheme, which it matches bit for bit.
+solve (key_identity_check).  A trace level is du/dnu times c at the path
+nodes, gathered from the mesh level of c that the march steps with, so c
+is sampled once per run.  The march starts from rest with no source term,
+and the levels before the first nonzero Dirichlet value are exactly 0, so
+it starts stepping at the last of these silent levels; the energy and
+source checks run on the tests' unbatched scheme, which it matches bit for
+bit.
 """
 
 from __future__ import annotations
@@ -280,11 +283,10 @@ def h1_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
     return float(np.sqrt(_trapz(grid, bvals**2 + dt**2 + ds**2, h)))
 
 
-def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray,
-                     mask: np.ndarray) -> float:
-    """Discrete L^2 norm of boundary data off the masked path nodes:
-    trapezoid in time, lumped mass along the path."""
-    return float(np.sqrt(_trapz(grid, bvals[:, ~mask] ** 2, grid.h)))
+def l2_boundary_norm(grid: WaveGrid, bvals: np.ndarray) -> float:
+    """Discrete L^2 norm of boundary data off the corners: trapezoid in
+    time, lumped mass along the path."""
+    return float(np.sqrt(_trapz(grid, bvals[:, ~grid.corner] ** 2, grid.h)))
 
 
 # ---------------------------------------------------------------- DtN
@@ -299,54 +301,39 @@ def _conormal(grid: WaveGrid, u: np.ndarray) -> np.ndarray:
              - rows[..., 2, :]) / (2 * grid.h)
 
 
-def _edge_levels(factors: list[ConformalFactor],
-                 grid: WaveGrid) -> list[np.ndarray]:
-    """c of every factor at every time level on the boundary path, each
-    (nt, n_boundary)."""
-    points = grid.mesh()[grid.bI, grid.bJ]
-    return [sample_factor(c, grid, points) for c in factors]
-
-
-def _scale_trace(c_edge: np.ndarray, grid: WaveGrid,
-                 dn: np.ndarray) -> np.ndarray:
-    """The conormal trace c du/dnu from du/dnu (nt, n_boundary), in place:
-    scaled by c_edge, c at every time level on the boundary path, corners
-    NaN."""
-    np.multiply(c_edge, dn, out=dn)
-    dn[:, grid.corner] = np.nan
-    return dn
-
-
-def _traces(c_at: Callable, c_edge: list[np.ndarray], grid: WaveGrid,
-            bvals: np.ndarray) -> np.ndarray:
-    """Conormal traces (F, nt, n_boundary) of the factors sampled as c_at
-    on the mesh and c_edge on the boundary path, with Dirichlet values
-    bvals; only the stencil rows of each level are recorded, so three
-    time levels are held."""
-    dn = np.zeros((len(c_edge), grid.nt, grid.bI.size))
+def _traces(c_at: Callable, grid: WaveGrid, bvals: np.ndarray,
+            also: Callable | None = None) -> np.ndarray:
+    """Conormal traces c du/dnu (F, nt, n_boundary), corners NaN, of the
+    factors sampled as c_at on the mesh, with Dirichlet values bvals.
+    Each recorded level's du/dnu is scaled by that level's c at the path
+    nodes; only the stencil rows are read, so three time levels are held.
+    also(m, level), if given, receives every recorded level as well."""
+    F, edge = len(c_at(0)), grid.stencil[0]
+    dn = np.zeros((F, grid.nt, grid.bI.size))
 
     def keep(m, level):
-        dn[:, m] = _conormal(grid, level)
+        np.multiply(_conormal(grid, level), c_at(m).reshape(F, -1)[:, edge],
+                    out=dn[:, m])
+        if also is not None:
+            also(m, level)
 
     _march(c_at, grid, bvals, keep)
-    for c, trace in zip(c_edge, dn):
-        _scale_trace(c, grid, trace)
+    dn[..., grid.corner] = np.nan
     return dn
 
 
 def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
-               bvals: np.ndarray) -> tuple[np.ndarray, list[float]]:
+               bvals: np.ndarray) -> np.ndarray:
     """Conormal traces c du/dnu (corners NaN) of every factor's solution
-    with Dirichlet values bvals (nt, n_boundary): (F, nt, n_boundary),
-    and each factor's CFL margin.  The factors are marched together."""
-    c_at, margins = _mesh_levels(factors, grid)
-    return _traces(c_at, _edge_levels(factors, grid), grid, bvals), margins
+    with Dirichlet values bvals (nt, n_boundary): (F, nt, n_boundary).
+    The factors are marched together."""
+    return _traces(_mesh_levels(factors, grid)[0], grid, bvals)
 
 
 def dtn_apply(c: ConformalFactor, grid: WaveGrid,
               data: BoundaryData) -> np.ndarray:
     """Conormal trace c * du/dnu on the boundary path (corners NaN)."""
-    return dtn_traces([c], grid, data.sample(grid))[0][0]
+    return dtn_traces([c], grid, data.sample(grid))[0]
 
 
 def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
@@ -354,18 +341,17 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
     """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_c1 - Lam_c, one
     per c in family, with the per-probe ratios and the CFL margin of c.
 
-    Every factor is sampled once per run, on the mesh and on the boundary
-    path (CFLViolation past the limit), and the probes, run through
-    parallel_map, read those samples.  Each probe marches c1 and the whole
-    family together.  Each probe must vanish to first order at t = 0
-    (zero-initial-data compatibility) and have a nonzero H^1 norm on the
-    grid; violations raise IncompatibleData.
+    Every factor is sampled once per run, on the mesh (CFLViolation past
+    the limit), and the probes, run through parallel_map, read that
+    sample.  Each probe marches c1 and the whole family together.  Each
+    probe must vanish to first order at t = 0 (zero-initial-data
+    compatibility) and have a nonzero H^1 norm on the grid; violations
+    raise IncompatibleData.
     """
     if not probes:
         raise ValueError("need at least one probe")
     factors = [c1, *family]
     c_at, margins = _mesh_levels(factors, grid)
-    c_edge = _edge_levels(factors, grid)
 
     def probe_ratios(probe):
         bvals = probe.sample(grid)
@@ -379,9 +365,8 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
             raise IncompatibleData(
                 f"boundary input {probe.name} samples to 0 on this grid "
                 f"(T = {grid.T:.3g}), so its H^1 norm is 0")
-        lam = _traces(c_at, c_edge, grid, bvals)
-        return [l2_boundary_norm(grid, np.nan_to_num(lam[0] - trace),
-                                 grid.corner) / den
+        lam = _traces(c_at, grid, bvals)
+        return [l2_boundary_norm(grid, lam[0] - trace) / den
                 for trace in lam[1:]]
 
     ratios = parallel_map(probe_ratios, probes)
@@ -419,12 +404,10 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     # pairing's weight rho2 = c^(n/2 - 1) - 1 is 0; c is one level
     rho1 = c_at(0)[1] - 1.0
     nt, k2 = grid.nt, 2.0 * grid.k
-    dn = np.zeros((2, nt, grid.bI.size))
     u1 = np.zeros((2, grid.nx, grid.nx))    # levels m - 2, m - 1 at m
     pairing = np.zeros(nt - 2)
 
-    def keep(m, level):
-        dn[:, m] = _conormal(grid, level)
+    def pair(m, level):
         if m >= 2:
             # centred time derivatives at level m - 1; u2(t) = u2_rev(T -
             # t), so u2's is u2_rev's at level nt - m, sign flipped
@@ -433,11 +416,9 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
             pairing[m - 2] = np.sum(rho1 * du1 * du2)
         u1[m % 2] = level[0]
 
-    _march(c_at, grid, f1_vals, keep)
-    lam_g, lam_cg = (_scale_trace(edge, grid, trace) for edge, trace
-                     in zip(_edge_levels([g, c], grid), dn))
-    diff = np.nan_to_num(lam_g - lam_cg)[:, ~grid.corner]
-    lhs = _trapz(grid, diff * f2_vals[:, ~grid.corner], grid.h)
+    lam_g, lam_cg = _traces(c_at, grid, f1_vals, pair)
+    live = ~grid.corner
+    lhs = _trapz(grid, (lam_g - lam_cg)[:, live] * f2_vals[:, live], grid.h)
     rhs = _trapz(grid, pairing, grid.h**2)
     gap = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
     return {"lhs": lhs, "rhs": rhs, "relative_gap": gap}

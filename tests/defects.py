@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 
-from tdxray import reconstruct
+from tdxray import reconstruct, wavesim
 from tdxray.spectral import SpectralGrid
 
 
@@ -76,6 +76,34 @@ def mirror_none():
     return mock.patch.object(SpectralGrid, "mirror", mirror)
 
 
+def conormal_first_order():
+    """_conormal taking the first-order one-sided difference -(u1 - u0)/h,
+    not the second-order three-point stencil, for du/dnu."""
+    def conormal(grid, u):
+        rows = u.reshape(u.shape[:-2] + (-1,))[..., grid.stencil]
+        return -(rows[..., 1, :] - rows[..., 0, :]) / grid.h
+
+    return mock.patch.object(wavesim, "_conormal", conormal)
+
+
+def trace_without_c():
+    """_traces recording du/dnu, not c du/dnu: the DtN trace is not scaled
+    by c at the boundary path's nodes."""
+    def traces(c_at, grid, bvals, also=None):
+        dn = np.zeros((len(c_at(0)), grid.nt, grid.bI.size))
+
+        def keep(m, level):
+            dn[:, m] = wavesim._conormal(grid, level)
+            if also is not None:
+                also(m, level)
+
+        wavesim._march(c_at, grid, bvals, keep)
+        dn[..., grid.corner] = np.nan
+        return dn
+
+    return mock.patch.object(wavesim, "_traces", traces)
+
+
 # each defect and the module whose acceptance criteria should catch it
 CATALOGUE = {
     "inverse_no_shift": "reconstruct",
@@ -83,4 +111,6 @@ CATALOGUE = {
     "fill_conj": "reconstruct",
     "noise_x0": "reconstruct",
     "mirror_none": "reconstruct",
+    "conormal_first_order": "wavesim",
+    "trace_without_c": "wavesim",
 }

@@ -945,7 +945,11 @@ class TestDeterminism:
             sub = tmp_path / f"t{threads}"
             assert run("dtn", dict(cfg), str(sub), seed=0) == 0
             art = sub / f"dtn-{config_hash(cfg, 0)[:12]}"
-            blobs.append((art / "dtn_curve.csv").read_bytes())
+            # the curve keeps only each row's largest ratio; the per-probe
+            # ratios, labelled by probe, are in the diagnostics
+            diagnostics = manifest_sections(art / "manifest.txt")[
+                "diagnostics"]
+            blobs.append(((art / "dtn_curve.csv").read_bytes(), diagnostics))
         assert blobs[0] == blobs[1]
 
     def test_forward_zero_field(self, tmp_path):

@@ -73,10 +73,13 @@ def leapfrog_reference(c, grid, data=None, u0=None, v0=None, source=None):
 
 def stored_trace(c, grid, u):
     """The conormal trace c du/dnu (corners NaN) of the stored levels u
-    (nt, nx, nx), taken at once: the oracle for the march's level-by-level
-    trace."""
-    return wavesim._scale_trace(wavesim._edge_levels([c], grid)[0], grid,
-                                wavesim._conormal(grid, u))
+    (nt, nx, nx), taken at once with c sampled on the boundary path itself:
+    the oracle for the march's level-by-level trace, which gathers c from
+    its mesh levels."""
+    c_path = sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ])
+    trace = c_path * wavesim._conormal(grid, u)
+    trace[:, grid.corner] = np.nan
+    return trace
 
 
 def discrete_energy(sol, c):
@@ -306,7 +309,8 @@ class TestMarch:
         grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.0)
         data = boundary_probes(4, 1.0)[probe]
         family = [constant_factor(1.0, T=1.0), *factors]
-        traces, margins = dtn_traces(family, grid, data.sample(grid))
+        traces = dtn_traces(family, grid, data.sample(grid))
+        margins = wavesim._mesh_levels(family, grid)[1]
         assert traces.shape == (len(family), grid.nt, grid.bI.size)
         for c, trace, margin in zip(family, traces, margins):
             sol = solve_dirichlet(c, grid, data)
@@ -353,7 +357,7 @@ class TestSilentStart:
         factors = [constant_factor(1.0, T=1.0),
                    bump_factor(0.05, (0.55, 0.42), 0.3, T=1.0,
                                t_center=0.5, t_width=0.6)]
-        traces, _ = dtn_traces(factors, grid, bvals)
+        traces = dtn_traces(factors, grid, bvals)
         for c, trace in zip(factors, traces):
             ref = leapfrog_reference(c, grid, data)
             assert np.array_equal(solve_dirichlet(c, grid, data).u, ref)
@@ -401,8 +405,8 @@ class TestSampleOnce:
             dtn_norm_diff(constant_factor(1.0, T=1.0), family, grid,
                           boundary_probes(count, 1.0))
             counts.append(len(calls))
-        # each factor on the mesh and on the boundary path, once a run
-        assert counts == [6, 6]
+        # each factor on the mesh, once a run
+        assert counts == [3, 3]
 
     def test_timed_family_equals_per_probe_traces(self, monkeypatch):
         # the probe threads, more of them than cores and switching often,
@@ -422,11 +426,11 @@ class TestSampleOnce:
             sys.setswitchinterval(interval)
         for i, probe in enumerate(probes):
             bvals = probe.sample(grid)
-            lam, margins = dtn_traces([c1, *family], grid, bvals)
+            lam = dtn_traces([c1, *family], grid, bvals)
+            margins = wavesim._mesh_levels([c1, *family], grid)[1]
             den = h1_boundary_norm(grid, bvals)
             for row, trace, margin in zip(rows, lam[1:], margins[1:]):
-                ratio = l2_boundary_norm(grid, np.nan_to_num(lam[0] - trace),
-                                         grid.corner) / den
+                ratio = l2_boundary_norm(grid, lam[0] - trace) / den
                 assert row["ratios"][i] == ratio
                 assert row["cfl_margin"] == margin
 
@@ -513,7 +517,7 @@ class TestDtN:
         bvals = probe.sample(grid)
         trace = dtn_apply(c_unit, grid, probe)
         h1 = h1_boundary_norm(grid, bvals)
-        l2 = l2_boundary_norm(grid, np.nan_to_num(trace), grid.corner)
+        l2 = l2_boundary_norm(grid, trace)
         assert h1 > 0 and l2 > 0
         assert trace.shape == bvals.shape
         assert 0 < l2 / h1 < 10
@@ -611,9 +615,9 @@ def stacked_identity(c, grid, f1, f2):
     lam_cg = dtn_apply(c, grid, f1)
     sol2_rev = solve_dirichlet(c, grid, BoundaryData(
         lambda t, s: f2.func(grid.T - np.asarray(t, dtype=float), s), "rev"))
-    diff = np.nan_to_num(lam_g - lam_cg)[:, ~grid.corner]
-    lhs = wavesim._trapz(grid, diff * f2.sample(grid)[:, ~grid.corner],
-                         grid.h)
+    live = ~grid.corner
+    lhs = wavesim._trapz(grid, (lam_g - lam_cg)[:, live]
+                         * f2.sample(grid)[:, live], grid.h)
     c_grid = sample_factor(c, grid, grid.mesh())
     du1 = (sol1.u[2:] - sol1.u[:-2]) / (2.0 * grid.k)
     du2 = -((sol2_rev.u[2:] - sol2_rev.u[:-2]) / (2.0 * grid.k))[::-1]
