@@ -6,12 +6,13 @@ characteristic flow
 
     dx/dt = -h_p,   dp/dt = +h_x,
 
-launched from a boundary ray (x0, omega0) with momentum p(t0) chosen so
-that grad psi(t0, x0) = -omega0 and psi_t(t0, x0) = 1 (the two coincide
-when c = 1 at the launch point).  The phase is quadratic transverse to the
-curve, psi = <p, dx> + <M dx, dx>/2, with M = N Y^{-1} propagated
-through the variational system of the flow (Y(0) = I, N(0) = M(0)); the
-leading amplitude solves the transport equation along the curve.
+launched at t = 0 from a boundary ray (x0, omega0) with momentum p(0)
+chosen so that grad psi(0, x0) = -omega0 and psi_t(0, x0) = 1 (the two
+coincide when c = 1 at the launch point).  The phase is quadratic
+transverse to the curve, psi = <p, dx> + <M dx, dx>/2, with M = N Y^{-1}
+propagated through the variational system of the flow (Y(0) = I,
+N(0) = M(0)); the leading amplitude solves the transport equation along
+the curve.
 
 The curve (x, p) does not depend on (Y, N, a0): :func:`build_beam`
 marches the ray alone, then steps the linear part along it from one batch
@@ -107,7 +108,6 @@ def _beam_rhs(c: ConformalFactor, eye: np.ndarray, t, state: dict) -> dict:
 class BeamCurve:
     c: ConformalFactor
     dim: int
-    t0: float
     dt: float
     times: np.ndarray
     xtilde: np.ndarray          # (nt, n)
@@ -137,7 +137,7 @@ class BeamCurve:
         """
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
-        k = np.clip(np.floor((flat - self.t0) / self.dt), 0,
+        k = np.clip(np.floor(flat / self.dt), 0,
                     len(self.times) - 1).astype(int)
         step = flat - self.times[k]
         off = step != 0.0
@@ -168,11 +168,12 @@ class BeamCurve:
 
 
 def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
-               t0: float = 0.0, dt: float = 2e-3) -> BeamCurve:
-    """Integrate the beam system from a boundary ray until exit.
+               dt: float = 2e-3) -> BeamCurve:
+    """Integrate the beam system from a boundary ray, launched at t = 0,
+    until exit.
 
     The factor must be admissible over the body's box (Inadmissible).
-    Normalisation at (t0, x0): a0 = 1, grad psi = -omega0 / sqrt(c), so
+    Normalisation at (0, x0): a0 = 1, grad psi = -omega0 / sqrt(c), so
     psi_t = 1 exactly; with c = 1 near the boundary this is the inward
     unit momentum.  Initial phase Hessian M(0) = i I.
 
@@ -189,10 +190,10 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
     ray.validate(body)
     c.check_admissible(*body.bounding_box)
     n, eye = body.dim, np.eye(body.dim)
-    c0 = float(c(t0, ray.x[None, :])[0])
+    c0 = float(c(0.0, ray.x[None, :])[0])
     [(times, nodes, step)] = march_to_exit(
-        c, body, t0, {"x": ray.x[None, :].astype(float),
-                      "p": -ray.omega[None, :] / np.sqrt(c0)}, dt)
+        c, body, {"x": ray.x[None, :].astype(float),
+                  "p": -ray.omega[None, :] / np.sqrt(c0)}, dt)
 
     # one RK4 step from every node but the exit: the full steps, the one
     # past the boundary last, then the partial step to the exit
@@ -225,7 +226,7 @@ def build_beam(c: ConformalFactor, body: ConvexBody, ray: BoundaryRay,
     linear[-1] = rk4_step(stored_rhs, times[-2], linear[-2], step)
     Y, N, a0 = (np.concatenate([s[key] for s in linear])
                 for key in ("Y", "N", "a0"))
-    return BeamCurve(c=c, dim=n, t0=t0, dt=dt, times=times,
+    return BeamCurve(c=c, dim=n, dt=dt, times=times,
                      xtilde=nodes["x"], omega=nodes["p"], Y=Y, N=N, a0=a0)
 
 
@@ -325,9 +326,9 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
     """Size of Box U_lam per lambda over the tube of a built beam, and the
     log-log slope of a least-squares fit.
 
-    The beam is used as given (its factor, launch time t0 and step dt);
-    the probe times span its own [t0, t_exit].  ``body`` is the domain it
-    was built in, which clips the L2 patch.
+    The beam is used as given (its factor and step dt); the probe times
+    span its own [0, t_exit].  ``body`` is the domain it was built in,
+    which clips the L2 patch.
 
     The size is sup_t of the spatial L2 norm over the Gaussian core, the
     quantity the energy estimates consume; its exponent is n/4 at n = 2
@@ -345,7 +346,7 @@ def residual_scaling(beam: BeamCurve, body: ConvexBody, lambdas) -> dict:
     lambdas = sorted(float(l) for l in lambdas)
     if len(lambdas) < 4:
         raise ValueError("need at least 4 lambda values for the fit")
-    t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
+    t_sel = np.linspace(0.08, 0.92, 7) * beam.t_exit
 
     def size_at(lam: float, h_fd: float) -> float:
         # every stencil state of the seven probe times in one RK4 step

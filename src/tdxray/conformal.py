@@ -91,13 +91,11 @@ def jet_views(jet: Callable) -> tuple[Callable, ...]:
             lambda t, x: jet(t, x, 1)[2])
 
 
-def constant_factor(value: float, dim: int = 2,
-                    T: float = 2.0) -> ConformalFactor:
-    v = float(value)
-
+def constant_factor(dim: int = 2, T: float = 2.0) -> ConformalFactor:
+    """c = 1, the reference factor."""
     def jet(t, x, order):
         shape = np.broadcast(t, x[..., 0]).shape
-        out = [np.full(shape, v)]
+        out = [np.ones(shape)]
         if order >= 1:
             out += [np.zeros(shape + (dim,)), np.zeros(shape)]
         if order >= 2:
@@ -105,9 +103,8 @@ def constant_factor(value: float, dim: int = 2,
         return out
 
     func, grad_x, hess_x, dt = jet_views(jet)
-    return ConformalFactor(jet, func, grad_x, hess_x, dt, dim=dim,
-                           m0=0.5 * v, eps=max(0.5, abs(v - 1.0) + 0.1),
-                           T=T, name=f"const{v:g}")
+    return ConformalFactor(jet, func, grad_x, hess_x, dt, dim=dim, m0=0.5,
+                           eps=0.5, T=T, name="const1")
 
 
 def bump_factor(amplitude: float, x_center, x_width: float,

@@ -17,8 +17,9 @@ moves along +sqrt(c) omega.  With c == 1 the traced path is the straight
 chord x + s*omega.
 
 A family of rays is traced as one bundle: :func:`march_to_exit` steps every
-ray on a shared RK4 clock until the last has left, with arrays that carry a
-leading ray axis, and bisects each ray's first crossing after the march.
+ray on a shared RK4 clock, which starts at t = 0, until the last has left,
+with arrays that carry a leading ray axis, and bisects each ray's first
+crossing after the march.
 Every operation acts row by row, so a ray's path, chord length or boundary
 point is the same, bit for bit, whether it is found alone or in a family.
 A Gaussian beam of ``tdxray.beams`` marches its ray the same way, as a
@@ -323,14 +324,14 @@ def exit_budget(c: ConformalFactor, body: ConvexBody) -> float:
     return float(EXIT_BUDGET * body.diameter / np.sqrt(c.m0))
 
 
-def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
-                  state: dict, dt: float) -> list[tuple[np.ndarray, dict]]:
+def march_to_exit(c: ConformalFactor, body: ConvexBody, state: dict,
+                  dt: float) -> list[tuple[np.ndarray, dict]]:
     """Fixed-step RK4 of a bundle of rays along the flow of c
-    (:func:`_ray_flow`) from (t0, state) until every ray has left the
+    (:func:`_ray_flow`) from (0, state) until every ray has left the
     body.
 
     state["x"] and state["p"] carry a leading row axis of length N, one
-    row per ray.  Every row steps on the shared clock t0, t0 + dt, ...
+    row per ray.  Every row steps on the shared clock 0, dt, 2 dt, ...
     until the last has left; a row's nodes end before its first full step
     that lands at phi >= 0, and one :func:`bisect` of every row's crossing
     step together then puts its last node on phi = 0.  Every operation
@@ -339,8 +340,8 @@ def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
     that row's x and p stacked along the first axis and ``step`` the
     length of its last, partial step, the bisection's own, which the
     difference of the last two times need not equal to the bit.  NoExit
-    names every row still inside, with its launch point, once t - t0
-    exceeds t_max, the :func:`exit_budget`.  ``dt`` must be positive
+    names every row still inside, with its launch point, once t exceeds
+    t_max, the :func:`exit_budget`.  ``dt`` must be positive
     (ValueError).
     """
     if dt <= 0:
@@ -350,7 +351,7 @@ def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
     n_rows = len(state["x"])
     # each row's last node inside the body, -1 while it is still inside
     last = np.full(n_rows, -1)
-    clock, states = [t0], [state]
+    clock, states = [0.0], [state]
     while True:
         nxt = rk4_step(flow, clock[-1], states[-1], dt)
         last[(last < 0) & (body.phi(nxt["x"]) >= 0.0)] = len(clock) - 1
@@ -359,10 +360,10 @@ def march_to_exit(c: ConformalFactor, body: ConvexBody, t0: float,
             break
         clock.append(clock[-1] + dt)
         states.append(nxt)
-        if clock[-1] - t0 > t_max:
+        if clock[-1] > t_max:
             raise NoExit(
                 f"rays {inside.tolist()} of {n_rows} still inside after "
-                f"t - t0 = {clock[-1] - t0:.3f} (> t_max = {t_max:.3f}); "
+                f"t = {clock[-1]:.3f} (> t_max = {t_max:.3f}); "
                 f"launched from x = {state['x'][inside].tolist()}")
 
     clock = np.array(clock)
@@ -421,7 +422,7 @@ def trace_bundle(metric: MetricSpec, body: ConvexBody,
     state = {"x": np.array([ray.x for ray in rays], dtype=float),
              "p": -np.array([ray.omega for ray in rays], dtype=float)}
     return [GeodesicPath(times, nodes["x"])
-            for times, nodes, _ in march_to_exit(metric.c, body, 0.0, state, dt)]
+            for times, nodes, _ in march_to_exit(metric.c, body, state, dt)]
 
 
 def geodesic_trace(metric: MetricSpec, body: ConvexBody, ray: BoundaryRay,

@@ -110,7 +110,7 @@ class AcceptanceContext:
         """The unit disk, its horizontal diameter, c = 1 and its beam."""
         body = ball()
         ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
-        c1 = constant_factor(1.0)
+        c1 = constant_factor()
         return body, ray, c1, beams.build_beam(c1, body, ray, dt=2e-3)
 
 
@@ -169,7 +169,7 @@ def criterion_03(ctx: AcceptanceContext):
 
     def ratio(entry):
         vals = np.abs(entry["values"][hidden])
-        env = np.array([hidden_bound(t, entry["delta"], 1.0) for t in taus])
+        env = np.array([hidden_bound(t, entry["delta"]) for t in taus])
         return float(np.max(vals / env))
 
     C_cal = ratio(entries[0])
@@ -313,12 +313,23 @@ def criterion_11(ctx: AcceptanceContext):
             f"envelope {'ok' if env_ok else 'violated'}, monotone {mono}")
 
 
+def _diagnostics(manifest: str) -> str:
+    """The [diagnostics] section of a run manifest, "" without one."""
+    with open(manifest) as fh:
+        text = fh.read()
+    start = text.find("[diagnostics]\n")
+    return "" if start < 0 else text[start:text.index("[wall_clock_seconds]")]
+
+
 @criterion(12, "determinism", "byte-identical")
 def criterion_12(ctx: AcceptanceContext):
-    """Byte-identical CSVs across reruns and thread counts."""
+    """Byte-identical CSVs and manifest diagnostics across reruns and
+    thread counts; dtn is the pipeline whose probes run on threads."""
     cfg = {"rays.boundary": 12, "rays.directions": 4, "noise.level": 1e-3}
     curve_cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-5],
                  "slice.n_launch": 64, "slice.n_s": 64}
+    dtn_cfg = {"grid.nx": 33, "family.scales": [0.02, 0.04],
+               "probes.count": 2}
     ok = True
     detail = []
     # patch.dict restores the caller's TDXRAY_THREADS on the way out; the
@@ -327,7 +338,8 @@ def criterion_12(ctx: AcceptanceContext):
             redirect_stdout(io.StringIO()):
         for name, c, artifact in (("forward", cfg, "sinogram.csv"),
                                   ("stability-curve", curve_cfg,
-                                   "stability_curve.csv")):
+                                   "stability_curve.csv"),
+                                  ("dtn", dtn_cfg, "dtn_curve.csv")):
             blobs = []
             for threads in ("1", "4"):
                 os.environ["TDXRAY_THREADS"] = threads
@@ -335,8 +347,9 @@ def criterion_12(ctx: AcceptanceContext):
                 run(name, dict(c), sub, seed=7)
                 art = artifact_dir(sub, name, c, 7)
                 with open(os.path.join(art, artifact), "rb") as fh:
-                    blobs.append(fh.read())
-            same = blobs[0] == blobs[1] and len(blobs[0]) > 0
+                    blobs.append((fh.read(), _diagnostics(
+                        os.path.join(art, "manifest.txt"))))
+            same = blobs[0] == blobs[1] and len(blobs[0][0]) > 0
             ok &= same
             detail.append(f"{name}:{'identical' if same else 'DIFFER'}")
     return ok, "; ".join(detail)

@@ -195,8 +195,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         # distinct asymptotic parameters, each above 1
         "beam.lambdas": Key(None, lo=1.0, open=True, length=(4, math.inf),
                             distinct=True),
-        # the paper's times are t >= 0
-        "beam.dt": positive(2e-3), "beam.t0": Key(0.0, lo=0.0),
+        "beam.dt": positive(2e-3),
         "ray.angle": Key(0.0)},
     "dtn": {
         # grid.k defaults to a CFL number of 0.6 on the grid.nx grid

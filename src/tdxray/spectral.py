@@ -92,14 +92,15 @@ def visible_direction(tau, xi) -> np.ndarray:
     return omega / np.linalg.norm(omega, axis=-1, keepdims=True)
 
 
-def hidden_bound(tau: float, delta: float, C: float) -> float:
-    """Certified envelope C * exp(|tau|/3) |tau|^(-1/3) delta^(2/3)."""
+def hidden_bound(tau: float, delta: float) -> float:
+    """The hidden-region envelope exp(|tau|/3) |tau|^(-1/3) delta^(2/3),
+    up to the constant that C03 calibrates."""
     if tau == 0:
         raise ValueError("hidden bound needs |tau| > 0")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     at = abs(tau)
-    return C * np.exp(at / 3.0) * at ** (-1.0 / 3.0) * delta ** (2.0 / 3.0)
+    return np.exp(at / 3.0) * at ** (-1.0 / 3.0) * delta ** (2.0 / 3.0)
 
 
 # ---------------------------------------------------------------- grid

@@ -24,13 +24,14 @@ One leapfrog march serves every caller.  It advances several factors at
 once on a leading factor axis and holds three time levels; each caller
 records what it needs from a level: every node (solve_dirichlet), the DtN
 stencil rows (dtn_traces), or those and g's level paired with a stored
-solve (key_identity_check).  A trace level is du/dnu times c at the path
-nodes, gathered from the mesh level of c that the march steps with, so c
-is sampled once per run.  The march starts from rest with no source term,
-and the levels before the first nonzero Dirichlet value are exactly 0, so
-it starts stepping at the last of these silent levels; the energy and
-source checks run on the tests' unbatched scheme, which it matches bit for
-bit.
+solve (key_identity_check).  The march takes each level's c on the mesh
+once and hands it to the recorder with the level, record(m, level, c); a
+trace level is du/dnu times that c at the path nodes, so c is sampled
+once per run and each level of a time-dependent c is built once.  The
+march starts from rest with no source term, and the levels before the
+first nonzero Dirichlet value are exactly 0, so it starts stepping at the
+last of these silent levels; the energy and source checks run on the
+tests' unbatched scheme, which it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -150,18 +151,18 @@ class WaveSolution:
     u: np.ndarray            # (nt, nx, nx)
 
 
-def sample_factor(c: ConformalFactor, grid: WaveGrid,
-                  points: np.ndarray) -> np.ndarray:
-    """c at every time level on fixed points (..., 2): shape (nt, ...).
+def sample_factor(c: ConformalFactor, grid: WaveGrid) -> np.ndarray:
+    """c at every time level on the mesh: shape (nt, nx, nx).
 
     A time-independent factor is evaluated once and broadcast; a
     time-dependent one is evaluated one time level at a time.  Either way
     the sample is read-only, so one sample can serve every probe thread.
     """
-    shape = points.shape[:-1]
+    mesh = grid.mesh()
+    shape = mesh.shape[:-1]
     if not c.time_dependent:
-        return np.broadcast_to(c(np.zeros(shape), points), (grid.nt,) + shape)
-    levels = np.stack([c(np.full(shape, t), points) for t in grid.times])
+        return np.broadcast_to(c(np.zeros(shape), mesh), (grid.nt,) + shape)
+    levels = np.stack([c(np.full(shape, t), mesh) for t in grid.times])
     levels.flags.writeable = False
     return levels
 
@@ -173,8 +174,7 @@ def _mesh_levels(factors: list[ConformalFactor], grid: WaveGrid):
 
     Without a time-dependent factor the stack is built once.
     """
-    mesh = grid.mesh()
-    samples = [sample_factor(c, grid, mesh) for c in factors]
+    samples = [sample_factor(c, grid) for c in factors]
     # a time-independent sample broadcasts its first level
     margins = [grid.check_cfl(float(np.max(s if c.time_dependent else s[0])))
                for c, s in zip(factors, samples)]
@@ -189,10 +189,12 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
     """Leapfrog for c u_tt = Lap u from zero initial data with Dirichlet
     values bvals (nt, n_boundary), one solution per factor on a leading
     axis, all marched together in three rotating level buffers; c_at(m)
-    is every factor's c on the mesh at time level m, (F, nx, nx).
+    is every factor's c on the mesh at time level m, (F, nx, nx), taken
+    once per level.
 
-    record(m, u) receives time level m as an (F, nx, nx) buffer that later
-    steps overwrite.  Every level before first, the first level with a
+    record(m, u, c) receives time level m as an (F, nx, nx) buffer that
+    later steps overwrite, and c_at(m), which the step from level m
+    divides by.  Every level before first, the first level with a
     nonzero Dirichlet value, is exactly 0.  From first >= 2 these levels
     are not recorded, so a caller's store of them starts at 0, and the
     march steps from level first - 1, which gives the full march's values
@@ -211,8 +213,8 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
     prev, cur, nxt = (np.zeros((F, size)) for _ in range(3))
     acc, tmp = np.empty((F, hi - lo)), np.empty((F, hi - lo))
 
-    def accel(u, m, scale):
-        """scale Lap u / c^m over the span, into acc; the operation order
+    def accel(u, c, scale):
+        """scale Lap u / c over the span, into acc; the operation order
         of the unbatched scheme, element by element."""
         np.add(u[:, lo + nx:hi + nx], u[:, lo - nx:hi - nx], out=acc)
         np.add(acc, u[:, lo + 1:hi + 1], out=acc)
@@ -221,22 +223,26 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
         np.subtract(acc, tmp, out=acc)
         np.divide(acc, h**2, out=acc)
         np.multiply(acc, scale, out=acc)
-        np.divide(acc, c_at(m).reshape(F, size)[span], out=acc)
+        np.divide(acc, c.reshape(F, size)[span], out=acc)
         return acc
 
     live = np.any(bvals != 0, axis=1)
     first = int(np.argmax(live)) if live.any() else nt
     if first < 2:
+        c = c_at(0)
         prev[:, edge] = bvals[0]
-        record(0, prev.reshape(F, nx, nx))
+        record(0, prev.reshape(F, nx, nx), c)
         cur[:] = prev
-        np.add(cur[span], accel(prev, 0, 0.5 * k**2), out=cur[span])
+        np.add(cur[span], accel(prev, c, 0.5 * k**2), out=cur[span])
         cur[:, edge] = bvals[1]
-        record(1, cur.reshape(F, nx, nx))
+        c = c_at(1)
+        record(1, cur.reshape(F, nx, nx), c)
+    else:
+        c = c_at(first - 1)
 
     bound = 1e8 * (1.0 + np.max(np.abs(bvals)))
     for m in range(max(first - 1, 1), nt - 1):
-        a = accel(cur, m, k**2)
+        a = accel(cur, c, k**2)
         np.multiply(cur[span], 2.0, out=nxt[span])
         np.subtract(nxt[span], prev[span], out=nxt[span])
         np.add(nxt[span], a, out=nxt[span])
@@ -245,7 +251,8 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
         # fails the comparison
         if not np.max(np.abs(nxt, out=prev)) <= bound:
             raise Unstable(f"solution blew up at step {m + 1}")
-        record(m + 1, nxt.reshape(F, nx, nx))
+        c = c_at(m + 1)
+        record(m + 1, nxt.reshape(F, nx, nx), c)
         prev, cur, nxt = cur, nxt, prev
 
 
@@ -255,7 +262,7 @@ def solve_dirichlet(c: ConformalFactor, grid: WaveGrid,
     Dirichlet data, every time level stored."""
     u = np.zeros((grid.nt, grid.nx, grid.nx))
 
-    def keep(m, level):
+    def keep(m, level, _):
         u[m] = level[0]
 
     _march(_mesh_levels([c], grid)[0], grid, data.sample(grid), keep)
@@ -305,14 +312,15 @@ def _traces(c_at: Callable, grid: WaveGrid, bvals: np.ndarray,
             also: Callable | None = None) -> np.ndarray:
     """Conormal traces c du/dnu (F, nt, n_boundary), corners NaN, of the
     factors sampled as c_at on the mesh, with Dirichlet values bvals.
-    Each recorded level's du/dnu is scaled by that level's c at the path
-    nodes; only the stencil rows are read, so three time levels are held.
+    Each recorded level's du/dnu is scaled by the c the march hands over
+    with it, at the path nodes; only the stencil rows are read, so three
+    time levels are held.
     also(m, level), if given, receives every recorded level as well."""
     F, edge = len(c_at(0)), grid.stencil[0]
     dn = np.zeros((F, grid.nt, grid.bI.size))
 
-    def keep(m, level):
-        np.multiply(_conormal(grid, level), c_at(m).reshape(F, -1)[:, edge],
+    def keep(m, level, c):
+        np.multiply(_conormal(grid, level), c.reshape(F, -1)[:, edge],
                     out=dn[:, m])
         if also is not None:
             also(m, level)
@@ -393,7 +401,7 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
     """
     if c.time_dependent:
         raise ValueError("identity check requires time-independent c")
-    g = constant_factor(1.0, dim=c.dim, T=c.T)
+    g = constant_factor(dim=c.dim, T=c.T)
     c_at = _mesh_levels([g, c], grid)[0]
     rev = BoundaryData(lambda t, s: f2.func(grid.T - np.asarray(t, float), s),
                        "rev")
@@ -442,13 +450,13 @@ def conformal_stability_experiment(scales, grid: WaveGrid, probe_count: int,
         # _trapz of nt equal levels: its half-weighted ends make one level
         if cs.time_dependent:
             raise ValueError("c_dist requires time-independent c")
-        sq = 1.0 - sample_factor(cs, grid, grid.mesh())[0]
+        sq = 1.0 - sample_factor(cs, grid)[0]
         np.square(sq, out=sq)
         return float(np.sqrt(np.sum(sq) * (grid.nt - 1) * grid.k * grid.h**2))
 
     dists = [c_dist(cs) for cs in family]
     probes = boundary_probes(probe_count, T)
-    norms = dtn_norm_diff(constant_factor(1.0, T=T), family, grid, probes)
+    norms = dtn_norm_diff(constant_factor(T=T), family, grid, probes)
     rows = []
     for s, l2, norm in zip(scales, dists, norms):
         dtn = norm["norm_lower_bound"]

@@ -63,7 +63,8 @@ def table() -> str:
             elif cells[cid][0]:
                 marks.append("PASS")
             else:
-                marks.append(f"FAIL ({cells[cid][1]})")
+                # a | in the measured text would end the table cell
+                marks.append(f"FAIL ({cells[cid][1]})".replace("|", "\\|"))
         lines.append(f"| `{name}` | {change(name)} | " + " | ".join(marks)
                      + " |")
     return "\n".join(lines)

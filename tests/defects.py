@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 
-from tdxray import reconstruct, wavesim
+from tdxray import beams, reconstruct, wavesim
 from tdxray.spectral import SpectralGrid
 
 
@@ -57,6 +57,21 @@ def fill_conj():
     return mock.patch.object(reconstruct, "slice_from_sinogram", conjugated)
 
 
+def slice_phase_sign():
+    """The visible-slice fill given every chord slice with the centre phase
+    exp(+i center . xi), not exp(-i center . xi), where center is the
+    middle of the field's support box."""
+    slice_from_sinogram = reconstruct.slice_from_sinogram
+
+    def flipped(f, omega, xi, *args, **kwargs):
+        _, x_lo, x_hi = f.support_box
+        center = 0.5 * (np.asarray(x_lo) + np.asarray(x_hi))
+        return (slice_from_sinogram(f, omega, xi, *args, **kwargs)
+                * np.exp(2j * (np.asarray(xi, dtype=float) @ center)))
+
+    return mock.patch.object(reconstruct, "slice_from_sinogram", flipped)
+
+
 def noise_x0():
     """hermitian_noise returning zeros: the stability sweep's rows invert
     the slice fill with no data noise."""
@@ -92,7 +107,7 @@ def trace_without_c():
     def traces(c_at, grid, bvals, also=None):
         dn = np.zeros((len(c_at(0)), grid.nt, grid.bI.size))
 
-        def keep(m, level):
+        def keep(m, level, c):
             dn[:, m] = wavesim._conormal(grid, level)
             if also is not None:
                 also(m, level)
@@ -104,13 +119,26 @@ def trace_without_c():
     return mock.patch.object(wavesim, "_traces", traces)
 
 
+def beam_im_m_sign():
+    """beam_psi reading conj(M), not M: the beam's quadratic phase with the
+    wrong sign on Im M."""
+    def psi(state, x):
+        d = np.asarray(x, dtype=float) - state["x"]
+        return (d @ state["p"] + 0.5 * np.einsum(
+            "...i,ij,...j->...", d, np.conj(state["M"]), d))
+
+    return mock.patch.object(beams, "beam_psi", psi)
+
+
 # each defect and the module whose acceptance criteria should catch it
 CATALOGUE = {
     "inverse_no_shift": "reconstruct",
     "inverse_no_phase": "reconstruct",
     "fill_conj": "reconstruct",
+    "slice_phase_sign": "reconstruct",
     "noise_x0": "reconstruct",
     "mirror_none": "reconstruct",
     "conormal_first_order": "wavesim",
     "trace_without_c": "wavesim",
+    "beam_im_m_sign": "beams",
 }

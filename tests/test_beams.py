@@ -45,7 +45,7 @@ def coupled_rhs(c, eye, t, state):
     }
 
 
-def coupled_build(c, body, ray, t0=0.0, dt=2e-3):
+def coupled_build(c, body, ray, dt=2e-3):
     """times and nodes of the beam as one march of the coupled state
     (x, p, Y, N, a0), a caustic guard on the Y of every full step, until
     a full step lands outside; then the bisection of the crossing step
@@ -53,8 +53,8 @@ def coupled_build(c, body, ray, t0=0.0, dt=2e-3):
     march build_beam took, kept as its oracle."""
     n = body.dim
     rhs = partial(coupled_rhs, c, np.eye(n))
-    c0 = float(c(t0, ray.x[None, :])[0])
-    clock, nodes = [t0], [{
+    c0 = float(c(0.0, ray.x[None, :])[0])
+    clock, nodes = [0.0], [{
         "x": ray.x[None, :].astype(float),
         "p": -ray.omega[None, :] / np.sqrt(c0),
         "Y": np.eye(n, dtype=complex)[None],
@@ -70,7 +70,7 @@ def coupled_build(c, body, ray, t0=0.0, dt=2e-3):
             break
         clock.append(t + dt)
         nodes.append(nxt)
-        assert t - t0 < exit_budget(c, body)
+        assert t < exit_budget(c, body)
     base_t, base = np.array([t]), nodes[-1]
     xp = {"x": base["x"], "p": base["p"]}
     step = bisect(lambda s: body.phi(rk4_step(partial(_ray_flow, c), base_t,
@@ -92,7 +92,7 @@ def phase_hessian(beam, k):
 
 
 def amplitude_closed_form(beam):
-    """(det Y(t0)/det Y(t))^(1/2) (c(t0,x0)/c(t,x))^(1/4) with the
+    """(det Y(0)/det Y(t))^(1/2) (c(0,x0)/c(t,x))^(1/4) with the
     square-root branch tracked continuously along the curve.
 
     Coincides with the transport amplitude wherever c is constant along
@@ -100,7 +100,7 @@ def amplitude_closed_form(beam):
     """
     det = np.array([np.linalg.det(beam.Y[k])
                     for k in range(len(beam.times))])
-    c0 = float(beam.c(beam.t0, beam.xtilde[0][None, :])[0])
+    c0 = float(beam.c(0.0, beam.xtilde[0][None, :])[0])
     cs = np.array([float(beam.c(beam.times[k], beam.xtilde[k][None, :])[0])
                    for k in range(len(beam.times))])
     ratio = np.linalg.det(beam.Y[0]) / det
@@ -118,8 +118,7 @@ def residual_probe_set(beam, lam, max_offset, n_times=7,
     """Space-time probes covering the Gaussian core at scale 1/sqrt(lam),
     offsets capped at ``max_offset`` (the cutoff tube radius): outside its
     tube the beam is zero by construction."""
-    tsel = np.linspace(0.08, 0.92, n_times) * (beam.t_exit - beam.t0) \
-        + beam.t0
+    tsel = np.linspace(0.08, 0.92, n_times) * beam.t_exit
     probes = []
     for t in tsel:
         st = beam.state_at(t)
@@ -143,7 +142,7 @@ def residual_probe_set(beam, lam, max_offset, n_times=7,
 def free_beam():
     body = ball()
     ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
-    c1 = constant_factor(1.0)
+    c1 = constant_factor()
     return body, ray, c1, build_beam(c1, body, ray, dt=2e-3)
 
 
@@ -237,7 +236,7 @@ class TestBuildBeam:
         body = ball()
         ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
         with pytest.raises(Inadmissible, match="not positive"):
-            build_beam(constant_factor(0.0), body, ray)
+            build_beam(bump_factor(-1.0, (0.0, 0.0), 0.5), body, ray)
 
     def test_nonpositive_step_rejected(self):
         # the march refuses it; a zero step used to give a two-node beam
@@ -245,7 +244,7 @@ class TestBuildBeam:
         ray = make_ray(body, (-1.0, 0.0), (1.0, 0.0))
         for dt in (0.0, -2e-3):
             with pytest.raises(ValueError, match="dt must be positive"):
-                build_beam(constant_factor(1.0), body, ray, dt=dt)
+                build_beam(constant_factor(), body, ray, dt=dt)
 
     def test_csv_schema(self, free_beam, tmp_path):
         _, _, _, beam = free_beam
@@ -313,7 +312,7 @@ class TestBuildBeam:
         messages = []
         for build in (build_beam, coupled_build):
             with pytest.raises(CausticDetected) as info:
-                build(constant_factor(1.0), body, ray)
+                build(constant_factor(), body, ray)
             messages.append(str(info.value))
         assert messages == ["det Y ~ 0 at t = 0.0020"] * 2
 
@@ -344,7 +343,7 @@ def state_at_one(beam, t):
     """The beam state at one time t by its own one-row RK4 step of the
     coupled system from the nearest node below, M by one 2-D inverse: the
     per-time state_at that the batched one replaced."""
-    k = int(np.clip(np.floor((t - beam.t0) / beam.dt), 0,
+    k = int(np.clip(np.floor(t / beam.dt), 0,
                     len(beam.times) - 1))
     base = {"x": beam.xtilde[k:k + 1], "p": beam.omega[k:k + 1],
             "Y": beam.Y[k:k + 1], "N": beam.N[k:k + 1],
@@ -362,7 +361,7 @@ def residual_per_time(beam, body, lambdas):
     """sups and slope of residual_scaling with one state_at_one call per
     stencil time, five per probe time: the loop the batched stencil
     replaced."""
-    t_sel = np.linspace(0.08, 0.92, 7) * (beam.t_exit - beam.t0) + beam.t0
+    t_sel = np.linspace(0.08, 0.92, 7) * beam.t_exit
     sups = []
     for lam in lambdas:
         h_fd = beams.STENCIL_SCALE * lam ** (-1.5)
@@ -395,7 +394,7 @@ class TestStateAt:
         ts = np.array([
             [beam.times[0], beam.times[7], beam.times[-1]],       # nodes
             [beam.times[7] + 0.3 * beam.dt, 0.77, beam.t_exit - 1e-4],
-            [beam.t0 - 0.013, beam.t_exit + 0.004, beam.times[7]]])
+            [-0.013, beam.t_exit + 0.004, beam.times[7]]])
         batch = beam.state_at(ts)
         assert batch["x"].shape == (3, 3, beam.dim)
         assert batch["M"].shape == (3, 3, beam.dim, beam.dim)
@@ -640,7 +639,7 @@ class TestConcentration:
         # Gaussian narrower than the spacing moves the coarse sum
         body = ball(dim=3)
         ray = make_ray(body, (-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        beam = build_beam(constant_factor(1.0, dim=3), body, ray, dt=1e-2)
+        beam = build_beam(constant_factor(dim=3), body, ray, dt=1e-2)
         patch = beams._patch
         monkeypatch.setattr(beams, "_patch", lambda center, half_width,
                             points: patch(center, half_width, 25))

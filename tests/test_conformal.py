@@ -120,7 +120,7 @@ class TestBumpFactor:
 
 class TestAdmissibility:
     def test_constant_passes(self):
-        c = constant_factor(1.0)
+        c = constant_factor()
         rep = c.check_admissible((-1, -1), (1, 1))
         assert rep["min_c"] == pytest.approx(1.0)
 
@@ -139,8 +139,9 @@ class TestAdmissibility:
     def test_zero_factor_rejected(self):
         # m0 = 0 passed "min c < m0", and a march at speed sqrt(0) never
         # leaves the body
+        c = bump_factor(-1.0, (0.0, 0.0), 0.5)
         with pytest.raises(Inadmissible, match="m0 = 0.0 is not positive"):
-            constant_factor(0.0).check_admissible((-1, -1), (1, 1))
+            c.check_admissible((-1, -1), (1, 1))
 
     def test_c1_violation(self):
         c = bump_factor(0.4, (0.0, 0.0), 0.3)

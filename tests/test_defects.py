@@ -9,8 +9,8 @@ import pytest
 
 import defects
 from defect_table import change
-from defects import (fill_conj, inverse_no_phase, inverse_no_shift,
-                     mirror_none, trace_without_c)
+from defects import (beam_im_m_sign, fill_conj, inverse_no_phase,
+                     inverse_no_shift, mirror_none, trace_without_c)
 from test_wavesim import stored_trace
 from tdxray.conformal import bump_factor
 from tdxray.fields import default_recon_field
@@ -37,6 +37,16 @@ def test_conjugated_fill_fails_log_stability(capsys):
         results = {r.cid: r for r in run_acceptance("reconstruct")}
     report = capsys.readouterr().out
     assert not results[5].passed, report
+
+
+def test_wrong_im_m_sign_fails_beam_residual_and_geometry(capsys):
+    # with conj(M) the Gaussian grows off the curve: Im psi < 0 there, and
+    # the residual's patch sees the growth
+    with beam_im_m_sign():
+        results = {r.cid: r for r in run_acceptance("beams")}
+    report = capsys.readouterr().out
+    assert not results[7].passed, report
+    assert not results[8].passed, report
 
 
 def test_dropped_mirror_leaves_noisy_rows_complex():

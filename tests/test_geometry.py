@@ -16,9 +16,8 @@ from tdxray.geometry import (GRAZING_TOL, MetricSpec, ball, ellipsoid, exit_time
 def march_ray(c, body, ray, dt):
     """Times, points and momenta of one ray's Hamiltonian flow from
     p = -omega: the march that traces it under the conformal metric c."""
-    [(times, nodes, _)] = march_to_exit(c, body, 0.0,
-                                        {"x": ray.x[None, :],
-                                         "p": -ray.omega[None, :]}, dt)
+    state = {"x": ray.x[None, :], "p": -ray.omega[None, :]}
+    [(times, nodes, _)] = march_to_exit(c, body, state, dt)
     return times, nodes["x"], nodes["p"]
 
 
@@ -144,7 +143,7 @@ class TestGeodesicTrace:
         assert path.times[-1] == pytest.approx(2.0, abs=1e-10)
 
     def test_conformal_reduces_to_straight(self, unit_disk):
-        metric = MetricSpec("conformal", constant_factor(1.0))
+        metric = MetricSpec("conformal", constant_factor())
         ray = make_ray(unit_disk, (-1.0, 0.0), (1.0, 0.0))
         path = geodesic_trace(metric, unit_disk, ray, dt=1e-3)
         assert np.max(np.abs(path.points[:, 1])) < 1e-8
@@ -228,14 +227,13 @@ class TestTraceBundle:
         # the short row leaves at x1 = 0.3, comes back in at 0.5 and
         # leaves again at 0.7 while the long row is still inside; its
         # nodes must end at its first crossing, as when marched alone
-        c, body = constant_factor(1.0), ReentrantBody()
+        c, body = constant_factor(), ReentrantBody()
         state = {"x": np.array([[0.0, 0.0], [0.0, 1.0]]),
                  "p": np.array([[-1.0, 0.0], [-1.0, 0.0]])}
-        family = march_to_exit(c, body, 0.0, state, 0.013)
+        family = march_to_exit(c, body, state, 0.013)
         for i, (times, nodes, step) in enumerate(family):
             [(times_1, nodes_1, step_1)] = march_to_exit(
-                c, body, 0.0, {key: v[i:i + 1] for key, v in state.items()},
-                0.013)
+                c, body, {key: v[i:i + 1] for key, v in state.items()}, 0.013)
             assert np.array_equal(times, times_1) and step == step_1
             for key in state:
                 assert np.array_equal(nodes[key], nodes_1[key])
@@ -329,7 +327,7 @@ class TestMetricSpec:
             raise AssertionError("the march started")
 
         monkeypatch.setattr(geometry, "march_to_exit", no_march)
-        metric = MetricSpec("conformal", constant_factor(0.0))
+        metric = MetricSpec("conformal", bump_factor(-1.0, (0.0, 0.0), 0.5))
         with pytest.raises(Inadmissible, match="not positive"):
             trace_bundle(metric, unit_disk,
                          sample_inward_bundle(unit_disk, 2, 1), 0.01)

@@ -447,11 +447,12 @@ class TestRunner:
         ("reconstruct", {**SMALL["reconstruct"], "field.preset": "zero"}),
         ("stability-curve", {**SMALL["stability-curve"],
                              "field.preset": "zero"}),
-        # a clock before the paper's t = 0, a clock too coarse for its step
-        # (1,001 rows of t = 1e+300) and steps too many to take: the last
-        # two would never end, since t + dt == t
+        # a clock before the paper's t = 0 and a clock too coarse for its
+        # step (1,001 rows of t = 1e+300), from when beam.t0 was a key; the
+        # beam now launches at t = 0 and both are rejected as unknown keys
         ("beam", {"beam.t0": -0.5}),
         ("beam", {"beam.t0": 1e300}),
+        # steps too many to take: these would never end, since t + dt == t
         ("beam", {"beam.dt": 1e-300}),
         ("forward", {**SMALL["forward"], "xray.dt": 1e-300}),
         # a lattice padded past overflow: NaN in every row's reference and
@@ -544,8 +545,6 @@ class TestRunner:
                    seed=0) == 0
 
     @pytest.mark.parametrize("name, key, value", [
-        ("beam", "beam.t0", -0.5),
-        ("beam", "beam.t0", 1e300),
         ("beam", "beam.dt", 1e-300),
         ("forward", "xray.dt", 1e-300)])
     def test_clock_and_budgets_checked_first(self, tmp_path, monkeypatch,
@@ -564,13 +563,6 @@ class TestRunner:
         first, message = (art / "error.txt").read_text().splitlines()[:2]
         assert first == "error_type = ConfigInvalid"
         assert message.startswith(f"message = {key} = {value!r}")
-
-    def test_beam_clock_after_zero_runs(self, tmp_path):
-        cfg = {**SMALL["beam"], "beam.t0": 1.0}
-        assert run("beam", cfg, str(tmp_path), seed=0) == 0
-        art = tmp_path / f"beam-{config_hash(cfg, 0)[:12]}"
-        rows = (art / "beam.csv").read_text().splitlines()
-        assert rows[1].startswith("1.0,") and rows[2].startswith("1.01,")
 
     def test_stability_diagnostics_recorded(self, tmp_path):
         cfg = {"grid.points": 32, "noise.levels": [1e-3, 1e-4, 0.0],

@@ -2,8 +2,9 @@
 those classes, is used by other package code, and every defaulted
 parameter of those functions, and every plainly defaulted field of those
 dataclasses, is set by some package call and left at its default by
-another: an API, a knob or a default only the tests use belongs in the
-tests.  The package runs on numpy alone: scipy is a test dependency."""
+another; no parameter is given one literal by every package call: an API,
+a knob or a default only the tests use belongs in the tests.  The package
+runs on numpy alone: scipy is a test dependency."""
 
 import ast
 import json
@@ -41,6 +42,16 @@ KEPT_PARAMETERS = {
 KEPT_DEFAULTS = {
     # perfbench/workloads.py calls xray.sinogram without dt
     "sinogram.dt",
+}
+
+
+# parameters that every package call passes the same literal, each kept
+# for a reason other than a test
+KEPT_LITERALS = {
+    # C09 fixes the concentration lemma's lambda sweep and its time; the
+    # tests probe other lambda and t
+    "gaussian_concentration.lambdas",
+    "gaussian_concentration.t_eval",
 }
 
 
@@ -103,20 +114,26 @@ def test_outside_callers_still_bound_and_uncalled(monkeypatch):
                                for entry in unused_definitions(SRC)}
 
 
-def defaulted_parameters(node, is_method):
-    """(name, position) of each defaulted parameter of a function; the
-    position counts the arguments a call passes, None for keyword-only."""
+def parameters(node, is_method):
+    """(name, position, defaulted) of each parameter of a function that a
+    call passes, self or cls left out; the position counts the arguments
+    a call passes, None for keyword-only."""
     args = node.args
     positional = args.posonlyargs + args.args
     skip = 1 if is_method and not any(
         isinstance(d, ast.Name) and d.id == "staticmethod"
         for d in node.decorator_list) else 0
     first = len(positional) - len(args.defaults)
-    for i, arg in enumerate(positional[first:], first):
-        yield arg.arg, i - skip
+    for i, arg in enumerate(positional[skip:], skip):
+        yield arg.arg, i - skip, i >= first
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            yield arg.arg, None
+        yield arg.arg, None, default is not None
+
+
+def defaulted_parameters(node, is_method):
+    """(name, position) of each defaulted parameter of a function."""
+    return [(name, position) for name, position, defaulted
+            in parameters(node, is_method) if defaulted]
 
 
 def is_dataclass(node) -> bool:
@@ -154,13 +171,9 @@ def sets(call, name, position):
         or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def parameter_calls(src: Path):
-    """(function.parameter, location, whether each package call of the
-    function sets it) for each defaulted parameter, and the same with
-    Class.field for each plainly defaulted dataclass field; calls are
-    matched to definitions by name."""
-    modules = {path: ast.parse(path.read_text())
-               for path in sorted(src.rglob("*.py"))}
+def package_calls(modules) -> dict:
+    """{name: [call, ...]} of every call in the modules, by the called
+    name or attribute."""
     calls = {}
     for tree in modules.values():
         for node in ast.walk(tree):
@@ -170,6 +183,17 @@ def parameter_calls(src: Path):
                           func.attr if isinstance(func, ast.Attribute)
                           else None)
                 calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def parameter_calls(src: Path):
+    """(function.parameter, location, whether each package call of the
+    function sets it) for each defaulted parameter, and the same with
+    Class.field for each plainly defaulted dataclass field; calls are
+    matched to definitions by name."""
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(src.rglob("*.py"))}
+    calls = package_calls(modules)
     for path, tree in modules.items():
         for name, node, is_method in definitions(tree):
             if isinstance(node, ast.ClassDef):
@@ -214,6 +238,67 @@ def test_every_default_is_read_in_src():
     # an entry a package call now leaves at its default, or that is gone,
     # is no longer kept
     assert KEPT_DEFAULTS <= set(overridden)
+
+
+def passed(call, name, position):
+    """The argument a call passes for the parameter, by keyword or by
+    position, or None."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if position is not None and len(call.args) > position:
+        return call.args[position]
+    return None
+
+
+def literal(node):
+    """(True, value) of an argument ast.literal_eval reads, else
+    (False, None)."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False, None
+
+
+def literal_parameters(src: Path) -> dict[str, str]:
+    """{function.parameter: location} of each parameter of a function or
+    method that every package call passes the same literal.  A name
+    defined more than once, whose calls cannot be told apart by name, and
+    a function called with an unpacked * or ** argument are skipped."""
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(src.rglob("*.py"))}
+    calls = package_calls(modules)
+    defined = Counter(name for tree in modules.values()
+                      for name, _, _ in definitions(tree))
+    found = {}
+    for path, tree in modules.items():
+        for name, node, is_method in definitions(tree):
+            its_calls = calls.get(name, [])
+            if (isinstance(node, ast.ClassDef) or defined[name] > 1
+                    or not its_calls or any(
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)
+                        for call in its_calls)):
+                continue
+            for param, position, _ in parameters(node, is_method):
+                args = [passed(call, param, position) for call in its_calls]
+                if None in args:
+                    continue
+                values = [literal(arg) for arg in args]
+                if all(ok for ok, _ in values) and all(
+                        value == values[0][1] for _, value in values):
+                    found[f"{name}.{param}"] = (
+                        f"{path.relative_to(src)}:{node.lineno}")
+    return found
+
+
+def test_no_parameter_takes_one_literal():
+    found = literal_parameters(SRC)
+    assert {key: where for key, where in found.items()
+            if key not in KEPT_LITERALS} == {}
+    # an entry a package call now varies, or that is gone, is no longer
+    # kept
+    assert KEPT_LITERALS <= set(found)
 
 
 def scipy_imports(src: Path) -> list[str]:

@@ -281,12 +281,12 @@ class TestRegions:
             assert np.array_equal(omega, visible_direction(float(tau), xi))
 
     def test_hidden_bound(self):
-        assert hidden_bound(2.0, 0.0, 3.0) == 0.0
-        r = hidden_bound(4.0, 1e-3, 1.0) / hidden_bound(2.0, 1e-3, 1.0)
+        assert hidden_bound(2.0, 0.0) == 0.0
+        r = hidden_bound(4.0, 1e-3) / hidden_bound(2.0, 1e-3)
         assert r == pytest.approx(np.exp(2.0 / 3.0) * 2 ** (-1.0 / 3.0),
                                   rel=1e-12)
         with pytest.raises(ValueError):
-            hidden_bound(0.0, 1e-3, 1.0)
+            hidden_bound(0.0, 1e-3)
 
 
 class TestSlices:

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from tdxray import wavesim
-from tdxray.conformal import bump_factor, constant_factor
+from tdxray.conformal import bump_factor, constant_factor, jet_views
 from tdxray.errors import CFLViolation, IncompatibleData, Unstable
 from tdxray.fields import bump_profile
 from tdxray.wavesim import (BoundaryData, WaveGrid, WaveSolution,
@@ -53,7 +54,7 @@ def leapfrog_reference(c, grid, data=None, u0=None, v0=None, source=None):
             out[1:-1, 1:-1] += source(t, mesh)[1:-1, 1:-1]
         return out
 
-    c_grid = sample_factor(c, grid, mesh)
+    c_grid = sample_factor(c, grid)
     bI, bJ, k, ts = grid.bI, grid.bJ, grid.k, grid.times
     bvals = (data.sample(grid) if data is not None
              else np.zeros((grid.nt, bI.size)))
@@ -73,10 +74,11 @@ def leapfrog_reference(c, grid, data=None, u0=None, v0=None, source=None):
 
 def stored_trace(c, grid, u):
     """The conormal trace c du/dnu (corners NaN) of the stored levels u
-    (nt, nx, nx), taken at once with c sampled on the boundary path itself:
-    the oracle for the march's level-by-level trace, which gathers c from
-    its mesh levels."""
-    c_path = sample_factor(c, grid, grid.mesh()[grid.bI, grid.bJ])
+    (nt, nx, nx), taken at once with the mesh sample of c read at the path
+    nodes' mesh indices: the oracle for the march's level-by-level trace,
+    which scales each level by the c it steps with, gathered at the
+    path's flat indices."""
+    c_path = sample_factor(c, grid)[:, grid.bI, grid.bJ]
     trace = c_path * wavesim._conormal(grid, u)
     trace[:, grid.corner] = np.nan
     return trace
@@ -85,7 +87,7 @@ def stored_trace(c, grid, u):
 def discrete_energy(sol, c):
     """Leapfrog energy at half time steps (kinetic + cross-gradient form)."""
     g, u = sol.grid, sol.u
-    c_grid = sample_factor(c, g, g.mesh())
+    c_grid = sample_factor(c, g)
     k, h = g.k, g.h
     es = []
     for m in range(g.nt - 1):
@@ -118,6 +120,19 @@ def energy_bound_report(sol, data):
     fnorm = h1_boundary_norm(g, data.sample(g))
     return {"sup_energy": float(sup), "boundary_h1": float(fnorm),
             "constant": float(sup / fnorm) if fnorm > 0 else 0.0}
+
+
+def constant(value, dim=2):
+    """c = value everywhere, for the rho algebra: the package builds only
+    the unit factor."""
+    unit = constant_factor(dim=dim)
+
+    def jet(t, x, order):
+        c, *derivatives = unit.jet(t, x, order)
+        return [value * c, *derivatives]
+
+    return replace(unit, jet=jet, func=jet_views(jet)[0], m0=0.5 * value,
+                   name=f"const{value:g}")
 
 
 class RhoFactors:
@@ -178,7 +193,7 @@ class RhoFactors:
 
 @pytest.fixture(scope="module")
 def c_unit():
-    return constant_factor(1.0, T=2.5)
+    return constant_factor(T=2.5)
 
 
 class TestWaveGrid:
@@ -241,7 +256,7 @@ class TestSolver:
             assert errs[1] / errs[2] > 3.0, c.time_dependent
 
     def test_source_energy_bound_ratio(self, rng):
-        c = constant_factor(1.0, T=1.0)
+        c = constant_factor(T=1.0)
         grid = WaveGrid(nx=33, k=0.5 / 32, T=1.0)
         mesh0 = grid.mesh()
         interior = np.sin(np.pi * mesh0[..., 0]) * np.sin(np.pi * mesh0[..., 1])
@@ -267,7 +282,7 @@ class TestSolver:
         # the cross-form leapfrog energy is an exact discrete invariant for
         # time-independent c, so conservation holds to roundoff (stronger
         # than the O(k^2)-per-step budget)
-        c = constant_factor(1.0, T=1.0)
+        c = constant_factor(T=1.0)
         mesh = WaveGrid(nx=65, k=0.5 / 64, T=1.0).mesh()
         u0 = (np.sin(np.pi * mesh[..., 0]) * np.sin(np.pi * mesh[..., 1])) \
             * 0.3
@@ -308,7 +323,7 @@ class TestMarch:
         # solve bit for bit, and each stored solve the unbatched scheme's
         grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=1.0)
         data = boundary_probes(4, 1.0)[probe]
-        family = [constant_factor(1.0, T=1.0), *factors]
+        family = [constant_factor(T=1.0), *factors]
         traces = dtn_traces(family, grid, data.sample(grid))
         margins = wavesim._mesh_levels(family, grid)[1]
         assert traces.shape == (len(family), grid.nt, grid.bI.size)
@@ -317,7 +332,7 @@ class TestMarch:
             assert np.array_equal(sol.u, leapfrog_reference(c, grid, data))
             assert np.array_equal(trace, stored_trace(c, grid, sol.u),
                                   equal_nan=True)
-            c_max = np.max(sample_factor(c, grid, grid.mesh()))
+            c_max = np.max(sample_factor(c, grid))
             assert margin == grid.k / (grid.h / np.sqrt(2 * c_max))
 
     def test_unstable_guard_on_dtn_path(self, monkeypatch):
@@ -326,7 +341,7 @@ class TestMarch:
                             lambda self, c_max: None)
         c = bump_factor(0.04, (0.55, 0.42), 0.3, T=2.0)
         with pytest.raises(Unstable):
-            dtn_norm_diff(constant_factor(1.0, T=2.0), [c], grid,
+            dtn_norm_diff(constant_factor(T=2.0), [c], grid,
                           boundary_probes(2, 2.0))
 
 
@@ -354,7 +369,7 @@ class TestSilentStart:
         bvals = data.sample(grid)
         live = np.flatnonzero(np.any(bvals != 0, axis=1))
         assert (int(live[0]) if live.size else None) == first
-        factors = [constant_factor(1.0, T=1.0),
+        factors = [constant_factor(T=1.0),
                    bump_factor(0.05, (0.55, 0.42), 0.3, T=1.0,
                                t_center=0.5, t_width=0.6)]
         traces = dtn_traces(factors, grid, bvals)
@@ -370,7 +385,7 @@ class TestSilentStart:
         grid = WaveGrid(nx=33, k=1.2 / 32, T=2.0)
         monkeypatch.setattr(WaveGrid, "check_cfl",
                             lambda self, c_max: None)
-        c = constant_factor(1.0, T=2.0)
+        c = constant_factor(T=2.0)
         data = stepped_data(grid, 20)
         bvals = data.sample(grid)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -402,11 +417,40 @@ class TestSampleOnce:
         counts = []
         for count in (1, 4):
             calls.clear()
-            dtn_norm_diff(constant_factor(1.0, T=1.0), family, grid,
+            dtn_norm_diff(constant_factor(T=1.0), family, grid,
                           boundary_probes(count, 1.0))
             counts.append(len(calls))
         # each factor on the mesh, once a run
         assert counts == [3, 3]
+
+    def test_march_takes_each_level_of_c_once(self, monkeypatch):
+        # each c_at call of a time-dependent family stacks a fresh
+        # (F, nx, nx) level; the march takes one per level from the last
+        # silent level on and hands it to the recorder, and _march and
+        # _traces each look up the factor count once
+        mesh_levels, calls = wavesim._mesh_levels, []
+
+        def counted(factors, grid):
+            c_at, margins = mesh_levels(factors, grid)
+
+            def at(m):
+                calls.append(m)
+                return c_at(m)
+
+            return at, margins
+
+        monkeypatch.setattr(wavesim, "_mesh_levels", counted)
+        grid = WaveGrid(nx=33, k=0.6 / 32, T=2.0)
+        family = [bump_factor(s, (0.55, 0.42), 0.3, t_center=1.0,
+                              t_width=0.9, T=2.0)
+                  for s in (0.01, 0.02, 0.04, 0.08, 0.16)]
+        bvals = boundary_probes(1, 2.0)[0].sample(grid)
+        dtn_traces(family, grid, bvals)
+        first = int(np.argmax(np.any(bvals != 0, axis=1)))
+        assert first == 14
+        # levels 13 to nt - 1 = 107 and two look-ups; 190 when the march
+        # and the recorder each took c
+        assert len(calls) <= (grid.nt - (first - 1)) + 2 == 97
 
     def test_timed_family_equals_per_probe_traces(self, monkeypatch):
         # the probe threads, more of them than cores and switching often,
@@ -414,7 +458,7 @@ class TestSampleOnce:
         # from a march that samples the factors afresh
         monkeypatch.setenv("TDXRAY_THREADS", "4")
         grid = WaveGrid(nx=25, k=0.6 / 24, T=2.0)
-        c1 = constant_factor(1.0, T=2.0)
+        c1 = constant_factor(T=2.0)
         family = [bump_factor(s, (0.55, 0.42), 0.3, t_center=1.0,
                               t_width=0.9, T=2.0) for s in (0.02, 0.08)]
         probes = boundary_probes(4, 2.0)
@@ -546,7 +590,7 @@ class TestDtN:
 
     def test_norm_estimate_nondecreasing_in_probes(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
-        g1 = constant_factor(1.0, T=1.5)
+        g1 = constant_factor(T=1.5)
         c = bump_factor(0.05, (0.55, 0.42), 0.3, T=1.5)
         probes = boundary_probes(6, 1.5)
         est3 = dtn_norm_diff(g1, [c], grid, probes[:3])[0]["norm_lower_bound"]
@@ -555,7 +599,7 @@ class TestDtN:
 
     def test_norm_monotone_in_scale(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
-        g1 = constant_factor(1.0, T=1.5)
+        g1 = constant_factor(T=1.5)
         probes = boundary_probes(4, 1.5)
         family = [bump_factor(s, (0.55, 0.42), 0.3, T=1.5)
                   for s in (0.01, 0.02, 0.04)]
@@ -566,7 +610,7 @@ class TestDtN:
 
 class TestRho:
     def test_unit_factor_all_zero(self, rng):
-        fac = RhoFactors(constant_factor(1.0), 2)
+        fac = RhoFactors(constant_factor(), 2)
         ts = rng.uniform(0, 1, 16)
         xs = rng.uniform(0, 1, (16, 2))
         assert np.all(fac.rho0(ts, xs) == 0.0)
@@ -582,7 +626,7 @@ class TestRho:
         assert np.allclose(fac.rho(ts, xs), c(ts, xs) - 1.0)
 
     def test_n3_point_value(self):
-        c = constant_factor(1.21, dim=3)
+        c = constant(1.21, dim=3)
         fac = RhoFactors(c, 3)
         t = np.array([0.0])
         x = np.zeros((1, 3))
@@ -592,7 +636,7 @@ class TestRho:
     @given(val=st.floats(0.2, 5.0), n=st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
     def test_identity_pointwise(self, val, n):
-        fac = RhoFactors(constant_factor(val), n)
+        fac = RhoFactors(constant(val), n)
         t = np.array([0.0])
         x = np.zeros((1, 2))
         assert fac.identity_residual(t, x) <= 1e-12
@@ -609,7 +653,7 @@ def stacked_identity(c, grid, f1, f2):
     and the interior pairing taken over (nt - 2, nx, nx) stacks of centred
     time derivatives: the oracle for its one forward march of g and c and
     its level-by-level sum."""
-    g = constant_factor(1.0, dim=c.dim, T=c.T)
+    g = constant_factor(dim=c.dim, T=c.T)
     sol1 = solve_dirichlet(g, grid, f1)
     lam_g = stored_trace(g, grid, sol1.u)
     lam_cg = dtn_apply(c, grid, f1)
@@ -618,7 +662,7 @@ def stacked_identity(c, grid, f1, f2):
     live = ~grid.corner
     lhs = wavesim._trapz(grid, (lam_g - lam_cg)[:, live]
                          * f2.sample(grid)[:, live], grid.h)
-    c_grid = sample_factor(c, grid, grid.mesh())
+    c_grid = sample_factor(c, grid)
     du1 = (sol1.u[2:] - sol1.u[:-2]) / (2.0 * grid.k)
     du2 = -((sol2_rev.u[2:] - sol2_rev.u[:-2]) / (2.0 * grid.k))[::-1]
     pairing = np.sum((c_grid[1:-1] - 1.0) * du1 * du2, axis=(1, 2))
@@ -691,7 +735,7 @@ class TestKeyIdentity:
 
     def test_trivial_for_unit_factor(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
-        c = constant_factor(1.0, T=1.5)
+        c = constant_factor(T=1.5)
         probes = boundary_probes(4, 1.5)
         res = key_identity_check(c, grid, probes[0], probes[2])
         scale = max(abs(res["lhs"]), abs(res["rhs"]), 1e-30)
@@ -766,7 +810,7 @@ def stacked_c_dist(s, grid):
     """|1 - c_s|_L2 from the whole (nt, nx, nx) stack of time levels through
     _trapz: the oracle for the experiment's one-level sum."""
     c = bump_factor(s, CENTER, WIDTH, T=grid.T)
-    vals = (1.0 - sample_factor(c, grid, grid.mesh())) ** 2
+    vals = (1.0 - sample_factor(c, grid)) ** 2
     return float(np.sqrt(wavesim._trapz(grid, vals, grid.h**2)))
 
 
