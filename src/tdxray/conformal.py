@@ -1,9 +1,9 @@
 """Admissible conformal factors c(t, x).
 
 A factor is admissible when it is bounded below by m0 > 0 and its C^1
-distance to 1 stays below eps.  Experiment factors are built from the same
-compactly supported bump profile as the test fields, so c = 1 identically
-near the domain boundary.
+distance to 1 stays below EPS, the class's one constant.  Experiment
+factors are built from the same compactly supported bump profile as the
+test fields, so c = 1 identically near the domain boundary.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import Inadmissible
 from .fields import bump_jet, squared_distance
+
+EPS = 0.5
 
 
 @dataclass
@@ -41,7 +43,6 @@ class ConformalFactor:
     m0: float
     T: float
     name: str
-    eps: float = 0.5
     time_dependent: bool = False
 
     def __call__(self, t, x):
@@ -76,9 +77,9 @@ class ConformalFactor:
         if report["min_c"] < self.m0:
             raise Inadmissible(
                 f"min c = {report['min_c']:.4g} below m0 = {self.m0}")
-        if c1 > self.eps:
+        if c1 > EPS:
             raise Inadmissible(
-                f"C1 distance to 1 = {c1:.4g} exceeds eps = {self.eps}")
+                f"C1 distance to 1 = {c1:.4g} exceeds eps = {EPS}")
         return report
 
 
@@ -104,7 +105,7 @@ def constant_factor(dim: int = 2, T: float = 2.0) -> ConformalFactor:
 
     func, grad_x, hess_x, dt = jet_views(jet)
     return ConformalFactor(jet, func, grad_x, hess_x, dt, dim=dim, m0=0.5,
-                           eps=0.5, T=T, name="const1")
+                           T=T, name="const1")
 
 
 def bump_factor(amplitude: float, x_center, x_width: float,

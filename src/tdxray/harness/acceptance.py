@@ -25,6 +25,7 @@ import numpy as np
 from .. import beams
 from .. import fields as field_lib
 from ..conformal import bump_factor, constant_factor
+from ..errors import TdxrayError
 from ..geometry import MetricSpec, ball, make_ray, sample_inward_bundle
 from ..reconstruct import (SpectralSource, choose_R, kept_modes,
                            parseval_split, truncated_inversion)
@@ -55,7 +56,9 @@ class CriterionResult:
 def criterion(cid: int, name: str, tolerance: str, limit_s=math.inf):
     """Declare a criterion.  Its check takes the context and returns
     (passed, measured); the declared criterion times the check and fails
-    it past limit_s, which its tolerance then states."""
+    it past limit_s, which its tolerance then states.  A check that
+    raises a TdxrayError fails, with "<ErrorType>: <message>" as its
+    measured text, and the suite runs on."""
     if limit_s < math.inf:
         tolerance = f"{tolerance}, < {limit_s} s"
 
@@ -63,7 +66,10 @@ def criterion(cid: int, name: str, tolerance: str, limit_s=math.inf):
         @functools.wraps(check)
         def timed(ctx) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, measured = check(ctx)
+            try:
+                passed, measured = check(ctx)
+            except TdxrayError as exc:
+                passed, measured = False, f"{type(exc).__name__}: {exc}"
             seconds = time.perf_counter() - t0
             return CriterionResult(cid, name, passed and seconds < limit_s,
                                    measured, tolerance, seconds)

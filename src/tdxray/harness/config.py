@@ -198,9 +198,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "beam.dt": positive(2e-3),
         "ray.angle": Key(0.0)},
     "dtn": {
-        # grid.k defaults to a CFL number of 0.6 on the grid.nx grid
-        "grid.nx": count(97, lo=WAVE_NODES),
-        "grid.k": positive(lambda c: 0.6 / (c["grid.nx"] - 1)),
+        "grid.nx": count(97, lo=WAVE_NODES), "grid.cfl": positive(0.6),
         "grid.T": positive(2.0), "probes.count": count(6),
         "family.scales": Key([0.01, 0.02, 0.04, 0.08], length=LIST),
         "bump.center": Key([0.55, 0.42], length=PAIR),

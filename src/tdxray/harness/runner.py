@@ -46,14 +46,16 @@ def build_field(cfg: dict):
 WAVE_VALUES = 10**8
 
 
-def _wave_grid(nx: int, k: float, T: float, named: str):
-    """A wave grid whose grid.T spans the 2 steps the leapfrog needs, and
-    whose time levels hold at most WAVE_VALUES values, checked before any
-    allocation; named gives the config values that set nx, k and T."""
+def _wave_grid(nx: int, cfl: float, T: float, named: str):
+    """A wave grid of step cfl / (nx - 1) whose grid.T spans the 2 steps
+    the leapfrog needs, and whose time levels hold at most WAVE_VALUES
+    values, checked before any allocation; named gives nx, cfl and T."""
     from ..wavesim import WaveGrid
 
-    levels = T / k + 1
-    # nx^2 first, so that a huge nx is never converted to a float
+    k = cfl / (nx - 1)
+    # T / k + 1 read without k, which may underflow to 0
+    levels = T * (nx - 1) / cfl + 1
+    # nx^2 first, so that an nx^2 past every float is never converted
     if nx**2 > WAVE_VALUES or levels * nx**2 > WAVE_VALUES:
         raise ConfigInvalid(f"{named} give {levels:.3g} time levels of "
                             f"nx^2 nodes each: more than the "
@@ -264,9 +266,9 @@ def run_dtn(cfg: dict, seed: int, art: str, man: RunManifest) -> dict:
     from ..wavesim import conformal_stability_experiment
 
     _check_bump_support(cfg)
-    nx, k, T = cfg["grid.nx"], cfg["grid.k"], cfg["grid.T"]
-    grid = _wave_grid(nx, k, T, f"grid.nx = {nx!r}, grid.k = {k!r} and "
-                      f"grid.T = {T!r}")
+    nx, cfl, T = cfg["grid.nx"], cfg["grid.cfl"], cfg["grid.T"]
+    grid = _wave_grid(nx, cfl, T, f"grid.nx = {nx!r}, grid.cfl = {cfl!r} "
+                      f"and grid.T = {T!r}")
     man.stage("setup")
     out = conformal_stability_experiment(
         cfg["family.scales"], grid, probe_count=cfg["probes.count"],
@@ -317,7 +319,7 @@ def run_identity_check(cfg: dict, seed: int, art: str,
     probes = boundary_probes(4, T)
     f1, f2 = probes[cfg["probe.first"]], probes[cfg["probe.second"]]
     # every size is checked before the first solve
-    grids = [_wave_grid(nx, cfl / (nx - 1), T, f"grid.sizes entry {nx!r}, "
+    grids = [_wave_grid(nx, cfl, T, f"grid.sizes entry {nx!r}, "
                         f"grid.cfl = {cfl!r} and grid.T = {T!r}")
              for nx in cfg["grid.sizes"]]
     man.stage("setup")

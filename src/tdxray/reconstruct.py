@@ -264,7 +264,6 @@ class StabilityRow:
 @dataclass
 class StabilityCurve:
     rows: list[StabilityRow]
-    envelope_C: float            # nan without a feasible noisy row
 
     def fit(self) -> dict:
         """Least-squares fit err = C / log(1/delta) on feasible rows."""
@@ -307,13 +306,13 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
     is the level's delta.  Noise enters the visible lattice values as
     Hermitian complex uniform noise of amplitude delta * V, where V is the
     worst-case launch-area factor transferring per-ray sup noise into a
-    slice value.  The envelope constant is calibrated on the first
-    feasible row.  The slice fill is one source, its modes inside the
-    largest cut; each row takes its kept_modes at its own cut, adds its
-    noise at them, and holds one complex lattice, the inverse transform's
-    buffer, which is released with the row's reconstruction before the
-    next row draws.  A noise-free row takes the kept_modes of the
-    tensor-grid transform of the samples.
+    slice value.  Each feasible noisy row is built with its envelope
+    C / log(1/delta), C fixed by the first.  The slice fill is one source,
+    its modes inside the largest cut; each row takes its kept_modes at its
+    own cut, adds its noise at them, and holds one complex lattice, the
+    inverse transform's buffer, which is released with the row's
+    reconstruction before the next row draws.  A noise-free row takes the
+    kept_modes of the tensor-grid transform of the samples.
     """
     noise_levels = list(noise_levels)
     if any(noise_levels[i] < noise_levels[i + 1]
@@ -348,7 +347,9 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
                                     n_launch=n_launch, n_s=n_s)
 
     rows = []
+    envelope_C = None
     for level, delta_hat, cut in zip(noise_levels, deltas, cuts):
+        envelope = float("nan")
         if level == 0.0:
             R, conflict = 0.98 * R_limit, False
             index, values = kept_modes(
@@ -365,14 +366,11 @@ def stability_curve(f: SpaceTimeField, body: ConvexBody,
                                               rng)
         rec, diag = truncated_inversion(grid, index, values, R)
         l2, c0 = reconstruction_errors(grid, truth, rec)
-        rows.append(StabilityRow(delta_hat, R, l2, c0, float("nan"), True,
-                                 conflict, **diag))
         del rec
-
-    feas = [r for r in rows if r.feasible and r.delta > 0]
-    envelope_C = float("nan")
-    if feas:
-        envelope_C = feas[0].l2_error * np.log(1.0 / feas[0].delta)
-        for r in feas:
-            r.envelope = float(envelope_C / np.log(1.0 / r.delta))
-    return StabilityCurve(rows, envelope_C)
+        if level != 0.0:
+            if envelope_C is None:
+                envelope_C = l2 * np.log(1.0 / delta_hat)
+            envelope = float(envelope_C / np.log(1.0 / delta_hat))
+        rows.append(StabilityRow(delta_hat, R, l2, c0, envelope, True,
+                                 conflict, **diag))
+    return StabilityCurve(rows)

@@ -190,7 +190,7 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
     values bvals (nt, n_boundary), one solution per factor on a leading
     axis, all marched together in three rotating level buffers; c_at(m)
     is every factor's c on the mesh at time level m, (F, nx, nx), taken
-    once per level.
+    once per level, and F is read from the first level taken.
 
     record(m, u, c) receives time level m as an (F, nx, nx) buffer that
     later steps overwrite, and c_at(m), which the step from level m
@@ -203,7 +203,10 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
     level past 1e8 (1 + max|bvals|), NaN and inf included.
     """
     nt, nx, h, k = grid.nt, grid.nx, grid.h, grid.k
-    F, size = len(c_at(0)), grid.nx**2
+    live = np.any(bvals != 0, axis=1)
+    first = int(np.argmax(live)) if live.any() else nt
+    c = c_at(0 if first < 2 else first - 1)
+    F, size = len(c), grid.nx**2
     edge = grid.stencil[0]
     # levels are flat per factor, so the five-point stencil reads shifted
     # contiguous runs; the run span holds every interior node and the
@@ -226,10 +229,7 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
         np.divide(acc, c.reshape(F, size)[span], out=acc)
         return acc
 
-    live = np.any(bvals != 0, axis=1)
-    first = int(np.argmax(live)) if live.any() else nt
     if first < 2:
-        c = c_at(0)
         prev[:, edge] = bvals[0]
         record(0, prev.reshape(F, nx, nx), c)
         cur[:] = prev
@@ -237,8 +237,6 @@ def _march(c_at: Callable[[int], np.ndarray], grid: WaveGrid,
         cur[:, edge] = bvals[1]
         c = c_at(1)
         record(1, cur.reshape(F, nx, nx), c)
-    else:
-        c = c_at(first - 1)
 
     bound = 1e8 * (1.0 + np.max(np.abs(bvals)))
     for m in range(max(first - 1, 1), nt - 1):
@@ -308,15 +306,15 @@ def _conormal(grid: WaveGrid, u: np.ndarray) -> np.ndarray:
              - rows[..., 2, :]) / (2 * grid.h)
 
 
-def _traces(c_at: Callable, grid: WaveGrid, bvals: np.ndarray,
+def _traces(c_at: Callable, F: int, grid: WaveGrid, bvals: np.ndarray,
             also: Callable | None = None) -> np.ndarray:
-    """Conormal traces c du/dnu (F, nt, n_boundary), corners NaN, of the
+    """Conormal traces c du/dnu (F, nt, n_boundary), corners NaN, of the F
     factors sampled as c_at on the mesh, with Dirichlet values bvals.
     Each recorded level's du/dnu is scaled by the c the march hands over
     with it, at the path nodes; only the stencil rows are read, so three
     time levels are held.
     also(m, level), if given, receives every recorded level as well."""
-    F, edge = len(c_at(0)), grid.stencil[0]
+    edge = grid.stencil[0]
     dn = np.zeros((F, grid.nt, grid.bI.size))
 
     def keep(m, level, c):
@@ -335,7 +333,8 @@ def dtn_traces(factors: list[ConformalFactor], grid: WaveGrid,
     """Conormal traces c du/dnu (corners NaN) of every factor's solution
     with Dirichlet values bvals (nt, n_boundary): (F, nt, n_boundary).
     The factors are marched together."""
-    return _traces(_mesh_levels(factors, grid)[0], grid, bvals)
+    c_at = _mesh_levels(factors, grid)[0]
+    return _traces(c_at, len(factors), grid, bvals)
 
 
 def dtn_apply(c: ConformalFactor, grid: WaveGrid,
@@ -344,21 +343,21 @@ def dtn_apply(c: ConformalFactor, grid: WaveGrid,
     return dtn_traces([c], grid, data.sample(grid))[0]
 
 
-def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
-                  grid: WaveGrid, probes: list[BoundaryData]) -> list[dict]:
-    """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_c1 - Lam_c, one
+def dtn_norm_diff(family: list[ConformalFactor], grid: WaveGrid,
+                  probes: list[BoundaryData]) -> list[dict]:
+    """Probed lower bounds of the H^1_0 -> L^2 norms of Lam_1 - Lam_c, one
     per c in family, with the per-probe ratios and the CFL margin of c.
 
-    Every factor is sampled once per run, on the mesh (CFLViolation past
-    the limit), and the probes, run through parallel_map, read that
-    sample.  Each probe marches c1 and the whole family together.  Each
-    probe must vanish to first order at t = 0 (zero-initial-data
-    compatibility) and have a nonzero H^1 norm on the grid; violations
-    raise IncompatibleData.
+    Every factor, c = 1 built here included, is sampled once per run, on
+    the mesh (CFLViolation past the limit), and the probes, run through
+    parallel_map, read that sample.  Each probe marches c = 1 and the
+    whole family together.  Each probe must vanish to first order at
+    t = 0 (zero-initial-data compatibility) and have a nonzero H^1 norm
+    on the grid; violations raise IncompatibleData.
     """
     if not probes:
         raise ValueError("need at least one probe")
-    factors = [c1, *family]
+    factors = [constant_factor(T=grid.T), *family]
     c_at, margins = _mesh_levels(factors, grid)
 
     def probe_ratios(probe):
@@ -373,7 +372,7 @@ def dtn_norm_diff(c1: ConformalFactor, family: list[ConformalFactor],
             raise IncompatibleData(
                 f"boundary input {probe.name} samples to 0 on this grid "
                 f"(T = {grid.T:.3g}), so its H^1 norm is 0")
-        lam = _traces(c_at, grid, bvals)
+        lam = _traces(c_at, len(factors), grid, bvals)
         return [l2_boundary_norm(grid, lam[0] - trace) / den
                 for trace in lam[1:]]
 
@@ -424,7 +423,7 @@ def key_identity_check(c: ConformalFactor, grid: WaveGrid,
             pairing[m - 2] = np.sum(rho1 * du1 * du2)
         u1[m % 2] = level[0]
 
-    lam_g, lam_cg = _traces(c_at, grid, f1_vals, pair)
+    lam_g, lam_cg = _traces(c_at, 2, grid, f1_vals, pair)
     live = ~grid.corner
     lhs = _trapz(grid, (lam_g - lam_cg)[:, live] * f2_vals[:, live], grid.h)
     rhs = _trapz(grid, pairing, grid.h**2)
@@ -456,7 +455,7 @@ def conformal_stability_experiment(scales, grid: WaveGrid, probe_count: int,
 
     dists = [c_dist(cs) for cs in family]
     probes = boundary_probes(probe_count, T)
-    norms = dtn_norm_diff(constant_factor(T=T), family, grid, probes)
+    norms = dtn_norm_diff(family, grid, probes)
     rows = []
     for s, l2, norm in zip(scales, dists, norms):
         dtn = norm["norm_lower_bound"]

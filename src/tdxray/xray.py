@@ -2,7 +2,8 @@
 
 The transform integrates f(s, gamma(s)) along a traced path, the time
 argument advancing with the path parameter.  Sinograms collect per-ray
-values over a boundary-ray family together with their sup-norm delta.
+values over a boundary-ray family; their sup-norm delta is read from the
+values.
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ QUAD_TOL = 1e-9
 
 @dataclass
 class Sinogram:
+    """Per-ray values and exit times; the sup-norm is read from the values."""
+
     rays: list[BoundaryRay]
     values: np.ndarray
     taus: np.ndarray
-    sup_norm: float
     max_halving_gap: float   # the largest Simpson halving gap over the rays
 
-    @classmethod
-    def from_values(cls, rays, values, taus, gaps) -> "Sinogram":
-        values = np.asarray(values, dtype=float)
-        return cls(list(rays), values, np.asarray(taus, dtype=float),
-                   float(np.max(np.abs(values))) if values.size else 0.0,
-                   max(gaps, default=0.0))
+    @property
+    def sup_norm(self) -> float:
+        """max |value|, read from the values, so it cannot go stale."""
+        return float(np.max(np.abs(self.values)))
 
     def write_csv(self, path) -> None:
         n = self.rays[0].x.size
@@ -125,24 +125,22 @@ def sinogram(f: SpaceTimeField, rays: list[BoundaryRay], metric: MetricSpec,
         values.append(value)
         gaps.append(gap)
     taus = np.array([path.times[-1] for path in paths])
-    return Sinogram.from_values(rays, values, taus, gaps)
+    # trace_bundle rejects an empty family, so gaps is never empty
+    return Sinogram(list(rays), np.array(values), taus, max(gaps))
 
 
 def perturb_sinogram(s: Sinogram, noise_level: float,
                      seed: int) -> tuple[Sinogram, float]:
     """Add uniform noise of the given amplitude to every ray value.
 
-    Returns the perturbed sinogram and the measured sup-norm of the
-    perturbation itself, which the forward pipeline records as its
-    noise_sup diagnostic.
+    Returns the perturbed sinogram, s itself at level 0, and the measured
+    sup-norm of the perturbation itself, which the forward pipeline
+    records as its noise_sup diagnostic.
     """
     if noise_level < 0:
         raise ValueError("noise_level must be >= 0")
     if noise_level == 0:
-        return replace(s, values=s.values.copy(), taus=s.taus.copy()), 0.0
+        return s, 0.0
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-noise_level, noise_level, size=s.values.shape)
-    values = s.values + noise
-    out = replace(s, values=values, taus=s.taus.copy(),
-                  sup_norm=float(np.max(np.abs(values))))
-    return out, float(np.max(np.abs(noise)))
+    return replace(s, values=s.values + noise), float(np.max(np.abs(noise)))

@@ -104,8 +104,8 @@ def conormal_first_order():
 def trace_without_c():
     """_traces recording du/dnu, not c du/dnu: the DtN trace is not scaled
     by c at the boundary path's nodes."""
-    def traces(c_at, grid, bvals, also=None):
-        dn = np.zeros((len(c_at(0)), grid.nt, grid.bI.size))
+    def traces(c_at, F, grid, bvals, also=None):
+        dn = np.zeros((F, grid.nt, grid.bI.size))
 
         def keep(m, level, c):
             dn[:, m] = wavesim._conormal(grid, level)
@@ -117,6 +117,20 @@ def trace_without_c():
         return dn
 
     return mock.patch.object(wavesim, "_traces", traces)
+
+
+def leapfrog_without_c():
+    """The leapfrog stepping u_tt = Lap u, not c u_tt = Lap u: every step
+    divides by 1, not by c, while the recorder still receives c."""
+    march = wavesim._march
+
+    def unscaled(c_at, grid, bvals, record):
+        def keep(m, level, _):
+            record(m, level, c_at(m))
+
+        march(lambda m: np.ones_like(c_at(m)), grid, bvals, keep)
+
+    return mock.patch.object(wavesim, "_march", unscaled)
 
 
 def beam_im_m_sign():
@@ -140,5 +154,6 @@ CATALOGUE = {
     "mirror_none": "reconstruct",
     "conormal_first_order": "wavesim",
     "trace_without_c": "wavesim",
+    "leapfrog_without_c": "wavesim",
     "beam_im_m_sign": "beams",
 }

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from tdxray import wavesim
+from tdxray.errors import IncompatibleData
 from tdxray.harness import acceptance as acc
 
 
@@ -49,3 +51,17 @@ def test_time_limit_declared_once(limit_s, passed):
     assert result.passed is passed
     assert result.seconds >= 0.05
     assert result.tolerance == f"<= 1, < {limit_s} s"
+
+
+def test_raising_criterion_fails_and_suite_runs_on(monkeypatch, capsys):
+    # C10's experiment raises: C10 reads FAIL with the error as its
+    # measured text, and C11 still runs
+    def raises(*args, **kwargs):
+        raise IncompatibleData("no pairing on this grid")
+
+    monkeypatch.setattr(wavesim, "key_identity_check", raises)
+    results = acc.run_acceptance("wavesim")
+    assert [r.cid for r in results] == [10, 11]
+    assert not results[0].passed
+    assert results[0].measured == "IncompatibleData: no pairing on this grid"
+    assert capsys.readouterr().out.splitlines() == [r.line() for r in results]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdxray import conformal
 from tdxray.conformal import bump_factor, constant_factor
 from tdxray.errors import Inadmissible
 
@@ -143,8 +144,10 @@ class TestAdmissibility:
         with pytest.raises(Inadmissible, match="m0 = 0.0 is not positive"):
             c.check_admissible((-1, -1), (1, 1))
 
-    def test_c1_violation(self):
-        c = bump_factor(0.4, (0.0, 0.0), 0.3)
-        c.eps = 0.1
-        with pytest.raises(Inadmissible):
+    def test_c1_violation(self, monkeypatch):
+        # C^1 distance 0.27: inside the class's EPS = 0.5, outside 0.1
+        c = bump_factor(0.1, (0.0, 0.0), 0.8)
+        c.check_admissible((-1, -1), (1, 1))
+        monkeypatch.setattr(conformal, "EPS", 0.1)
+        with pytest.raises(Inadmissible, match="exceeds eps = 0.1"):
             c.check_admissible((-1, -1), (1, 1))

@@ -10,7 +10,8 @@ import pytest
 import defects
 from defect_table import change
 from defects import (beam_im_m_sign, fill_conj, inverse_no_phase,
-                     inverse_no_shift, mirror_none, trace_without_c)
+                     inverse_no_shift, leapfrog_without_c, mirror_none,
+                     trace_without_c)
 from test_wavesim import stored_trace
 from tdxray.conformal import bump_factor
 from tdxray.fields import default_recon_field
@@ -47,6 +48,19 @@ def test_wrong_im_m_sign_fails_beam_residual_and_geometry(capsys):
     report = capsys.readouterr().out
     assert not results[7].passed, report
     assert not results[8].passed, report
+
+
+def test_leapfrog_without_c_fails_identity_and_stability(capsys):
+    # with c dropped from the step the marched solution is c = 1's, so the
+    # identity's boundary pairing and every DtN difference vanish: both
+    # pipelines raise, and both criteria read FAIL with the error
+    with leapfrog_without_c():
+        results = {r.cid: r for r in run_acceptance("wavesim")}
+    report = capsys.readouterr().out
+    assert not results[10].passed, report
+    assert not results[11].passed, report
+    assert results[10].measured.startswith("IncompatibleData: "), report
+    assert results[11].measured.startswith("IncompatibleData: "), report
 
 
 def test_dropped_mirror_leaves_noisy_rows_complex():

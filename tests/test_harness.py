@@ -57,14 +57,20 @@ LATTICE_OVERFLOW = [
 
 # wave grids too large to allocate, each with the key that makes them so:
 # each escaped run() as numpy's ValueError (a dimension past the maximum)
-# or as a MemoryError for terabytes (grid.k 1e-9, grid.nx 10**6)
+# or as a MemoryError for terabytes (grid.cfl 1e-7, grid.nx 10**6)
 WAVE_OVERFLOW = [
-    ("dtn", "grid.k", 1e-300),
+    ("dtn", "grid.cfl", 1e-300),
     ("dtn", "grid.T", 1e300),
-    ("dtn", "grid.k", 1e-9),
+    ("dtn", "grid.cfl", 1e-7),
     ("dtn", "grid.nx", 10**6),
     ("identity-check", "grid.cfl", 1e-300),
     ("identity-check", "grid.T", 1e300),
+]
+# time steps cfl / (nx - 1) that underflow to 0: identity-check's escaped
+# run() as a ZeroDivisionError from T / k
+WAVE_UNDERFLOW = [
+    ("dtn", "grid.cfl", 5e-324),
+    ("identity-check", "grid.cfl", 5e-324),
 ]
 
 
@@ -398,7 +404,7 @@ class TestRunner:
         ("beam", {"beam.lambdas": [16.0, 32.0]}),
         ("reconstruct", {"grid.extent": 1.0}),
         ("stability-curve", {"grid.extent": 1.0}),
-        ("dtn", {"grid.k": 0.0}),
+        ("dtn", {"grid.cfl": 0.0}),
         ("dtn", {"grid.T": 0.0}),
         ("identity-check", {"grid.sizes": [17], "grid.cfl": 0.0}),
         ("identity-check", {"grid.sizes": [17], "grid.T": -1.0}),
@@ -504,7 +510,8 @@ class TestRunner:
         assert first == "error_type = ConfigInvalid"
         assert message.startswith(f"message = {key} = {cfg[key]!r}")
 
-    @pytest.mark.parametrize("name, key, value", WAVE_OVERFLOW)
+    @pytest.mark.parametrize("name, key, value",
+                             WAVE_OVERFLOW + WAVE_UNDERFLOW)
     def test_wave_grid_bounded_before_allocation(self, tmp_path, monkeypatch,
                                                  name, key, value):
         def no_grid(*args, **kwargs):

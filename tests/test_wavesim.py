@@ -341,8 +341,7 @@ class TestMarch:
                             lambda self, c_max: None)
         c = bump_factor(0.04, (0.55, 0.42), 0.3, T=2.0)
         with pytest.raises(Unstable):
-            dtn_norm_diff(constant_factor(T=2.0), [c], grid,
-                          boundary_probes(2, 2.0))
+            dtn_norm_diff([c], grid, boundary_probes(2, 2.0))
 
 
 def stepped_data(grid, first):
@@ -417,8 +416,7 @@ class TestSampleOnce:
         counts = []
         for count in (1, 4):
             calls.clear()
-            dtn_norm_diff(constant_factor(T=1.0), family, grid,
-                          boundary_probes(count, 1.0))
+            dtn_norm_diff(family, grid, boundary_probes(count, 1.0))
             counts.append(len(calls))
         # each factor on the mesh, once a run
         assert counts == [3, 3]
@@ -426,8 +424,8 @@ class TestSampleOnce:
     def test_march_takes_each_level_of_c_once(self, monkeypatch):
         # each c_at call of a time-dependent family stacks a fresh
         # (F, nx, nx) level; the march takes one per level from the last
-        # silent level on and hands it to the recorder, and _march and
-        # _traces each look up the factor count once
+        # silent level on and hands it to the recorder, and nothing calls
+        # c_at only to count the factors
         mesh_levels, calls = wavesim._mesh_levels, []
 
         def counted(factors, grid):
@@ -440,17 +438,20 @@ class TestSampleOnce:
             return at, margins
 
         monkeypatch.setattr(wavesim, "_mesh_levels", counted)
-        grid = WaveGrid(nx=33, k=0.6 / 32, T=2.0)
         family = [bump_factor(s, (0.55, 0.42), 0.3, t_center=1.0,
                               t_width=0.9, T=2.0)
                   for s in (0.01, 0.02, 0.04, 0.08, 0.16)]
-        bvals = boundary_probes(1, 2.0)[0].sample(grid)
-        dtn_traces(family, grid, bvals)
-        first = int(np.argmax(np.any(bvals != 0, axis=1)))
-        assert first == 14
-        # levels 13 to nt - 1 = 107 and two look-ups; 190 when the march
-        # and the recorder each took c
-        assert len(calls) <= (grid.nt - (first - 1)) + 2 == 97
+        # levels first - 1 to nt - 1, each once: 95 at nx 33 and 280 at
+        # nx 97; 97 and 282 with two look-ups of the factor count, 190 and
+        # 560 when the march and the recorder each took c
+        for nx, first, count in ((33, 14, 95), (97, 42, 280)):
+            calls.clear()
+            grid = WaveGrid(nx=nx, k=0.6 / (nx - 1), T=2.0)
+            bvals = boundary_probes(1, 2.0)[0].sample(grid)
+            dtn_traces(family, grid, bvals)
+            assert int(np.argmax(np.any(bvals != 0, axis=1))) == first
+            assert calls == list(range(first - 1, grid.nt))
+            assert len(calls) == count
 
     def test_timed_family_equals_per_probe_traces(self, monkeypatch):
         # the probe threads, more of them than cores and switching often,
@@ -465,7 +466,7 @@ class TestSampleOnce:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows = dtn_norm_diff(c1, family, grid, probes)
+            rows = dtn_norm_diff(family, grid, probes)
         finally:
             sys.setswitchinterval(interval)
         for i, probe in enumerate(probes):
@@ -570,7 +571,7 @@ class TestDtN:
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
         bad = BoundaryData(lambda t, s: np.ones_like(s), "one")
         with pytest.raises(IncompatibleData):
-            dtn_norm_diff(c_unit, [c_unit], grid, [bad])
+            dtn_norm_diff([c_unit], grid, [bad])
 
     def test_linearity(self, c_unit):
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
@@ -583,28 +584,27 @@ class TestDtN:
         assert np.nanmax(np.abs(lam - 2.0 * lam1 + 0.5 * lam2)) < 1e-9
 
     def test_norm_diff_zero_for_equal_factors(self):
+        # the family's one factor is the unit reference itself
         grid = WaveGrid(nx=33, k=0.6 / 32, T=1.5)
-        c = bump_factor(0.03, (0.5, 0.5), 0.25, T=1.5)
-        out, = dtn_norm_diff(c, [c], grid, boundary_probes(3, 1.5))
+        out, = dtn_norm_diff([constant_factor(T=1.5)], grid,
+                             boundary_probes(3, 1.5))
         assert out["norm_lower_bound"] < 1e-12
 
     def test_norm_estimate_nondecreasing_in_probes(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
-        g1 = constant_factor(T=1.5)
         c = bump_factor(0.05, (0.55, 0.42), 0.3, T=1.5)
         probes = boundary_probes(6, 1.5)
-        est3 = dtn_norm_diff(g1, [c], grid, probes[:3])[0]["norm_lower_bound"]
-        est6 = dtn_norm_diff(g1, [c], grid, probes)[0]["norm_lower_bound"]
+        est3 = dtn_norm_diff([c], grid, probes[:3])[0]["norm_lower_bound"]
+        est6 = dtn_norm_diff([c], grid, probes)[0]["norm_lower_bound"]
         assert est6 >= est3 - 1e-15
 
     def test_norm_monotone_in_scale(self):
         grid = WaveGrid(nx=49, k=0.6 / 48, T=1.5)
-        g1 = constant_factor(T=1.5)
         probes = boundary_probes(4, 1.5)
         family = [bump_factor(s, (0.55, 0.42), 0.3, T=1.5)
                   for s in (0.01, 0.02, 0.04)]
         norms = [out["norm_lower_bound"]
-                 for out in dtn_norm_diff(g1, family, grid, probes)]
+                 for out in dtn_norm_diff(family, grid, probes)]
         assert norms[0] < norms[1] < norms[2]
 
 

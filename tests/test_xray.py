@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +99,14 @@ class TestSinogram:
         sino = sinogram(f, rays, MetricSpec(), unit_disk)
         assert np.all(sino.values == 0.0)
         assert sino.sup_norm == 0.0
+
+    def test_sup_norm_follows_replaced_values(self, unit_disk, slice_field):
+        # a copy with new values carries their sup-norm, not a stale one
+        sino = sinogram(slice_field, sample_inward_bundle(unit_disk, 8, 8),
+                        MetricSpec(), unit_disk)
+        assert sino.sup_norm > 0.0
+        doubled = dataclasses.replace(sino, values=2 * sino.values)
+        assert doubled.sup_norm == 2 * sino.sup_norm
 
     def test_constant_field_chord_lengths(self, unit_disk):
         f = inline_field(lambda t, x: np.ones(np.broadcast(t, x[..., 0]).shape))
