@@ -48,7 +48,7 @@ class ZeroXi(TdxrayError):
 
 
 class OddLattice(TdxrayError):
-    """Sample lattice has an odd size; the Hermitian mirror needs even."""
+    """Sample lattice has an odd size; only even sizes have a reference."""
 
 
 # ---------------------------------------------------------------- reconstruct

@@ -52,11 +52,14 @@ def _wave_grid(nx: int, cfl: float, T: float, named: str):
     values, checked before any allocation; named gives nx, cfl and T."""
     from ..wavesim import WaveGrid
 
+    # nx^2 first, in integers: an nx past every float is never converted
+    if nx**2 > WAVE_VALUES:
+        raise ConfigInvalid(f"{named} give more than the {WAVE_VALUES:g} "
+                            "values a wave grid may hold in one time level")
     k = cfl / (nx - 1)
     # T / k + 1 read without k, which may underflow to 0
     levels = T * (nx - 1) / cfl + 1
-    # nx^2 first, so that an nx^2 past every float is never converted
-    if nx**2 > WAVE_VALUES or levels * nx**2 > WAVE_VALUES:
+    if levels * nx**2 > WAVE_VALUES:
         raise ConfigInvalid(f"{named} give {levels:.3g} time levels of "
                             f"nx^2 nodes each: more than the "
                             f"{WAVE_VALUES:g} values a wave grid may hold")

@@ -96,9 +96,9 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     in the direction omega(tau, xi) with omega . xi = -tau; the origin is
     the tensor-grid transform of f's lattice samples (no chord direction
     exists for xi = 0).  Values are Hermitian-symmetrised: of each mirror
-    pair (SpectralGrid.mirror) only the first in C order is integrated,
-    and the later takes its conjugate, as for real data.  The source
-    holds the filled modes only, with no complex lattice.
+    pair (SpectralGrid.mirror) only the first in the FFT-order lattice's
+    C order is integrated, and the later takes its conjugate, as for real
+    data.  The source holds the filled modes only, with no complex lattice.
 
     omega depends on the point only through tau/|xi| and xi/|xi|, so the
     points of one line through the origin share a chord family.  The
@@ -109,7 +109,7 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
     """
     available = grid.visible_mask & (grid.radius_mesh <= R_max)
     index = np.flatnonzero(available)
-    _, pair = grid.mirror(index)
+    pair = grid.mirror(index)
     late = (pair >= 0) & (pair < np.arange(index.size))
 
     at = np.unravel_index(index[~late], grid.shape)
@@ -137,35 +137,36 @@ def visible_slice_source(f: SpaceTimeField, body: ConvexBody,
 def hermitian_noise(grid: SpectralGrid, index: np.ndarray, amplitude: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Complex uniform noise at the kept modes (flat C-order indices of the
-    centered lattice, increasing) with eta(-k) = conj(eta(k)), as an array
-    over index.
+    FFT-order lattice, increasing) with eta(-k) = conj(eta(k)), as an
+    array over index.
 
-    Components are uniform in [-amplitude, amplitude], drawn over the
-    whole lattice, the real parts before the imaginary ones, one lattice
-    of draws at a time.  Symmetrisation averages mirror pairs
-    (SpectralGrid.mirror), preserving the amplitude bound: a kept point
-    whose mirror is on the lattice takes the mean of its draw and the
-    conjugate of its mirror's, which counts as zero where the mirror is
-    not kept; a kept point with no mirror keeps its draw.
+    Components are uniform in [-amplitude, amplitude], drawn over whole
+    centred lattices (k = 0 at index N/2), the real parts before the
+    imaginary ones, one lattice of draws at a time; the mode at FFT index
+    j reads its draw at (j + N/2) mod N on every axis.  Symmetrisation
+    averages mirror pairs (SpectralGrid.mirror), preserving the amplitude
+    bound: a kept point takes the mean of its draw and the conjugate of
+    its mirror's, which counts as zero where the mirror is not kept.
     """
+    at = np.unravel_index(index, grid.shape)
+    drawn = tuple((j + grid.n // 2) % grid.n for j in at)
     eta = np.empty(index.shape, dtype=complex)
     for part in (eta.real, eta.imag):
         draw = rng.uniform(-amplitude, amplitude, grid.shape)
-        part[:] = draw.reshape(-1)[index]
+        part[:] = draw[drawn]
         del draw
-    on, pair = grid.mirror(index)
-    mean = np.conj(np.where(pair >= 0, eta[pair], 0.0)[on])
-    np.add(eta[on], mean, out=mean)
+    pair = grid.mirror(index)
+    mean = np.conj(np.where(pair >= 0, eta[pair], 0.0))
+    np.add(eta, mean, out=mean)
     mean *= 0.5
-    eta[on] = mean
-    return eta
+    return mean
 
 
 # ---------------------------------------------------------------- inversion
 
 
 def lattice_radius_limit(grid: SpectralGrid) -> float:
-    """Largest ball radius fully inside the centered lattice."""
+    """Largest ball radius fully inside the lattice."""
     return float(min(np.max(grid.freqs(a)) for a in range(grid.dim + 1)))
 
 
@@ -184,7 +185,7 @@ def kept_modes(source: SpectralSource,
                R: float) -> tuple[np.ndarray, np.ndarray]:
     """The modes the inversion keeps at cut radius R, the lattice points
     inside B_R, visible and data-backed: their flat indices in the C
-    order of the centered lattice, and the source's values there, picked
+    order of the FFT-order lattice, and the source's values there, picked
     by the (radius < R) & visible mask over the available points."""
     grid = source.grid
     keep = (grid.radius_mesh < R) & grid.visible_mask & source.available

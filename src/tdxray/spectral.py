@@ -6,7 +6,7 @@ Convention (no 2*pi in the forward exponent):
 
 so inversion carries (2*pi)^-(n+1).  On a uniform sample grid the forward
 transform is the trapezoid rule, i.e. a DFT scaled by the cell volume; the
-frequency lattice is the DFT-conjugate lattice, stored centered.
+frequency lattice is the DFT-conjugate lattice, in the FFT's own order.
 
 Phase space splits into the visible region {|tau| <= |xi|}, where slice
 data determines f^ exactly, and the hidden region {|tau| > |xi|}, where
@@ -130,12 +130,12 @@ class SpectralGrid:
     n points each.  Frozen, because the radius mesh, the visible mask and
     the cell phase (the cell volume times exp(-i origin . k), the factor
     that turns the DFT into the trapezoid rule) are computed once per grid
-    from the open frequency mesh and shared read-only.  forward scales
-    the FFT's own output in place before shifting it; inverse takes the
-    kept modes (flat C-order indices of the centered lattice and their
-    values), scatters them into the FFT's order in one zeroed buffer,
-    and divides and transforms in place there.  Grids compare and hash
-    by identity, as the array fields have no single truth value.
+    from the open frequency mesh and shared read-only.  Every lattice
+    array is in the FFT's own order, a mode its flat C-order index there.
+    forward transforms a complex copy of the samples in place; inverse
+    scatters the kept modes (flat indices and values) into one zeroed
+    buffer and divides and transforms in place there.  Grids compare and
+    hash by identity, as the array fields have no single truth value.
     """
 
     origin: np.ndarray
@@ -143,8 +143,8 @@ class SpectralGrid:
     n: int
 
     def __post_init__(self):
-        # the centered lattice mirrors index i to N - i only for even N;
-        # odd sizes would pair each frequency with a wrong partner
+        # the FFT-order mirror pairs any size, but every reference lattice
+        # is even: an odd size stays an error, not an unchecked answer
         if self.n % 2:
             raise OddLattice(f"lattice size {self.n} must be even")
 
@@ -189,16 +189,16 @@ class SpectralGrid:
         """Spatial dimension: the axes after t."""
         return self.origin.size - 1
 
-    # --- sample and frequency axes (frequencies centered) -------------
+    # --- sample and frequency axes (frequencies in FFT order) ---------
 
     def axis(self, a: int) -> np.ndarray:
         """Sample points of axis a; axis 0 is t."""
         return self.origin[a] + self.spacing[a] * np.arange(self.n)
 
     def freqs(self, a: int) -> np.ndarray:
-        """Frequencies of axis a in fftshift order; axis 0 is tau."""
-        return 2.0 * np.pi * np.fft.fftshift(
-            np.fft.fftfreq(self.n, self.spacing[a]))
+        """Frequencies of axis a in the FFT's order, 0 first and the
+        Nyquist frequency -N/2 dk at index N/2; axis 0 is tau."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.spacing[a])
 
     @property
     def cell_volume(self) -> float:
@@ -220,25 +220,16 @@ class SpectralGrid:
         return np.meshgrid(*(self.freqs(a) for a in range(self.dim + 1)),
                            indexing="ij", sparse=True)
 
-    def mirror(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Hermitian mirror pairs among index, flat C-order indices of
-        the centered lattice in increasing order.
-
-        On the centered even lattice freq(j) = (j - N/2) dk, so -freq lives
-        at index N - j: a point's mirror -k is on the lattice when its
-        index is >= 1 on every axis, and the j = 0 rows (most negative
-        frequency) have none.  Returns whether each point's mirror is on
-        the lattice, and the mirror's position in index, -1 where it is
-        off the lattice or not in index.
-        """
+    def mirror(self, index: np.ndarray) -> np.ndarray:
+        """Each point's Hermitian mirror's position in index (flat C-order
+        indices, increasing), -1 where the mirror is not in index.  The
+        mirror -k of index j is (-j) mod N on every axis, so every point
+        has one; at the Nyquist index N/2 it is N/2 itself, the alias of
+        +N/2 dk."""
         at = np.unravel_index(index, self.shape)
-        on = np.logical_and.reduce([j > 0 for j in at])
-        # j = 0 wraps to itself; those points are not on
-        flip = np.ravel_multi_index(tuple(self.n - j for j in at),
-                                    self.shape, mode="wrap")
+        flip = np.ravel_multi_index(np.negative(at), self.shape, mode="wrap")
         pos = np.searchsorted(index, flip)
-        found = on & (np.take(index, pos, mode="clip") == flip)
-        return on, np.where(found, pos, -1)
+        return np.where(np.take(index, pos, mode="clip") == flip, pos, -1)
 
     @cached_property
     def radius_mesh(self) -> np.ndarray:
@@ -268,9 +259,9 @@ class SpectralGrid:
 
     @cached_property
     def _cell_phase(self) -> np.ndarray:
-        """cell_volume * exp(-i origin . (tau, xi)) in the FFT's unshifted
-        order: the factor of the trapezoid rule over the DFT."""
-        mesh = [np.fft.ifftshift(m) for m in self.frequency_mesh()]
+        """cell_volume * exp(-i origin . (tau, xi)): the factor of the
+        trapezoid rule over the DFT."""
+        mesh = self.frequency_mesh()
         phase = self.origin[0] * mesh[0]
         for o, m in zip(self.origin[1:], mesh[1:]):
             phase = phase + o * m
@@ -280,7 +271,7 @@ class SpectralGrid:
         return _read_only(phase)
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
-        """Trapezoid-rule transform on the centered frequency lattice.
+        """Trapezoid-rule transform on the frequency lattice, in place.
 
         ValueError unless samples has the lattice's shape: numpy would
         broadcast a lower-dimensional array into a plausible answer.
@@ -288,30 +279,31 @@ class SpectralGrid:
         if np.shape(samples) != self.shape:
             raise ValueError(f"samples of shape {np.shape(samples)}: the "
                              f"lattice is {self.shape}")
-        spec = np.fft.fftn(samples)
+        spec = np.array(samples, dtype=complex)
+        np.fft.fftn(spec, out=spec)
         np.multiply(self._cell_phase, spec, out=spec)
-        return np.fft.fftshift(spec)
+        return spec
 
     def inverse(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward` back onto the sample grid, from
-        the kept modes: flat indices of the centered lattice in C order
-        and the values there, every other point zero.
+        the kept modes: flat C-order indices of the lattice and the values
+        there, every other point zero.
 
-        The values are scattered into one zeroed buffer at their FFT-order
-        positions, so the scatter does the shift; the buffer is divided
+        The values are scattered into one zeroed buffer, which is divided
         by the cell phase and transformed in place.  ValueError unless
         index and values are one 1-D pair, or when an index is off the
-        lattice.
+        lattice, where a scatter would fail or wrap round.
         """
         if np.ndim(index) != 1 or np.shape(values) != np.shape(index):
             raise ValueError(f"modes: index of shape {np.shape(index)} and "
                              f"values of shape {np.shape(values)} are not "
                              f"one 1-D pair")
-        at = np.unravel_index(index, self.shape)
         # a grid's first call builds the phase before the buffer exists
         phase = self._cell_phase
         spec = np.zeros(self.shape, dtype=complex)
-        spec[tuple((j + self.n // 2) % self.n for j in at)] = values
+        if not np.all((0 <= index) & (index < spec.size)):
+            raise ValueError("modes: an index is out of bounds")
+        spec.reshape(-1)[index] = values
         np.divide(spec, phase, out=spec)
         return np.fft.ifftn(spec, out=spec)
 

@@ -26,13 +26,14 @@ def bits(a) -> np.ndarray:
 
 
 def dense_frequency_mesh(grid):
-    """The centered frequency mesh, one dense lattice per axis."""
-    return np.meshgrid(*(grid.freqs(a) for a in range(grid.dim + 1)),
-                       indexing="ij")
+    """The frequency mesh in the FFT's order, one dense lattice per axis,
+    from numpy's fftfreq."""
+    return np.meshgrid(*(2 * np.pi * np.fft.fftfreq(grid.n, d)
+                         for d in grid.spacing), indexing="ij")
 
 
 def corner_phase(grid) -> np.ndarray:
-    """exp(-i origin . (tau, xi)) on the dense centered mesh: the oracle
+    """exp(-i origin . (tau, xi)) on the dense frequency mesh: the oracle
     for the grid's cached cell phase."""
     mesh = dense_frequency_mesh(grid)
     phase = grid.origin[0] * mesh[0]
@@ -43,52 +44,48 @@ def corner_phase(grid) -> np.ndarray:
 
 def oracle_forward(grid, samples) -> np.ndarray:
     """The lattice transform as three lattice products."""
-    spec = np.fft.fftshift(np.fft.fftn(samples))
-    return grid.cell_volume * corner_phase(grid) * spec
+    return grid.cell_volume * corner_phase(grid) * np.fft.fftn(samples)
 
 
 def oracle_inverse(grid, values) -> np.ndarray:
-    """The inverse of a dense centered lattice of values, as a product, a
-    quotient and a shifted copy."""
-    spec = values / (grid.cell_volume * corner_phase(grid))
-    return np.fft.ifftn(np.fft.ifftshift(spec))
+    """The inverse of a dense lattice of values, as a product and a
+    quotient."""
+    return np.fft.ifftn(values / (grid.cell_volume * corner_phase(grid)))
+
+
+def negated(a, axes=None) -> np.ndarray:
+    """a(-k) for a lattice-shaped a, negating k along axes (every axis by
+    default): -k lives at index (-j) mod N, so this is a reversed and
+    rolled by one along each of them.  The reference for
+    SpectralGrid.mirror."""
+    axes = tuple(range(a.ndim)) if axes is None else axes
+    return np.roll(np.flip(a, axes), 1, axes)
 
 
 def core(a) -> np.ndarray:
-    """a on the core lattice, index >= 1 on every axis: the points whose
-    mirror -k is on the centered even lattice."""
-    return a[(slice(1, None),) * a.ndim]
+    """a on the core lattice, off the Nyquist index N/2 of every axis: the
+    points whose negated frequency -k is on the lattice, not an alias."""
+    for axis in range(a.ndim):
+        a = np.delete(a, a.shape[axis] // 2, axis)
+    return a
 
 
-def mirrored(a) -> np.ndarray:
-    """a(-k) on the core lattice, for a lattice-shaped array a: -k lives
-    at index N - j, so this is the core reversed along every axis.  The
-    reference for SpectralGrid.mirror."""
-    return core(a)[(slice(None, None, -1),) * a.ndim]
-
-
-def mirror_reference(shape, index) -> tuple:
-    """SpectralGrid.mirror by the dense reversal: whether each point of
-    index lies on the core, and its mirror's position in index, or -1."""
-    position = np.full(shape, -1)
-    position.reshape(-1)[index] = np.arange(len(index))
-    pair = np.full(shape, -1)
-    core(pair)[...] = mirrored(position)
-    on = np.zeros(shape, dtype=bool)
-    core(on)[...] = True
-    return on.reshape(-1)[index], pair.reshape(-1)[index]
+def mirrored(a, axes=None) -> np.ndarray:
+    """a(-k) on the core lattice, negating k along axes (every axis by
+    default)."""
+    return core(negated(a, axes))
 
 
 def dense(source) -> np.ndarray:
-    """A SpectralSource's values on the dense centered lattice, zero off
-    its available points."""
+    """A SpectralSource's values on the dense lattice, zero off its
+    available points."""
     out = np.zeros(source.available.shape, dtype=complex)
     out[source.available] = source.values
     return out
 
 
 def every_mode(values) -> tuple:
-    """A dense centered lattice of values as the kept modes that
+    """A dense lattice of values as the kept modes that
     SpectralGrid.inverse takes: every flat index, and the values."""
     return np.arange(values.size), values.reshape(-1)
 

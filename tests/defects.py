@@ -22,14 +22,15 @@ def _inverse(inverse):
         yield
 
 
-def inverse_no_shift():
-    """SpectralGrid.inverse scattering the kept modes at their centered
-    positions, not their FFT-order ones: the lattice is transformed as if
-    k = 0 sat at index 0."""
+def inverse_stale_shift():
+    """SpectralGrid.inverse scattering the kept mode of FFT index j at the
+    centred position (j + N/2) mod N on every axis, a shift left over
+    from a centred lattice: k = 0 is transformed at index N/2, not 0."""
     def inverse(self, index, values):
+        at = np.unravel_index(index, self.shape)
         spec = np.zeros(self.shape, dtype=complex)
-        spec.reshape(-1)[index] = values
-        return np.fft.ifftn(spec / np.fft.fftshift(self._cell_phase))
+        spec[tuple((j + self.n // 2) % self.n for j in at)] = values
+        return np.fft.ifftn(spec / self._cell_phase)
 
     return _inverse(inverse)
 
@@ -38,9 +39,8 @@ def inverse_no_phase():
     """SpectralGrid.inverse dividing by the cell volume only, without the
     corner phase exp(-i origin . k)."""
     def inverse(self, index, values):
-        at = np.unravel_index(index, self.shape)
         spec = np.zeros(self.shape, dtype=complex)
-        spec[tuple((j + self.n // 2) % self.n for j in at)] = values
+        spec.reshape(-1)[index] = values
         return np.fft.ifftn(spec / self.cell_volume)
 
     return _inverse(inverse)
@@ -86,7 +86,7 @@ def mirror_none():
     points of every mirror pair, and the noise leaves every draw
     unpaired, so a noisy row's data are not Hermitian."""
     def mirror(self, index):
-        return np.zeros(index.shape, dtype=bool), np.full(index.shape, -1)
+        return np.full(index.shape, -1)
 
     return mock.patch.object(SpectralGrid, "mirror", mirror)
 
@@ -146,7 +146,7 @@ def beam_im_m_sign():
 
 # each defect and the module whose acceptance criteria should catch it
 CATALOGUE = {
-    "inverse_no_shift": "reconstruct",
+    "inverse_stale_shift": "reconstruct",
     "inverse_no_phase": "reconstruct",
     "fill_conj": "reconstruct",
     "slice_phase_sign": "reconstruct",

@@ -10,7 +10,7 @@ import pytest
 import defects
 from defect_table import change
 from defects import (beam_im_m_sign, fill_conj, inverse_no_phase,
-                     inverse_no_shift, leapfrog_without_c, mirror_none,
+                     inverse_stale_shift, leapfrog_without_c, mirror_none,
                      trace_without_c)
 from test_wavesim import stored_trace
 from tdxray.conformal import bump_factor
@@ -24,7 +24,7 @@ from tdxray.wavesim import (WaveGrid, boundary_probes, dtn_traces,
                             solve_dirichlet)
 
 
-@pytest.mark.parametrize("defect", [inverse_no_shift, inverse_no_phase])
+@pytest.mark.parametrize("defect", [inverse_stale_shift, inverse_no_phase])
 def test_inverse_defect_fails_log_stability_and_parseval(defect, capsys):
     with defect():
         results = {r.cid: r for r in run_acceptance("reconstruct")}

@@ -525,6 +525,18 @@ class TestRunner:
         assert first == "error_type = ConfigInvalid"
         assert f"{key} = {value!r}" in message
 
+    # a grid size past every float: cfl / (nx - 1) was formed before the
+    # bound, so both escaped run() as OverflowError
+    @pytest.mark.parametrize("name, cfg", [
+        ("dtn", {"grid.nx": 10**400}),
+        ("identity-check", {"grid.sizes": [10**400]})],
+        ids=["dtn", "identity-check"])
+    def test_wave_size_past_every_float_rejected(self, tmp_path, name, cfg):
+        assert run(name, dict(cfg), str(tmp_path), seed=0) == 2
+        art = tmp_path / f"{name}-{config_hash(cfg, 0)[:12]}"
+        first = (art / "error.txt").read_text().splitlines()[0]
+        assert first == "error_type = ConfigInvalid"
+
     def test_identity_sizes_checked_before_first_solve(self, tmp_path,
                                                         monkeypatch):
         def no_solve(*args, **kwargs):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, core, dense, mirrored, oracle_inverse
+from conftest import bits, core, dense, mirrored, negated, oracle_inverse
 from tdxray import reconstruct
 from tdxray.errors import InfeasibleSandwich, RTooLargeForGrid
 from tdxray.fields import default_recon_field, single_bump
@@ -22,14 +22,14 @@ from tdxray.spectral import (SpectralGrid, slice_from_sinogram,
 
 
 def oracle_noise(grid, mask, amplitude, rng):
-    """hermitian_noise as a dense lattice, a + 1j*b, masked and
-    symmetrised from a copy."""
+    """hermitian_noise as a dense lattice, a + 1j*b drawn on centred
+    lattices and shifted into the FFT's order, masked and symmetrised
+    from a copy."""
     shape = mask.shape
-    eta = (rng.uniform(-amplitude, amplitude, shape)
-           + 1j * rng.uniform(-amplitude, amplitude, shape))
+    eta = np.fft.ifftshift(rng.uniform(-amplitude, amplitude, shape)
+                           + 1j * rng.uniform(-amplitude, amplitude, shape))
     eta[~mask] = 0.0
-    sym = eta.copy()
-    core(sym)[...] = 0.5 * (core(eta) + np.conj(mirrored(eta)))
+    sym = 0.5 * (eta + np.conj(negated(eta)))
     sym[~mask] = 0.0
     return sym
 
@@ -247,15 +247,15 @@ class TestSliceSource:
         assert np.array_equal(src.available, pick)
         values = dense(src)
 
-        # mirror classes by the even-lattice rule -k at index N - j, with
-        # the j = 0 rows unpaired; each class is filled by one slice of
-        # its first member in C order, except at xi = 0 (no direction)
+        # mirror classes by the FFT-order rule -k at index (N - j) mod N;
+        # each class is filled by one slice of its first member in C
+        # order, except at xi = 0 (no direction)
         mesh = np.broadcast_arrays(*grid.frequency_mesh())
         N = np.array(pick.shape)
         classes = set()
         for idx in map(tuple, np.argwhere(pick)):
-            mirror = tuple(N - idx)
-            if min(idx) == 0 or not pick[mirror]:
+            mirror = tuple((N - idx) % N)
+            if not pick[mirror]:
                 mirror = idx
             classes.add(tuple(sorted({idx, mirror})))
         sliced = 0
@@ -284,8 +284,8 @@ class TestSliceSource:
         N = np.array(src.available.shape)
         expected = np.zeros(src.available.shape, dtype=complex)
         for idx in map(tuple, np.argwhere(src.available)):
-            mirror = tuple(N - idx)
-            if min(idx) > 0 and mirror < idx and src.available[mirror]:
+            mirror = tuple((N - idx) % N)
+            if mirror < idx and src.available[mirror]:
                 expected[idx] = np.conj(expected[mirror])
                 continue
             tau = float(mesh[0][idx])
@@ -307,15 +307,15 @@ class TestHermitianNoise:
         rng = np.random.default_rng(0)
         eta = np.zeros(grid.shape, dtype=complex)
         eta.reshape(-1)[index] = hermitian_noise(grid, index, 1e-3, rng)
-        assert np.max(np.abs(core(eta) - np.conj(mirrored(eta)))) < 1e-18
+        assert np.max(np.abs(eta - np.conj(negated(eta)))) < 1e-18
         assert np.max(np.abs(eta.real)) <= 1e-3
         assert np.max(np.abs(eta.imag)) <= 1e-3
         assert np.all(eta[~mask] == 0.0)
 
     @staticmethod
     def check_bits(grid, mask, amplitude, seed):
-        # the masks need not be mirror-closed: a kept core point whose
-        # mirror is not kept takes half its own draw
+        # the masks need not be mirror-closed: a kept point whose mirror
+        # is not kept takes half its own draw
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         index = np.flatnonzero(mask)
         eta = hermitian_noise(grid, index, amplitude, rng)

@@ -322,6 +322,27 @@ def test_no_scipy_import_in_src():
     assert scipy_imports(SRC) == []
 
 
+def fft_shifts(src: Path) -> list[str]:
+    """Every use of numpy's fftshift or ifftshift in the package, as a
+    name, an attribute or an import."""
+    shifts = {"fftshift", "ifftshift"}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None and name.split(".")[-1] in shifts:
+                found.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+    return found
+
+
+def test_no_fft_shift_in_src():
+    # the lattice is kept in the FFT's own order; a shift would bring a
+    # second, centred order back
+    assert fft_shifts(SRC) == []
+
+
 # a forward run and a beam run through the command line, after importing
 # every entry module; prints the scipy modules then loaded
 NO_SCIPY_RUN = """
